@@ -16,22 +16,32 @@ from .chords import ONLINE_TOL
 from .geometry import Point, Shape, contains
 
 _PAD = 1e-9  # prefilter slack so tolerance-band vertices are never missed
+# Lines x vertices per ring-scan block: the block's temporaries stay in cache.
+_SCAN_BLOCK = 1 << 17
 
 
 class CompiledShape:
-    """Shape flattened to per-ring arrays plus per-ring bounding circles."""
+    """Shape flattened to per-ring arrays plus per-ring bounding circles.
 
-    __slots__ = ("shape", "rings", "centers", "radii", "tol")
+    Each ring's vertices are kept relative to the ring's centre and transposed
+    to (2, V): projecting them on K line normals is then one (K, 2) @ (2, V)
+    product, and the differences stay small for shapes far from the origin.
+    """
+
+    __slots__ = ("shape", "rel", "centers", "radii", "tol")
 
     def __init__(self, shape: Shape):
         self.shape = shape
-        self.rings = [np.ascontiguousarray(r.coords) for r in shape.rings]
+        self.rel = []
         centers = []
         radii = []
-        for c in self.rings:
+        for r in shape.rings:
+            c = r.coords
             mid = 0.5 * (c.min(axis=0) + c.max(axis=0))
+            rel = c - mid
+            self.rel.append(np.ascontiguousarray(rel.T))
             centers.append(mid)
-            radii.append(float(np.max(np.hypot(c[:, 0] - mid[0], c[:, 1] - mid[1]))))
+            radii.append(float(np.max(np.hypot(rel[:, 0], rel[:, 1]))))
         self.centers = np.array(centers)
         self.radii = np.array(radii)
         self.tol = ONLINE_TOL * shape.coordinate_scale()
@@ -61,50 +71,51 @@ def observe_segments(cshape: CompiledShape, a: np.ndarray, b: np.ndarray) -> Bat
     d = b - a
     length = np.hypot(d[:, 0], d[:, 1])
     active = length > 0.0
-    safe_len = np.where(active, length, 1.0)
-    ux, uy = d[:, 0] / safe_len, d[:, 1] / safe_len
-    nx, ny = -uy, ux
+    u = d / np.where(active, length, 1.0)[:, None]
+    ux, uy = u[:, 0], u[:, 1]
+    nrm = np.column_stack([-uy, ux])
     tol = cshape.tol
 
     ev_line: list[np.ndarray] = []
     ev_t: list[np.ndarray] = []
     rejected = np.zeros(m, dtype=bool)
 
-    for coords, center, rad in zip(cshape.rings, cshape.centers, cshape.radii):
+    for rel, center, rad in zip(cshape.rel, cshape.centers, cshape.radii):
         dcx = center[0] - a[:, 0]
         dcy = center[1] - a[:, 1]
-        dist = np.abs(dcx * nx + dcy * ny)
+        s_c = dcx * nrm[:, 0] + dcy * nrm[:, 1]
         xi_c = dcx * ux + dcy * uy
         reach = rad + _PAD
-        keep = active & (dist <= reach) & (xi_c >= -reach) & (xi_c <= length + reach)
-        idx = np.nonzero(keep)[0]
-        if idx.size == 0:
-            continue
-        vx, vy = coords[:, 0], coords[:, 1]
-        sax = a[idx, 0]
-        say = a[idx, 1]
-        s = (vx[None, :] - sax[:, None]) * nx[idx, None] + (
-            vy[None, :] - say[:, None]
-        ) * ny[idx, None]
-        on_line = np.abs(s) <= tol
-        bad = on_line.any(axis=1)
-        if bad.any():
-            rejected[idx[bad]] = True
-        s_next = np.concatenate([s[:, 1:], s[:, :1]], axis=1)
-        cross = (s > 0.0) != (s_next > 0.0)
-        rows, cols = np.nonzero(cross)
-        if rows.size == 0:
-            continue
-        lines = idx[rows]
-        cols2 = (cols + 1) % coords.shape[0]
-        x1 = (vx[cols] - a[lines, 0]) * ux[lines] + (vy[cols] - a[lines, 1]) * uy[lines]
-        x2 = (vx[cols2] - a[lines, 0]) * ux[lines] + (vy[cols2] - a[lines, 1]) * uy[lines]
-        s1 = s[rows, cols]
-        s2 = s_next[rows, cols]
-        t = x1 + (x2 - x1) * (s1 / (s1 - s2))
-        inside = (t >= 0.0) & (t <= length[lines])
-        ev_line.append(lines[inside])
-        ev_t.append(t[inside])
+        keep = active & (np.abs(s_c) <= reach) & (xi_c >= -reach) & (xi_c <= length + reach)
+        idx = np.flatnonzero(keep)
+        n_vert = rel.shape[1]
+        rows_per_block = max(1, _SCAN_BLOCK // n_vert)
+        for lo in range(0, idx.size, rows_per_block):
+            blk = idx[lo : lo + rows_per_block]
+            # signed distance of every vertex from each line of the block
+            s = nrm[blk] @ rel
+            s += s_c[blk, None]
+            above = s > 0.0
+            cross = above != np.roll(above, -1, axis=1)
+            rows, cols = np.divmod(np.flatnonzero(cross), n_vert)
+            s1 = s[rows, cols]
+            cols2 = (cols + 1) % n_vert
+            s2 = s[rows, cols2]
+            # s is not read again, so |s| may overwrite it
+            bad = (np.abs(s, out=s) <= tol).any(axis=1)
+            if bad.any():
+                rejected[blk[bad]] = True
+            if rows.size == 0:
+                continue
+            lines = blk[rows]
+            lux = ux[lines]
+            luy = uy[lines]
+            x1 = rel[0, cols] * lux + rel[1, cols] * luy
+            x2 = rel[0, cols2] * lux + rel[1, cols2] * luy
+            t = xi_c[lines] + (x1 + (x2 - x1) * (s1 / (s1 - s2)))
+            inside = (t >= 0.0) & (t <= length[lines])
+            ev_line.append(lines[inside])
+            ev_t.append(t[inside])
 
     if ev_line:
         lines_all = np.concatenate(ev_line)
@@ -115,71 +126,57 @@ def observe_segments(cshape: CompiledShape, a: np.ndarray, b: np.ndarray) -> Bat
 
     counts = np.bincount(lines_all, minlength=m)
     rejected |= counts % 2 == 1
-    valid_ev = ~rejected[lines_all]
-    lines_all = lines_all[valid_ev]
-    t_all = t_all[valid_ev]
-    counts = np.bincount(lines_all, minlength=m)
+    if rejected.any():
+        valid_ev = ~rejected[lines_all]
+        lines_all = lines_all[valid_ev]
+        t_all = t_all[valid_ev]
+        counts[rejected] = 0
 
     k = np.zeros(m, dtype=np.int64)
     L1 = np.zeros(m)
     L3 = np.zeros(m)
     cube = np.zeros(m)
-    hit = np.nonzero(counts > 0)[0]
+    hit = np.flatnonzero(counts)
     if hit.size == 0:
         return BatchObservations(k, L1, L3, cube, np.empty(0), np.empty(0, dtype=int), rejected)
 
-    order = np.lexsort((t_all, lines_all))
-    lines_sorted = lines_all[order]
-    t_sorted = t_all[order]
+    # One row per hit line, its events in any order, padded with the largest
+    # event position so that padded chords and gaps come out exactly zero.
     hit_counts = counts[hit]
     cmax = int(hit_counts.max())
-    row_of_line = np.full(m, -1, dtype=np.int64)
-    row_of_line[hit] = np.arange(hit.size)
-    rows = row_of_line[lines_sorted]
-    starts = np.zeros(hit.size, dtype=np.int64)
-    np.cumsum(hit_counts[:-1], out=starts[1:])
-    pos = np.arange(lines_sorted.size) - starts[rows]
+    order = np.argsort(lines_all, kind="stable")
+    row_start = np.cumsum(hit_counts) - hit_counts
+    flat = np.arange(t_all.size) + np.repeat(np.arange(hit.size) * cmax - row_start, hit_counts)
+    grid = np.full((hit.size, cmax), t_all.max())
+    grid.ravel()[flat] = t_all[order]
+    grid.sort(axis=1)
 
-    tp = np.zeros((hit.size, cmax))
-    tp[rows, pos] = t_sorted
-    cnt = hit_counts[:, None]
-    pos_grid = np.arange(cmax)[None, :]
-    valid = pos_grid < cnt
-
-    n_pairs = cmax // 2
-    ch = tp[:, 1::2] - tp[:, 0::2]
-    ch_valid = valid[:, 1::2]
-    ch = np.where(ch_valid, ch, 0.0)
-    L1_hit = ch.sum(axis=1)
-    cube_hit = (ch * ch * ch).sum(axis=1)
+    # Sorted events alternate in/out. Transposed, row j holds every line's
+    # j-th event, so each step along a line is one vector op across lines.
+    ev = np.ascontiguousarray(grid.T)
+    ch = ev[1::2] - ev[0::2]
+    ch3 = ch * ch * ch
     k_hit = hit_counts // 2
-
-    L3_hit = np.zeros(hit.size)
-    for i_pos in range(0, cmax, 2):
-        ti = tp[:, i_pos]
-        vi = valid[:, i_pos]
-        for o_pos in range(1, cmax, 2):
-            both = vi & valid[:, o_pos]
-            gap = np.abs(tp[:, o_pos] - ti)
-            L3_hit += np.where(both, gap * gap * gap, 0.0)
-    for grp in (range(1, cmax, 2), range(0, cmax, 2)):
-        grp = list(grp)
-        for ii in range(len(grp)):
-            for jj in range(ii + 1, len(grp)):
-                p1, p2 = grp[ii], grp[jj]
-                both = valid[:, p1] & valid[:, p2]
-                gap = tp[:, p2] - tp[:, p1]
-                L3_hit -= np.where(both, gap * gap * gap, 0.0)
-
     k[hit] = k_hit
-    L1[hit] = L1_hit
-    L3[hit] = L3_hit
-    cube[hit] = cube_hit
+    L1[hit] = ch.sum(axis=0)
+    cube[hit] = ch3.sum(axis=0)
+    # S_3 = sum_i c_i^3 + 6 sum_{i<j} c_i c_j (m_j - m_i), with chord lengths
+    # c and midpoints m: the signed pair terms of chords i and j collapse to
+    # 6 c_i c_j (m_j - m_i). Running sums over j of the chord length so far
+    # and of (chord length so far) x (midpoint step) give it in O(k); every
+    # term is non-negative, so nothing cancels.
+    mid_step = 0.5 * (ch[:-1] + ch[1:]) + (ev[2::2] - ev[1:-1:2])
+    so_far = np.zeros(hit.size)
+    weighted_gap = np.zeros(hit.size)
+    pair_terms = np.zeros(hit.size)
+    for j in range(1, cmax // 2):
+        so_far += ch[j - 1]
+        weighted_gap += so_far * mid_step[j - 1]
+        pair_terms += ch[j] * weighted_gap
+    L3[hit] = cube[hit] + 6.0 * pair_terms
 
-    chord_rows, chord_cols = np.nonzero(ch_valid)
-    chords_flat = ch[chord_rows, chord_cols]
-    chords_line = hit[chord_rows]
-    return BatchObservations(k, L1, L3, cube, chords_flat, chords_line, rejected)
+    ch_valid = np.arange(cmax // 2) < k_hit[:, None]
+    return BatchObservations(k, L1, L3, cube, ch.T[ch_valid], np.repeat(hit, k_hit), rejected)
 
 
 def endpoints_outside(cshape: CompiledShape, a: np.ndarray, b: np.ndarray, sample: int = 8) -> bool:

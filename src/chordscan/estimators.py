@@ -106,38 +106,37 @@ class Accumulator:
 
     def ingest(self, bobs: BatchObservations) -> None:
         """Accumulate a batch of accepted per-line statistics, in line order."""
-        keep = ~bobs.rejected
-        self.note_rejections(int(bobs.rejected.sum()))
-        n = int(keep.sum())
+        n_rej = int(np.count_nonzero(bobs.rejected))
+        self.note_rejections(n_rej)
+        n = len(bobs) - n_rej
         if n == 0:
             return
-        bids = (self.n_lines + np.arange(n)) % self.n_batches
-        k = bobs.k[keep]
-        L1 = bobs.L1[keep]
-        L3 = bobs.L3[keep]
-        cube = bobs.chord_cube_sum[keep]
+        k, L1, L3, cube = bobs.k, bobs.L1, bobs.L3, bobs.chord_cube_sum
+        chords = bobs.chords_flat
+        if n_rej:
+            keep = ~bobs.rejected
+            k, L1, L3, cube = k[keep], L1[keep], L3[keep], cube[keep]
+            chords = chords[keep[bobs.chords_line]]
+        nb = self.n_batches
+        bids = (self.n_lines + np.arange(n)) % nb
         self.n_lines += n
         self.n_hit += int(np.count_nonzero(k))
-        self.sum_L1 += float(L1.sum())
+        sum_L1 = float(L1.sum())
+        self.sum_L1 += sum_L1
         self.sum_L3 += float(L3.sum())
         self.chord_count += int(k.sum())
-        self.chord_sum += float(L1.sum())
+        self.chord_sum += sum_L1
         self.chord_cube_sum += float(cube.sum())
-        np.add.at(self.batch[:, 0], bids, L1)
-        np.add.at(self.batch[:, 1], bids, L3)
-        np.add.at(self.batch[:, 2], bids, k)
-        np.add.at(self.batch[:, 4], bids, cube)
-        if bobs.chords_flat.size:
-            # chords arrive indexed by original line; remap to accepted order
-            accepted_pos = np.cumsum(keep) - 1
-            owner = accepted_pos[bobs.chords_line]
-            owner_ok = keep[bobs.chords_line]
-            vals = bobs.chords_flat[owner_ok]
-            owner = owner[owner_ok]
-            np.add.at(self.batch[:, 3], bids[owner], vals)
-            np.add.at(self.hist, self._bin_of(vals), 1)
-            if vals.size:
-                self.l_max_seen = max(self.l_max_seen, float(vals.max()))
+        # L1 of a line is its chord sum, so one per-batch sum fills both columns
+        batch_L1 = np.bincount(bids, weights=L1, minlength=nb)
+        self.batch[:, 0] += batch_L1
+        self.batch[:, 1] += np.bincount(bids, weights=L3, minlength=nb)
+        self.batch[:, 2] += np.bincount(bids, weights=k, minlength=nb)
+        self.batch[:, 3] += batch_L1
+        self.batch[:, 4] += np.bincount(bids, weights=cube, minlength=nb)
+        if chords.size:
+            self.hist += np.bincount(self._bin_of(chords), minlength=self.n_bins)
+            self.l_max_seen = max(self.l_max_seen, float(chords.max()))
 
     def state_scalar_count(self) -> int:
         """Number of stored numeric values; constant in the line count."""

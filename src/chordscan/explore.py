@@ -35,8 +35,8 @@ DEFAULT_CHUNK = 16384
 class TakeResult:
     """Per-line data for a block of accepted lines, in sampling order."""
 
-    theta: np.ndarray
-    p: np.ndarray
+    theta: np.ndarray | None  # line parameters, only when asked for
+    p: np.ndarray | None
     k: np.ndarray
     L1: np.ndarray
     L3: np.ndarray
@@ -75,50 +75,33 @@ class LineStream:
         )
         return a, b
 
-    def take(self, n: int) -> TakeResult:
-        """Exactly n accepted lines; degenerate ones are resampled and counted."""
-        parts: list[tuple[np.ndarray, ...]] = []
-        chords_parts: list[tuple[np.ndarray, np.ndarray]] = []
-        got = 0
-        n_rejected = 0
-        offset = 0
-        while got < n:
-            want = n - got
-            a, b = self._segments(want)
-            bobs = observe_segments(self.cshape, a, b)
-            keep = ~bobs.rejected
-            n_rejected += int(bobs.rejected.sum())
-            theta, p = line_params_of_segments(a, b, self.arena)
-            parts.append(
-                (
-                    theta[keep],
-                    p[keep],
-                    bobs.k[keep],
-                    bobs.L1[keep],
-                    bobs.L3[keep],
-                    bobs.chord_cube_sum[keep],
-                )
-            )
-            if bobs.chords_flat.size:
-                accepted_pos = np.cumsum(keep) - 1
-                ok = keep[bobs.chords_line]
-                chords_parts.append(
-                    (
-                        bobs.chords_flat[ok],
-                        accepted_pos[bobs.chords_line[ok]] + offset,
-                    )
-                )
-            offset += int(keep.sum())
-            got += int(keep.sum())
-        self.rejected_total += n_rejected
-        cat = [np.concatenate(cols) for cols in zip(*parts)]
-        if chords_parts:
-            cf = np.concatenate([c[0] for c in chords_parts])
-            cl = np.concatenate([c[1] for c in chords_parts])
-        else:
-            cf, cl = np.empty(0), np.empty(0, dtype=int)
-        return TakeResult(*cat, cf, cl, n_rejected)
+    def take(self, n: int, _line_params: bool = False) -> TakeResult:
+        """Exactly n accepted lines; degenerate ones are resampled and counted.
 
+        Each line's (theta, p) is recovered only with _line_params, which
+        the observation dump needs and nothing else does.
+        """
+        parts: list[tuple[np.ndarray | None, ...]] = []
+        got = n_rejected = 0
+        while got < n:
+            a, b = self._segments(n - got)
+            bobs = observe_segments(self.cshape, a, b)
+            params = line_params_of_segments(a, b, self.arena) if _line_params else (None, None)
+            cols = [*params, bobs.k, bobs.L1, bobs.L3, bobs.chord_cube_sum]
+            cf, cl = bobs.chords_flat, bobs.chords_line
+            n_bad = int(np.count_nonzero(bobs.rejected))
+            if n_bad:
+                keep = ~bobs.rejected
+                cols = [None if c is None else c[keep] for c in cols]
+                ok = keep[cl]
+                cf, cl = cf[ok], (np.cumsum(keep) - 1)[cl[ok]]
+            parts.append((*cols, cf, cl + got))
+            n_rejected += n_bad
+            got += len(bobs) - n_bad
+        self.rejected_total += n_rejected
+        if len(parts) > 1:
+            parts = [tuple(None if c[0] is None else np.concatenate(c) for c in zip(*parts))]
+        return TakeResult(*parts[0], n_rejected)
 
 def _check_arena(shape: Shape, arena: ArenaCircle) -> None:
     center, radius = bounding_circle(shape)
@@ -165,7 +148,7 @@ def explore(
     )
     done = 0
     while done < n_lines:
-        tk = stream.take(min(chunk, n_lines - done))
+        tk = stream.take(min(chunk, n_lines - done), dump_rows is not None)
         _ingest_take(acc, tk)
         if dump_rows is not None:
             _append_dump_rows(dump_rows, tk)

@@ -242,8 +242,11 @@ def read_local(
 ) -> ReadResult:
     """Letter-by-letter strategy: each slot gets its own arena and stopping.
 
-    Word-level area/perimeter are sums of the per-letter estimates; their
-    errors combine in quadrature (independent explorations).
+    Slot i explores its own substream (seed, i). Word-level area/perimeter
+    are sums of the per-letter estimates; their errors combine in quadrature
+    (independent explorations). The threshold applies to the word: with
+    independent letters the word's posterior is the product of the letters',
+    so each letter must clear the n-th root of the threshold (Sidak).
     """
     config = config or SamplerConfig()
     if per_letter_budget < 1:
@@ -259,6 +262,8 @@ def read_local(
         )
     if warm_up is None:
         warm_up = _read_warmup(per_letter_budget)
+    if threshold > 0.0:
+        threshold = threshold ** (1.0 / len(target.word))
     text = []
     per_n, per_cens = [], []
     areas, perims = [], []
@@ -267,13 +272,14 @@ def read_local(
         res = recognition.explore_until_stop(
             letter_sh,
             letter_dict,
-            dataclasses.replace(config, seed=config.seed),
+            config,
             threshold=threshold,
             n_max=per_letter_budget,
             warm_up=warm_up,
             confirm=READ_CONFIRM,
             arena=arena,
             chunk=64,
+            rng=np.random.default_rng([config.seed, i]),
         )
         text.append(res.label if res.label is not None else "?")
         per_n.append(res.n_stop)

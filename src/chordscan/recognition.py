@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import estimators
 from .estimators import EstimateReport
@@ -198,7 +197,7 @@ def confidence_ellipse(entry: DictEntry, n: int, level: float) -> Ellipse:
         raise ValueError("confidence level must be in (0, 1)")
     if n <= 0:
         raise ValueError("n must be positive")
-    r2 = float(stats.chi2.ppf(level, df=2))
+    r2 = -2.0 * math.log1p(-level)  # chi-square quantile at 2 dof
     sp = entry.sigma0_p / math.sqrt(n)
     sa = entry.sigma0_a / math.sqrt(n)
     cov = np.array(
@@ -285,6 +284,7 @@ def explore_until_stop(
     confirm: int = 1,
     arena: ArenaCircle | None = None,
     chunk: int = 256,
+    rng: np.random.Generator | None = None,
 ) -> StopResult:
     """Explore line by line until the posterior top clears the threshold.
 
@@ -293,11 +293,12 @@ def explore_until_stop(
     stopping starts at warm_up lines; threshold == 0 instead stops at the
     first prefix with a defined estimate. With confirm > 1 the same top label
     must clear the threshold on that many consecutive lines, which counters
-    the multiple-comparison inflation of checking after every line.
+    the multiple-comparison inflation of checking after every line. Lines
+    come from rng when given, otherwise from a generator seeded by config.
     """
     if not entries:
         raise ValueError("dictionary is empty")
-    stream = LineStream(shape, config, arena=arena)
+    stream = LineStream(shape, config, arena=arena, rng=rng)
     cum_l1 = cum_l3 = 0.0
     cum_k = 0
     done = 0

@@ -177,7 +177,8 @@ def billiard_segments(
         beta0 = math.atan2(
             state.position.y - arena.center.y, state.position.x - arena.center.x
         )
-        phi0 = state.heading - beta0 - math.pi
+        # wrap to (-pi, pi]: unwrapped, the angle doubles on every resumed call
+        phi0 = math.remainder(state.heading - beta0 - math.pi, 2.0 * math.pi)
     if n < 1:
         raise ValueError("need at least one segment")
     phis = np.empty(n)
@@ -191,5 +192,6 @@ def billiard_segments(
     pts = np.column_stack([cx + r * np.cos(betas), cy + r * np.sin(betas)])
     # heading for the state after the last segment
     phi_next = float(_draw_normal_angle(np.asarray(rng.random()), policy))
-    end = BilliardState(Point(*pts[-1]), betas[-1] + math.pi + phi_next)
+    heading = math.remainder(betas[-1] + math.pi + phi_next, 2.0 * math.pi)
+    end = BilliardState(Point(*pts[-1]), heading)
     return pts[:-1], pts[1:], end

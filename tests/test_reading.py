@@ -172,6 +172,15 @@ def test_local_word_error_grows_like_sqrt_letters(letter_dict):
     assert 1.3 < ratio < 5.3  # sqrt(7) ~ 2.65, generous Monte Carlo band
 
 
+def test_read_local_slots_explore_independent_lines(letter_dict):
+    # two slots of the same letter must not be probed by the same lines: with
+    # a shared line set, the word's area would be exactly twice one slot's
+    cfg = SamplerConfig(seed=3)
+    pair = rd.read_local(rd.word_shape("EE", 1.0), letter_dict, 400, cfg, threshold=1.5)
+    one = rd.read_local(rd.word_shape("E", 1.0), letter_dict, 400, cfg, threshold=1.5)
+    assert abs(pair.area_hat - 2.0 * one.area_hat) > 1e-3
+
+
 def test_compare_strategies_smoke(letter_dict):
     words = ["FREEDOM", "PEOPLES", "NATIONS", "MANKIND", "DIGNITY",
              "JUSTICE", "RESPECT", "SECURITY", "PROGRESS", "TOLERANCE"]

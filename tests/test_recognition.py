@@ -139,6 +139,15 @@ def test_confidence_ellipse_chi2_radius():
     assert ell99.mahal_sq == pytest.approx(9.210, abs=2e-3)
 
 
+@pytest.mark.parametrize("level", [1e-6, 0.1, 0.5, 0.9, 0.95, 0.99, 0.999999])
+def test_confidence_ellipse_matches_scipy_chi2(level):
+    from scipy import stats
+
+    e = rec.DictEntry("x", 10.0, 5.0, sigma0_a=2.0, sigma0_p=1.0, corr=-0.4)
+    ell = rec.confidence_ellipse(e, 50, level)
+    assert ell.mahal_sq == pytest.approx(stats.chi2.ppf(level, df=2), rel=1e-12)
+
+
 def test_confidence_ellipse_axes_halve_at_4n():
     e = rec.DictEntry("x", 10.0, 5.0, sigma0_a=2.0, sigma0_p=1.0, corr=0.3)
     e1 = rec.confidence_ellipse(e, 100, 0.95)

@@ -90,6 +90,17 @@ def test_billiard_stays_on_boundary():
     ) == pytest.approx(OFFCENTER.radius, abs=1e-9)
 
 
+def test_billiard_chain_keeps_heading_wrapped():
+    # a resumed chain must not carry the angle it has turned through: an
+    # unwrapped heading doubled on every call until segments had zero length
+    rng = np.random.default_rng(11)
+    state = None
+    for _ in range(60):
+        a, b, state = sp.billiard_segments(rng, OFFCENTER, 500, "cosine", state=state)
+        assert np.all(np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]) > 0.0)
+        assert -math.pi <= state.heading <= math.pi
+
+
 def test_cosine_billiard_reproduces_mean_chord():
     a, b, _ = sp.billiard_segments(np.random.default_rng(5), ARENA, 100_000, "cosine")
     lengths = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
