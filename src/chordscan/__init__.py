@@ -21,7 +21,6 @@ from .estimators import (
     ConvergenceSeries,
     EstimateReport,
     InsufficientDataError,
-    accumulate,
     convex_third_moment_area,
     estimate_area,
     estimate_mean_chord,

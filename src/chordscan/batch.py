@@ -1,19 +1,22 @@
-"""Vectorized many-lines-at-once observation kernel.
+"""Vectorized many-lines-at-once observation kernel and its per-line record.
 
-Mirrors chords.observe over arrays of segments. One difference at measure-zero
-inputs: a line passing within tolerance of any vertex is rejected outright here
-(the scalar path resolves genuine vertex crossings); random lines hit this with
-probability ~0 and rejections are counted either way.
+observe_segments computes, for arrays of segments, what chords.observe
+computes for one, and returns a BatchObservations: the one record of a block
+of lines, from the kernel through the line stream to the accumulator. One
+difference at measure-zero inputs: a line passing within tolerance of any
+vertex is rejected outright here (the scalar path resolves genuine vertex
+crossings); random lines hit this with probability ~0 and rejections are
+counted either way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .chords import ONLINE_TOL
-from .geometry import Point, Shape, contains
+from .geometry import Shape
 
 _PAD = 1e-9  # prefilter slack so tolerance-band vertices are never missed
 # Lines x vertices per ring-scan block: the block's temporaries stay in cache.
@@ -55,12 +58,45 @@ class BatchObservations:
     L1: np.ndarray  # == per-line chord sum
     L3: np.ndarray
     chord_cube_sum: np.ndarray
-    chords_flat: np.ndarray  # all chord lengths, concatenated
+    chords_flat: np.ndarray  # all chord lengths, line by line
     chords_line: np.ndarray  # owning line index per flat chord
     rejected: np.ndarray  # bool mask
+    theta: np.ndarray | None = None  # line parameters, only for the dump
+    p: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.k)
+
+    def _per_line(self) -> dict[str, np.ndarray]:
+        names = ("k", "L1", "L3", "chord_cube_sum", "rejected", "theta", "p")
+        return {f: getattr(self, f) for f in names if getattr(self, f) is not None}
+
+    def accepted(self) -> "BatchObservations":
+        """The record without its rejected lines, chords_line re-indexed to match."""
+        if not self.rejected.any():
+            return self
+        keep = ~self.rejected
+        ok = keep[self.chords_line]
+        return replace(
+            self,
+            chords_flat=self.chords_flat[ok],
+            chords_line=(np.cumsum(keep) - 1)[self.chords_line[ok]],
+            **{f: col[keep] for f, col in self._per_line().items()},
+        )
+
+    @staticmethod
+    def concatenate(parts: list["BatchObservations"]) -> "BatchObservations":
+        """One record of the parts' lines, in order."""
+        if len(parts) == 1:
+            return parts[0]
+        offsets = np.cumsum([0] + [len(part) for part in parts[:-1]])
+        cols = [part._per_line() for part in parts]
+        return replace(
+            parts[0],
+            chords_flat=np.concatenate([part.chords_flat for part in parts]),
+            chords_line=np.concatenate([part.chords_line + o for part, o in zip(parts, offsets)]),
+            **{f: np.concatenate([c[f] for c in cols]) for f in cols[0]},
+        )
 
 
 def observe_segments(cshape: CompiledShape, a: np.ndarray, b: np.ndarray) -> BatchObservations:
@@ -178,12 +214,3 @@ def observe_segments(cshape: CompiledShape, a: np.ndarray, b: np.ndarray) -> Bat
     ch_valid = np.arange(cmax // 2) < k_hit[:, None]
     return BatchObservations(k, L1, L3, cube, ch.T[ch_valid], np.repeat(hit, k_hit), rejected)
 
-
-def endpoints_outside(cshape: CompiledShape, a: np.ndarray, b: np.ndarray, sample: int = 8) -> bool:
-    """Spot-check that segment endpoints are outside the shape (arena sanity)."""
-    m = a.shape[0]
-    step = max(1, m // sample)
-    for i in range(0, m, step):
-        if contains(cshape.shape, Point(*a[i])) or contains(cshape.shape, Point(*b[i])):
-            return False
-    return True

@@ -18,9 +18,7 @@ from . import estimators, reading, recognition, shapes, svgplot
 from .chords import ArenaTooSmallError, DegenerateLineError
 from .explore import convergence_series, explore, explore_parallel
 from .geometry import InvalidShapeError, Shape, load_shape
-from .sampling import DEFAULT_ARENA_SCALE, SamplerConfig
-
-_SAMPLER_FLAGS = {"iur": "iur", "billiard-cos": "billiard-cos", "billiard-uni": "billiard-uni"}
+from .sampling import DEFAULT_ARENA_SCALE, SAMPLER_MODES, SamplerConfig
 
 
 def _resolve_shape(spec: str) -> Shape:
@@ -35,7 +33,7 @@ def _resolve_shape(spec: str) -> Shape:
 
 def _sampler_config(args) -> SamplerConfig:
     return SamplerConfig(
-        mode=_SAMPLER_FLAGS[args.sampler],
+        mode=args.sampler,
         seed=args.seed,
         arena_scale=args.arena_scale,
     )
@@ -82,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         p.add_argument(
             "--sampler",
-            choices=sorted(_SAMPLER_FLAGS),
+            choices=sorted(SAMPLER_MODES),
             default="iur",
             help="line generator (default iur)",
         )

@@ -1,9 +1,12 @@
 """Streaming accumulation of line observations and the derived estimators.
 
-The accumulator keeps constant-size running sums (plus a fixed-bin chord
-histogram and per-batch partials for batch-means error bars), so memory never
-grows with the number of explored lines. Estimates are ratios of sums, which
-makes them insensitive to lines that miss the shape entirely.
+The accumulator ingests batch.BatchObservations records and keeps
+constant-size running sums (plus a fixed-bin chord histogram and per-batch
+partials for batch-means error bars), so memory never grows with the number of
+explored lines. Estimates are ratios of sums, which makes them insensitive to
+lines that miss the shape entirely; area_perimeter writes both ratio formulas
+once for arrays of sums: per batch, per prefix of a per-line record, and per
+line of the stopping loop.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ class Accumulator:
         "sum_L1",
         "sum_L3",
         "chord_count",
-        "chord_sum",
         "chord_cube_sum",
         "l_max_seen",
         "hist",
@@ -65,12 +67,12 @@ class Accumulator:
         self.sum_L1 = 0.0
         self.sum_L3 = 0.0
         self.chord_count = 0
-        self.chord_sum = 0.0
         self.chord_cube_sum = 0.0
         self.l_max_seen = 0.0
         self.hist = np.zeros(self.n_bins, dtype=np.int64)
-        # per-batch partial sums: L1, L3, chord count, chord sum, chord cube sum
-        self.batch = np.zeros((self.n_batches, 5))
+        # per-batch partial sums: L1 (a line's L1 is its chord sum), L3, chord
+        # count, chord cube sum
+        self.batch = np.zeros((self.n_batches, 4))
 
     def same_layout(self, other: "Accumulator") -> bool:
         return (
@@ -85,67 +87,48 @@ class Accumulator:
 
     def add(self, obs: LineObservation) -> None:
         """Accumulate one scalar observation (a zero observation just counts)."""
-        bid = self.n_lines % self.n_batches
-        self.n_lines += 1
-        if obs.k == 0:
-            return
-        self.n_hit += 1
-        self.sum_L1 += obs.L1
-        self.sum_L3 += obs.L3
-        self.chord_count += obs.k
-        csum = float(sum(obs.chords))
-        ccube = float(sum(c**3 for c in obs.chords))
-        self.chord_sum += csum
-        self.chord_cube_sum += ccube
-        self.l_max_seen = max(self.l_max_seen, max(obs.chords))
-        np.add.at(self.hist, self._bin_of(np.asarray(obs.chords)), 1)
-        self.batch[bid] += (obs.L1, obs.L3, obs.k, csum, ccube)
+        chords = np.array(obs.chords, dtype=float)
+        self.ingest(
+            BatchObservations(
+                k=np.array([obs.k]),
+                L1=np.array([obs.L1]),
+                L3=np.array([obs.L3]),
+                chord_cube_sum=np.array([np.sum(chords**3)]),
+                chords_flat=chords,
+                chords_line=np.zeros(obs.k, dtype=int),
+                rejected=np.zeros(1, dtype=bool),
+            )
+        )
 
     def note_rejections(self, n: int) -> None:
         self.rejected += int(n)
 
     def ingest(self, bobs: BatchObservations) -> None:
-        """Accumulate a batch of accepted per-line statistics, in line order."""
-        n_rej = int(np.count_nonzero(bobs.rejected))
-        self.note_rejections(n_rej)
-        n = len(bobs) - n_rej
+        """Accumulate a block of per-line statistics in line order; rejected lines only count."""
+        self.note_rejections(np.count_nonzero(bobs.rejected))
+        bobs = bobs.accepted()
+        n = len(bobs)
         if n == 0:
             return
         k, L1, L3, cube = bobs.k, bobs.L1, bobs.L3, bobs.chord_cube_sum
         chords = bobs.chords_flat
-        if n_rej:
-            keep = ~bobs.rejected
-            k, L1, L3, cube = k[keep], L1[keep], L3[keep], cube[keep]
-            chords = chords[keep[bobs.chords_line]]
         nb = self.n_batches
         bids = (self.n_lines + np.arange(n)) % nb
         self.n_lines += n
         self.n_hit += int(np.count_nonzero(k))
-        sum_L1 = float(L1.sum())
-        self.sum_L1 += sum_L1
+        self.sum_L1 += float(L1.sum())
         self.sum_L3 += float(L3.sum())
         self.chord_count += int(k.sum())
-        self.chord_sum += sum_L1
         self.chord_cube_sum += float(cube.sum())
-        # L1 of a line is its chord sum, so one per-batch sum fills both columns
-        batch_L1 = np.bincount(bids, weights=L1, minlength=nb)
-        self.batch[:, 0] += batch_L1
-        self.batch[:, 1] += np.bincount(bids, weights=L3, minlength=nb)
-        self.batch[:, 2] += np.bincount(bids, weights=k, minlength=nb)
-        self.batch[:, 3] += batch_L1
-        self.batch[:, 4] += np.bincount(bids, weights=cube, minlength=nb)
+        for col, values in enumerate((L1, L3, k, cube)):
+            self.batch[:, col] += np.bincount(bids, weights=values, minlength=nb)
         if chords.size:
             self.hist += np.bincount(self._bin_of(chords), minlength=self.n_bins)
             self.l_max_seen = max(self.l_max_seen, float(chords.max()))
 
     def state_scalar_count(self) -> int:
         """Number of stored numeric values; constant in the line count."""
-        return 10 + self.hist.size + self.batch.size
-
-
-def accumulate(acc: Accumulator, obs: LineObservation) -> Accumulator:
-    acc.add(obs)
-    return acc
+        return 9 + self.hist.size + self.batch.size
 
 
 def merge(a: Accumulator, b: Accumulator) -> Accumulator:
@@ -159,12 +142,22 @@ def merge(a: Accumulator, b: Accumulator) -> Accumulator:
     out.sum_L1 = a.sum_L1 + b.sum_L1
     out.sum_L3 = a.sum_L3 + b.sum_L3
     out.chord_count = a.chord_count + b.chord_count
-    out.chord_sum = a.chord_sum + b.chord_sum
     out.chord_cube_sum = a.chord_cube_sum + b.chord_cube_sum
     out.l_max_seen = max(a.l_max_seen, b.l_max_seen)
     out.hist = a.hist + b.hist
     out.batch = a.batch + b.batch
     return out
+
+
+def area_perimeter(sum_L1, sum_L3, chord_count):
+    """Ratio estimates (A, P) from summed L1 and L3 and the chord count.
+
+    A = (pi/3) sum(L3) / sum(L1), and P from the mean-chord identity
+    <l> = pi*A/P with <l> = sum(L1) / chord_count (a line's L1 is its chord
+    sum). Elementwise on arrays, so it serves batches and prefixes alike.
+    """
+    area = AREA_COEFF * sum_L3 / sum_L1
+    return area, math.pi * area / (sum_L1 / chord_count)
 
 
 def estimate_area(acc: Accumulator) -> float:
@@ -176,7 +169,7 @@ def estimate_area(acc: Accumulator) -> float:
 def estimate_mean_chord(acc: Accumulator) -> float:
     if acc.chord_count <= 0:
         raise InsufficientDataError("no chords accumulated yet")
-    return acc.chord_sum / acc.chord_count
+    return acc.sum_L1 / acc.chord_count
 
 
 def estimate_perimeter(acc: Accumulator) -> float:
@@ -188,22 +181,23 @@ def convex_third_moment_area(acc: Accumulator) -> float:
     """Area from raw third chord moments; consistent only for convex shapes."""
     if acc.chord_count <= 0:
         raise InsufficientDataError("no chords accumulated yet")
-    return AREA_COEFF * acc.chord_cube_sum / acc.chord_sum
+    return AREA_COEFF * acc.chord_cube_sum / acc.sum_L1
+
+
+def prefix_estimates(obs: BatchObservations, checkpoints) -> tuple[np.ndarray, np.ndarray]:
+    """(area, perimeter) estimates using only the first N lines of obs, per N."""
+    idx = np.asarray(checkpoints, dtype=int) - 1
+    return area_perimeter(np.cumsum(obs.L1)[idx], np.cumsum(obs.L3)[idx], np.cumsum(obs.k)[idx])
 
 
 def _batch_values(acc: Accumulator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-batch (area, perimeter, convex-baseline area) for non-empty batches."""
-    L1 = acc.batch[:, 0]
-    L3 = acc.batch[:, 1]
-    cnt = acc.batch[:, 2]
-    csum = acc.batch[:, 3]
-    cube = acc.batch[:, 4]
-    ok = (L1 > 0.0) & (cnt > 0.0) & (csum > 0.0)
+    L1, L3, cnt, cube = acc.batch.T
+    ok = (L1 > 0.0) & (cnt > 0.0)
     if int(ok.sum()) < 2:
         raise InsufficientDataError("need at least 2 non-empty batches for errors")
-    a = AREA_COEFF * L3[ok] / L1[ok]
-    p = math.pi * a / (csum[ok] / cnt[ok])
-    ach = AREA_COEFF * cube[ok] / csum[ok]
+    a, p = area_perimeter(L1[ok], L3[ok], cnt[ok])
+    ach = AREA_COEFF * cube[ok] / L1[ok]
     return a, p, ach
 
 

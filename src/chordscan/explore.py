@@ -1,15 +1,15 @@
 """Drivers that turn a sampler and a shape into accumulated observations.
 
-LineStream produces accepted line statistics in sampling order, transparently
-resampling the (measure-zero) degenerate lines and counting them. Everything
-else - one-shot estimates, per-line ledgers for convergence studies, parallel
-workers - is built on top of it.
+LineStream produces accepted line statistics in sampling order, as
+batch.BatchObservations records, transparently resampling the (measure-zero)
+degenerate lines and counting them. Everything else - one-shot estimates,
+per-line records for convergence studies, parallel workers - is built on top
+of it.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,21 +29,6 @@ from .sampling import (
 )
 
 DEFAULT_CHUNK = 16384
-
-
-@dataclass
-class TakeResult:
-    """Per-line data for a block of accepted lines, in sampling order."""
-
-    theta: np.ndarray | None  # line parameters, only when asked for
-    p: np.ndarray | None
-    k: np.ndarray
-    L1: np.ndarray
-    L3: np.ndarray
-    chord_cube_sum: np.ndarray
-    chords_flat: np.ndarray
-    chords_line: np.ndarray  # index into this block's lines
-    n_rejected: int
 
 
 class LineStream:
@@ -75,33 +60,24 @@ class LineStream:
         )
         return a, b
 
-    def take(self, n: int, _line_params: bool = False) -> TakeResult:
+    def take(self, n: int, _line_params: bool = False) -> BatchObservations:
         """Exactly n accepted lines; degenerate ones are resampled and counted.
 
         Each line's (theta, p) is recovered only with _line_params, which
         the observation dump needs and nothing else does.
         """
-        parts: list[tuple[np.ndarray | None, ...]] = []
-        got = n_rejected = 0
+        parts: list[BatchObservations] = []
+        got = 0
         while got < n:
             a, b = self._segments(n - got)
             bobs = observe_segments(self.cshape, a, b)
-            params = line_params_of_segments(a, b, self.arena) if _line_params else (None, None)
-            cols = [*params, bobs.k, bobs.L1, bobs.L3, bobs.chord_cube_sum]
-            cf, cl = bobs.chords_flat, bobs.chords_line
-            n_bad = int(np.count_nonzero(bobs.rejected))
-            if n_bad:
-                keep = ~bobs.rejected
-                cols = [None if c is None else c[keep] for c in cols]
-                ok = keep[cl]
-                cf, cl = cf[ok], (np.cumsum(keep) - 1)[cl[ok]]
-            parts.append((*cols, cf, cl + got))
-            n_rejected += n_bad
-            got += len(bobs) - n_bad
-        self.rejected_total += n_rejected
-        if len(parts) > 1:
-            parts = [tuple(None if c[0] is None else np.concatenate(c) for c in zip(*parts))]
-        return TakeResult(*parts[0], n_rejected)
+            if _line_params:
+                bobs.theta, bobs.p = line_params_of_segments(a, b, self.arena)
+            self.rejected_total += int(np.count_nonzero(bobs.rejected))
+            parts.append(bobs.accepted())
+            got += len(parts[-1])
+        return BatchObservations.concatenate(parts)
+
 
 def _check_arena(shape: Shape, arena: ArenaCircle) -> None:
     center, radius = bounding_circle(shape)
@@ -111,20 +87,6 @@ def _check_arena(shape: Shape, arena: ArenaCircle) -> None:
             f"arena radius {arena.radius:.6g} does not cover the shape "
             f"(needs {gap + radius:.6g})"
         )
-
-
-def _ingest_take(acc: estimators.Accumulator, tk: TakeResult) -> None:
-    bobs = BatchObservations(
-        k=tk.k,
-        L1=tk.L1,
-        L3=tk.L3,
-        chord_cube_sum=tk.chord_cube_sum,
-        chords_flat=tk.chords_flat,
-        chords_line=tk.chords_line,
-        rejected=np.zeros(len(tk.k), dtype=bool),
-    )
-    acc.ingest(bobs)
-    acc.note_rejections(tk.n_rejected)
 
 
 def explore(
@@ -148,45 +110,22 @@ def explore(
     )
     done = 0
     while done < n_lines:
-        tk = stream.take(min(chunk, n_lines - done), dump_rows is not None)
-        _ingest_take(acc, tk)
+        obs = stream.take(min(chunk, n_lines - done), dump_rows is not None)
+        acc.ingest(obs)
         if dump_rows is not None:
-            _append_dump_rows(dump_rows, tk)
-        done += len(tk.k)
+            _append_dump_rows(dump_rows, obs)
+        done += len(obs)
+    acc.note_rejections(stream.rejected_total)
     return acc
 
 
-def _append_dump_rows(rows: list, tk: TakeResult) -> None:
-    by_line: dict[int, list[float]] = {}
-    for val, line in zip(tk.chords_flat, tk.chords_line):
-        by_line.setdefault(int(line), []).append(float(val))
-    for i in range(len(tk.k)):
-        chords = ";".join(f"{c:.12g}" for c in by_line.get(i, []))
+def _append_dump_rows(rows: list, obs: BatchObservations) -> None:
+    per_line = np.split(obs.chords_flat, np.cumsum(obs.k)[:-1])
+    for i, line_chords in enumerate(per_line):
+        chords = ";".join(f"{c:.12g}" for c in line_chords)
         rows.append(
-            (tk.theta[i], tk.p[i], int(tk.k[i]), tk.L1[i], tk.L3[i], chords)
+            (obs.theta[i], obs.p[i], int(obs.k[i]), obs.L1[i], obs.L3[i], chords)
         )
-
-
-@dataclass
-class PerLineLedger:
-    """Line-indexed statistics; prefix sums give estimates at any N."""
-
-    k: np.ndarray
-    L1: np.ndarray
-    L3: np.ndarray
-    chord_cube_sum: np.ndarray
-    n_rejected: int
-
-    def prefix_estimates(self, checkpoints) -> tuple[np.ndarray, np.ndarray]:
-        """(area, perimeter) estimates using only the first N lines, per N."""
-        cum_L1 = np.cumsum(self.L1)
-        cum_L3 = np.cumsum(self.L3)
-        cum_k = np.cumsum(self.k)
-        idx = np.asarray(checkpoints, dtype=int) - 1
-        a = estimators.AREA_COEFF * cum_L3[idx] / cum_L1[idx]
-        mean_chord = cum_L1[idx] / cum_k[idx]
-        p = np.pi * a / mean_chord
-        return a, p
 
 
 def explore_per_line(
@@ -197,25 +136,15 @@ def explore_per_line(
     arena: ArenaCircle | None = None,
     rng: np.random.Generator | None = None,
     chunk: int = DEFAULT_CHUNK,
-) -> PerLineLedger:
-    """Collect per-line statistics (for convergence/prefix studies)."""
+) -> BatchObservations:
+    """Record of n_lines accepted lines in sampling order (for prefix studies)."""
     stream = LineStream(shape, config, arena=arena, rng=rng)
-    ks, l1s, l3s, cubes = [], [], [], []
+    parts: list[BatchObservations] = []
     done = 0
     while done < n_lines:
-        tk = stream.take(min(chunk, n_lines - done))
-        ks.append(tk.k)
-        l1s.append(tk.L1)
-        l3s.append(tk.L3)
-        cubes.append(tk.chord_cube_sum)
-        done += len(tk.k)
-    return PerLineLedger(
-        np.concatenate(ks),
-        np.concatenate(l1s),
-        np.concatenate(l3s),
-        np.concatenate(cubes),
-        stream.rejected_total,
-    )
+        parts.append(stream.take(min(chunk, n_lines - done)))
+        done += len(parts[-1])
+    return BatchObservations.concatenate(parts)
 
 
 def _worker_explore(args) -> estimators.Accumulator:
@@ -288,8 +217,9 @@ def convergence_series(
     perims = np.empty((replicates, len(n_grid)))
     for rep in range(replicates):
         rng = np.random.default_rng([config.seed, rep])
-        ledger = explore_per_line(shape, n_max, config, arena=arena, rng=rng)
-        areas[rep], perims[rep] = ledger.prefix_estimates(n_grid)
+        obs = explore_per_line(shape, n_max, config, arena=arena, rng=rng)
+        areas[rep], perims[rep] = estimators.prefix_estimates(obs, n_grid)
+        del obs  # freed before the next replicate's record is built
     return estimators.ConvergenceSeries(
         n_values=np.asarray(n_grid, dtype=float),
         sigma_a=np.std(areas, axis=0, ddof=1),

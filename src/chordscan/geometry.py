@@ -112,15 +112,6 @@ class Shape:
     def coordinate_scale(self) -> float:
         return max(1.0, max(float(np.max(np.abs(r.coords))) for r in self.rings))
 
-    def bounds(self) -> tuple[float, float, float, float]:
-        allc = np.vstack([r.coords for r in self.rings])
-        return (
-            float(allc[:, 0].min()),
-            float(allc[:, 1].min()),
-            float(allc[:, 0].max()),
-            float(allc[:, 1].max()),
-        )
-
 
 def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
@@ -147,8 +138,11 @@ def _validate_rings(rings) -> None:
     p, q, rid, pos = _edges_table(rings)
     sizes = np.array([len(r) for r in rings])
     n = p.shape[0]
+    # Cross products of coordinate differences grow with the shape's extent and
+    # their rounding error with extent x coordinate size, not with offset alone.
     scale = max(1.0, float(np.max(np.abs(p))))
-    tol = _EPS * scale * scale
+    extent = float(np.max(np.ptp(p, axis=0)))
+    tol = _EPS * extent * scale
     d = q - p
 
     block = 512

@@ -227,8 +227,6 @@ class ReadResult:
     perim_hat: float
     per_letter_n: list[int] = field(default_factory=list)
     per_letter_censored: list[bool] = field(default_factory=list)
-    stderr_a: float = float("nan")
-    stderr_p: float = float("nan")
 
 
 def read_local(
@@ -243,10 +241,10 @@ def read_local(
     """Letter-by-letter strategy: each slot gets its own arena and stopping.
 
     Slot i explores its own substream (seed, i). Word-level area/perimeter
-    are sums of the per-letter estimates; their errors combine in quadrature
-    (independent explorations). The threshold applies to the word: with
-    independent letters the word's posterior is the product of the letters',
-    so each letter must clear the n-th root of the threshold (Sidak).
+    are sums of the per-letter estimates; no error bar is reported for them.
+    The threshold applies to the word: with independent letters the word's
+    posterior is the product of the letters', so each letter must clear the
+    n-th root of the threshold (Sidak).
     """
     config = config or SamplerConfig()
     if per_letter_budget < 1:

@@ -68,11 +68,14 @@ class Ellipse:
     def contains(self, p: float, a: float, entry: DictEntry, n: int) -> bool:
         sp = entry.sigma0_p / math.sqrt(n)
         sa = entry.sigma0_a / math.sqrt(n)
-        rho = entry.corr
         dp = (p - entry.p_ref) / sp
         da = (a - entry.a_ref) / sa
-        z = (dp * dp - 2.0 * rho * dp * da + da * da) / (1.0 - rho * rho)
-        return z <= self.mahal_sq
+        return _mahalanobis_sq(dp, da, entry.corr) <= self.mahal_sq
+
+
+def _mahalanobis_sq(dp, da, rho):
+    """Squared Mahalanobis distance of standardized offsets with correlation rho."""
+    return (dp * dp - 2.0 * rho * dp * da + da * da) / (1.0 - rho * rho)
 
 
 def calibrate(
@@ -139,21 +142,16 @@ def _log_likelihoods(
         rho = np.zeros((1, len(entries)))
     dp = (p_hat - pr) / sp
     da = (a_hat - ar) / sa
-    omr = 1.0 - rho * rho
-    z = (dp * dp - 2.0 * rho * dp * da + da * da) / omr
-    return -np.log(2.0 * math.pi * sp * sa * np.sqrt(omr)) - 0.5 * z
+    z = _mahalanobis_sq(dp, da, rho)
+    return -np.log(2.0 * math.pi * sp * sa * np.sqrt(1.0 - rho * rho)) - 0.5 * z
 
 
-def _posterior_from_loglik(loglik: np.ndarray, entries: list[DictEntry]) -> Posterior:
-    shifted = loglik - loglik.max()
-    w = np.exp(shifted)
-    probs = w / w.sum()
-    top = int(np.argmax(probs))
-    return Posterior(
-        probs={e.name: float(pv) for e, pv in zip(entries, probs)},
-        top=entries[top].name,
-        top_prob=float(probs[top]),
-    )
+def _posteriors(loglik: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise softmax posteriors (uniform prior), top entries and their probabilities."""
+    w = np.exp(loglik - loglik.max(axis=1, keepdims=True))
+    probs = w / w.sum(axis=1, keepdims=True)
+    top = np.argmax(probs, axis=1)
+    return probs, top, probs[np.arange(len(top)), top]
 
 
 def classify(
@@ -183,8 +181,13 @@ def classify(
         raise ValueError(f"unknown noise mode {noise!r}")
     loglik = _log_likelihoods(
         report.perim_hat, report.area_hat, report.n_lines, entries, shared_sigma=shared
-    )[0]
-    return _posterior_from_loglik(loglik, entries)
+    )
+    probs, top, top_prob = _posteriors(loglik)
+    return Posterior(
+        probs={e.name: float(pv) for e, pv in zip(entries, probs[0])},
+        top=entries[top[0]].name,
+        top_prob=float(top_prob[0]),
+    )
 
 
 def should_stop(post: Posterior, threshold: float = DEFAULT_THRESHOLD) -> bool:
@@ -248,11 +251,7 @@ def landscape(
     loglik = _log_likelihoods(
         pg.ravel(), ag.ravel(), np.full(pg.size, n_lines), entries
     )
-    shifted = loglik - loglik.max(axis=1, keepdims=True)
-    w = np.exp(shifted)
-    probs = w / w.sum(axis=1, keepdims=True)
-    top = np.argmax(probs, axis=1)
-    top_prob = probs[np.arange(probs.shape[0]), top]
+    _, top, top_prob = _posteriors(loglik)
     names = [e.name for e in entries]
     flat = [
         names[t] if q >= threshold else None for t, q in zip(top, top_prob)
@@ -299,32 +298,26 @@ def explore_until_stop(
     if not entries:
         raise ValueError("dictionary is empty")
     stream = LineStream(shape, config, arena=arena, rng=rng)
-    cum_l1 = cum_l3 = 0.0
-    cum_k = 0
+    # running sums; each chunk continues from the previous chunk's last prefix
+    l1 = l3 = np.zeros(1)
+    kk = np.zeros(1, dtype=np.int64)
     done = 0
     min_n = 1 if threshold <= 0.0 else max(1, warm_up)
     confirm = 1 if threshold <= 0.0 else max(1, confirm)
     streak_label: int = -1
     streak = 0
-    last: tuple[str, float, float, float] | None = None
+    last = StopResult(None, n_max, True, float("nan"), float("nan"), 0.0)
     while done < n_max:
         take_n = min(chunk, n_max - done)
-        tk = stream.take(take_n)
-        l1 = cum_l1 + np.cumsum(tk.L1)
-        l3 = cum_l3 + np.cumsum(tk.L3)
-        kk = cum_k + np.cumsum(tk.k)
+        obs = stream.take(take_n)
+        l1 = l1[-1] + np.cumsum(obs.L1)
+        l3 = l3[-1] + np.cumsum(obs.L3)
+        kk = kk[-1] + np.cumsum(obs.k)
         n_prefix = done + np.arange(1, take_n + 1)
-        ok = (l1 > 0.0) & (kk > 0) & (n_prefix >= min_n)
-        if ok.any():
-            a_hat = np.where(ok, estimators.AREA_COEFF * l3 / np.where(l1 > 0, l1, 1.0), np.nan)
-            p_hat = np.where(ok, math.pi * a_hat / (l1 / np.maximum(kk, 1)), np.nan)
-            idx = np.nonzero(ok)[0]
-            loglik = _log_likelihoods(p_hat[idx], a_hat[idx], n_prefix[idx], entries)
-            shifted = loglik - loglik.max(axis=1, keepdims=True)
-            w = np.exp(shifted)
-            probs = w / w.sum(axis=1, keepdims=True)
-            top = np.argmax(probs, axis=1)
-            top_prob = probs[np.arange(len(idx)), top]
+        idx = np.flatnonzero((l1 > 0.0) & (kk > 0) & (n_prefix >= min_n))
+        if idx.size:
+            a_hat, p_hat = estimators.area_perimeter(l1[idx], l3[idx], kk[idx])
+            _, top, top_prob = _posteriors(_log_likelihoods(p_hat, a_hat, n_prefix[idx], entries))
             over = top_prob >= threshold
             for pos in range(len(idx)):
                 if not over[pos]:
@@ -334,29 +327,24 @@ def explore_until_stop(
                 streak = streak + 1 if t == streak_label else 1
                 streak_label = t
                 if streak >= confirm:
-                    j = idx[pos]
                     return StopResult(
                         label=entries[t].name,
-                        n_stop=int(n_prefix[j]),
+                        n_stop=int(n_prefix[idx[pos]]),
                         censored=False,
-                        area_hat=float(a_hat[j]),
-                        perim_hat=float(p_hat[j]),
+                        area_hat=float(a_hat[pos]),
+                        perim_hat=float(p_hat[pos]),
                         top_prob=float(top_prob[pos]),
                     )
-            jl = idx[-1]
-            last = (
-                entries[int(top[-1])].name,
-                float(a_hat[jl]),
-                float(p_hat[jl]),
-                float(top_prob[-1]),
+            last = StopResult(
+                label=entries[int(top[-1])].name,
+                n_stop=n_max,
+                censored=True,
+                area_hat=float(a_hat[-1]),
+                perim_hat=float(p_hat[-1]),
+                top_prob=float(top_prob[-1]),
             )
-        cum_l1 = float(l1[-1])
-        cum_l3 = float(l3[-1])
-        cum_k = int(kk[-1])
         done += take_n
-    if last is None:
-        return StopResult(None, n_max, True, float("nan"), float("nan"), 0.0)
-    return StopResult(last[0], n_max, True, last[1], last[2], last[3])
+    return last
 
 
 @dataclass

@@ -104,7 +104,3 @@ def builtin(name: str) -> Shape:
     if name not in makers:
         raise KeyError(f"unknown built-in shape {name!r}; choose from {BUILTIN_NAMES}")
     return makers[name]()
-
-
-def builtin_set() -> list[Shape]:
-    return [builtin(n) for n in BUILTIN_NAMES]

@@ -155,8 +155,8 @@ def test_criterion_6_convergence_law_and_kl_ranks():
         cfg = SamplerConfig(seed=6600 + i)
         for rep in range(replicates):
             rng = np.random.default_rng([cfg.seed, rep])
-            ledger = explore_per_line(shape, n_grid[-1], cfg, rng=rng)
-            areas[rep], perims[rep] = ledger.prefix_estimates(n_grid)
+            obs = explore_per_line(shape, n_grid[-1], cfg, rng=rng)
+            areas[rep], perims[rep] = est.prefix_estimates(obs, n_grid)
         sig_a = areas.std(axis=0, ddof=1)
         sig_p = perims.std(axis=0, ddof=1)
         pref_a, exp_a = est.fit_power(n_grid, sig_a)

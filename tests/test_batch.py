@@ -155,10 +155,22 @@ def test_zero_length_and_missing_segments():
     assert bobs.chords_flat.size == 0
 
 
-def test_endpoints_outside_helper():
+def test_accepted_drops_rejected_lines_and_reindexes_chords():
     sq = shapes.square()
     cs = batch.CompiledShape(sq)
-    a = np.array([[-1.0, 0.5]])
-    b = np.array([[2.0, 0.5]])
-    assert batch.endpoints_outside(cs, a, b)
-    assert not batch.endpoints_outside(cs, np.array([[0.5, 0.5]]), b)
+    # one chord each of lengths 1, sqrt(1.04) and 1.25; the middle line runs
+    # through two corners and the fourth misses the square
+    a = np.array([[-1.0, 0.5], [-1.0, 0.1], [-1.0, -1.0], [0.4, -1.0], [-1.0, 9.0], [-0.25, -1.0]])
+    b = np.array([[2.0, 0.5], [2.0, 0.7], [2.0, 2.0], [0.4, 2.0], [2.0, 9.0], [1.25, 2.0]])
+    kept = [0, 1, 3, 4, 5]
+    full = batch.observe_segments(cs, a, b)
+    assert full.rejected.tolist() == [False, False, True, False, False, False]
+    got = full.accepted()
+    want = batch.observe_segments(cs, a[kept], b[kept])
+    assert not got.rejected.any() and len(got) == len(kept)
+    for field in ("k", "L1", "L3", "chord_cube_sum", "chords_flat", "chords_line"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.k.tolist() == [1, 1, 1, 0, 1]
+    # every chord points at its own surviving line, whose L1 is that chord
+    assert got.chords_line.tolist() == [0, 1, 2, 4]
+    assert np.array_equal(got.chords_flat, got.L1[got.chords_line])

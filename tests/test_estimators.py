@@ -33,19 +33,19 @@ def obs_from_chords(*chords, gap=5.0):
 def single_chord_acc(values, l_cap=10.0, n_batches=4):
     acc = est.Accumulator(l_cap=l_cap, n_batches=n_batches)
     for v in values:
-        est.accumulate(acc, obs_from_chords(v))
+        acc.add(obs_from_chords(v))
     return acc
 
 
 def test_accumulate_zero_observation_counts_lines_only():
     acc = est.Accumulator(l_cap=2.0)
-    est.accumulate(acc, ZERO_OBSERVATION)
+    acc.add(ZERO_OBSERVATION)
     assert acc.n_lines == 1 and acc.n_hit == 0 and acc.sum_L1 == 0.0
 
 
 def test_accumulate_single_chord():
     acc = est.Accumulator(l_cap=10.0)
-    est.accumulate(acc, obs_from_chords(2.0))
+    acc.add(obs_from_chords(2.0))
     assert acc.sum_L1 == pytest.approx(2.0)
     assert acc.sum_L3 == pytest.approx(8.0)
     assert acc.chord_count == 1
@@ -69,7 +69,7 @@ def test_accumulate_spec_two_chord_example():
         L3=geometric_function(events, 3),
     )
     acc = est.Accumulator(l_cap=10.0)
-    est.accumulate(acc, obs)
+    acc.add(obs)
     assert acc.sum_L1 == pytest.approx(4.0)
     assert acc.sum_L3 == pytest.approx(100.0)
     assert acc.chord_count == 2
@@ -195,7 +195,7 @@ def test_convex_baseline_fails_on_annulus():
 def test_stderr_zero_for_identical_batches():
     acc = est.Accumulator(l_cap=10.0, n_batches=5)
     for _ in range(5 * 6):
-        est.accumulate(acc, obs_from_chords(2.0))
+        acc.add(obs_from_chords(2.0))
     se_a, se_p = est.stderrs(acc)
     assert se_a == pytest.approx(0.0, abs=1e-12)
     assert se_p == pytest.approx(0.0, abs=1e-12)
@@ -203,7 +203,7 @@ def test_stderr_zero_for_identical_batches():
 
 def test_stderr_needs_two_batches():
     acc = est.Accumulator(l_cap=10.0, n_batches=5)
-    est.accumulate(acc, obs_from_chords(2.0))
+    acc.add(obs_from_chords(2.0))
     with pytest.raises(est.InsufficientDataError):
         est.stderrs(acc)
 
@@ -226,7 +226,7 @@ def test_zero_lines_do_not_change_estimates():
     acc = single_chord_acc([1.0, 2.0, 3.0])
     a0, p0 = est.estimate_area(acc), est.estimate_perimeter(acc)
     for _ in range(500):
-        est.accumulate(acc, ZERO_OBSERVATION)
+        acc.add(ZERO_OBSERVATION)
     assert est.estimate_area(acc) == a0
     assert est.estimate_perimeter(acc) == p0
 
@@ -300,8 +300,8 @@ def test_convergence_series_disk_quick():
 
 
 def test_prefix_estimates_match_full_run():
-    ledger = explore_per_line(shapes.square(), 5000, SamplerConfig(seed=16))
-    a, p = ledger.prefix_estimates([5000])
+    obs = explore_per_line(shapes.square(), 5000, SamplerConfig(seed=16))
+    a, p = est.prefix_estimates(obs, [5000])
     acc = explore(shapes.square(), 5000, SamplerConfig(seed=16))
     assert a[0] == pytest.approx(est.estimate_area(acc), rel=1e-9)
     assert p[0] == pytest.approx(est.estimate_perimeter(acc), rel=1e-9)

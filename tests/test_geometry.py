@@ -162,6 +162,21 @@ def test_self_intersecting_ring_rejected():
         g.Shape([[(0, 0), (2, 2), (2, 0), (0, 2)]])  # bowtie
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_ring_validation_does_not_depend_on_distance_from_origin(offset):
+    def moved(*rings):
+        return [[(x + offset, y + offset) for x, y in ring] for ring in rings]
+
+    outer = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    holed = g.Shape(moved(outer, [(0.25, 0.25), (0.75, 0.25), (0.75, 0.75), (0.25, 0.75)]))
+    assert g.exact_area(holed) == pytest.approx(0.75, rel=1e-9)
+    with pytest.raises(g.InvalidShapeError):
+        g.Shape(moved([(0, 0), (1, 1), (1, 0), (0, 1)]))  # bowtie
+    with pytest.raises(g.InvalidShapeError):
+        # the hole's apex lies on the outer ring's right edge
+        g.Shape(moved(outer, [(0.25, 0.25), (1, 0.5), (0.25, 0.75)]))
+
+
 def test_statue_matches_triangle_area():
     assert g.exact_area(shapes.statue()) == pytest.approx(
         g.exact_area(shapes.triangle()), rel=1e-9
