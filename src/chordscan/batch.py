@@ -58,8 +58,7 @@ class BatchObservations:
     L1: np.ndarray  # == per-line chord sum
     L3: np.ndarray
     chord_cube_sum: np.ndarray
-    chords_flat: np.ndarray  # all chord lengths, line by line
-    chords_line: np.ndarray  # owning line index per flat chord
+    chords_flat: np.ndarray  # all chord lengths, line by line (k[i] for line i)
     rejected: np.ndarray  # bool mask
     theta: np.ndarray | None = None  # line parameters, only for the dump
     p: np.ndarray | None = None
@@ -72,15 +71,13 @@ class BatchObservations:
         return {f: getattr(self, f) for f in names if getattr(self, f) is not None}
 
     def accepted(self) -> "BatchObservations":
-        """The record without its rejected lines, chords_line re-indexed to match."""
+        """The record without its rejected lines."""
         if not self.rejected.any():
             return self
         keep = ~self.rejected
-        ok = keep[self.chords_line]
         return replace(
             self,
-            chords_flat=self.chords_flat[ok],
-            chords_line=(np.cumsum(keep) - 1)[self.chords_line[ok]],
+            chords_flat=self.chords_flat[np.repeat(keep, self.k)],
             **{f: col[keep] for f, col in self._per_line().items()},
         )
 
@@ -89,12 +86,10 @@ class BatchObservations:
         """One record of the parts' lines, in order."""
         if len(parts) == 1:
             return parts[0]
-        offsets = np.cumsum([0] + [len(part) for part in parts[:-1]])
         cols = [part._per_line() for part in parts]
         return replace(
             parts[0],
             chords_flat=np.concatenate([part.chords_flat for part in parts]),
-            chords_line=np.concatenate([part.chords_line + o for part, o in zip(parts, offsets)]),
             **{f: np.concatenate([c[f] for c in cols]) for f in cols[0]},
         )
 
@@ -174,7 +169,7 @@ def observe_segments(cshape: CompiledShape, a: np.ndarray, b: np.ndarray) -> Bat
     cube = np.zeros(m)
     hit = np.flatnonzero(counts)
     if hit.size == 0:
-        return BatchObservations(k, L1, L3, cube, np.empty(0), np.empty(0, dtype=int), rejected)
+        return BatchObservations(k, L1, L3, cube, np.empty(0), rejected)
 
     # One row per hit line, its events in any order, padded with the largest
     # event position so that padded chords and gaps come out exactly zero.
@@ -212,5 +207,5 @@ def observe_segments(cshape: CompiledShape, a: np.ndarray, b: np.ndarray) -> Bat
     L3[hit] = cube[hit] + 6.0 * pair_terms
 
     ch_valid = np.arange(cmax // 2) < k_hit[:, None]
-    return BatchObservations(k, L1, L3, cube, ch.T[ch_valid], np.repeat(hit, k_hit), rejected)
+    return BatchObservations(k, L1, L3, cube, ch.T[ch_valid], rejected)
 

@@ -95,7 +95,6 @@ class Accumulator:
                 L3=np.array([obs.L3]),
                 chord_cube_sum=np.array([np.sum(chords**3)]),
                 chords_flat=chords,
-                chords_line=np.zeros(obs.k, dtype=int),
                 rejected=np.zeros(1, dtype=bool),
             )
         )

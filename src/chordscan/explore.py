@@ -16,7 +16,7 @@ import numpy as np
 from . import estimators
 from .batch import BatchObservations, CompiledShape, observe_segments
 from .chords import ArenaTooSmallError
-from .geometry import Shape, bounding_circle
+from .geometry import Shape
 from .sampling import (
     ArenaCircle,
     BilliardState,
@@ -80,12 +80,13 @@ class LineStream:
 
 
 def _check_arena(shape: Shape, arena: ArenaCircle) -> None:
-    center, radius = bounding_circle(shape)
-    gap = np.hypot(center.x - arena.center.x, center.y - arena.center.y)
-    if gap + radius > arena.radius * (1.0 + 1e-9):
+    # the arena disk is convex: it covers the shape iff it covers every vertex
+    pts = np.vstack([r.coords for r in shape.rings])
+    reach = float(np.max(np.hypot(pts[:, 0] - arena.center.x, pts[:, 1] - arena.center.y)))
+    if reach > arena.radius * (1.0 + 1e-9):
         raise ArenaTooSmallError(
             f"arena radius {arena.radius:.6g} does not cover the shape "
-            f"(needs {gap + radius:.6g})"
+            f"(needs {reach:.6g})"
         )
 
 
@@ -98,7 +99,6 @@ def explore(
     n_batches: int = estimators.DEFAULT_BATCHES,
     n_bins: int = estimators.DEFAULT_BINS,
     rng: np.random.Generator | None = None,
-    chunk: int = DEFAULT_CHUNK,
     dump_rows: list | None = None,
 ) -> estimators.Accumulator:
     """Accumulate n_lines accepted observations of the shape."""
@@ -110,7 +110,7 @@ def explore(
     )
     done = 0
     while done < n_lines:
-        obs = stream.take(min(chunk, n_lines - done), dump_rows is not None)
+        obs = stream.take(min(DEFAULT_CHUNK, n_lines - done), dump_rows is not None)
         acc.ingest(obs)
         if dump_rows is not None:
             _append_dump_rows(dump_rows, obs)
@@ -135,14 +135,13 @@ def explore_per_line(
     *,
     arena: ArenaCircle | None = None,
     rng: np.random.Generator | None = None,
-    chunk: int = DEFAULT_CHUNK,
 ) -> BatchObservations:
     """Record of n_lines accepted lines in sampling order (for prefix studies)."""
     stream = LineStream(shape, config, arena=arena, rng=rng)
     parts: list[BatchObservations] = []
     done = 0
     while done < n_lines:
-        parts.append(stream.take(min(chunk, n_lines - done)))
+        parts.append(stream.take(min(DEFAULT_CHUNK, n_lines - done)))
         done += len(parts[-1])
     return BatchObservations.concatenate(parts)
 
@@ -213,6 +212,8 @@ def convergence_series(
     if replicates < 2:
         raise ValueError("need at least two replicates")
     n_max = n_grid[-1]
+    if arena is None:
+        arena = arena_for(shape, config.arena_scale)
     areas = np.empty((replicates, len(n_grid)))
     perims = np.empty((replicates, len(n_grid)))
     for rep in range(replicates):

@@ -276,7 +276,6 @@ def read_local(
             warm_up=warm_up,
             confirm=READ_CONFIRM,
             arena=arena,
-            chunk=64,
             rng=np.random.default_rng([config.seed, i]),
         )
         text.append(res.label if res.label is not None else "?")
@@ -341,7 +340,6 @@ def read_global(
         n_max=budget,
         warm_up=warm_up,
         confirm=READ_CONFIRM,
-        chunk=256,
     )
     return ReadResult(
         text=res.label if res.label is not None else "?",

@@ -19,7 +19,7 @@ from . import estimators
 from .estimators import EstimateReport
 from .explore import LineStream, explore
 from .geometry import Shape, exact_area, exact_perimeter
-from .sampling import ArenaCircle, SamplerConfig
+from .sampling import ArenaCircle, SamplerConfig, arena_for
 
 DEFAULT_THRESHOLD = 0.95
 # The sigma0/sqrt(N) noise model is a central-limit approximation; confidence
@@ -27,6 +27,9 @@ DEFAULT_THRESHOLD = 0.95
 # yet, so stopping decisions only begin here (unless threshold == 0, which
 # claims no confidence at all).
 DEFAULT_WARMUP = 30
+# Lines per draw after the first; the stop is checked after every line, so
+# this only bounds how far the draws run past it.
+STOP_CHUNK = 256
 _CORR_CLAMP = 0.999
 
 
@@ -97,6 +100,8 @@ def calibrate(
         raise ValueError("calibration needs at least 2 replicates")
     if m_lines < 1:
         raise ValueError("calibration needs at least 1 line per replicate")
+    if arena is None:
+        arena = arena_for(shape, config.arena_scale)
     a_vals = np.empty(replicates)
     p_vals = np.empty(replicates)
     for rep in range(replicates):
@@ -282,23 +287,24 @@ def explore_until_stop(
     warm_up: int = DEFAULT_WARMUP,
     confirm: int = 1,
     arena: ArenaCircle | None = None,
-    chunk: int = 256,
     rng: np.random.Generator | None = None,
 ) -> StopResult:
     """Explore line by line until the posterior top clears the threshold.
 
     Classification uses the dictionary's calibrated noise at each prefix N,
-    checked after every line (evaluated in vectorized chunks). Confidence
-    stopping starts at warm_up lines; threshold == 0 instead stops at the
-    first prefix with a defined estimate. With confirm > 1 the same top label
-    must clear the threshold on that many consecutive lines, which counters
-    the multiple-comparison inflation of checking after every line. Lines
-    come from rng when given, otherwise from a generator seeded by config.
+    checked after every line. Confidence stopping starts at warm_up lines;
+    threshold == 0 instead stops at the first prefix with a defined estimate.
+    With confirm > 1 the same top label must clear the threshold on that many
+    consecutive lines, which counters the multiple-comparison inflation of
+    checking after every line. Lines come from rng when given, otherwise from
+    a generator seeded by config. The first draw reaches the warm-up (no
+    shorter prefix can stop), later ones are STOP_CHUNK lines; the prefix sums
+    run on across draws, so the result does not depend on the draw sizes.
     """
     if not entries:
         raise ValueError("dictionary is empty")
     stream = LineStream(shape, config, arena=arena, rng=rng)
-    # running sums; each chunk continues from the previous chunk's last prefix
+    # running sums; each draw continues from the previous draw's last prefix
     l1 = l3 = np.zeros(1)
     kk = np.zeros(1, dtype=np.int64)
     done = 0
@@ -308,11 +314,11 @@ def explore_until_stop(
     streak = 0
     last = StopResult(None, n_max, True, float("nan"), float("nan"), 0.0)
     while done < n_max:
-        take_n = min(chunk, n_max - done)
+        take_n = min(STOP_CHUNK if done else max(min_n, STOP_CHUNK), n_max - done)
         obs = stream.take(take_n)
-        l1 = l1[-1] + np.cumsum(obs.L1)
-        l3 = l3[-1] + np.cumsum(obs.L3)
-        kk = kk[-1] + np.cumsum(obs.k)
+        l1 = np.cumsum(np.concatenate((l1[-1:], obs.L1)))[1:]
+        l3 = np.cumsum(np.concatenate((l3[-1:], obs.L3)))[1:]
+        kk = np.cumsum(np.concatenate((kk[-1:], obs.k)))[1:]
         n_prefix = done + np.arange(1, take_n + 1)
         idx = np.flatnonzero((l1 > 0.0) & (kk > 0) & (n_prefix >= min_n))
         if idx.size:

@@ -26,12 +26,13 @@ def test_batch_matches_scalar_observe(name):
     cshape = batch.CompiledShape(shape)
     bobs = batch.observe_segments(cshape, a, b)
     assert not bobs.rejected.any()
+    per_line = np.split(bobs.chords_flat, np.cumsum(bobs.k)[:-1])
     for i in range(len(a)):
         obs = chords.observe(shape, (Point(*a[i]), Point(*b[i])))
         assert bobs.k[i] == obs.k
         assert bobs.L1[i] == pytest.approx(obs.L1, rel=1e-12, abs=1e-12)
         assert bobs.L3[i] == pytest.approx(obs.L3, rel=1e-12, abs=1e-10)
-        got = np.sort(bobs.chords_flat[bobs.chords_line == i])
+        got = np.sort(per_line[i])
         assert np.allclose(got, np.sort(obs.chords), rtol=1e-12, atol=1e-12)
 
 
@@ -118,8 +119,8 @@ def test_batch_chord_cube_sums():
     shape = shapes.annulus()
     a, b = _random_segments(shape, 300, seed=3)
     bobs = batch.observe_segments(batch.CompiledShape(shape), a, b)
-    for i in range(len(a)):
-        mine = bobs.chords_flat[bobs.chords_line == i]
+    per_line = np.split(bobs.chords_flat, np.cumsum(bobs.k)[:-1])
+    for i, mine in enumerate(per_line):
         assert bobs.chord_cube_sum[i] == pytest.approx(float(np.sum(mine**3)), rel=1e-12)
 
 
@@ -168,9 +169,9 @@ def test_accepted_drops_rejected_lines_and_reindexes_chords():
     got = full.accepted()
     want = batch.observe_segments(cs, a[kept], b[kept])
     assert not got.rejected.any() and len(got) == len(kept)
-    for field in ("k", "L1", "L3", "chord_cube_sum", "chords_flat", "chords_line"):
+    for field in ("k", "L1", "L3", "chord_cube_sum", "chords_flat"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
     assert got.k.tolist() == [1, 1, 1, 0, 1]
-    # every chord points at its own surviving line, whose L1 is that chord
-    assert got.chords_line.tolist() == [0, 1, 2, 4]
-    assert np.array_equal(got.chords_flat, got.L1[got.chords_line])
+    # each surviving line's chords sum to its L1
+    per_line = np.split(got.chords_flat, np.cumsum(got.k)[:-1])
+    assert [float(np.sum(c)) for c in per_line] == got.L1.tolist()

@@ -5,10 +5,10 @@ import pytest
 
 from chordscan import estimators as est
 from chordscan import shapes
-from chordscan.chords import CrossingEvent, LineObservation, ZERO_OBSERVATION
+from chordscan.chords import ArenaTooSmallError, CrossingEvent, LineObservation, ZERO_OBSERVATION
 from chordscan.explore import convergence_series, explore, explore_per_line
-from chordscan.geometry import exact_area, exact_perimeter, union_disjoint
-from chordscan.sampling import SamplerConfig
+from chordscan.geometry import Point, Ring, Shape, exact_area, exact_perimeter, union_disjoint
+from chordscan.sampling import ArenaCircle, SamplerConfig
 
 
 def obs_from_chords(*chords, gap=5.0):
@@ -297,6 +297,19 @@ def test_convergence_series_disk_quick():
     )
     assert -0.65 < series.exponent_a < -0.35
     assert -0.65 < series.exponent_p < -0.35
+
+
+@pytest.mark.parametrize("radius, covers", [(1.0001, True), (0.9999, False)])
+def test_arena_check_covers_vertices(radius, covers):
+    # a 2 x 0.01 bar standing on the x-axis: its top corners lie 1.00005 from
+    # the origin, but its enclosing circle's centre sits 0.005 above it
+    bar = Shape([Ring([(-1.0, 0.0), (1.0, 0.0), (1.0, 0.01), (-1.0, 0.01)])])
+    arena = ArenaCircle(Point(0.0, 0.0), radius)
+    if covers:
+        assert explore(bar, 1000, arena=arena).n_lines == 1000
+    else:
+        with pytest.raises(ArenaTooSmallError):
+            explore(bar, 1000, arena=arena)
 
 
 def test_prefix_estimates_match_full_run():

@@ -5,6 +5,8 @@ import pytest
 
 from chordscan import reading as rd
 from chordscan import recognition as rec
+from chordscan.estimators import prefix_estimates
+from chordscan.explore import explore_per_line
 from chordscan.geometry import exact_area, exact_perimeter
 from chordscan.sampling import SamplerConfig
 
@@ -120,10 +122,30 @@ def test_read_single_letter_equals_classification(letter_dict):
         warm_up=rd._read_warmup(3000),
         confirm=rd.READ_CONFIRM,
         arena=rd.letter_arena(target.boxes[0], cfg.arena_scale),
-        chunk=64,
     )
     assert res.text == direct.label
     assert res.n_lines == direct.n_stop
+
+
+def test_letter_stop_estimates_equal_one_draw_prefix(letter_dict):
+    # the read-style warm-up sizes the first draw; the estimates at the stop
+    # are still those of the letter's first n_stop lines
+    target = rd.word_shape("E", 1.0)
+    for seed in range(5):
+        cfg = SamplerConfig(seed=seed)
+        arena = rd.letter_arena(target.boxes[0], cfg.arena_scale)
+        res = rec.explore_until_stop(
+            target.letter_shapes[0],
+            letter_dict,
+            cfg,
+            n_max=3000,
+            warm_up=rd._read_warmup(3000),
+            confirm=rd.READ_CONFIRM,
+            arena=arena,
+        )
+        obs = explore_per_line(target.letter_shapes[0], res.n_stop, cfg, arena=arena)
+        a, p = prefix_estimates(obs, [res.n_stop])
+        assert (res.area_hat, res.perim_hat) == (a[0], p[0])
 
 
 def test_read_local_freedom(letter_dict):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from chordscan import recognition as rec
 from chordscan import shapes
-from chordscan.estimators import EstimateReport
+from chordscan.estimators import EstimateReport, prefix_estimates
+from chordscan.explore import explore_per_line
 from chordscan.geometry import exact_area, exact_perimeter
 from chordscan.sampling import SamplerConfig
 
@@ -235,6 +237,20 @@ def test_identical_entries_never_stop():
     )
     assert res.censored
     assert res.n_stop == 2000
+
+
+def test_stop_estimates_equal_one_draw_prefix(builtin_dictionary):
+    # against a 2% larger twin the square stops after several draws; the
+    # estimates at the stop are still those of its first n_stop lines
+    square = builtin_dictionary[shapes.BUILTIN_NAMES.index("square")]
+    twin = dataclasses.replace(
+        square, name="twin", p_ref=1.02 * square.p_ref, a_ref=1.02**2 * square.a_ref
+    )
+    for seed in range(6):
+        cfg = SamplerConfig(seed=seed)
+        res = rec.explore_until_stop(shapes.square(), [square, twin], cfg)
+        a, p = prefix_estimates(explore_per_line(shapes.square(), res.n_stop, cfg), [res.n_stop])
+        assert (res.area_hat, res.perim_hat) == (a[0], p[0])
 
 
 def test_lines_to_recognize_requires_membership(builtin_dictionary):
