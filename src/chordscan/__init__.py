@@ -64,12 +64,8 @@ from .recognition import (
 from .sampling import (
     ArenaCircle,
     BilliardState,
-    LineParam,
     SamplerConfig,
     arena_for,
-    clip_to_arena,
-    next_billiard,
-    sample_iur,
 )
 from .shapes import BUILTIN_NAMES, annulus, builtin, disk, square, statue, triangle
 

@@ -1,12 +1,11 @@
 """Vectorized many-lines-at-once observation kernel and its per-line record.
 
-observe_segments computes, for arrays of segments, what chords.observe
-computes for one, and returns a BatchObservations: the one record of a block
-of lines, from the kernel through the line stream to the accumulator. One
-difference at measure-zero inputs: a line passing within tolerance of any
-vertex is rejected outright here (the scalar path resolves genuine vertex
-crossings); random lines hit this with probability ~0 and rejections are
-counted either way.
+_scan finds every boundary crossing of arrays of segments: the one ring scan
+in the package, which chords.crossings also runs on a single line. A line
+passing within tolerance of any vertex is rejected outright; random lines hit
+this with probability ~0, and rejections are counted. observe_segments reduces
+the crossings to a BatchObservations: the one record of a block of lines,
+from the kernel through the line stream to the accumulator.
 """
 
 from __future__ import annotations
@@ -15,9 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chords import ONLINE_TOL
 from .geometry import Shape
 
+# Relative half-width of the "on the line" band for vertex classification.
+ONLINE_TOL = 1e-12
 _PAD = 1e-9  # prefilter slack so tolerance-band vertices are never missed
 # Lines x vertices per ring-scan block: the block's temporaries stay in cache.
 _SCAN_BLOCK = 1 << 17
@@ -94,8 +94,15 @@ class BatchObservations:
         )
 
 
-def observe_segments(cshape: CompiledShape, a: np.ndarray, b: np.ndarray) -> BatchObservations:
-    """Observe M segments given as (M, 2) endpoint arrays, endpoints outside."""
+def _scan(
+    cshape: CompiledShape, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boundary crossings of M segments given as (M, 2) endpoint arrays.
+
+    Returns each crossing's line index and arclength position along its
+    segment, in no particular order, and the mask of lines that pass within
+    tolerance of a vertex.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m = a.shape[0]
@@ -154,7 +161,13 @@ def observe_segments(cshape: CompiledShape, a: np.ndarray, b: np.ndarray) -> Bat
     else:
         lines_all = np.empty(0, dtype=int)
         t_all = np.empty(0)
+    return lines_all, t_all, rejected
 
+
+def observe_segments(cshape: CompiledShape, a: np.ndarray, b: np.ndarray) -> BatchObservations:
+    """Observe M segments given as (M, 2) endpoint arrays, endpoints outside."""
+    lines_all, t_all, rejected = _scan(cshape, a, b)
+    m = rejected.size
     counts = np.bincount(lines_all, minlength=m)
     rejected |= counts % 2 == 1
     if rejected.any():

@@ -5,6 +5,11 @@ alternate ingoing/outgoing. The order-n geometric function combines all
 pairwise gaps: sum over ingoing x outgoing pairs of gap**n, minus the same sum
 over outgoing pairs and over ingoing pairs. Order 1 collapses to the plain
 in-shape intercept length; order 3 is what the area estimator consumes.
+
+crossings runs the batch ring scan (batch._scan) on one line, so a line within
+tolerance of a vertex is rejected here exactly as in every estimate.
+geometric_function keeps the pair-sum definition above as the reference the
+batch kernel's O(k) sums are checked against.
 """
 
 from __future__ import annotations
@@ -14,13 +19,11 @@ from itertools import combinations
 
 import numpy as np
 
+from . import batch
 from .geometry import Point, Shape, contains
 
 INGOING = "in"
 OUTGOING = "out"
-
-# Relative half-width of the "on the line" band for vertex classification.
-ONLINE_TOL = 1e-12
 
 
 class DegenerateLineError(ValueError):
@@ -54,56 +57,11 @@ class LineObservation:
 ZERO_OBSERVATION = LineObservation(events=(), chords=(), k=0, L1=0.0, L3=0.0)
 
 
-def _ring_crossing_ts(coords: np.ndarray, a: np.ndarray, u: np.ndarray, tol: float) -> list[float]:
-    """Arclength positions where one ring crosses the carrier line of a->b.
-
-    Vertices within tol of the line are resolved by walking maximal on-line
-    runs: a run whose neighbours lie on opposite sides is one genuine crossing
-    (at the run's midpoint), same side is a tangential touch and is dropped.
-    """
-    rel = coords - a
-    nrm = np.array([-u[1], u[0]])
-    s = rel @ nrm
-    xi = rel @ u
-    on_line = np.abs(s) <= tol
-    if np.all(on_line):
-        raise DegenerateLineError("ring is collinear with the sampled line")
-
-    ts: list[float] = []
-    n = len(coords)
-    s_next = np.roll(s, -1)
-    plain = ~on_line & ~np.roll(on_line, -1) & ((s > 0) != (s_next > 0))
-    for j in np.nonzero(plain)[0]:
-        j2 = (j + 1) % n
-        ts.append(float(xi[j] + (xi[j2] - xi[j]) * (s[j] / (s[j] - s[j2]))))
-
-    if np.any(on_line):
-        visited = np.zeros(n, dtype=bool)
-        for j in np.nonzero(on_line)[0]:
-            if visited[j]:
-                continue
-            run = [j]
-            visited[j] = True
-            k = (j + 1) % n
-            while on_line[k] and not visited[k]:
-                run.append(k)
-                visited[k] = True
-                k = (k + 1) % n
-            k = (j - 1) % n
-            while on_line[k] and not visited[k]:
-                run.insert(0, k)
-                visited[k] = True
-                k = (k - 1) % n
-            before = s[(run[0] - 1) % n]
-            after = s[(run[-1] + 1) % n]
-            if (before > 0) != (after > 0):
-                run_xi = xi[run]
-                ts.append(float((run_xi.min() + run_xi.max()) / 2.0))
-    return ts
-
-
 def crossings(shape: Shape, seg: tuple[Point, Point]) -> list[CrossingEvent]:
-    """Sorted, alternating crossing events of the shape boundary within seg."""
+    """Sorted, alternating crossing events of the shape boundary within seg.
+
+    Raises DegenerateLineError for a line the batch kernel rejects.
+    """
     a_pt, b_pt = seg
     a = a_pt.as_array()
     b = b_pt.as_array()
@@ -112,18 +70,14 @@ def crossings(shape: Shape, seg: tuple[Point, Point]) -> list[CrossingEvent]:
         return []
     if contains(shape, a_pt) or contains(shape, b_pt):
         raise ArenaTooSmallError("segment endpoint lies inside the shape")
-    u = (b - a) / length
-    tol = ONLINE_TOL * shape.coordinate_scale()
-
-    ts: list[float] = []
-    for ring in shape.rings:
-        ts.extend(_ring_crossing_ts(ring.coords, a, u, tol))
-    ts = [t for t in ts if 0.0 <= t <= length]
+    _, ts, rejected = batch._scan(batch.CompiledShape(shape), a[None], b[None])
+    if rejected[0]:
+        raise DegenerateLineError("line passes within tolerance of a vertex")
+    if ts.size % 2 != 0:
+        raise DegenerateLineError(f"odd crossing count ({ts.size})")
     ts.sort()
-    if len(ts) % 2 != 0:
-        raise DegenerateLineError(f"odd crossing count ({len(ts)}) after resolution")
     return [
-        CrossingEvent(t, INGOING if i % 2 == 0 else OUTGOING) for i, t in enumerate(ts)
+        CrossingEvent(float(t), INGOING if i % 2 == 0 else OUTGOING) for i, t in enumerate(ts)
     ]
 
 

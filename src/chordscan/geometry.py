@@ -81,10 +81,6 @@ class Ring:
     def __len__(self) -> int:
         return self.coords.shape[0]
 
-    @property
-    def vertices(self) -> tuple[Point, ...]:
-        return tuple(Point(x, y) for x, y in self.coords)
-
     def signed_area(self) -> float:
         x, y = self.coords[:, 0], self.coords[:, 1]
         return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))

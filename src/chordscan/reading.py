@@ -184,10 +184,6 @@ class WordShape:
     cell: float
     gap: float
 
-    @property
-    def advance(self) -> float:
-        return GRID_COLS * self.cell + self.gap
-
 
 def word_shape(word: str, s: float, gap: float | None = None) -> WordShape:
     """Compose a word; area and perimeter are additive over the letters."""
@@ -348,67 +344,6 @@ def read_global(
         censored=res.censored,
         area_hat=res.area_hat,
         perim_hat=res.perim_hat,
-    )
-
-
-@dataclass
-class StrategyComparison:
-    word: str
-    exact_area: float
-    exact_perimeter: float
-    local_n: list[int]
-    global_n: list[int]
-    local_success: float
-    global_success: float
-    local_area: list[float]
-    global_area: list[float]
-    local_perim: list[float]
-    global_perim: list[float]
-
-
-def compare_strategies(
-    word: str,
-    letter_dict: list[recognition.DictEntry],
-    word_dict: list[recognition.DictEntry],
-    seeds,
-    *,
-    cell: float = 1.0,
-    budget: int = 30_000,
-    threshold: float = recognition.DEFAULT_THRESHOLD,
-    config: SamplerConfig | None = None,
-) -> StrategyComparison:
-    """Run both strategies once per seed under a shared total line budget."""
-    config = config or SamplerConfig()
-    target = word_shape(word, cell)
-    per_letter = max(1, budget // len(word))
-    loc_n, glo_n = [], []
-    loc_ok = glo_ok = 0
-    loc_a, glo_a, loc_p, glo_p = [], [], [], []
-    for seed in seeds:
-        cfg = dataclasses.replace(config, seed=int(seed))
-        lr = read_local(target, letter_dict, per_letter, cfg, threshold=threshold)
-        gr = read_global(target, word_dict, budget, cfg, threshold=threshold)
-        loc_n.append(lr.n_lines)
-        glo_n.append(gr.n_lines)
-        loc_ok += lr.correct
-        glo_ok += gr.correct
-        loc_a.append(lr.area_hat)
-        glo_a.append(gr.area_hat)
-        loc_p.append(lr.perim_hat)
-        glo_p.append(gr.perim_hat)
-    n = max(1, len(loc_n))
-    return StrategyComparison(
-        word=word,
-        exact_area=exact_area(target.shape),
-        exact_perimeter=exact_perimeter(target.shape),
-        local_n=loc_n,
-        global_n=glo_n,
-        local_success=loc_ok / n,
-        global_success=glo_ok / n,
-        local_area=loc_a,
-        global_area=glo_a,
-        local_perim=loc_p,
-        global_perim=glo_p,
     )
 
 

@@ -1,8 +1,11 @@
 """Exploration line generators: IUR lines and billiard bounces in a circular arena.
 
-Random draws follow a fixed order so runs are reproducible from the seed:
-each IUR line consumes (theta, offset) in that order, each billiard bounce one
-uniform for the outgoing angle (plus two draws for the initial state).
+Lines are drawn a block at a time, in a fixed order so runs are reproducible
+from the seed. sample_iur_batch draws n (theta, offset) pairs, one row of two
+uniforms per line; _segments_from_lines clips them to the arena circle.
+billiard_segments draws a bounce chain: two uniforms for the initial position
+and heading of a fresh chain, one per further bounce, and one for the heading
+it hands on to the next call.
 """
 
 from __future__ import annotations
@@ -19,10 +22,6 @@ _MODE_ALIASES = {"billiard-cosine": "billiard-cos", "billiard-uniform": "billiar
 DEFAULT_ARENA_SCALE = 1.2
 
 
-class LineMissesArenaError(ValueError):
-    """The requested line lies entirely outside the arena circle."""
-
-
 @dataclass(frozen=True)
 class ArenaCircle:
     center: Point
@@ -31,15 +30,6 @@ class ArenaCircle:
     def __post_init__(self):
         if not self.radius > 0.0:
             raise ValueError("arena radius must be positive")
-
-
-@dataclass(frozen=True)
-class LineParam:
-    """A line as (normal angle, signed offset) about the arena center."""
-
-    theta: float
-    p: float
-    arena_center: Point
 
 
 @dataclass(frozen=True)
@@ -71,26 +61,11 @@ def arena_for(shape: Shape, scale: float = DEFAULT_ARENA_SCALE) -> ArenaCircle:
     return ArenaCircle(center, radius * scale)
 
 
-def sample_iur(rng: np.random.Generator, arena: ArenaCircle) -> LineParam:
-    u = rng.random(2)
-    return LineParam(u[0] * math.pi, (2.0 * u[1] - 1.0) * arena.radius, arena.center)
-
-
 def sample_iur_batch(
     rng: np.random.Generator, arena: ArenaCircle, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     u = rng.random((n, 2))
     return u[:, 0] * math.pi, (2.0 * u[:, 1] - 1.0) * arena.radius
-
-
-def clip_to_arena(line: LineParam, arena: ArenaCircle) -> tuple[Point, Point]:
-    """Intersection segment of the line with the arena, ordered along the tangent."""
-    if abs(line.p) > arena.radius:
-        raise LineMissesArenaError(f"|p|={abs(line.p)} exceeds arena radius {arena.radius}")
-    a, b = _segments_from_lines(
-        np.array([line.theta]), np.array([line.p]), arena
-    )
-    return Point(*a[0]), Point(*b[0])
 
 
 def _segments_from_lines(
@@ -127,35 +102,6 @@ def _draw_normal_angle(u: np.ndarray, policy: str) -> np.ndarray:
     raise ValueError(f"unknown billiard policy {policy!r}")
 
 
-def initial_billiard_state(
-    rng: np.random.Generator, arena: ArenaCircle, policy: str = "cosine"
-) -> BilliardState:
-    beta = 2.0 * math.pi * rng.random()
-    phi = float(_draw_normal_angle(np.asarray(rng.random()), policy))
-    pos = Point(
-        arena.center.x + arena.radius * math.cos(beta),
-        arena.center.y + arena.radius * math.sin(beta),
-    )
-    return BilliardState(pos, beta + math.pi + phi)
-
-
-def next_billiard(
-    state: BilliardState, rng: np.random.Generator, arena: ArenaCircle, policy: str = "cosine"
-) -> tuple[tuple[Point, Point], BilliardState]:
-    """Straight run to the next wall hit, then a fresh random reflection."""
-    px = state.position.x - arena.center.x
-    py = state.position.y - arena.center.y
-    dx, dy = math.cos(state.heading), math.sin(state.heading)
-    travel = -2.0 * (px * dx + py * dy)
-    if travel < 0.0:
-        raise ValueError("billiard heading points out of the arena")
-    end = Point(state.position.x + travel * dx, state.position.y + travel * dy)
-    beta_end = math.atan2(end.y - arena.center.y, end.x - arena.center.x)
-    phi = float(_draw_normal_angle(np.asarray(rng.random()), policy))
-    new_state = BilliardState(end, beta_end + math.pi + phi)
-    return (state.position, end), new_state
-
-
 def billiard_segments(
     rng: np.random.Generator,
     arena: ArenaCircle,
@@ -166,8 +112,12 @@ def billiard_segments(
     """n consecutive bounce segments, vectorized over the whole chain.
 
     On a circle the bounce map is a rotation: beta' = beta + pi + 2*phi, so the
-    chain is a cumulative sum of independent increments. Draw order matches the
-    scalar path (initial position+heading, then one uniform per bounce).
+    chain is a cumulative sum of independent increments. A fresh chain draws
+    one uniform for its initial position and one for its initial heading,
+    then one per further bounce and one for the heading of the returned
+    state: n + 2 uniforms in that order. A resumed chain takes its first
+    heading from the state and draws the other n. So n1 + n2 segments drawn
+    at once equal n1 then n2 drawn by two chained calls, up to rounding.
     """
     if state is None:
         u0 = rng.random()

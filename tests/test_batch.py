@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordscan import batch, chords, reading, shapes
-from chordscan.geometry import Point, RigidTransform, Shape, transform
+from chordscan.geometry import Point, RigidTransform, Shape, contains, transform
 
 
 def _random_segments(shape, n, seed):
@@ -19,33 +19,42 @@ def _random_segments(shape, n, seed):
     return _segments_from_lines(theta, p, arena)
 
 
+def _assert_oracles(shape, a, b):
+    """Check every accepted line of the kernel against independent oracles.
+
+    Per line: membership flips at each event of chords.crossings (chord
+    midpoints inside, gap and outer-stretch midpoints outside), the kernel's
+    chords are the differences of those events, and L1/L3 match the scalar
+    pair-sum geometric function.
+    """
+    bobs = batch.observe_segments(batch.CompiledShape(shape), a, b)
+    per_line = np.split(bobs.chords_flat, np.cumsum(bobs.k)[:-1])
+    for i in np.flatnonzero(~bobs.rejected):
+        seg = (Point(*a[i]), Point(*b[i]))
+        events = chords.crossings(shape, seg)
+        ts = np.array([e.t for e in events])
+        length = math.hypot(*(b[i] - a[i]))
+        u = (b[i] - a[i]) / length
+        cuts = np.concatenate([[0.0], ts, [length]])
+        for j, mid in enumerate(0.5 * (cuts[:-1] + cuts[1:])):
+            assert contains(shape, Point(*(a[i] + mid * u))) == (j % 2 == 1)
+        assert bobs.k[i] == len(events) // 2
+        assert np.allclose(per_line[i], ts[1::2] - ts[0::2], rtol=1e-12, atol=1e-12)
+        assert bobs.L1[i] == pytest.approx(
+            chords.geometric_function(events, 1), rel=1e-12, abs=1e-12
+        )
+        assert bobs.L3[i] == pytest.approx(
+            chords.geometric_function(events, 3), rel=1e-12, abs=1e-10
+        )
+    return bobs
+
+
 @pytest.mark.parametrize("name", shapes.BUILTIN_NAMES)
 def test_batch_matches_scalar_observe(name):
     shape = shapes.builtin(name)
     a, b = _random_segments(shape, 400, seed=zlib.crc32(name.encode()) % 1000)
-    cshape = batch.CompiledShape(shape)
-    bobs = batch.observe_segments(cshape, a, b)
+    bobs = _assert_oracles(shape, a, b)
     assert not bobs.rejected.any()
-    per_line = np.split(bobs.chords_flat, np.cumsum(bobs.k)[:-1])
-    for i in range(len(a)):
-        obs = chords.observe(shape, (Point(*a[i]), Point(*b[i])))
-        assert bobs.k[i] == obs.k
-        assert bobs.L1[i] == pytest.approx(obs.L1, rel=1e-12, abs=1e-12)
-        assert bobs.L3[i] == pytest.approx(obs.L3, rel=1e-12, abs=1e-10)
-        got = np.sort(per_line[i])
-        assert np.allclose(got, np.sort(obs.chords), rtol=1e-12, atol=1e-12)
-
-
-def _assert_matches_scalar(shape, a, b):
-    bobs = batch.observe_segments(batch.CompiledShape(shape), a, b)
-    # lines within tolerance of a vertex are rejected here and resolved by
-    # the scalar path; everything else must agree
-    for i in np.flatnonzero(~bobs.rejected):
-        obs = chords.observe(shape, (Point(*a[i]), Point(*b[i])))
-        assert bobs.k[i] == obs.k
-        assert bobs.L1[i] == pytest.approx(obs.L1, rel=1e-12, abs=1e-12)
-        assert bobs.L3[i] == pytest.approx(obs.L3, rel=1e-12, abs=1e-10)
-    return bobs
 
 
 def _star_ring(angles, radii):
@@ -84,7 +93,7 @@ def holed_stars(draw):
 @given(shape=holed_stars(), seed=st.integers(0, 2**32 - 1))
 def test_batch_matches_scalar_on_generated_holed_stars(shape, seed):
     a, b = _random_segments(shape, 60, seed)
-    bobs = _assert_matches_scalar(shape, a, b)
+    bobs = _assert_oracles(shape, a, b)
     assert bobs.k.max() >= 1
 
 
@@ -93,7 +102,7 @@ def test_batch_matches_scalar_on_many_chord_word():
     # reaches 15 chords on one line
     shape = reading.word_shape("GENERATIONS", 1.0).shape
     a, b = _random_segments(shape, 1000, seed=3)
-    bobs = _assert_matches_scalar(shape, a, b)
+    bobs = _assert_oracles(shape, a, b)
     assert int(bobs.k.max()) == 15
 
 
@@ -134,6 +143,56 @@ def test_vertex_hit_line_rejected():
     assert not bobs.rejected[1]
     assert bobs.k[1] == 1
     assert bobs.rejected[2]
+
+
+HOLED_SQUARE = Shape(
+    [
+        [(0, 0), (1, 0), (1, 1), (0, 1)],
+        [(0.25, 0.25), (0.75, 0.25), (0.75, 0.75), (0.25, 0.75)],
+    ]
+)
+NEAR_VERTEX_SHAPES = {
+    "square": shapes.square(),
+    "holed-square": HOLED_SQUARE,
+    "statue": shapes.statue(),
+    "far-statue": transform(shapes.statue(), RigidTransform(0.0, Point(3e5, -7e5))),
+}
+
+
+def _near_vertex_segments(shape, dist, seed, per_vertex=5):
+    """Arena segments on lines passing at dist from each vertex, random directions."""
+    from chordscan.sampling import ArenaCircle, arena_for, _segments_from_lines
+
+    # widened by dist, so that no line misses the arena
+    arena = arena_for(shape)
+    arena = ArenaCircle(arena.center, arena.radius + dist)
+    verts = np.concatenate([r.coords for r in shape.rings])
+    theta = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, (len(verts), per_vertex))
+    # offset of the parallel line through the vertex, then moved dist off it
+    through = (verts[:, :1] - arena.center.x) * np.cos(theta)
+    through += (verts[:, 1:] - arena.center.y) * np.sin(theta)
+    return _segments_from_lines(theta.ravel(), (through + dist).ravel(), arena)
+
+
+@pytest.mark.parametrize("name", NEAR_VERTEX_SHAPES)
+def test_lines_just_outside_the_vertex_band_accepted(name):
+    shape = NEAR_VERTEX_SHAPES[name]
+    for j in range(6, 12):
+        a, b = _near_vertex_segments(shape, 10.0**-j * shape.coordinate_scale(), seed=j)
+        bobs = _assert_oracles(shape, a, b)
+        assert not bobs.rejected.any(), j
+
+
+@pytest.mark.parametrize("name", NEAR_VERTEX_SHAPES)
+def test_lines_inside_the_vertex_band_rejected(name):
+    # the band's half-width is 1e-12 * scale; nothing is asserted at the edge
+    shape = NEAR_VERTEX_SHAPES[name]
+    a, b = _near_vertex_segments(shape, 1e-13 * shape.coordinate_scale(), seed=13)
+    bobs = batch.observe_segments(batch.CompiledShape(shape), a, b)
+    assert bobs.rejected.all()
+    for i in range(len(a)):
+        with pytest.raises(chords.DegenerateLineError):
+            chords.observe(shape, (Point(*a[i]), Point(*b[i])))
 
 
 def test_statue_reaches_k6():

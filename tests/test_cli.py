@@ -12,8 +12,8 @@ from chordscan.cli import main
 from chordscan.sampling import SamplerConfig
 
 
-def run_cli(*argv, cwd):
-    """Run ``python -m chordscan.cli`` in a child process from ``cwd``.
+def run_python(*args, cwd):
+    """Run ``python *args`` in a child process from ``cwd``.
 
     The child imports the same ``chordscan`` as this test process: the
     absolute directory holding the package goes first on its
@@ -26,12 +26,26 @@ def run_cli(*argv, cwd):
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-m", "chordscan.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=env,
     )
+
+
+def run_cli(*argv, cwd):
+    """Run ``python -m chordscan.cli`` in a child process from ``cwd``."""
+    return run_python("-m", "chordscan.cli", *argv, cwd=cwd)
+
+
+@pytest.mark.parametrize("module", ["chordscan.chords", "chordscan"])
+def test_import_is_clean_and_light(module, tmp_path):
+    # chords imports batch, never the reverse; scipy is a test-only
+    # dependency, and importing it at load time costs about a second
+    code = f"import sys, {module}; assert 'scipy' not in sys.modules"
+    proc = run_python("-c", code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_no_command_usage_error(tmp_path):

@@ -201,25 +201,3 @@ def test_read_local_slots_explore_independent_lines(letter_dict):
     pair = rd.read_local(rd.word_shape("EE", 1.0), letter_dict, 400, cfg, threshold=1.5)
     one = rd.read_local(rd.word_shape("E", 1.0), letter_dict, 400, cfg, threshold=1.5)
     assert abs(pair.area_hat - 2.0 * one.area_hat) > 1e-3
-
-
-def test_compare_strategies_smoke(letter_dict):
-    words = ["FREEDOM", "PEOPLES", "NATIONS", "MANKIND", "DIGNITY",
-             "JUSTICE", "RESPECT", "SECURITY", "PROGRESS", "TOLERANCE"]
-    word_dict = rd.calibrate_words(
-        words, m_lines=600, replicates=10, config=SamplerConfig(seed=55)
-    )
-    cmp = rd.compare_strategies(
-        "FREEDOM",
-        letter_dict,
-        word_dict,
-        seeds=range(4),
-        budget=20_000,
-    )
-    assert cmp.word == "FREEDOM"
-    assert cmp.exact_area == pytest.approx(75.0, abs=1e-9)
-    assert 0.5 <= cmp.local_success <= 1.0
-    assert 0.5 <= cmp.global_success <= 1.0
-    # both strategies' area estimates center on the exact word area
-    assert np.mean(cmp.local_area) == pytest.approx(75.0, rel=0.1)
-    assert np.mean(cmp.global_area) == pytest.approx(75.0, rel=0.1)

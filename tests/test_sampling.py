@@ -12,17 +12,14 @@ OFFCENTER = sp.ArenaCircle(Point(3.0, -2.0), 2.5)
 
 
 def test_sample_iur_deterministic():
-    a = [sp.sample_iur(np.random.default_rng(42), ARENA) for _ in range(5)]
-    b = [sp.sample_iur(np.random.default_rng(42), ARENA) for _ in range(5)]
-    assert a == b
-
-
-def test_scalar_and_batch_iur_share_the_stream():
-    rng1 = np.random.default_rng(7)
-    scalars = [sp.sample_iur(rng1, OFFCENTER) for _ in range(100)]
+    # the draw order is pinned: one block of n1 + n2 lines is n1 lines then
+    # n2 lines from the same generator, bit for bit
     theta, p = sp.sample_iur_batch(np.random.default_rng(7), OFFCENTER, 100)
-    assert np.allclose([s.theta for s in scalars], theta)
-    assert np.allclose([s.p for s in scalars], p)
+    rng = np.random.default_rng(7)
+    t1, p1 = sp.sample_iur_batch(rng, OFFCENTER, 37)
+    t2, p2 = sp.sample_iur_batch(rng, OFFCENTER, 63)
+    assert np.array_equal(theta, np.concatenate([t1, t2]))
+    assert np.array_equal(p, np.concatenate([p1, p2]))
 
 
 def test_theta_uniformity_chi_square():
@@ -41,17 +38,11 @@ def test_mean_arena_chord_is_cauchy_value():
     assert abs(chords.mean() - math.pi / 2) < 3 * se
 
 
-def test_clip_to_arena_cases():
-    diam = sp.clip_to_arena(sp.LineParam(0.0, 0.0, ARENA.center), ARENA)
-    assert math.hypot(diam[1].x - diam[0].x, diam[1].y - diam[0].y) == pytest.approx(2.0)
-    tang = sp.clip_to_arena(sp.LineParam(0.3, 1.0, ARENA.center), ARENA)
-    assert math.hypot(tang[1].x - tang[0].x, tang[1].y - tang[0].y) == pytest.approx(0.0)
-    half = sp.clip_to_arena(sp.LineParam(1.1, 0.5, ARENA.center), ARENA)
-    assert math.hypot(half[1].x - half[0].x, half[1].y - half[0].y) == pytest.approx(
-        math.sqrt(3.0)
-    )
-    with pytest.raises(sp.LineMissesArenaError):
-        sp.clip_to_arena(sp.LineParam(0.0, 1.5, ARENA.center), ARENA)
+def test_segments_from_lines_cases():
+    # a diameter, a tangent line and a line at half the radius
+    a, b = sp._segments_from_lines(np.array([0.0, 0.3, 1.1]), np.array([0.0, 1.0, 0.5]), ARENA)
+    lengths = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
+    assert lengths == pytest.approx([2.0, 0.0, math.sqrt(3.0)])
 
 
 def test_line_params_roundtrip():
@@ -65,20 +56,38 @@ def test_line_params_roundtrip():
 
 def test_billiard_diameter_heading():
     state = sp.BilliardState(Point(1.0, 0.0), math.pi)  # straight through the center
-    (a, b), _ = sp.next_billiard(state, np.random.default_rng(0), ARENA)
-    assert math.hypot(b.x - a.x, b.y - a.y) == pytest.approx(2.0, abs=1e-12)
+    a, b, _ = sp.billiard_segments(np.random.default_rng(0), ARENA, 1, state=state)
+    assert math.hypot(*(b[0] - a[0])) == pytest.approx(2.0, abs=1e-12)
 
 
-def test_billiard_segments_match_scalar_chain():
-    rng1 = np.random.default_rng(21)
-    state = sp.initial_billiard_state(rng1, OFFCENTER, "cosine")
-    seg_scalar = []
-    for _ in range(400):
-        seg, state = sp.next_billiard(state, rng1, OFFCENTER, "cosine")
-        seg_scalar.append((seg[0].x, seg[0].y, seg[1].x, seg[1].y))
-    a, b, _ = sp.billiard_segments(np.random.default_rng(21), OFFCENTER, 400, "cosine")
-    batch = np.column_stack([a, b])
-    assert np.allclose(np.array(seg_scalar), batch, atol=1e-9)
+def test_billiard_segments_split_across_calls():
+    # a fresh chain draws n + 2 uniforms and a resumed one n, in the same
+    # order, so n1 + n2 segments at once are n1 then n2 from chained calls
+    a, b, end = sp.billiard_segments(np.random.default_rng(21), OFFCENTER, 400, "cosine")
+    rng = np.random.default_rng(21)
+    a1, b1, state = sp.billiard_segments(rng, OFFCENTER, 150, "cosine")
+    a2, b2, end2 = sp.billiard_segments(rng, OFFCENTER, 250, "cosine", state=state)
+    assert np.allclose(np.concatenate([a1, a2]), a, atol=1e-9)
+    assert np.allclose(np.concatenate([b1, b2]), b, atol=1e-9)
+    assert end2.heading == pytest.approx(end.heading, abs=1e-9)
+    assert rng.random() == np.random.default_rng(21).random(403)[-1]
+
+
+def test_billiard_reflection_law():
+    # each segment leaves the wall at arcsin(2u - 1) from the inward normal,
+    # u being that bounce's uniform: the second draw of the chain for the
+    # first segment, then one draw per bounce
+    n = 400
+    a, b, _ = sp.billiard_segments(np.random.default_rng(22), OFFCENTER, n, "cosine")
+    u = np.random.default_rng(22).random(n + 2)[1 : n + 1]
+    c = np.array([OFFCENTER.center.x, OFFCENTER.center.y])
+    assert np.array_equal(a[1:], b[:-1])
+    for ends in (a, b):
+        assert np.allclose(np.hypot(*(ends - c).T), OFFCENTER.radius, atol=1e-9)
+    inward = c - a
+    d = b - a
+    phi = np.arctan2(inward[:, 0] * d[:, 1] - inward[:, 1] * d[:, 0], np.sum(inward * d, axis=1))
+    assert np.allclose(phi, np.arcsin(2.0 * u - 1.0), atol=1e-9)
 
 
 def test_billiard_stays_on_boundary():
