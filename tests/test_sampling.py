@@ -22,6 +22,15 @@ def test_sample_iur_deterministic():
     assert np.array_equal(p, np.concatenate([p1, p2]))
 
 
+def test_scalar_and_batch_iur_share_the_stream():
+    # a line drawn on its own takes the same draws as its place in a block
+    rng1 = np.random.default_rng(7)
+    singles = [sp.sample_iur_batch(rng1, OFFCENTER, 1) for _ in range(100)]
+    theta, p = sp.sample_iur_batch(np.random.default_rng(7), OFFCENTER, 100)
+    assert np.array_equal(np.concatenate([t for t, _ in singles]), theta)
+    assert np.array_equal(np.concatenate([q for _, q in singles]), p)
+
+
 def test_theta_uniformity_chi_square():
     theta, p = sp.sample_iur_batch(np.random.default_rng(3), ARENA, 100_000)
     counts, _ = np.histogram(theta, bins=32, range=(0.0, math.pi))
