@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import BatchObservations
-from .chords import LineObservation
 
 # Area estimator coefficient in A_hat = C * sum(L3) / sum(L1). Fixed by the
 # closed-form unit-disk chord moments <l> = pi/2 and <l^3> = 3*pi/2, which
@@ -40,7 +39,6 @@ class Accumulator:
     __slots__ = (
         "l_cap",
         "n_batches",
-        "n_bins",
         "n_lines",
         "n_hit",
         "rejected",
@@ -53,14 +51,13 @@ class Accumulator:
         "batch",
     )
 
-    def __init__(self, l_cap: float, n_batches: int = DEFAULT_BATCHES, n_bins: int = DEFAULT_BINS):
+    def __init__(self, l_cap: float, n_batches: int = DEFAULT_BATCHES):
         if l_cap <= 0.0:
             raise ValueError("l_cap (histogram upper edge) must be positive")
-        if n_batches < 1 or n_bins < 1:
-            raise ValueError("batch and bin counts must be positive")
+        if n_batches < 1:
+            raise ValueError("batch count must be positive")
         self.l_cap = float(l_cap)
         self.n_batches = int(n_batches)
-        self.n_bins = int(n_bins)
         self.n_lines = 0
         self.n_hit = 0
         self.rejected = 0
@@ -69,35 +66,17 @@ class Accumulator:
         self.chord_count = 0
         self.chord_cube_sum = 0.0
         self.l_max_seen = 0.0
-        self.hist = np.zeros(self.n_bins, dtype=np.int64)
+        self.hist = np.zeros(DEFAULT_BINS, dtype=np.int64)
         # per-batch partial sums: L1 (a line's L1 is its chord sum), L3, chord
         # count, chord cube sum
         self.batch = np.zeros((self.n_batches, 4))
 
     def same_layout(self, other: "Accumulator") -> bool:
-        return (
-            self.l_cap == other.l_cap
-            and self.n_batches == other.n_batches
-            and self.n_bins == other.n_bins
-        )
+        return self.l_cap == other.l_cap and self.n_batches == other.n_batches
 
     def _bin_of(self, lengths: np.ndarray) -> np.ndarray:
-        b = np.floor(lengths / self.l_cap * self.n_bins).astype(np.int64)
-        return np.clip(b, 0, self.n_bins - 1)
-
-    def add(self, obs: LineObservation) -> None:
-        """Accumulate one scalar observation (a zero observation just counts)."""
-        chords = np.array(obs.chords, dtype=float)
-        self.ingest(
-            BatchObservations(
-                k=np.array([obs.k]),
-                L1=np.array([obs.L1]),
-                L3=np.array([obs.L3]),
-                chord_cube_sum=np.array([np.sum(chords**3)]),
-                chords_flat=chords,
-                rejected=np.zeros(1, dtype=bool),
-            )
-        )
+        b = np.floor(lengths / self.l_cap * DEFAULT_BINS).astype(np.int64)
+        return np.clip(b, 0, DEFAULT_BINS - 1)
 
     def note_rejections(self, n: int) -> None:
         self.rejected += int(n)
@@ -122,7 +101,7 @@ class Accumulator:
         for col, values in enumerate((L1, L3, k, cube)):
             self.batch[:, col] += np.bincount(bids, weights=values, minlength=nb)
         if chords.size:
-            self.hist += np.bincount(self._bin_of(chords), minlength=self.n_bins)
+            self.hist += np.bincount(self._bin_of(chords), minlength=DEFAULT_BINS)
             self.l_max_seen = max(self.l_max_seen, float(chords.max()))
 
     def state_scalar_count(self) -> int:
@@ -133,8 +112,8 @@ class Accumulator:
 def merge(a: Accumulator, b: Accumulator) -> Accumulator:
     """Field-wise sum of two compatible accumulators (commutative, associative)."""
     if not a.same_layout(b):
-        raise ValueError("accumulator layouts differ (l_cap / batches / bins)")
-    out = Accumulator(a.l_cap, a.n_batches, a.n_bins)
+        raise ValueError("accumulator layouts differ (l_cap / batches)")
+    out = Accumulator(a.l_cap, a.n_batches)
     out.n_lines = a.n_lines + b.n_lines
     out.n_hit = a.n_hit + b.n_hit
     out.rejected = a.rejected + b.rejected
@@ -148,6 +127,11 @@ def merge(a: Accumulator, b: Accumulator) -> Accumulator:
     return out
 
 
+def _ratio_area(sum_L1, sum_L3):
+    """The area ratio; given chord cube sums for sum_L3, the convex baseline."""
+    return AREA_COEFF * sum_L3 / sum_L1
+
+
 def area_perimeter(sum_L1, sum_L3, chord_count):
     """Ratio estimates (A, P) from summed L1 and L3 and the chord count.
 
@@ -155,14 +139,14 @@ def area_perimeter(sum_L1, sum_L3, chord_count):
     <l> = pi*A/P with <l> = sum(L1) / chord_count (a line's L1 is its chord
     sum). Elementwise on arrays, so it serves batches and prefixes alike.
     """
-    area = AREA_COEFF * sum_L3 / sum_L1
+    area = _ratio_area(sum_L1, sum_L3)
     return area, math.pi * area / (sum_L1 / chord_count)
 
 
 def estimate_area(acc: Accumulator) -> float:
     if acc.sum_L1 <= 0.0:
         raise InsufficientDataError("no in-shape intercept accumulated yet")
-    return AREA_COEFF * acc.sum_L3 / acc.sum_L1
+    return _ratio_area(acc.sum_L1, acc.sum_L3)
 
 
 def estimate_mean_chord(acc: Accumulator) -> float:
@@ -173,19 +157,23 @@ def estimate_mean_chord(acc: Accumulator) -> float:
 
 def estimate_perimeter(acc: Accumulator) -> float:
     """Mean-chord identity <l> = pi*A/P, rearranged with the estimated area."""
-    return math.pi * estimate_area(acc) / estimate_mean_chord(acc)
+    if acc.sum_L1 <= 0.0 or acc.chord_count <= 0:
+        raise InsufficientDataError("no chords accumulated yet")
+    return area_perimeter(acc.sum_L1, acc.sum_L3, acc.chord_count)[1]
 
 
 def convex_third_moment_area(acc: Accumulator) -> float:
     """Area from raw third chord moments; consistent only for convex shapes."""
     if acc.chord_count <= 0:
         raise InsufficientDataError("no chords accumulated yet")
-    return AREA_COEFF * acc.chord_cube_sum / acc.sum_L1
+    return _ratio_area(acc.sum_L1, acc.chord_cube_sum)
 
 
 def prefix_estimates(obs: BatchObservations, checkpoints) -> tuple[np.ndarray, np.ndarray]:
     """(area, perimeter) estimates using only the first N lines of obs, per N."""
     idx = np.asarray(checkpoints, dtype=int) - 1
+    if np.any((idx < 0) | (idx >= len(obs))):
+        raise ValueError(f"checkpoints must lie in [1, {len(obs)}]")
     return area_perimeter(np.cumsum(obs.L1)[idx], np.cumsum(obs.L3)[idx], np.cumsum(obs.k)[idx])
 
 
@@ -196,8 +184,7 @@ def _batch_values(acc: Accumulator) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     if int(ok.sum()) < 2:
         raise InsufficientDataError("need at least 2 non-empty batches for errors")
     a, p = area_perimeter(L1[ok], L3[ok], cnt[ok])
-    ach = AREA_COEFF * cube[ok] / L1[ok]
-    return a, p, ach
+    return a, p, _ratio_area(L1[ok], cube[ok])
 
 
 def stderrs(acc: Accumulator) -> tuple[float, float]:
@@ -268,21 +255,21 @@ def normalized_histogram(acc: Accumulator) -> np.ndarray:
     """
     if acc.chord_count <= 0:
         raise InsufficientDataError("no chords accumulated yet")
-    centers = (np.arange(acc.n_bins) + 0.5) * (acc.l_cap / acc.n_bins)
-    target = np.floor(centers / acc.l_max_seen * acc.n_bins).astype(np.int64)
-    target = np.clip(target, 0, acc.n_bins - 1)
-    out = np.zeros(acc.n_bins)
+    centers = (np.arange(DEFAULT_BINS) + 0.5) * (acc.l_cap / DEFAULT_BINS)
+    target = np.floor(centers / acc.l_max_seen * DEFAULT_BINS).astype(np.int64)
+    target = np.clip(target, 0, DEFAULT_BINS - 1)
+    out = np.zeros(DEFAULT_BINS)
     np.add.at(out, target, acc.hist.astype(float))
     return out / out.sum()
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray, eps: float = KL_EPSILON) -> float:
-    """Relative entropy sum(p * ln(p/q)) with q smoothed by eps per bin."""
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    """Relative entropy sum(p * ln(p/q)) with q smoothed by KL_EPSILON per bin."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValueError(f"histogram binning mismatch: {p.shape} vs {q.shape}")
-    q = q + eps
+    q = q + KL_EPSILON
     q = q / q.sum()
     mask = p > 0.0
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))

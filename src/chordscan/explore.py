@@ -97,7 +97,6 @@ def explore(
     *,
     arena: ArenaCircle | None = None,
     n_batches: int = estimators.DEFAULT_BATCHES,
-    n_bins: int = estimators.DEFAULT_BINS,
     rng: np.random.Generator | None = None,
     dump_rows: list | None = None,
 ) -> estimators.Accumulator:
@@ -105,9 +104,7 @@ def explore(
     if n_lines < 1:
         raise ValueError("n_lines must be positive")
     stream = LineStream(shape, config, arena=arena, rng=rng)
-    acc = estimators.Accumulator(
-        l_cap=2.0 * stream.arena.radius, n_batches=n_batches, n_bins=n_bins
-    )
+    acc = estimators.Accumulator(l_cap=2.0 * stream.arena.radius, n_batches=n_batches)
     done = 0
     while done < n_lines:
         obs = stream.take(min(DEFAULT_CHUNK, n_lines - done), dump_rows is not None)
@@ -137,6 +134,8 @@ def explore_per_line(
     rng: np.random.Generator | None = None,
 ) -> BatchObservations:
     """Record of n_lines accepted lines in sampling order (for prefix studies)."""
+    if n_lines < 1:
+        raise ValueError("n_lines must be positive")
     stream = LineStream(shape, config, arena=arena, rng=rng)
     parts: list[BatchObservations] = []
     done = 0
@@ -147,17 +146,9 @@ def explore_per_line(
 
 
 def _worker_explore(args) -> estimators.Accumulator:
-    shape, n_lines, config, arena, n_batches, n_bins, worker_idx = args
+    shape, n_lines, config, arena, n_batches, worker_idx = args
     rng = np.random.default_rng([config.seed, worker_idx])
-    return explore(
-        shape,
-        n_lines,
-        config,
-        arena=arena,
-        n_batches=n_batches,
-        n_bins=n_bins,
-        rng=rng,
-    )
+    return explore(shape, n_lines, config, arena=arena, n_batches=n_batches, rng=rng)
 
 
 def explore_parallel(
@@ -166,23 +157,18 @@ def explore_parallel(
     config: SamplerConfig | None = None,
     *,
     workers: int = 1,
-    arena: ArenaCircle | None = None,
     n_batches: int = estimators.DEFAULT_BATCHES,
-    n_bins: int = estimators.DEFAULT_BINS,
 ) -> estimators.Accumulator:
     """Split lines over worker substreams; merge in worker-index order."""
     config = config or SamplerConfig()
     if workers <= 1:
-        return explore(
-            shape, n_lines, config, arena=arena, n_batches=n_batches, n_bins=n_bins
-        )
-    if arena is None:
-        arena = arena_for(shape, config.arena_scale)
+        return explore(shape, n_lines, config, n_batches=n_batches)
+    arena = arena_for(shape, config.arena_scale)
     shares = [n_lines // workers] * workers
     for i in range(n_lines % workers):
         shares[i] += 1
     jobs = [
-        (shape, shares[w], config, arena, n_batches, n_bins, w)
+        (shape, shares[w], config, arena, n_batches, w)
         for w in range(workers)
         if shares[w] > 0
     ]
@@ -199,8 +185,6 @@ def convergence_series(
     n_grid,
     replicates: int,
     config: SamplerConfig | None = None,
-    *,
-    arena: ArenaCircle | None = None,
 ) -> estimators.ConvergenceSeries:
     """Replicate spread of (area, perimeter) estimates at each N in n_grid.
 
@@ -212,8 +196,7 @@ def convergence_series(
     if replicates < 2:
         raise ValueError("need at least two replicates")
     n_max = n_grid[-1]
-    if arena is None:
-        arena = arena_for(shape, config.arena_scale)
+    arena = arena_for(shape, config.arena_scale)
     areas = np.empty((replicates, len(n_grid)))
     perims = np.empty((replicates, len(n_grid)))
     for rep in range(replicates):

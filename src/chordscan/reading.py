@@ -181,18 +181,13 @@ class WordShape:
     shape: Shape
     letter_shapes: list[Shape]
     boxes: list[tuple[float, float, float, float]]
-    cell: float
-    gap: float
 
 
-def word_shape(word: str, s: float, gap: float | None = None) -> WordShape:
+def word_shape(word: str, s: float) -> WordShape:
     """Compose a word; area and perimeter are additive over the letters."""
     if not word:
         raise ValueError("word must be non-empty")
-    gap = s * DEFAULT_GAP_CELLS if gap is None else gap
-    if gap <= 0.0:
-        raise ValueError("letter gap must be positive (letters must stay disjoint)")
-    advance = GRID_COLS * s + gap
+    advance = (GRID_COLS + DEFAULT_GAP_CELLS) * s
     letters = []
     boxes = []
     for i, c in enumerate(word):
@@ -202,7 +197,7 @@ def word_shape(word: str, s: float, gap: float | None = None) -> WordShape:
         letters.append(mask_to_shape(LETTER_MASKS[c], s, origin=(x0, 0.0), name=c))
         boxes.append((x0, 0.0, x0 + GRID_COLS * s, GRID_ROWS * s))
     combined = Shape([r for sh in letters for r in sh.rings], name=word, validate=False)
-    return WordShape(word, combined, letters, boxes, s, gap)
+    return WordShape(word, combined, letters, boxes)
 
 
 def letter_arena(box: tuple[float, float, float, float], scale: float = 1.2) -> ArenaCircle:
@@ -232,7 +227,6 @@ def read_local(
     config: SamplerConfig | None = None,
     *,
     threshold: float = recognition.DEFAULT_THRESHOLD,
-    warm_up: int | None = None,
 ) -> ReadResult:
     """Letter-by-letter strategy: each slot gets its own arena and stopping.
 
@@ -254,8 +248,6 @@ def read_local(
             per_letter_n=[0] * len(target.word),
             per_letter_censored=[True] * len(target.word),
         )
-    if warm_up is None:
-        warm_up = _read_warmup(per_letter_budget)
     if threshold > 0.0:
         threshold = threshold ** (1.0 / len(target.word))
     text = []
@@ -269,7 +261,7 @@ def read_local(
             config,
             threshold=threshold,
             n_max=per_letter_budget,
-            warm_up=warm_up,
+            warm_up=_read_warmup(per_letter_budget),
             confirm=READ_CONFIRM,
             arena=arena,
             rng=np.random.default_rng([config.seed, i]),
@@ -306,12 +298,9 @@ def read_global(
     config: SamplerConfig | None = None,
     *,
     threshold: float = recognition.DEFAULT_THRESHOLD,
-    warm_up: int | None = None,
 ) -> ReadResult:
     """Whole-word strategy: one arena over the full word, one classification."""
     config = config or SamplerConfig()
-    if warm_up is None:
-        warm_up = _read_warmup(budget)
     groups = anagram_groups([e.name for e in word_dict])
     if groups:
         warnings.warn(
@@ -334,7 +323,7 @@ def read_global(
         config,
         threshold=threshold,
         n_max=budget,
-        warm_up=warm_up,
+        warm_up=_read_warmup(budget),
         confirm=READ_CONFIRM,
     )
     return ReadResult(

@@ -159,14 +159,11 @@ def _posteriors(loglik: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return probs, top, probs[np.arange(len(top)), top]
 
 
-def classify(
-    report: EstimateReport, entries: list[DictEntry], noise: str = "auto"
-) -> Posterior:
+def classify(report: EstimateReport, entries: list[DictEntry]) -> Posterior:
     """Posterior over dictionary entries for one estimate report.
 
-    noise="auto" uses the report's own batch stderrs when they are finite and
-    positive, otherwise each entry's calibrated sigma0/sqrt(N); "report" and
-    "dictionary" force one side.
+    The noise is the report's own batch stderrs when they are finite and
+    positive, otherwise each entry's calibrated sigma0/sqrt(N).
     """
     if not entries:
         raise ValueError("dictionary is empty")
@@ -176,14 +173,7 @@ def classify(
         and report.stderr_p > 0.0
         and report.stderr_a > 0.0
     )
-    if noise == "report" or (noise == "auto" and own):
-        if not own:
-            raise ValueError("report carries no usable stderrs")
-        shared = (report.stderr_p, report.stderr_a)
-    elif noise in ("dictionary", "auto"):
-        shared = None
-    else:
-        raise ValueError(f"unknown noise mode {noise!r}")
+    shared = (report.stderr_p, report.stderr_a) if own else None
     loglik = _log_likelihoods(
         report.perim_hat, report.area_hat, report.n_lines, entries, shared_sigma=shared
     )
@@ -370,10 +360,7 @@ def lines_to_recognize(
     seeds,
     config: SamplerConfig | None = None,
     *,
-    threshold: float = DEFAULT_THRESHOLD,
     n_max: int = 100_000,
-    warm_up: int = DEFAULT_WARMUP,
-    arena: ArenaCircle | None = None,
 ) -> StoppingStudy:
     """Stopping-N distribution over seeds, plus the wrong-label fraction."""
     truth = shape.name
@@ -384,13 +371,7 @@ def lines_to_recognize(
     wrong = 0
     for seed in seeds:
         res = explore_until_stop(
-            shape,
-            entries,
-            dataclasses.replace(config, seed=int(seed)),
-            threshold=threshold,
-            n_max=n_max,
-            warm_up=warm_up,
-            arena=arena,
+            shape, entries, dataclasses.replace(config, seed=int(seed)), n_max=n_max
         )
         stop_n.append(res.n_stop)
         censored.append(res.censored)

@@ -18,7 +18,6 @@ import numpy as np
 from .geometry import Point, Shape, bounding_circle
 
 SAMPLER_MODES = ("iur", "billiard-cos", "billiard-uni")
-_MODE_ALIASES = {"billiard-cosine": "billiard-cos", "billiard-uniform": "billiard-uni"}
 DEFAULT_ARENA_SCALE = 1.2
 
 
@@ -45,10 +44,8 @@ class SamplerConfig:
     arena_scale: float = DEFAULT_ARENA_SCALE
 
     def __post_init__(self):
-        mode = _MODE_ALIASES.get(self.mode, self.mode)
-        if mode not in SAMPLER_MODES:
+        if self.mode not in SAMPLER_MODES:
             raise ValueError(f"sampler mode must be one of {SAMPLER_MODES}")
-        object.__setattr__(self, "mode", mode)
 
     @property
     def billiard_policy(self) -> str | None:

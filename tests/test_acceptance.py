@@ -18,7 +18,7 @@ from chordscan import recognition as rec
 from chordscan import shapes
 from chordscan.batch import CompiledShape, observe_segments
 from chordscan.chords import observe
-from chordscan.explore import explore, explore_per_line
+from chordscan.explore import convergence_series, explore
 from chordscan.geometry import (
     Point,
     RigidTransform,
@@ -150,19 +150,9 @@ def test_criterion_6_convergence_law_and_kl_ranks():
     t0 = time.time()
     for i, name in enumerate(shapes.BUILTIN_NAMES):
         shape = shapes.builtin(name)
-        areas = np.empty((replicates, len(n_grid)))
-        perims = np.empty((replicates, len(n_grid)))
-        cfg = SamplerConfig(seed=6600 + i)
-        for rep in range(replicates):
-            rng = np.random.default_rng([cfg.seed, rep])
-            obs = explore_per_line(shape, n_grid[-1], cfg, rng=rng)
-            areas[rep], perims[rep] = est.prefix_estimates(obs, n_grid)
-        sig_a = areas.std(axis=0, ddof=1)
-        sig_p = perims.std(axis=0, ddof=1)
-        pref_a, exp_a = est.fit_power(n_grid, sig_a)
-        pref_p, exp_p = est.fit_power(n_grid, sig_p)
-        exponents[name] = (exp_a, exp_p)
-        prefactors_a[name], prefactors_p[name] = pref_a, pref_p
+        series = convergence_series(shape, n_grid, replicates, SamplerConfig(seed=6600 + i))
+        exponents[name] = (series.exponent_a, series.exponent_p)
+        prefactors_a[name], prefactors_p[name] = series.sigma0_a, series.sigma0_p
         hist = est.normalized_histogram(
             explore(shape, 100_000, SamplerConfig(seed=6700 + i))
         )

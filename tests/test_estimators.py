@@ -5,6 +5,7 @@ import pytest
 
 from chordscan import estimators as est
 from chordscan import shapes
+from chordscan.batch import BatchObservations
 from chordscan.chords import ArenaTooSmallError, CrossingEvent, LineObservation, ZERO_OBSERVATION
 from chordscan.explore import convergence_series, explore, explore_per_line
 from chordscan.geometry import Point, Ring, Shape, exact_area, exact_perimeter, union_disjoint
@@ -30,22 +31,35 @@ def obs_from_chords(*chords, gap=5.0):
     )
 
 
+def one_line(obs):
+    """One-line block record of a single line's observation."""
+    chords = np.array(obs.chords, dtype=float)
+    return BatchObservations(
+        k=np.array([obs.k]),
+        L1=np.array([obs.L1]),
+        L3=np.array([obs.L3]),
+        chord_cube_sum=np.array([np.sum(chords**3)]),
+        chords_flat=chords,
+        rejected=np.zeros(1, dtype=bool),
+    )
+
+
 def single_chord_acc(values, l_cap=10.0, n_batches=4):
     acc = est.Accumulator(l_cap=l_cap, n_batches=n_batches)
     for v in values:
-        acc.add(obs_from_chords(v))
+        acc.ingest(one_line(obs_from_chords(v)))
     return acc
 
 
 def test_accumulate_zero_observation_counts_lines_only():
     acc = est.Accumulator(l_cap=2.0)
-    acc.add(ZERO_OBSERVATION)
+    acc.ingest(one_line(ZERO_OBSERVATION))
     assert acc.n_lines == 1 and acc.n_hit == 0 and acc.sum_L1 == 0.0
 
 
 def test_accumulate_single_chord():
     acc = est.Accumulator(l_cap=10.0)
-    acc.add(obs_from_chords(2.0))
+    acc.ingest(one_line(obs_from_chords(2.0)))
     assert acc.sum_L1 == pytest.approx(2.0)
     assert acc.sum_L3 == pytest.approx(8.0)
     assert acc.chord_count == 1
@@ -69,7 +83,7 @@ def test_accumulate_spec_two_chord_example():
         L3=geometric_function(events, 3),
     )
     acc = est.Accumulator(l_cap=10.0)
-    acc.add(obs)
+    acc.ingest(one_line(obs))
     assert acc.sum_L1 == pytest.approx(4.0)
     assert acc.sum_L3 == pytest.approx(100.0)
     assert acc.chord_count == 2
@@ -195,7 +209,7 @@ def test_convex_baseline_fails_on_annulus():
 def test_stderr_zero_for_identical_batches():
     acc = est.Accumulator(l_cap=10.0, n_batches=5)
     for _ in range(5 * 6):
-        acc.add(obs_from_chords(2.0))
+        acc.ingest(one_line(obs_from_chords(2.0)))
     se_a, se_p = est.stderrs(acc)
     assert se_a == pytest.approx(0.0, abs=1e-12)
     assert se_p == pytest.approx(0.0, abs=1e-12)
@@ -203,7 +217,7 @@ def test_stderr_zero_for_identical_batches():
 
 def test_stderr_needs_two_batches():
     acc = est.Accumulator(l_cap=10.0, n_batches=5)
-    acc.add(obs_from_chords(2.0))
+    acc.ingest(one_line(obs_from_chords(2.0)))
     with pytest.raises(est.InsufficientDataError):
         est.stderrs(acc)
 
@@ -226,7 +240,7 @@ def test_zero_lines_do_not_change_estimates():
     acc = single_chord_acc([1.0, 2.0, 3.0])
     a0, p0 = est.estimate_area(acc), est.estimate_perimeter(acc)
     for _ in range(500):
-        acc.add(ZERO_OBSERVATION)
+        acc.ingest(one_line(ZERO_OBSERVATION))
     assert est.estimate_area(acc) == a0
     assert est.estimate_perimeter(acc) == p0
 
@@ -320,12 +334,23 @@ def test_prefix_estimates_match_full_run():
     assert p[0] == pytest.approx(est.estimate_perimeter(acc), rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "n_lines, checkpoints",
+    [(100, [0]), (100, [-1]), (100, [101]), (0, [1])],
+    ids=["checkpoint-0", "checkpoint-negative", "checkpoint-past-end", "no-lines"],
+)
+def test_line_counts_out_of_range_raise(n_lines, checkpoints):
+    with pytest.raises(ValueError, match="checkpoints must lie|n_lines must be positive"):
+        obs = explore_per_line(shapes.square(), n_lines, SamplerConfig(seed=20))
+        est.prefix_estimates(obs, checkpoints)
+
+
 def test_accumulator_state_size_constant():
     acc = est.Accumulator(l_cap=4.0)
     size0 = acc.state_scalar_count()
     for shape_n in (100, 5000):
         a = explore(shapes.disk(), shape_n, SamplerConfig(seed=17))
-        assert a.state_scalar_count() == a.state_scalar_count()
+        assert a.state_scalar_count() == size0
     a1 = explore(shapes.disk(), 100, SamplerConfig(seed=18))
     a2 = explore(shapes.disk(), 5000, SamplerConfig(seed=18))
     assert a1.state_scalar_count() == a2.state_scalar_count()

@@ -109,12 +109,6 @@ def test_classify_uses_report_errors_when_available():
     # with its own tight stderrs the report resolves the nearest entry
     post = rec.classify(make_report(10.6, 5.0, se_p=0.05, se_a=0.05, n=100), entries)
     assert post.top == "right" and post.top_prob > 0.999
-    with pytest.raises(ValueError):
-        rec.classify(make_report(10.6, 5.0, n=100), entries, noise="report")
-    post2 = rec.classify(
-        make_report(10.6, 5.0, se_p=0.05, se_a=0.05, n=100), entries, noise="dictionary"
-    )
-    assert post2.top == "right" and post2.top_prob < 0.7
 
 
 def test_classify_empty_dictionary():

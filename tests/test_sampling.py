@@ -161,9 +161,6 @@ def test_sampler_config_validation():
     assert sp.SamplerConfig(mode="billiard-cos").billiard_policy == "cosine"
     assert sp.SamplerConfig(mode="billiard-uni").billiard_policy == "uniform"
     assert sp.SamplerConfig().billiard_policy is None
-    # long-form spellings are accepted and normalized
-    assert sp.SamplerConfig(mode="billiard-cosine").mode == "billiard-cos"
-    assert sp.SamplerConfig(mode="billiard-uniform").billiard_policy == "uniform"
 
 
 def test_arena_for_contains_shape():
