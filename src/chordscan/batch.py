@@ -81,6 +81,15 @@ class BatchObservations:
             **{f: col[keep] for f, col in self._per_line().items()},
         )
 
+    def lines(self, lo: int, hi: int) -> "BatchObservations":
+        """The record of lines lo to hi - 1."""
+        first, last = (int(self.k[:i].sum()) for i in (lo, hi))
+        return replace(
+            self,
+            chords_flat=self.chords_flat[first:last],
+            **{f: col[lo:hi] for f, col in self._per_line().items()},
+        )
+
     @staticmethod
     def concatenate(parts: list["BatchObservations"]) -> "BatchObservations":
         """One record of the parts' lines, in order."""
@@ -130,8 +139,12 @@ def _scan(
         rows_per_block = max(1, _SCAN_BLOCK // n_vert)
         for lo in range(0, idx.size, rows_per_block):
             blk = idx[lo : lo + rows_per_block]
-            # signed distance of every vertex from each line of the block
-            s = nrm[blk] @ rel
+            # signed distance of every vertex from each line of the block. A
+            # lone line would take numpy's matrix-vector product, which rounds
+            # differently; scanned twice, each line's result is the same
+            # whatever lines share its block.
+            pair = blk if blk.size > 1 else np.repeat(blk, 2)
+            s = (nrm[pair] @ rel)[: blk.size]
             s += s_c[blk, None]
             above = s > 0.0
             cross = above != np.roll(above, -1, axis=1)
@@ -202,22 +215,26 @@ def observe_segments(cshape: CompiledShape, a: np.ndarray, b: np.ndarray) -> Bat
     ch3 = ch * ch * ch
     k_hit = hit_counts // 2
     k[hit] = k_hit
-    L1[hit] = ch.sum(axis=0)
-    cube[hit] = ch3.sum(axis=0)
     # S_3 = sum_i c_i^3 + 6 sum_{i<j} c_i c_j (m_j - m_i), with chord lengths
     # c and midpoints m: the signed pair terms of chords i and j collapse to
     # 6 c_i c_j (m_j - m_i). Running sums over j of the chord length so far
     # and of (chord length so far) x (midpoint step) give it in O(k); every
-    # term is non-negative, so nothing cancels.
+    # term is non-negative, so nothing cancels. The chord and cube sums run
+    # in chord order too: numpy would sum a lone hit line's column pairwise,
+    # and its result would then depend on the lines that share its block.
     mid_step = 0.5 * (ch[:-1] + ch[1:]) + (ev[2::2] - ev[1:-1:2])
-    so_far = np.zeros(hit.size)
+    so_far = ch[0].copy()
+    cube_sum = ch3[0].copy()
     weighted_gap = np.zeros(hit.size)
     pair_terms = np.zeros(hit.size)
     for j in range(1, cmax // 2):
-        so_far += ch[j - 1]
         weighted_gap += so_far * mid_step[j - 1]
         pair_terms += ch[j] * weighted_gap
-    L3[hit] = cube[hit] + 6.0 * pair_terms
+        so_far += ch[j]
+        cube_sum += ch3[j]
+    L1[hit] = so_far
+    cube[hit] = cube_sum
+    L3[hit] = cube_sum + 6.0 * pair_terms
 
     ch_valid = np.arange(cmax // 2) < k_hit[:, None]
     return BatchObservations(k, L1, L3, cube, ch.T[ch_valid], rejected)

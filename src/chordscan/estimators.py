@@ -174,7 +174,11 @@ def prefix_estimates(obs: BatchObservations, checkpoints) -> tuple[np.ndarray, n
     idx = np.asarray(checkpoints, dtype=int) - 1
     if np.any((idx < 0) | (idx >= len(obs))):
         raise ValueError(f"checkpoints must lie in [1, {len(obs)}]")
-    return area_perimeter(np.cumsum(obs.L1)[idx], np.cumsum(obs.L3)[idx], np.cumsum(obs.k)[idx])
+    sum_L1, sum_L3, chords = (np.cumsum(col)[idx] for col in (obs.L1, obs.L3, obs.k))
+    empty = (sum_L1 <= 0.0) | (chords <= 0)
+    if empty.any():
+        raise InsufficientDataError(f"no chord in the first {np.min(idx[empty]) + 1} lines")
+    return area_perimeter(sum_L1, sum_L3, chords)
 
 
 def _batch_values(acc: Accumulator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -299,7 +303,7 @@ def fit_power(n_values, sigmas) -> tuple[float, float]:
     sigmas = np.asarray(sigmas, dtype=float)
     if len(n_values) < 2:
         raise ValueError("need at least two samples to fit")
-    if np.any(sigmas <= 0.0) or np.any(n_values <= 0.0):
-        raise ValueError("power-law fit needs positive N and sigma")
+    if not (np.all(np.isfinite(sigmas) & (sigmas > 0.0)) and np.all(n_values > 0.0)):
+        raise ValueError("power-law fit needs positive N and finite positive sigma")
     slope, intercept = np.polyfit(np.log(n_values), np.log(sigmas), 1)
     return float(np.exp(intercept)), float(slope)

@@ -9,6 +9,7 @@ of it.
 
 from __future__ import annotations
 
+import copy
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -29,6 +30,11 @@ from .sampling import (
 )
 
 DEFAULT_CHUNK = 16384
+# Lines per kernel call when replicates share one. numpy's fixed cost per
+# call is spread thin by this size already, and the call's temporaries stay
+# small: blocks of DEFAULT_CHUNK lines of a word shape raised the peak memory
+# of a dictionary build by about 9 MB.
+REPLICATE_BLOCK = 4096
 
 
 class LineStream:
@@ -50,6 +56,14 @@ class LineStream:
         self._billiard_state: BilliardState | None = None
         self.rejected_total = 0
 
+    def fork(self, rng: np.random.Generator) -> "LineStream":
+        """A fresh stream over the same compiled shape and arena, drawing from rng."""
+        sub = copy.copy(self)
+        sub.rng = rng
+        sub._billiard_state = None
+        sub.rejected_total = 0
+        return sub
+
     def _segments(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         policy = self.config.billiard_policy
         if policy is None:
@@ -66,17 +80,29 @@ class LineStream:
         Each line's (theta, p) is recovered only with _line_params, which
         the observation dump needs and nothing else does.
         """
+        return self._top_up(self._observe(n, _line_params), n, _line_params)
+
+    def _observe(self, n: int, line_params: bool) -> BatchObservations:
+        a, b = self._segments(n)
+        bobs = observe_segments(self.cshape, a, b)
+        if line_params:
+            bobs.theta, bobs.p = line_params_of_segments(a, b, self.arena)
+        return bobs
+
+    def _top_up(
+        self, bobs: BatchObservations, n: int, line_params: bool = False
+    ) -> BatchObservations:
+        """bobs, n lines just drawn from this stream, with its rejected lines
+        counted and replaced: each refill draws as many lines as are missing."""
         parts: list[BatchObservations] = []
         got = 0
-        while got < n:
-            a, b = self._segments(n - got)
-            bobs = observe_segments(self.cshape, a, b)
-            if _line_params:
-                bobs.theta, bobs.p = line_params_of_segments(a, b, self.arena)
+        while True:
             self.rejected_total += int(np.count_nonzero(bobs.rejected))
             parts.append(bobs.accepted())
             got += len(parts[-1])
-        return BatchObservations.concatenate(parts)
+            if got >= n:
+                return BatchObservations.concatenate(parts)
+            bobs = self._observe(n - got, line_params)
 
 
 def _check_arena(shape: Shape, arena: ArenaCircle) -> None:
@@ -114,6 +140,61 @@ def explore(
         done += len(obs)
     acc.note_rejections(stream.rejected_total)
     return acc
+
+
+def replicate_sums(
+    shape: Shape,
+    m_lines: int,
+    replicates: int,
+    config: SamplerConfig | None = None,
+    *,
+    arena: ArenaCircle | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-replicate (sum L1, sum L3, chord count) of m_lines accepted lines.
+
+    Replicate r draws from substream (seed, r), and its sums are bit for bit
+    those of explore(shape, m_lines, config, arena=arena, rng=that stream):
+    the same lines, summed per chunk of DEFAULT_CHUNK and added in order.
+    Replicates are observed together, as many per kernel call as fit in
+    REPLICATE_BLOCK lines; the shape is compiled and the arena checked once.
+    """
+    if m_lines < 1:
+        raise ValueError("m_lines must be positive")
+    config = config or SamplerConfig()
+    base = LineStream(shape, config, arena=arena)
+    group = max(1, REPLICATE_BLOCK // m_lines)
+    sums = (np.zeros(replicates), np.zeros(replicates), np.zeros(replicates, dtype=np.int64))
+    for lo in range(0, replicates, group):
+        reps = range(lo, min(lo + group, replicates))
+        streams = [base.fork(np.random.default_rng([config.seed, r])) for r in reps]
+        done = 0
+        while done < m_lines:
+            n = min(DEFAULT_CHUNK, m_lines - done)
+            for total, part in zip(sums, _chunk_sums(streams, n)):
+                total[reps.start : reps.stop] += part
+            done += n
+    return sums
+
+
+def _chunk_sums(streams: list[LineStream], n: int) -> list[np.ndarray]:
+    """(sum L1, sum L3, chord count) of each stream's next n accepted lines.
+
+    The streams' lines are observed in one kernel call; a stream whose share
+    holds rejected lines is topped up from its own stream.
+    """
+    drawn = [s._segments(n) for s in streams]
+    obs = observe_segments(
+        streams[0].cshape,
+        np.concatenate([a for a, _ in drawn]),
+        np.concatenate([b for _, b in drawn]),
+    )
+    # a row sum of the (streams, n) reshape is each row's own sum, bit for bit
+    sums = [col.reshape(len(streams), n).sum(axis=1) for col in (obs.L1, obs.L3, obs.k)]
+    for r in np.flatnonzero(obs.rejected.reshape(len(streams), n).any(axis=1)):
+        full = streams[r]._top_up(obs.lines(r * n, (r + 1) * n), n)
+        for total, col in zip(sums, (full.L1, full.L3, full.k)):
+            total[r] = col.sum()
+    return sums
 
 
 def _append_dump_rows(rows: list, obs: BatchObservations) -> None:

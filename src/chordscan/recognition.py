@@ -17,9 +17,9 @@ import numpy as np
 
 from . import estimators
 from .estimators import EstimateReport
-from .explore import LineStream, explore
+from .explore import LineStream, replicate_sums
 from .geometry import Shape, exact_area, exact_perimeter
-from .sampling import ArenaCircle, SamplerConfig, arena_for
+from .sampling import ArenaCircle, SamplerConfig
 
 DEFAULT_THRESHOLD = 0.95
 # The sigma0/sqrt(N) noise model is a central-limit approximation; confidence
@@ -94,21 +94,22 @@ def calibrate(
 
     Replicate r explores m_lines with substream (seed, r); the spread of the
     (area, perimeter) cloud scaled by sqrt(m_lines) gives the prefactors.
+    The replicates are observed together in shared kernel blocks
+    (explore.replicate_sums); their substreams, and so the entry, are the
+    same as when each replicate runs its own explore.
     """
     config = config or SamplerConfig()
     if replicates < 2:
         raise ValueError("calibration needs at least 2 replicates")
     if m_lines < 1:
         raise ValueError("calibration needs at least 1 line per replicate")
-    if arena is None:
-        arena = arena_for(shape, config.arena_scale)
-    a_vals = np.empty(replicates)
-    p_vals = np.empty(replicates)
-    for rep in range(replicates):
-        rng = np.random.default_rng([config.seed, rep])
-        acc = explore(shape, m_lines, config, arena=arena, rng=rng)
-        a_vals[rep] = estimators.estimate_area(acc)
-        p_vals[rep] = estimators.estimate_perimeter(acc)
+    sum_l1, sum_l3, chords = replicate_sums(shape, m_lines, replicates, config, arena=arena)
+    empty = np.flatnonzero((sum_l1 <= 0.0) | (chords <= 0))
+    if empty.size:
+        raise estimators.InsufficientDataError(
+            f"replicate {empty[0]} has no chord in its {m_lines} lines"
+        )
+    a_vals, p_vals = estimators.area_perimeter(sum_l1, sum_l3, chords)
     corr = float(np.corrcoef(p_vals, a_vals)[0, 1])
     if not math.isfinite(corr):
         corr = 0.0

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 summaries. Tolerances are fixed here, not tuned at runtime.
 """
 
-import dataclasses
 import math
 import time
 
@@ -16,7 +15,6 @@ from chordscan import estimators as est
 from chordscan import reading as rd
 from chordscan import recognition as rec
 from chordscan import shapes
-from chordscan.batch import CompiledShape, observe_segments
 from chordscan.chords import observe
 from chordscan.explore import convergence_series, explore
 from chordscan.geometry import (

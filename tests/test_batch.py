@@ -106,22 +106,33 @@ def test_batch_matches_scalar_on_many_chord_word():
     assert int(bobs.k.max()) == 15
 
 
-def test_batch_results_do_not_depend_on_batch_size():
-    # 6000 lines through the 64-gon rings span several ring-scan blocks; the
-    # same lines observed 100 at a time must give the same per-line results
-    shape = shapes.annulus()
+def _assert_same_lines_in_blocks(name, n_lines, size):
+    # 6000 lines through the annulus' 64-gon rings span several ring-scan
+    # blocks; the first n_lines observed `size` at a time must give the same
+    # per-line results, bit for bit: replicates that share kernel blocks rely
+    # on it
+    shape = shapes.annulus() if name == "annulus" else reading.word_shape(name, 1.0).shape
     cshape = batch.CompiledShape(shape)
     a, b = _random_segments(shape, 6000, seed=8)
-    whole = batch.observe_segments(cshape, a, b)
+    whole = batch.observe_segments(cshape, a, b).lines(0, n_lines)
     parts = [
-        batch.observe_segments(cshape, a[i : i + 100], b[i : i + 100]) for i in range(0, 6000, 100)
+        batch.observe_segments(cshape, a[i : i + size], b[i : i + size])
+        for i in range(0, n_lines, size)
     ]
-    assert np.array_equal(whole.k, np.concatenate([p.k for p in parts]))
-    assert np.array_equal(whole.rejected, np.concatenate([p.rejected for p in parts]))
-    for field in ("L1", "L3", "chord_cube_sum"):
-        got = getattr(whole, field)
+    for field in ("k", "rejected", "L1", "L3", "chord_cube_sum", "chords_flat"):
         want = np.concatenate([getattr(p, field) for p in parts])
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(getattr(whole, field), want), field
+
+
+def test_batch_results_do_not_depend_on_batch_size():
+    _assert_same_lines_in_blocks("annulus", 6000, 100)
+
+
+@pytest.mark.parametrize("name", ["annulus", "GENERATIONS"])
+def test_lone_line_observed_as_in_a_block(name):
+    # alone, a line's ring scan takes numpy's matrix-vector product, and a
+    # many-chord line's sums would take numpy's pairwise column sum
+    _assert_same_lines_in_blocks(name, 300, 1)
 
 
 def test_batch_chord_cube_sums():

@@ -407,3 +407,13 @@ def test_read_global_prints_word(tmp_path, capsys):
     assert captured.out.strip().splitlines()[-1] == "FREEDOM"
     doc = json.loads(out.read_text())
     assert doc["text"] == "FREEDOM"
+
+
+def test_converge_without_chords_fails_cleanly(tmp_path):
+    proc = run_cli(
+        "converge", "--shape", "statue", "--grid", "1,10,100", "--replicates", "5",
+        "--seed", "1", "--out", "conv.csv", cwd=tmp_path,
+    )
+    assert proc.returncode == 1
+    assert "chordscan converge: error: no chord" in proc.stderr
+    assert not (tmp_path / "conv.csv").exists()

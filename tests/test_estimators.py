@@ -305,6 +305,19 @@ def test_estimator_consistency_all_builtins(name):
     assert abs(est.estimate_perimeter(acc) - exact_perimeter(shape)) <= 3 * se_p
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_fit_power_rejects_non_finite_sigma(bad):
+    n = np.array([10, 100, 1000], dtype=float)
+    with pytest.raises(ValueError, match="finite"):
+        est.fit_power(n, np.array([1.0, bad, 2.0]))
+
+
+def test_convergence_series_without_chords_raises():
+    # some of the statue's 1-line prefixes hold no chord: 0/0, not a sigma
+    with pytest.raises(est.InsufficientDataError, match="no chord in the first 1 lines"):
+        convergence_series(shapes.statue(), [1, 10, 100], 5, SamplerConfig(seed=1))
+
+
 def test_convergence_series_disk_quick():
     series = convergence_series(
         shapes.disk(), [200, 800, 3200], replicates=60, config=SamplerConfig(seed=15)

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from chordscan import batch
+from chordscan import estimators as est
 from chordscan import recognition as rec
 from chordscan import shapes
 from chordscan.estimators import EstimateReport, prefix_estimates
-from chordscan.explore import explore_per_line
+from chordscan.explore import explore, explore_per_line
 from chordscan.geometry import exact_area, exact_perimeter
-from chordscan.sampling import SamplerConfig
+from chordscan.sampling import SAMPLER_MODES, SamplerConfig, arena_for
 
 
 def make_report(p, a, n=1000, se_p=float("nan"), se_a=float("nan")):
@@ -63,6 +65,63 @@ def test_calibrate_stability_across_seeds():
 def test_calibrate_single_replicate_is_error():
     with pytest.raises(ValueError):
         rec.calibrate(shapes.disk(), 1000, 1, SamplerConfig(seed=4))
+
+
+def _calibrate_one_explore_per_replicate(shape, m_lines, replicates, config):
+    """calibrate's entry as one explore per replicate, and the lines it rejected."""
+    arena = arena_for(shape, config.arena_scale)
+    a_vals, p_vals, rejected = [], [], 0
+    for rep in range(replicates):
+        rng = np.random.default_rng([config.seed, rep])
+        acc = explore(shape, m_lines, config, arena=arena, rng=rng)
+        a_vals.append(est.estimate_area(acc))
+        p_vals.append(est.estimate_perimeter(acc))
+        rejected += acc.rejected
+    corr = float(np.corrcoef(p_vals, a_vals)[0, 1])
+    root_m = math.sqrt(m_lines)
+    entry = rec.DictEntry(
+        name=shape.name,
+        p_ref=exact_perimeter(shape),
+        a_ref=exact_area(shape),
+        sigma0_a=float(np.std(a_vals, ddof=1)) * root_m,
+        sigma0_p=float(np.std(p_vals, ddof=1)) * root_m,
+        corr=max(-rec._CORR_CLAMP, min(rec._CORR_CLAMP, corr)),
+    )
+    return entry, rejected
+
+
+@pytest.mark.parametrize("mode", SAMPLER_MODES)
+@pytest.mark.parametrize(
+    "name, m_lines, replicates",
+    [("annulus", 7, 40), ("statue", 1000, 22), ("square", 16385, 3)],
+    ids=["m7", "m1000", "m16385-crosses-a-chunk"],
+)
+def test_calibrate_equals_one_explore_per_replicate(name, m_lines, replicates, mode):
+    # the replicates share kernel blocks (22 of 1,000 lines end in a part
+    # block); every bit of the entry stays the same
+    shape = shapes.builtin(name)
+    config = SamplerConfig(mode=mode, seed=31)
+    want, _ = _calibrate_one_explore_per_replicate(shape, m_lines, replicates, config)
+    assert rec.calibrate(shape, m_lines, replicates, config) == want
+
+
+@pytest.mark.parametrize("mode", SAMPLER_MODES)
+@pytest.mark.parametrize("m_lines, replicates", [(1000, 10), (16385, 2)])
+def test_calibrate_tops_up_rejected_lines_like_explore(monkeypatch, mode, m_lines, replicates):
+    # a wide vertex band rejects about 2% of the statue's lines
+    monkeypatch.setattr(batch, "ONLINE_TOL", 1e-3)
+    shape = shapes.statue()
+    config = SamplerConfig(mode=mode, seed=8)
+    want, rejected = _calibrate_one_explore_per_replicate(shape, m_lines, replicates, config)
+    assert rejected > 0
+    assert rec.calibrate(shape, m_lines, replicates, config) == want
+
+
+def test_calibrate_replicate_without_chord_is_error():
+    with pytest.raises(est.InsufficientDataError, match="no chord"):
+        rec.calibrate(shapes.statue(), 1, 50, SamplerConfig(seed=1))
+    with pytest.raises(ValueError, match="at least 1 line"):
+        rec.calibrate(shapes.statue(), 0, 50, SamplerConfig(seed=1))
 
 
 def test_classify_at_entry_dominates():
