@@ -217,7 +217,11 @@ def explore_per_line(
     """Record of n_lines accepted lines in sampling order (for prefix studies)."""
     if n_lines < 1:
         raise ValueError("n_lines must be positive")
-    stream = LineStream(shape, config, arena=arena, rng=rng)
+    return _take_record(LineStream(shape, config, arena=arena, rng=rng), n_lines)
+
+
+def _take_record(stream: LineStream, n_lines: int) -> BatchObservations:
+    """The stream's next n_lines accepted lines as one record."""
     parts: list[BatchObservations] = []
     done = 0
     while done < n_lines:
@@ -269,20 +273,23 @@ def convergence_series(
 ) -> estimators.ConvergenceSeries:
     """Replicate spread of (area, perimeter) estimates at each N in n_grid.
 
-    Each replicate runs max(n_grid) lines once; smaller N values reuse its
-    prefixes, which keeps replicates independent of each other at every N.
+    Each replicate runs max(n_grid) lines once from substream (seed, rep);
+    smaller N values reuse its prefixes, which keeps replicates independent
+    of each other at every N. The shape is compiled and the arena checked
+    once for all replicates.
     """
     config = config or SamplerConfig()
     n_grid = sorted(int(n) for n in n_grid)
     if replicates < 2:
         raise ValueError("need at least two replicates")
     n_max = n_grid[-1]
-    arena = arena_for(shape, config.arena_scale)
+    if n_max < 1:
+        raise ValueError("n_grid must hold a positive N")
+    base = LineStream(shape, config)
     areas = np.empty((replicates, len(n_grid)))
     perims = np.empty((replicates, len(n_grid)))
     for rep in range(replicates):
-        rng = np.random.default_rng([config.seed, rep])
-        obs = explore_per_line(shape, n_max, config, arena=arena, rng=rng)
+        obs = _take_record(base.fork(np.random.default_rng([config.seed, rep])), n_max)
         areas[rep], perims[rep] = estimators.prefix_estimates(obs, n_grid)
         del obs  # freed before the next replicate's record is built
     return estimators.ConvergenceSeries(

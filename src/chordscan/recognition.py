@@ -27,8 +27,9 @@ DEFAULT_THRESHOLD = 0.95
 # yet, so stopping decisions only begin here (unless threshold == 0, which
 # claims no confidence at all).
 DEFAULT_WARMUP = 30
-# Lines per draw after the first; the stop is checked after every line, so
-# this only bounds how far the draws run past it.
+# Lines per draw after the first, which ends at the earliest possible stop
+# (warm-up plus confirmation window); the stop is checked after every line,
+# so this only bounds how far a draw runs past it.
 STOP_CHUNK = 256
 _CORR_CLAMP = 0.999
 
@@ -287,13 +288,18 @@ def explore_until_stop(
     threshold == 0 instead stops at the first prefix with a defined estimate.
     With confirm > 1 the same top label must clear the threshold on that many
     consecutive lines, which counters the multiple-comparison inflation of
-    checking after every line. Lines come from rng when given, otherwise from
-    a generator seeded by config. The first draw reaches the warm-up (no
-    shorter prefix can stop), later ones are STOP_CHUNK lines; the prefix sums
-    run on across draws, so the result does not depend on the draw sizes.
+    checking after every line: a prefix below the threshold ends the streak,
+    while one without a defined estimate neither extends nor ends it. Lines
+    come from rng when given, otherwise from a generator seeded by config.
+    The first draw ends at the earliest possible stop, warm_up + confirm - 1
+    lines (at least STOP_CHUNK), later ones are STOP_CHUNK lines; the prefix
+    sums and the streak run on across draws, so the result does not depend
+    on the draw sizes.
     """
     if not entries:
         raise ValueError("dictionary is empty")
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
     stream = LineStream(shape, config, arena=arena, rng=rng)
     # running sums; each draw continues from the previous draw's last prefix
     l1 = l3 = np.zeros(1)
@@ -301,11 +307,12 @@ def explore_until_stop(
     done = 0
     min_n = 1 if threshold <= 0.0 else max(1, warm_up)
     confirm = 1 if threshold <= 0.0 else max(1, confirm)
-    streak_label: int = -1
+    # the confirmation streak at the end of the last evaluated prefix
+    streak_label = -1
     streak = 0
     last = StopResult(None, n_max, True, float("nan"), float("nan"), 0.0)
     while done < n_max:
-        take_n = min(STOP_CHUNK if done else max(min_n, STOP_CHUNK), n_max - done)
+        take_n = min(STOP_CHUNK if done else max(min_n + confirm - 1, STOP_CHUNK), n_max - done)
         obs = stream.take(take_n)
         l1 = np.cumsum(np.concatenate((l1[-1:], obs.L1)))[1:]
         l3 = np.cumsum(np.concatenate((l3[-1:], obs.L3)))[1:]
@@ -316,30 +323,30 @@ def explore_until_stop(
             a_hat, p_hat = estimators.area_perimeter(l1[idx], l3[idx], kk[idx])
             _, top, top_prob = _posteriors(_log_likelihoods(p_hat, a_hat, n_prefix[idx], entries))
             over = top_prob >= threshold
-            for pos in range(len(idx)):
-                if not over[pos]:
-                    streak = 0
-                    continue
-                t = int(top[pos])
-                streak = streak + 1 if t == streak_label else 1
-                streak_label = t
-                if streak >= confirm:
-                    return StopResult(
-                        label=entries[t].name,
-                        n_stop=int(n_prefix[idx[pos]]),
-                        censored=False,
-                        area_hat=float(a_hat[pos]),
-                        perim_hat=float(p_hat[pos]),
-                        top_prob=float(top_prob[pos]),
-                    )
+            # a prefix over the threshold continues the run of the previous
+            # evaluated prefix if that was over it with the same label, and
+            # starts a run otherwise; the run carried in from the last draw
+            # starts streak places before this draw's first prefix
+            same = np.empty(len(idx), dtype=bool)
+            same[0] = streak > 0 and top[0] == streak_label
+            same[1:] = over[:-1] & (top[1:] == top[:-1])
+            pos = np.arange(len(idx))
+            starts = np.maximum.accumulate(np.where(over & ~same, pos, -streak))
+            run = np.where(over, pos - starts + 1, 0)
+            hit = np.flatnonzero(run >= confirm)
+            # the stop, or else the draw's last prefix for a censored result
+            i = hit[0] if hit.size else -1
             last = StopResult(
-                label=entries[int(top[-1])].name,
-                n_stop=n_max,
-                censored=True,
-                area_hat=float(a_hat[-1]),
-                perim_hat=float(p_hat[-1]),
-                top_prob=float(top_prob[-1]),
+                label=entries[int(top[i])].name,
+                n_stop=int(n_prefix[idx[i]]) if hit.size else n_max,
+                censored=not hit.size,
+                area_hat=float(a_hat[i]),
+                perim_hat=float(p_hat[i]),
+                top_prob=float(top_prob[i]),
             )
+            if hit.size:
+                return last
+            streak, streak_label = int(run[-1]), int(top[-1])
         done += take_n
     return last
 

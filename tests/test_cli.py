@@ -409,6 +409,34 @@ def test_read_global_prints_word(tmp_path, capsys):
     assert doc["text"] == "FREEDOM"
 
 
+def test_read_local_prints_word(tmp_path, capsys):
+    entries = reading.calibrate_letters(m_lines=800, replicates=30, config=SamplerConfig(seed=21))
+    dict_path = tmp_path / "letters.json"
+    recognition.save_dictionary(entries, dict_path)
+    out = tmp_path / "read.json"
+    rc = main(
+        [
+            "read",
+            "--word",
+            "FREEDOM",
+            "--strategy",
+            "local",
+            "--dict",
+            str(dict_path),
+            "--seed",
+            "3",
+            "--out",
+            str(out),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out.strip().splitlines()[-1] == "FREEDOM"
+    doc = json.loads(out.read_text())
+    assert doc["text"] == "FREEDOM"
+    assert len(doc["per_letter_n"]) == 7
+
+
 def test_converge_without_chords_fails_cleanly(tmp_path):
     proc = run_cli(
         "converge", "--shape", "statue", "--grid", "1,10,100", "--replicates", "5",

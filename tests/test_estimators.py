@@ -5,7 +5,7 @@ import pytest
 
 from chordscan import estimators as est
 from chordscan import shapes
-from chordscan.batch import BatchObservations
+from chordscan.batch import BatchObservations, CompiledShape
 from chordscan.chords import ArenaTooSmallError, CrossingEvent, LineObservation, ZERO_OBSERVATION
 from chordscan.explore import convergence_series, explore, explore_per_line
 from chordscan.geometry import Point, Ring, Shape, exact_area, exact_perimeter, union_disjoint
@@ -316,6 +316,30 @@ def test_convergence_series_without_chords_raises():
     # some of the statue's 1-line prefixes hold no chord: 0/0, not a sigma
     with pytest.raises(est.InsufficientDataError, match="no chord in the first 1 lines"):
         convergence_series(shapes.statue(), [1, 10, 100], 5, SamplerConfig(seed=1))
+
+
+@pytest.mark.parametrize("mode", ["iur", "billiard-cos"])
+def test_convergence_series_compiles_once_and_equals_per_replicate_records(monkeypatch, mode):
+    compiled = []
+    compile_shape = CompiledShape.__init__
+
+    def counting_compile(self, shape):
+        compiled.append(shape)
+        compile_shape(self, shape)
+
+    monkeypatch.setattr(CompiledShape, "__init__", counting_compile)
+    config, n_grid, replicates = SamplerConfig(mode=mode, seed=4), [50, 400, 2000], 5
+    series = convergence_series(shapes.square(), n_grid, replicates, config)
+    assert len(compiled) == 1
+    records = [
+        explore_per_line(
+            shapes.square(), n_grid[-1], config, rng=np.random.default_rng([config.seed, rep])
+        )
+        for rep in range(replicates)
+    ]
+    areas, perims = np.array([est.prefix_estimates(obs, n_grid) for obs in records]).transpose(1, 0, 2)
+    assert np.array_equal(series.sigma_a, np.std(areas, axis=0, ddof=1))
+    assert np.array_equal(series.sigma_p, np.std(perims, axis=0, ddof=1))
 
 
 def test_convergence_series_disk_quick():

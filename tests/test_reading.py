@@ -122,6 +122,7 @@ def test_read_single_letter_equals_classification(letter_dict):
         warm_up=rd._read_warmup(3000),
         confirm=rd.READ_CONFIRM,
         arena=rd.letter_arena(target.boxes[0], cfg.arena_scale),
+        rng=np.random.default_rng([cfg.seed, 0]),  # slot 0's substream
     )
     assert res.text == direct.label
     assert res.n_lines == direct.n_stop

@@ -306,6 +306,88 @@ def test_stop_estimates_equal_one_draw_prefix(builtin_dictionary):
         assert (res.area_hat, res.perim_hat) == (a[0], p[0])
 
 
+def _stop_by_walking_prefixes(shape, entries, cfg, *, threshold, warm_up, confirm, n_max):
+    """explore_until_stop's (label, n_stop, censored, area, perimeter), found by
+    walking every prefix of one n_max-line record in order."""
+    obs = explore_per_line(shape, n_max, cfg)
+    l1, kk = np.cumsum(obs.L1), np.cumsum(obs.k)
+    min_n = 1 if threshold <= 0.0 else max(1, warm_up)
+    confirm = 1 if threshold <= 0.0 else max(1, confirm)
+    ns = [n for n in range(min_n, n_max + 1) if l1[n - 1] > 0.0 and kk[n - 1] > 0]
+    a, p = prefix_estimates(obs, ns)
+    _, top, top_prob = rec._posteriors(rec._log_likelihoods(p, a, ns, entries))
+    streak, label = 0, -1
+    for i, n in enumerate(ns):
+        if top_prob[i] < threshold:
+            streak = 0
+            continue
+        streak = streak + 1 if top[i] == label else 1
+        label = top[i]
+        if streak >= confirm:
+            return entries[top[i]].name, n, False, a[i], p[i]
+    return entries[top[-1]].name, n_max, True, a[-1], p[-1]
+
+
+@pytest.mark.parametrize(
+    "case, threshold, warm_up, confirm, n_max",
+    [
+        ("threshold zero", 0.0, 30, 1, 1000),
+        ("later draw", 0.95, 30, 1, 3000),
+        ("read-style", 0.95, 30, 30, 3000),
+        ("streak across draws", 0.95, 30, 300, 3000),
+        ("censored", 0.9999, 30, 30, 600),
+    ],
+)
+def test_stop_equals_per_prefix_walk(builtin_dictionary, case, threshold, warm_up, confirm, n_max):
+    # IUR lines do not depend on the draw sizes, so the stop loop must agree
+    # bit for bit with a walk over one record's prefixes
+    square = builtin_dictionary[shapes.BUILTIN_NAMES.index("square")]
+    twin = dataclasses.replace(
+        square, name="twin", p_ref=1.02 * square.p_ref, a_ref=1.02**2 * square.a_ref
+    )
+    first_draw = max(warm_up + confirm - 1, rec.STOP_CHUNK)
+    stops = []
+    for seed in range(4):
+        cfg = SamplerConfig(seed=seed)
+        kw = dict(threshold=threshold, warm_up=warm_up, confirm=confirm, n_max=n_max)
+        res = rec.explore_until_stop(shapes.square(), [square, twin], cfg, **kw)
+        expected = _stop_by_walking_prefixes(shapes.square(), [square, twin], cfg, **kw)
+        assert (res.label, res.n_stop, res.censored, res.area_hat, res.perim_hat) == expected
+        stops.append(res.n_stop)
+    if case == "threshold zero":
+        assert max(stops) <= 5
+    elif case == "censored":
+        assert stops == [n_max] * 4
+    else:
+        # a stop after the first draw; with confirm > STOP_CHUNK its streak
+        # spans at least one draw boundary
+        assert max(stops) > first_draw
+
+
+def test_read_style_stop_at_earliest_prefix_takes_one_draw(builtin_dictionary, monkeypatch):
+    # the disk is told from the other built-ins at once, so it stops at the
+    # first prefix allowed, warm_up + confirm - 1, and the first draw ends there
+    takes = []
+    take = rec.LineStream.take
+
+    def counting_take(self, n, *args):
+        takes.append(n)
+        return take(self, n, *args)
+
+    monkeypatch.setattr(rec.LineStream, "take", counting_take)
+    res = rec.explore_until_stop(
+        shapes.disk(), builtin_dictionary, SamplerConfig(seed=1), warm_up=500, confirm=30
+    )
+    assert (res.label, res.n_stop, res.censored) == ("disk", 529, False)
+    assert takes == [529]
+
+
+@pytest.mark.parametrize("n_max", [0, -5])
+def test_explore_until_stop_rejects_empty_budget(n_max):
+    with pytest.raises(ValueError, match="n_max"):
+        rec.explore_until_stop(shapes.disk(), two_entries(), SamplerConfig(seed=1), n_max=n_max)
+
+
 def test_lines_to_recognize_requires_membership(builtin_dictionary):
     with pytest.raises(ValueError):
         rec.lines_to_recognize(
