@@ -81,15 +81,6 @@ class BatchObservations:
             **{f: col[keep] for f, col in self._per_line().items()},
         )
 
-    def lines(self, lo: int, hi: int) -> "BatchObservations":
-        """The record of lines lo to hi - 1."""
-        first, last = (int(self.k[:i].sum()) for i in (lo, hi))
-        return replace(
-            self,
-            chords_flat=self.chords_flat[first:last],
-            **{f: col[lo:hi] for f, col in self._per_line().items()},
-        )
-
     @staticmethod
     def concatenate(parts: list["BatchObservations"]) -> "BatchObservations":
         """One record of the parts' lines, in order."""

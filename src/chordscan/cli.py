@@ -106,7 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="report.json")
     p.add_argument("--dump-observations", default=None, metavar="PATH")
 
-    p = sub.add_parser("calibrate", help="build dictionary entries from replicate runs")
+    p = sub.add_parser(
+        "calibrate", help="build dictionary entries from one stream of lines x replicates lines"
+    )
     p.add_argument("--shape", action="append", required=True, help="repeatable")
     common(p, lines_default=1_000)
     p.add_argument("--replicates", type=_positive(int), default=50)

@@ -143,6 +143,23 @@ def area_perimeter(sum_L1, sum_L3, chord_count):
     return area, math.pi * area / (sum_L1 / chord_count)
 
 
+def ratio_influence(L1, L3, k):
+    """Influence values (IF_A, IF_P) of area_perimeter's ratios, per element.
+
+    The delta method for ratio estimators (Cochran, Sampling Techniques,
+    1977, ch. 6) around the means m1, m3, mk of L1, L3 and k:
+    IF_A = C (L3 - (m3/m1) L1) / m1 and
+    IF_P = pi C (mk L3 + m3 k - 2 m3 mk L1 / m1) / m1^2, up to constants.
+    Both are linear in (L1, L3, k) and unchanged when the inputs are scaled
+    together, so on the sums of equal-size batches they are the batch means
+    of the per-line values.
+    """
+    m1, m3, mk = L1.mean(), L3.mean(), k.mean()
+    if_a = AREA_COEFF * (L3 - (m3 / m1) * L1) / m1
+    if_p = math.pi * AREA_COEFF * (mk * L3 + m3 * k - 2.0 * m3 * mk * L1 / m1) / (m1 * m1)
+    return if_a, if_p
+
+
 def estimate_area(acc: Accumulator) -> float:
     if acc.sum_L1 <= 0.0:
         raise InsufficientDataError("no in-shape intercept accumulated yet")

@@ -1,7 +1,7 @@
 """Dictionary-based shape recognition in the perimeter-area plane.
 
-Each dictionary entry is a reference (P, A) point with a replicate-calibrated
-noise model: standard deviations scaling as sigma0/sqrt(N) plus a correlation.
+Each dictionary entry is a reference (P, A) point with a calibrated noise
+model: standard deviations scaling as sigma0/sqrt(N) plus a correlation.
 Classification is a bivariate-Gaussian likelihood with a uniform prior; the
 exploration stops once the top posterior clears a threshold.
 """
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import estimators
 from .estimators import EstimateReport
-from .explore import LineStream, replicate_sums
+from .explore import REPLICATE_BLOCK, LineStream
 from .geometry import Shape, exact_area, exact_perimeter
 from .sampling import ArenaCircle, SamplerConfig
 
@@ -32,6 +32,12 @@ DEFAULT_WARMUP = 30
 # so this only bounds how far a draw runs past it.
 STOP_CHUNK = 256
 _CORR_CLAMP = 0.999
+# Lines per batch of calibrate's influence values. Consecutive billiard
+# bounces share an endpoint and are correlated, so per-line values read
+# sigma0 7-14% low for billiard-cos (statue, letter E); contiguous batches of
+# 100 lines hold that correlation and match a 300-replicate spread within a
+# few percent, for IUR too.
+CALIBRATION_BATCH = 100
 
 
 @dataclass(frozen=True)
@@ -91,37 +97,49 @@ def calibrate(
     name: str | None = None,
     arena: ArenaCircle | None = None,
 ) -> DictEntry:
-    """Reference values from the exact oracles, noise from replicate spread.
+    """Reference values from the exact oracles, noise by linearization.
 
-    Replicate r explores m_lines with substream (seed, r); the spread of the
-    (area, perimeter) cloud scaled by sqrt(m_lines) gives the prefactors.
-    The replicates are observed together in shared kernel blocks
-    (explore.replicate_sums); their substreams, and so the entry, are the
-    same as when each replicate runs its own explore.
+    m_lines * replicates is the budget: calibrate draws that many lines,
+    rounded down to whole batches of CALIBRATION_BATCH, from the one stream
+    that explore(shape, ..., config) draws. The prefactors are
+    sqrt(CALIBRATION_BATCH) times the spread of the batches' influence values
+    (estimators.ratio_influence), and the correlation is that of the two
+    influence values. Only per-batch sums are kept, and no take observes more
+    than REPLICATE_BLOCK lines.
     """
-    config = config or SamplerConfig()
     if replicates < 2:
         raise ValueError("calibration needs at least 2 replicates")
     if m_lines < 1:
         raise ValueError("calibration needs at least 1 line per replicate")
-    sum_l1, sum_l3, chords = replicate_sums(shape, m_lines, replicates, config, arena=arena)
-    empty = np.flatnonzero((sum_l1 <= 0.0) | (chords <= 0))
-    if empty.size:
+    n_batches = m_lines * replicates // CALIBRATION_BATCH
+    if n_batches < 2:
         raise estimators.InsufficientDataError(
-            f"replicate {empty[0]} has no chord in its {m_lines} lines"
+            f"{m_lines * replicates} lines hold fewer than 2 batches of {CALIBRATION_BATCH}"
         )
-    a_vals, p_vals = estimators.area_perimeter(sum_l1, sum_l3, chords)
-    corr = float(np.corrcoef(p_vals, a_vals)[0, 1])
+    stream = LineStream(shape, config, arena=arena)
+    per_take = REPLICATE_BLOCK // CALIBRATION_BATCH
+    sums = []
+    for lo in range(0, n_batches, per_take):
+        nb = min(per_take, n_batches - lo)
+        obs = stream.take(nb * CALIBRATION_BATCH)
+        sums.append([col.reshape(nb, -1).sum(axis=1) for col in (obs.L1, obs.L3, obs.k)])
+    l1, l3, chords = (np.concatenate(col) for col in zip(*sums))
+    if not chords.any():
+        raise estimators.InsufficientDataError(
+            f"no chord in {n_batches * CALIBRATION_BATCH} lines"
+        )
+    if_a, if_p = estimators.ratio_influence(l1, l3, chords)
+    corr = float(np.corrcoef(if_p, if_a)[0, 1])
     if not math.isfinite(corr):
         corr = 0.0
     corr = max(-_CORR_CLAMP, min(_CORR_CLAMP, corr))
-    root_m = math.sqrt(m_lines)
+    root_b = math.sqrt(CALIBRATION_BATCH)
     return DictEntry(
         name=name or shape.name or "shape",
         p_ref=exact_perimeter(shape),
         a_ref=exact_area(shape),
-        sigma0_a=float(np.std(a_vals, ddof=1)) * root_m,
-        sigma0_p=float(np.std(p_vals, ddof=1)) * root_m,
+        sigma0_a=float(np.std(if_a, ddof=1)) * root_b,
+        sigma0_p=float(np.std(if_p, ddof=1)) * root_b,
         corr=corr,
     )
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import zlib
 
@@ -109,12 +110,18 @@ def test_batch_matches_scalar_on_many_chord_word():
 def _assert_same_lines_in_blocks(name, n_lines, size):
     # 6000 lines through the annulus' 64-gon rings span several ring-scan
     # blocks; the first n_lines observed `size` at a time must give the same
-    # per-line results, bit for bit: replicates that share kernel blocks rely
-    # on it
+    # per-line results, bit for bit: the stop loop's result must not depend
+    # on its draw sizes, nor calibrate's entry on its take sizes
     shape = shapes.annulus() if name == "annulus" else reading.word_shape(name, 1.0).shape
     cshape = batch.CompiledShape(shape)
     a, b = _random_segments(shape, 6000, seed=8)
-    whole = batch.observe_segments(cshape, a, b).lines(0, n_lines)
+    full = batch.observe_segments(cshape, a, b)
+    n_chords = int(np.cumsum(full.k)[n_lines - 1])
+    whole = dataclasses.replace(
+        full,
+        chords_flat=full.chords_flat[:n_chords],
+        **{f: getattr(full, f)[:n_lines] for f in ("k", "rejected", "L1", "L3", "chord_cube_sum")},
+    )
     parts = [
         batch.observe_segments(cshape, a[i : i + size], b[i : i + size])
         for i in range(0, n_lines, size)

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 
 from chordscan import batch
 from chordscan import estimators as est
+from chordscan import reading as rd
 from chordscan import recognition as rec
 from chordscan import shapes
 from chordscan.estimators import EstimateReport, prefix_estimates
-from chordscan.explore import explore, explore_per_line
-from chordscan.geometry import exact_area, exact_perimeter
-from chordscan.sampling import SAMPLER_MODES, SamplerConfig, arena_for
+from chordscan.explore import REPLICATE_BLOCK, explore, explore_per_line
+from chordscan.geometry import Point, exact_area, exact_perimeter
+from chordscan.sampling import SAMPLER_MODES, ArenaCircle, SamplerConfig, arena_for
 
 
 def make_report(p, a, n=1000, se_p=float("nan"), se_a=float("nan")):
@@ -67,61 +69,118 @@ def test_calibrate_single_replicate_is_error():
         rec.calibrate(shapes.disk(), 1000, 1, SamplerConfig(seed=4))
 
 
-def _calibrate_one_explore_per_replicate(shape, m_lines, replicates, config):
-    """calibrate's entry as one explore per replicate, and the lines it rejected."""
-    arena = arena_for(shape, config.arena_scale)
-    a_vals, p_vals, rejected = [], [], 0
-    for rep in range(replicates):
-        rng = np.random.default_rng([config.seed, rep])
-        acc = explore(shape, m_lines, config, arena=arena, rng=rng)
-        a_vals.append(est.estimate_area(acc))
-        p_vals.append(est.estimate_perimeter(acc))
-        rejected += acc.rejected
-    corr = float(np.corrcoef(p_vals, a_vals)[0, 1])
-    root_m = math.sqrt(m_lines)
-    entry = rec.DictEntry(
+def _entry_from_record(shape, m_lines, replicates, config, arena):
+    """calibrate's batch rule applied to the first whole batches of explore's stream."""
+    b = rec.CALIBRATION_BATCH
+    n = m_lines * replicates // b * b
+    obs = explore_per_line(shape, n, config, arena=arena)
+    sums = [col.reshape(-1, b).sum(axis=1) for col in (obs.L1, obs.L3, obs.k)]
+    if_a, if_p = est.ratio_influence(*sums)
+    corr = float(np.corrcoef(if_p, if_a)[0, 1])
+    return rec.DictEntry(
         name=shape.name,
         p_ref=exact_perimeter(shape),
         a_ref=exact_area(shape),
-        sigma0_a=float(np.std(a_vals, ddof=1)) * root_m,
-        sigma0_p=float(np.std(p_vals, ddof=1)) * root_m,
+        sigma0_a=float(np.std(if_a, ddof=1)) * math.sqrt(b),
+        sigma0_p=float(np.std(if_p, ddof=1)) * math.sqrt(b),
         corr=max(-rec._CORR_CLAMP, min(rec._CORR_CLAMP, corr)),
     )
-    return entry, rejected
 
 
 @pytest.mark.parametrize("mode", SAMPLER_MODES)
 @pytest.mark.parametrize(
-    "name, m_lines, replicates",
-    [("annulus", 7, 40), ("statue", 1000, 22), ("square", 16385, 3)],
-    ids=["m7", "m1000", "m16385-crosses-a-chunk"],
+    "m_lines, replicates, online_tol",
+    [(7, 160, None), (1000, 9, None), (1000, 9, 1e-3)],
+    ids=["part-batch", "three-takes", "top-up"],
 )
-def test_calibrate_equals_one_explore_per_replicate(name, m_lines, replicates, mode):
-    # the replicates share kernel blocks (22 of 1,000 lines end in a part
-    # block); every bit of the entry stays the same
-    shape = shapes.builtin(name)
-    config = SamplerConfig(mode=mode, seed=31)
-    want, _ = _calibrate_one_explore_per_replicate(shape, m_lines, replicates, config)
-    assert rec.calibrate(shape, m_lines, replicates, config) == want
-
-
-@pytest.mark.parametrize("mode", SAMPLER_MODES)
-@pytest.mark.parametrize("m_lines, replicates", [(1000, 10), (16385, 2)])
-def test_calibrate_tops_up_rejected_lines_like_explore(monkeypatch, mode, m_lines, replicates):
-    # a wide vertex band rejects about 2% of the statue's lines
-    monkeypatch.setattr(batch, "ONLINE_TOL", 1e-3)
+def test_calibrate_equals_batch_rule_on_explore_record(
+    monkeypatch, mode, m_lines, replicates, online_tol
+):
+    # 1,120 lines make 11 whole batches; 9,000 lines take 4,000 + 4,000 +
+    # 1,000, and no kernel call is larger; a wide vertex band rejects about
+    # 2% of the statue's lines, which calibrate and explore both replace from
+    # the stream
+    if online_tol is not None:
+        monkeypatch.setattr(batch, "ONLINE_TOL", online_tol)
     shape = shapes.statue()
-    config = SamplerConfig(mode=mode, seed=8)
-    want, rejected = _calibrate_one_explore_per_replicate(shape, m_lines, replicates, config)
-    assert rejected > 0
-    assert rec.calibrate(shape, m_lines, replicates, config) == want
+    config = SamplerConfig(mode=mode, seed=31)
+    arena = arena_for(shape, config.arena_scale)
+    want = _entry_from_record(shape, m_lines, replicates, config, arena)
+    sizes = []
+    observe = batch.observe_segments
+    monkeypatch.setattr(
+        importlib.import_module("chordscan.explore"),
+        "observe_segments",
+        lambda cshape, a, b: sizes.append(len(a)) or observe(cshape, a, b),
+    )
+    got = rec.calibrate(shape, m_lines, replicates, config, arena=arena)
+    assert max(sizes) <= REPLICATE_BLOCK
+    if online_tol is not None:
+        assert explore(shape, m_lines * replicates, config, arena=arena).rejected > 0
+    if mode == "iur":
+        assert got == want
+        return
+    # a billiard chain resumed at another take boundary equals one long
+    # chain only up to rounding
+    for field in ("sigma0_a", "sigma0_p", "corr"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9), field
+    assert (got.p_ref, got.a_ref) == (want.p_ref, want.a_ref)
 
 
-def test_calibrate_replicate_without_chord_is_error():
-    with pytest.raises(est.InsufficientDataError, match="no chord"):
+def test_ratio_influence_is_the_linearized_ratio():
+    # each value is the derivative of area_perimeter at the means, in the
+    # direction of that element's offset from them
+    rng = np.random.default_rng(5)
+    cols = [rng.uniform(lo, hi, 50) for lo, hi in ((0.5, 2.0), (1.0, 5.0), (0.5, 3.0))]
+    means = [c.mean() for c in cols]
+    h = 1e-6
+    base = est.area_perimeter(*means)
+    for i, got in enumerate(est.ratio_influence(*cols)):
+        moved = [
+            est.area_perimeter(*(m + h * (c[j] - m) for m, c in zip(means, cols)))[i]
+            for j in range(50)
+        ]
+        want = (np.array(moved) - base[i]) / h
+        np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4 * np.abs(want).max())
+
+
+def test_calibrate_short_budget_is_error():
+    with pytest.raises(est.InsufficientDataError):
         rec.calibrate(shapes.statue(), 1, 50, SamplerConfig(seed=1))
     with pytest.raises(ValueError, match="at least 1 line"):
         rec.calibrate(shapes.statue(), 0, 50, SamplerConfig(seed=1))
+    # a unit disk in an arena of radius 1e6: no line of 200 meets it
+    far = ArenaCircle(Point(0.0, 0.0), 1e6)
+    with pytest.raises(est.InsufficientDataError, match="no chord"):
+        rec.calibrate(shapes.disk(), 100, 2, SamplerConfig(seed=1), arena=far)
+
+
+@pytest.mark.parametrize(
+    "name, mode, m_lines",
+    [("statue", "iur", 1000), ("statue", "billiard-cos", 1000), ("E", "iur", 800)],
+)
+def test_calibrate_sigma0_matches_replicate_spread(name, mode, m_lines):
+    # sigma0 from one 400k-line stream against sqrt(m) times the spread of
+    # 1,000 independent m-line explorations, whose own standard error is
+    # about 2%
+    config = SamplerConfig(mode=mode, seed=17)
+    if name == "E":
+        shape = rd.Alphabet(1.0).shape("E")
+        box = (0.0, 0.0, rd.GRID_COLS * 1.0, rd.GRID_ROWS * 1.0)
+        arena = rd.letter_arena(box, config.arena_scale)
+    else:
+        shape = shapes.builtin(name)
+        arena = arena_for(shape, config.arena_scale)
+    entry = rec.calibrate(shape, m_lines, 400_000 // m_lines, config, arena=arena)
+    a_vals, p_vals = [], []
+    for r in range(1000):
+        rng = np.random.default_rng([config.seed, 1, r])
+        acc = explore(shape, m_lines, config, arena=arena, rng=rng)
+        a_vals.append(est.estimate_area(acc))
+        p_vals.append(est.estimate_perimeter(acc))
+    root_m = math.sqrt(m_lines)
+    assert 0.9 <= entry.sigma0_a / (np.std(a_vals, ddof=1) * root_m) <= 1.1
+    assert 0.9 <= entry.sigma0_p / (np.std(p_vals, ddof=1) * root_m) <= 1.1
 
 
 def test_classify_at_entry_dominates():
