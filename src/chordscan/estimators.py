@@ -1,12 +1,14 @@
 """Streaming accumulation of line observations and the derived estimators.
 
 The accumulator ingests batch.BatchObservations records and keeps
-constant-size running sums (plus a fixed-bin chord histogram and per-batch
-partials for batch-means error bars), so memory never grows with the number of
+constant-size running sums (plus a fixed-bin chord histogram and the sums of
+contiguous batches of lines), so memory never grows with the number of
 explored lines. Estimates are ratios of sums, which makes them insensitive to
 lines that miss the shape entirely; area_perimeter writes both ratio formulas
-once for arrays of sums: per batch, per prefix of a per-line record, and per
-line of the stopping loop.
+once for arrays of sums: per prefix of a per-line record and per line of the
+stopping loop. ratio_influence is the one variance formula: the delta method
+applied to the batch sums gives the report's standard errors and the
+dictionary's calibrated noise alike.
 """
 
 from __future__ import annotations
@@ -34,11 +36,18 @@ class InsufficientDataError(ValueError):
 
 
 class Accumulator:
-    """Constant-memory running sums over observed lines; mergeable."""
+    """Constant-memory running sums over observed lines; mergeable.
+
+    Batches are contiguous: line i of the n_planned lines that explore plans
+    goes to batch floor(i * n_batches / n_planned), so batch sizes differ by
+    at most one line. Without a plan, the first lines fill one batch each and
+    the last batch takes the rest.
+    """
 
     __slots__ = (
         "l_cap",
         "n_batches",
+        "n_planned",
         "n_lines",
         "n_hit",
         "rejected",
@@ -51,13 +60,16 @@ class Accumulator:
         "batch",
     )
 
-    def __init__(self, l_cap: float, n_batches: int = DEFAULT_BATCHES):
+    def __init__(
+        self, l_cap: float, n_batches: int = DEFAULT_BATCHES, *, n_planned: int | None = None
+    ):
         if l_cap <= 0.0:
             raise ValueError("l_cap (histogram upper edge) must be positive")
         if n_batches < 1:
             raise ValueError("batch count must be positive")
         self.l_cap = float(l_cap)
         self.n_batches = int(n_batches)
+        self.n_planned = self.n_batches if n_planned is None else int(n_planned)
         self.n_lines = 0
         self.n_hit = 0
         self.rejected = 0
@@ -67,23 +79,17 @@ class Accumulator:
         self.chord_cube_sum = 0.0
         self.l_max_seen = 0.0
         self.hist = np.zeros(DEFAULT_BINS, dtype=np.int64)
-        # per-batch partial sums: L1 (a line's L1 is its chord sum), L3, chord
-        # count, chord cube sum
-        self.batch = np.zeros((self.n_batches, 4))
-
-    def same_layout(self, other: "Accumulator") -> bool:
-        return self.l_cap == other.l_cap and self.n_batches == other.n_batches
+        # per-batch sums: L1 (a line's L1 is its chord sum), L3, chord count,
+        # chord cube sum, lines
+        self.batch = np.zeros((self.n_batches, 5))
 
     def _bin_of(self, lengths: np.ndarray) -> np.ndarray:
         b = np.floor(lengths / self.l_cap * DEFAULT_BINS).astype(np.int64)
         return np.clip(b, 0, DEFAULT_BINS - 1)
 
-    def note_rejections(self, n: int) -> None:
-        self.rejected += int(n)
-
     def ingest(self, bobs: BatchObservations) -> None:
         """Accumulate a block of per-line statistics in line order; rejected lines only count."""
-        self.note_rejections(np.count_nonzero(bobs.rejected))
+        self.rejected += int(np.count_nonzero(bobs.rejected))
         bobs = bobs.accepted()
         n = len(bobs)
         if n == 0:
@@ -91,14 +97,15 @@ class Accumulator:
         k, L1, L3, cube = bobs.k, bobs.L1, bobs.L3, bobs.chord_cube_sum
         chords = bobs.chords_flat
         nb = self.n_batches
-        bids = (self.n_lines + np.arange(n)) % nb
+        bids = np.minimum((self.n_lines + np.arange(n)) * nb // self.n_planned, nb - 1)
         self.n_lines += n
         self.n_hit += int(np.count_nonzero(k))
         self.sum_L1 += float(L1.sum())
         self.sum_L3 += float(L3.sum())
         self.chord_count += int(k.sum())
         self.chord_cube_sum += float(cube.sum())
-        for col, values in enumerate((L1, L3, k, cube)):
+        # no weights: the last column counts lines
+        for col, values in enumerate((L1, L3, k, cube, None)):
             self.batch[:, col] += np.bincount(bids, weights=values, minlength=nb)
         if chords.size:
             self.hist += np.bincount(self._bin_of(chords), minlength=DEFAULT_BINS)
@@ -106,14 +113,14 @@ class Accumulator:
 
     def state_scalar_count(self) -> int:
         """Number of stored numeric values; constant in the line count."""
-        return 9 + self.hist.size + self.batch.size
+        return 10 + self.hist.size + self.batch.size
 
 
 def merge(a: Accumulator, b: Accumulator) -> Accumulator:
     """Field-wise sum of two compatible accumulators (commutative, associative)."""
-    if not a.same_layout(b):
+    if (a.l_cap, a.n_batches) != (b.l_cap, b.n_batches):
         raise ValueError("accumulator layouts differ (l_cap / batches)")
-    out = Accumulator(a.l_cap, a.n_batches)
+    out = Accumulator(a.l_cap, a.n_batches, n_planned=a.n_planned + b.n_planned)
     out.n_lines = a.n_lines + b.n_lines
     out.n_hit = a.n_hit + b.n_hit
     out.rejected = a.rejected + b.rejected
@@ -151,8 +158,9 @@ def ratio_influence(L1, L3, k):
     IF_A = C (L3 - (m3/m1) L1) / m1 and
     IF_P = pi C (mk L3 + m3 k - 2 m3 mk L1 / m1) / m1^2, up to constants.
     Both are linear in (L1, L3, k) and unchanged when the inputs are scaled
-    together, so on the sums of equal-size batches they are the batch means
-    of the per-line values.
+    together, so on batch sums they are the batch means of the per-line
+    values, up to one common factor when the batches hold the same number of
+    lines.
     """
     m1, m3, mk = L1.mean(), L3.mean(), k.mean()
     if_a = AREA_COEFF * (L3 - (m3 / m1) * L1) / m1
@@ -198,34 +206,37 @@ def prefix_estimates(obs: BatchObservations, checkpoints) -> tuple[np.ndarray, n
     return area_perimeter(sum_L1, sum_L3, chords)
 
 
-def _batch_values(acc: Accumulator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-batch (area, perimeter, convex-baseline area) for non-empty batches."""
-    L1, L3, cnt, cube = acc.batch.T
-    ok = (L1 > 0.0) & (cnt > 0.0)
-    if int(ok.sum()) < 2:
-        raise InsufficientDataError("need at least 2 non-empty batches for errors")
-    a, p = area_perimeter(L1[ok], L3[ok], cnt[ok])
-    return a, p, _ratio_area(L1[ok], cube[ok])
+def batch_influence(acc: Accumulator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Influence values of the area, the perimeter and the convex baseline, per batch.
+
+    ratio_influence on the sums of the batches that hold lines: the pooled
+    estimate is, to first order, the mean of a batch's values, so their SD
+    over sqrt(batches) is its standard error. Contiguous batches (Fishman &
+    Yarberry, INFORMS J. Comput. 9(3), 1997) also hold the correlation of
+    consecutive billiard bounces.
+    """
+    L1, L3, k, cube, _ = acc.batch[acc.batch[:, 4] > 0].T
+    if L1.size < 2:
+        raise InsufficientDataError("need lines in at least 2 batches for errors")
+    if not L1.any():
+        raise InsufficientDataError(f"no chord in {acc.n_lines} lines")
+    if_a, if_p = ratio_influence(L1, L3, k)
+    return if_a, if_p, ratio_influence(L1, cube, k)[0]
+
+
+def _stderr(influence: np.ndarray) -> float:
+    return float(np.std(influence, ddof=1) / math.sqrt(len(influence)))
 
 
 def stderrs(acc: Accumulator) -> tuple[float, float]:
-    """Batch-means standard errors of (area, perimeter).
-
-    Batches are the accumulator's round-robin groups; the spread of per-batch
-    estimates over sqrt(B) estimates the error of the pooled estimate.
-    """
-    a, p, _ = _batch_values(acc)
-    nb = len(a)
-    return (
-        float(np.std(a, ddof=1) / math.sqrt(nb)),
-        float(np.std(p, ddof=1) / math.sqrt(nb)),
-    )
+    """Batch-means standard errors of (area, perimeter), by linearization."""
+    if_a, if_p, _ = batch_influence(acc)
+    return _stderr(if_a), _stderr(if_p)
 
 
 def convex_baseline_stderr(acc: Accumulator) -> float:
     """Batch-means standard error of the convex-only area baseline."""
-    _, _, ach = _batch_values(acc)
-    return float(np.std(ach, ddof=1) / math.sqrt(len(ach)))
+    return _stderr(batch_influence(acc)[2])
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,6 @@ from .sampling import (
 )
 
 DEFAULT_CHUNK = 16384
-# Most lines in one take of recognition.calibrate. numpy's fixed cost per
-# kernel call is spread thin by this size already, and the call's temporaries
-# stay small: takes of DEFAULT_CHUNK lines of a word shape raised the peak
-# memory of a dictionary build by about 9 MB.
-REPLICATE_BLOCK = 4096
 
 
 class LineStream:
@@ -115,19 +110,17 @@ def explore(
     rng: np.random.Generator | None = None,
     dump_rows: list | None = None,
 ) -> estimators.Accumulator:
-    """Accumulate n_lines accepted observations of the shape."""
+    """Accumulate n_lines accepted observations of the shape, in n_batches contiguous batches."""
     if n_lines < 1:
         raise ValueError("n_lines must be positive")
     stream = LineStream(shape, config, arena=arena, rng=rng)
-    acc = estimators.Accumulator(l_cap=2.0 * stream.arena.radius, n_batches=n_batches)
-    done = 0
-    while done < n_lines:
+    acc = estimators.Accumulator(2.0 * stream.arena.radius, n_batches, n_planned=n_lines)
+    for done in range(0, n_lines, DEFAULT_CHUNK):
         obs = stream.take(min(DEFAULT_CHUNK, n_lines - done), dump_rows is not None)
         acc.ingest(obs)
         if dump_rows is not None:
             _append_dump_rows(dump_rows, obs)
-        done += len(obs)
-    acc.note_rejections(stream.rejected_total)
+    acc.rejected += stream.rejected_total
     return acc
 
 
@@ -156,12 +149,9 @@ def explore_per_line(
 
 def _take_record(stream: LineStream, n_lines: int) -> BatchObservations:
     """The stream's next n_lines accepted lines as one record."""
-    parts: list[BatchObservations] = []
-    done = 0
-    while done < n_lines:
-        parts.append(stream.take(min(DEFAULT_CHUNK, n_lines - done)))
-        done += len(parts[-1])
-    return BatchObservations.concatenate(parts)
+    return BatchObservations.concatenate(
+        [stream.take(min(DEFAULT_CHUNK, n_lines - lo)) for lo in range(0, n_lines, DEFAULT_CHUNK)]
+    )
 
 
 def _worker_explore(args) -> estimators.Accumulator:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import estimators
 from .estimators import EstimateReport
-from .explore import REPLICATE_BLOCK, LineStream
+from .explore import LineStream, explore
 from .geometry import Shape, exact_area, exact_perimeter
 from .sampling import ArenaCircle, SamplerConfig
 
@@ -99,16 +99,13 @@ def calibrate(
 ) -> DictEntry:
     """Reference values from the exact oracles, noise by linearization.
 
-    m_lines * replicates is the budget: calibrate draws that many lines,
-    rounded down to whole batches of CALIBRATION_BATCH, from the one stream
-    that explore(shape, ..., config) draws. The prefactors are
-    sqrt(CALIBRATION_BATCH) times the spread of the batches' influence values
-    (estimators.ratio_influence), and the correlation is that of the two
-    influence values. Only per-batch sums are kept, and no take observes more
-    than REPLICATE_BLOCK lines.
+    m_lines * replicates is the budget, rounded down to whole batches of
+    CALIBRATION_BATCH lines: calibrate explores that many lines of the stream
+    that explore(shape, ..., config) draws, one batch per CALIBRATION_BATCH
+    lines. The prefactors are sqrt(CALIBRATION_BATCH) times the spread of the
+    batches' influence values (estimators.batch_influence), and the
+    correlation is that of the two influence values.
     """
-    if replicates < 2:
-        raise ValueError("calibration needs at least 2 replicates")
     if m_lines < 1:
         raise ValueError("calibration needs at least 1 line per replicate")
     n_batches = m_lines * replicates // CALIBRATION_BATCH
@@ -116,23 +113,9 @@ def calibrate(
         raise estimators.InsufficientDataError(
             f"{m_lines * replicates} lines hold fewer than 2 batches of {CALIBRATION_BATCH}"
         )
-    stream = LineStream(shape, config, arena=arena)
-    per_take = REPLICATE_BLOCK // CALIBRATION_BATCH
-    sums = []
-    for lo in range(0, n_batches, per_take):
-        nb = min(per_take, n_batches - lo)
-        obs = stream.take(nb * CALIBRATION_BATCH)
-        sums.append([col.reshape(nb, -1).sum(axis=1) for col in (obs.L1, obs.L3, obs.k)])
-    l1, l3, chords = (np.concatenate(col) for col in zip(*sums))
-    if not chords.any():
-        raise estimators.InsufficientDataError(
-            f"no chord in {n_batches * CALIBRATION_BATCH} lines"
-        )
-    if_a, if_p = estimators.ratio_influence(l1, l3, chords)
-    corr = float(np.corrcoef(if_p, if_a)[0, 1])
-    if not math.isfinite(corr):
-        corr = 0.0
-    corr = max(-_CORR_CLAMP, min(_CORR_CLAMP, corr))
+    acc = explore(shape, n_batches * CALIBRATION_BATCH, config, arena=arena, n_batches=n_batches)
+    if_a, if_p, _ = estimators.batch_influence(acc)
+    corr = float(np.clip(np.nan_to_num(np.corrcoef(if_p, if_a)[0, 1]), -_CORR_CLAMP, _CORR_CLAMP))
     root_b = math.sqrt(CALIBRATION_BATCH)
     return DictEntry(
         name=name or shape.name or "shape",

@@ -142,6 +142,23 @@ def test_lone_line_observed_as_in_a_block(name):
     _assert_same_lines_in_blocks(name, 300, 1)
 
 
+@pytest.mark.parametrize("name", ["statue", "GENERATIONS"])
+def test_sub_blocks_do_not_change_bits(monkeypatch, name):
+    # with a tiny block the ring scan and the per-line sums run a few lines
+    # at a time, padded to the longest line of their sub-block; every line's
+    # results must stay the same, bit for bit
+    shape = shapes.statue() if name == "statue" else reading.word_shape(name, 1.0).shape
+    cshape = batch.CompiledShape(shape)
+    a, b = _random_segments(shape, 700, seed=4)
+    want = batch.observe_segments(cshape, a, b)
+    monkeypatch.setattr(batch, "_BLOCK", 64)
+    got = batch.observe_segments(cshape, a, b)
+    rows = 64 // (2 * int(want.k.max()))
+    assert 2 <= rows < np.count_nonzero(want.k) // 10
+    for field in ("k", "rejected", "L1", "L3", "chord_cube_sum", "chords_flat"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
 def test_batch_chord_cube_sums():
     shape = shapes.annulus()
     a, b = _random_segments(shape, 300, seed=3)

@@ -236,6 +236,36 @@ def test_stderr_shrinks_with_n():
     assert 0.35 < r < 0.65  # 1/sqrt(N): expect about 0.5
 
 
+@pytest.mark.parametrize(
+    "mode, n_lines, key",
+    [("iur", 300, [5, 3]), ("iur", 1000, [5, 3]), ("billiard-cos", 10_000, [31, 2])],
+)
+def test_stderr_matches_replicate_spread(mode, n_lines, key):
+    # the spread of 400 independent estimates over the RMS of their reported
+    # stderrs, for A and P: each ratio has a standard error of about 3.5%.
+    # At 300 lines a batch holds 3 lines; billiard bounces are correlated.
+    shape = shapes.statue()
+    config = SamplerConfig(mode=mode)
+    values, errors = [], []
+    for r in range(400):
+        acc = explore(shape, n_lines, config, rng=np.random.default_rng(key + [r]))
+        values.append((est.estimate_area(acc), est.estimate_perimeter(acc)))
+        errors.append(est.stderrs(acc))
+    ratio = np.std(values, axis=0, ddof=1) / np.sqrt(np.mean(np.square(errors), axis=0))
+    assert np.all((0.9 <= ratio) & (ratio <= 1.1)), ratio
+
+
+def test_batches_are_contiguous_and_even():
+    # line i of N goes to batch floor(i * nb / N); batches without a line
+    # (N < nb) stay out of the spread
+    acc = explore(shapes.disk(), 250, SamplerConfig(seed=6), n_batches=100)
+    lines = acc.batch[:, 4]
+    assert set(lines) == {2.0, 3.0} and lines.sum() == 250
+    few = explore(shapes.disk(), 30, SamplerConfig(seed=6), n_batches=100)
+    assert np.count_nonzero(few.batch[:, 4]) == 30
+    assert len(est.batch_influence(few)[0]) == 30
+
+
 def test_zero_lines_do_not_change_estimates():
     acc = single_chord_acc([1.0, 2.0, 3.0])
     a0, p0 = est.estimate_area(acc), est.estimate_perimeter(acc)
