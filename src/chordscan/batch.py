@@ -204,10 +204,7 @@ def observe_segments(cshape: CompiledShape, a: np.ndarray, b: np.ndarray) -> Bat
 
 
 def _line_sums(t: np.ndarray, n_ev: np.ndarray):
-    """(L1, chord cube sum, L3, chords) of lines with n_ev events each.
-
-    t holds the events line by line, each line's in any order.
-    """
+    """(L1, chord cube sum, L3, chords) of lines with n_ev events each, t line by line."""
     # One row per line, padded with the largest event position so that padded
     # chords and gaps come out exactly zero.
     n = n_ev.size

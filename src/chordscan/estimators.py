@@ -38,10 +38,9 @@ class InsufficientDataError(ValueError):
 class Accumulator:
     """Constant-memory running sums over observed lines; mergeable.
 
-    Batches are contiguous: line i of the n_planned lines that explore plans
-    goes to batch floor(i * n_batches / n_planned), so batch sizes differ by
-    at most one line. Without a plan, the first lines fill one batch each and
-    the last batch takes the rest.
+    Line i of the n_planned lines that explore plans goes to batch
+    floor(i * n_batches / n_planned): contiguous batches whose sizes differ by
+    at most one. Unplanned, lines take a batch each and the last the rest.
     """
 
     __slots__ = (
@@ -207,13 +206,12 @@ def prefix_estimates(obs: BatchObservations, checkpoints) -> tuple[np.ndarray, n
 
 
 def batch_influence(acc: Accumulator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Influence values of the area, the perimeter and the convex baseline, per batch.
+    """ratio_influence of area, perimeter and convex baseline on the batches with lines.
 
-    ratio_influence on the sums of the batches that hold lines: the pooled
-    estimate is, to first order, the mean of a batch's values, so their SD
-    over sqrt(batches) is its standard error. Contiguous batches (Fishman &
-    Yarberry, INFORMS J. Comput. 9(3), 1997) also hold the correlation of
-    consecutive billiard bounces.
+    To first order the pooled estimate is the mean of a batch's values, so
+    their SD over sqrt(batches) is its standard error. Contiguous batches
+    (Fishman & Yarberry, INFORMS J. Comput. 9(3), 1997) also hold the
+    correlation of consecutive billiard bounces.
     """
     L1, L3, k, cube, _ = acc.batch[acc.batch[:, 4] > 0].T
     if L1.size < 2:

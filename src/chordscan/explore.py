@@ -10,6 +10,7 @@ of it.
 from __future__ import annotations
 
 import copy
+import functools
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -173,20 +174,10 @@ def explore_parallel(
     if workers <= 1:
         return explore(shape, n_lines, config, n_batches=n_batches)
     arena = arena_for(shape, config.arena_scale)
-    shares = [n_lines // workers] * workers
-    for i in range(n_lines % workers):
-        shares[i] += 1
-    jobs = [
-        (shape, shares[w], config, arena, n_batches, w)
-        for w in range(workers)
-        if shares[w] > 0
-    ]
+    shares = [(n_lines + workers - 1 - w) // workers for w in range(workers)]
+    jobs = [(shape, s, config, arena, n_batches, w) for w, s in enumerate(shares) if s > 0]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        accs = list(pool.map(_worker_explore, jobs))
-    out = accs[0]
-    for acc in accs[1:]:
-        out = estimators.merge(out, acc)
-    return out
+        return functools.reduce(estimators.merge, pool.map(_worker_explore, jobs))
 
 
 def convergence_series(
