@@ -28,6 +28,7 @@ from .sampling import (
     billiard_segments,
     line_params_of_segments,
     sample_iur_batch,
+    substream,
 )
 
 DEFAULT_CHUNK = 16384
@@ -157,7 +158,7 @@ def _take_record(stream: LineStream, n_lines: int) -> BatchObservations:
 
 def _worker_explore(args) -> estimators.Accumulator:
     shape, n_lines, config, arena, n_batches, worker_idx = args
-    rng = np.random.default_rng([config.seed, worker_idx])
+    rng = np.random.default_rng(substream(config.seed, worker_idx))
     return explore(shape, n_lines, config, arena=arena, n_batches=n_batches, rng=rng)
 
 
@@ -188,7 +189,7 @@ def convergence_series(
 ) -> estimators.ConvergenceSeries:
     """Replicate spread of (area, perimeter) estimates at each N in n_grid.
 
-    Each replicate runs max(n_grid) lines once from substream (seed, rep);
+    Each replicate runs max(n_grid) lines once from substream(seed, rep);
     smaller N values reuse its prefixes, which keeps replicates independent
     of each other at every N. The shape is compiled and the arena checked
     once for all replicates.
@@ -204,7 +205,7 @@ def convergence_series(
     areas = np.empty((replicates, len(n_grid)))
     perims = np.empty((replicates, len(n_grid)))
     for rep in range(replicates):
-        obs = _take_record(base.fork(np.random.default_rng([config.seed, rep])), n_max)
+        obs = _take_record(base.fork(np.random.default_rng(substream(config.seed, rep))), n_max)
         areas[rep], perims[rep] = estimators.prefix_estimates(obs, n_grid)
         del obs  # freed before the next replicate's record is built
     return estimators.ConvergenceSeries(

@@ -40,7 +40,7 @@ class BilliardState:
 @dataclass(frozen=True)
 class SamplerConfig:
     mode: str = "iur"
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0  # a SeedSequence: one from substream
     arena_scale: float = DEFAULT_ARENA_SCALE
 
     def __post_init__(self):
@@ -50,6 +50,13 @@ class SamplerConfig:
     @property
     def billiard_policy(self) -> str | None:
         return {"billiard-cos": "cosine", "billiard-uni": "uniform"}.get(self.mode)
+
+
+def substream(seed: int, *key: int) -> np.random.SeedSequence:
+    """Substream `key` of `seed`, for default_rng: unlike default_rng([seed, 0]),
+    which draws what default_rng(seed) draws, it repeats neither the seed's
+    stream nor another key's."""
+    return np.random.SeedSequence(seed, spawn_key=key)
 
 
 def arena_for(shape: Shape, scale: float = DEFAULT_ARENA_SCALE) -> ArenaCircle:

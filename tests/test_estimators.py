@@ -9,7 +9,7 @@ from chordscan.batch import BatchObservations, CompiledShape
 from chordscan.chords import ArenaTooSmallError, CrossingEvent, LineObservation, ZERO_OBSERVATION
 from chordscan.explore import convergence_series, explore, explore_per_line
 from chordscan.geometry import Point, Ring, Shape, exact_area, exact_perimeter, union_disjoint
-from chordscan.sampling import ArenaCircle, SamplerConfig
+from chordscan.sampling import ArenaCircle, SamplerConfig, substream
 
 
 def obs_from_chords(*chords, gap=5.0):
@@ -363,7 +363,7 @@ def test_convergence_series_compiles_once_and_equals_per_replicate_records(monke
     assert len(compiled) == 1
     records = [
         explore_per_line(
-            shapes.square(), n_grid[-1], config, rng=np.random.default_rng([config.seed, rep])
+            shapes.square(), n_grid[-1], config, rng=np.random.default_rng(substream(config.seed, rep))
         )
         for rep in range(replicates)
     ]

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from chordscan import recognition as rec
 from chordscan.estimators import prefix_estimates
 from chordscan.explore import explore_per_line
 from chordscan.geometry import exact_area, exact_perimeter
-from chordscan.sampling import SamplerConfig
+from chordscan.sampling import SamplerConfig, substream
 
 
 @pytest.fixture(scope="module")
@@ -122,10 +123,33 @@ def test_read_single_letter_equals_classification(letter_dict):
         warm_up=rd._read_warmup(3000),
         confirm=rd.READ_CONFIRM,
         arena=rd.letter_arena(target.boxes[0], cfg.arena_scale),
-        rng=np.random.default_rng([cfg.seed, 0]),  # slot 0's substream
+        rng=np.random.default_rng(substream(cfg.seed, 0)),  # slot 0's substream
     )
     assert res.text == direct.label
     assert res.n_lines == direct.n_stop
+
+
+def test_one_call_draws_distinct_substreams(monkeypatch, letter_dict):
+    # the slots of one read and the letters of one calibration each draw
+    # their own stream, none of them the plain seed's
+    firsts = {"slots": [], "letters": []}
+    explore_until_stop, calibrate = rec.explore_until_stop, rec.calibrate
+
+    def spy_read(*args, rng, **kwargs):
+        firsts["slots"].append(copy.deepcopy(rng).random())
+        return explore_until_stop(*args, rng=rng, **kwargs)
+
+    def spy_calibrate(shape, m_lines, replicates, config, **kwargs):
+        firsts["letters"].append(np.random.default_rng(config.seed).random())
+        return calibrate(shape, m_lines, replicates, config, **kwargs)
+
+    monkeypatch.setattr(rec, "explore_until_stop", spy_read)
+    monkeypatch.setattr(rec, "calibrate", spy_calibrate)
+    rd.read_local(rd.word_shape("FREEDOM", 1.0), letter_dict, 300, SamplerConfig(seed=3))
+    rd.calibrate_letters(m_lines=100, replicates=2, config=SamplerConfig(seed=3))
+    plain = np.random.default_rng(3).random()
+    for name, n in (("slots", 7), ("letters", 26)):
+        assert len(set(firsts[name] + [plain])) == n + 1, name
 
 
 def test_letter_stop_estimates_equal_one_draw_prefix(letter_dict):

@@ -172,3 +172,12 @@ def test_arena_for_contains_shape():
     c, r = bounding_circle(st)
     gap = math.hypot(c.x - arena.center.x, c.y - arena.center.y)
     assert gap + r <= arena.radius * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40])
+def test_substreams_differ_from_each_other_and_the_seed(seed):
+    # default_rng([seed, 0]) would repeat default_rng(seed): numpy ignores
+    # trailing zero words of the entropy
+    draws = [np.random.default_rng(seed).random(4)]
+    draws += [np.random.default_rng(sp.substream(seed, i)).random(4) for i in range(64)]
+    assert len({d.tobytes() for d in draws}) == len(draws)
