@@ -188,9 +188,9 @@ def observe_segments(cshape: CompiledShape, a: np.ndarray, b: np.ndarray) -> Bat
     hit = np.flatnonzero(counts)
     if hit.size == 0:
         return BatchObservations(k, L1, L3, cube, np.empty(0), rejected)
-    # Events grouped by line. The hit lines are then padded, sorted and summed
-    # a sub-block at a time, of at most _BLOCK events when a line holds fewer,
-    # so the temporaries do not grow with the block's line count.
+    # Events grouped by line. The hit lines are padded, sorted and summed a
+    # sub-block at a time, as many lines as fit _BLOCK events at the longest
+    # line's count (at least one), so the temporaries do not grow with m.
     t_by_line = t_all[np.argsort(lines_all, kind="stable")]
     ev_start = np.concatenate(([0], np.cumsum(counts[hit])))
     rows = max(1, _BLOCK // int(counts.max()))

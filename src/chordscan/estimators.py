@@ -95,17 +95,21 @@ class Accumulator:
             return
         k, L1, L3, cube = bobs.k, bobs.L1, bobs.L3, bobs.chord_cube_sum
         chords = bobs.chords_flat
+        # where each batch starts in this block: batch b at line
+        # ceil(b * n_planned / nb), the last also taking lines past the plan
         nb = self.n_batches
-        bids = np.minimum((self.n_lines + np.arange(n)) * nb // self.n_planned, nb - 1)
+        starts = np.clip(-(-np.arange(nb) * self.n_planned // nb) - self.n_lines, 0, n)
+        sizes = np.diff(starts, append=n)
+        held = sizes > 0
         self.n_lines += n
         self.n_hit += int(np.count_nonzero(k))
         self.sum_L1 += float(L1.sum())
         self.sum_L3 += float(L3.sum())
         self.chord_count += int(k.sum())
         self.chord_cube_sum += float(cube.sum())
-        # no weights: the last column counts lines
-        for col, values in enumerate((L1, L3, k, cube, None)):
-            self.batch[:, col] += np.bincount(bids, weights=values, minlength=nb)
+        for col, values in enumerate((L1, L3, k, cube)):
+            self.batch[held, col] += np.add.reduceat(values, starts[held])
+        self.batch[:, 4] += sizes
         if chords.size:
             self.hist += np.bincount(self._bin_of(chords), minlength=DEFAULT_BINS)
             self.l_max_seen = max(self.l_max_seen, float(chords.max()))
@@ -157,9 +161,8 @@ def ratio_influence(L1, L3, k):
     IF_A = C (L3 - (m3/m1) L1) / m1 and
     IF_P = pi C (mk L3 + m3 k - 2 m3 mk L1 / m1) / m1^2, up to constants.
     Both are linear in (L1, L3, k) and unchanged when the inputs are scaled
-    together, so on batch sums they are the batch means of the per-line
-    values, up to one common factor when the batches hold the same number of
-    lines.
+    together, so on the sums of nb batches of N lines they are nb/N times
+    each batch's sum of per-line values: its mean when it holds N/nb lines.
     """
     m1, m3, mk = L1.mean(), L3.mean(), k.mean()
     if_a = AREA_COEFF * (L3 - (m3 / m1) * L1) / m1

@@ -53,9 +53,11 @@ class SamplerConfig:
 
 
 def substream(seed: int, *key: int) -> np.random.SeedSequence:
-    """Substream `key` of `seed`, for default_rng: unlike default_rng([seed, 0]),
-    which draws what default_rng(seed) draws, it repeats neither the seed's
-    stream nor another key's."""
+    """Substream `key` of `seed`, for np.random.default_rng.
+
+    Unlike default_rng([seed, 0]), which draws what default_rng(seed) draws,
+    a spawn key repeats neither the seed's stream nor another key's.
+    """
     return np.random.SeedSequence(seed, spawn_key=key)
 
 

@@ -76,7 +76,7 @@ def _entry_from_record(shape, m_lines, replicates, config, arena):
     b = rec.CALIBRATION_BATCH
     n = m_lines * replicates // b * b
     obs = explore_per_line(shape, n, config, arena=arena)
-    sums = [np.bincount(np.arange(n) // b, weights=col) for col in (obs.L1, obs.L3, obs.k)]
+    sums = [np.add.reduceat(col, np.arange(0, n, b)) for col in (obs.L1, obs.L3, obs.k)]
     if_a, if_p = est.ratio_influence(*sums)
     corr = float(np.corrcoef(if_p, if_a)[0, 1])
     return rec.DictEntry(
