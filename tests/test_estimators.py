@@ -264,6 +264,15 @@ def test_batches_are_contiguous_and_even():
     few = explore(shapes.disk(), 30, SamplerConfig(seed=6), n_batches=100)
     assert np.count_nonzero(few.batch[:, 4]) == 30
     assert len(est.batch_influence(few)[0]) == 30
+    # 40,000 lines are taken 16,384 at a time: a batch split between two
+    # takes sums both parts
+    config = SamplerConfig(seed=6)
+    acc = explore(shapes.disk(), 40_000, config)
+    obs = explore_per_line(shapes.disk(), 40_000, config)
+    cols = (obs.L1, obs.L3, obs.k, obs.chord_cube_sum)
+    want = np.column_stack([np.add.reduceat(c, np.arange(0, 40_000, 400)) for c in cols])
+    np.testing.assert_allclose(acc.batch[:, :4], want, rtol=1e-12)
+    assert set(acc.batch[:, 4]) == {400.0}
 
 
 def test_zero_lines_do_not_change_estimates():
@@ -363,7 +372,10 @@ def test_convergence_series_compiles_once_and_equals_per_replicate_records(monke
     assert len(compiled) == 1
     records = [
         explore_per_line(
-            shapes.square(), n_grid[-1], config, rng=np.random.default_rng(substream(config.seed, rep))
+            shapes.square(),
+            n_grid[-1],
+            config,
+            rng=np.random.default_rng(substream(config.seed, rep)),
         )
         for rep in range(replicates)
     ]
