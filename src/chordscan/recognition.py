@@ -99,12 +99,11 @@ def calibrate(
 ) -> DictEntry:
     """Reference values from the exact oracles, noise by linearization.
 
-    m_lines * replicates is the budget, rounded down to whole batches of
-    CALIBRATION_BATCH lines: calibrate explores that many lines of the stream
-    that explore(shape, ..., config) draws, one batch per CALIBRATION_BATCH
-    lines. The prefactors are sqrt(CALIBRATION_BATCH) times the spread of the
-    batches' influence values (estimators.batch_influence), and the
-    correlation is that of the two influence values.
+    m_lines * replicates is only a budget: calibrate runs explore(shape, n,
+    config) over it, rounded down to whole batches, with one batch per
+    CALIBRATION_BATCH lines. The prefactors are sqrt(CALIBRATION_BATCH) times
+    the spread of the batches' influence values (estimators.batch_influence),
+    and the correlation is that of the two influence values.
     """
     if m_lines < 1:
         raise ValueError("calibration needs at least 1 line per replicate")
