@@ -184,7 +184,9 @@ def observe_segments(cshape: CompiledShape, a: np.ndarray, b: np.ndarray) -> Bat
         counts[rejected] = 0
 
     k = counts // 2
-    L1, L3, cube = np.zeros((3, m))
+    L1 = np.zeros(m)
+    L3 = np.zeros(m)
+    cube = np.zeros(m)
     hit = np.flatnonzero(counts)
     if hit.size == 0:
         return BatchObservations(k, L1, L3, cube, np.empty(0), rejected)

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import estimators, reading, recognition, shapes, svgplot
 from .chords import ArenaTooSmallError, DegenerateLineError
-from .estimators import DEFAULT_BATCHES
 from .explore import convergence_series, explore, explore_parallel
 from .geometry import InvalidShapeError, Shape, load_shape
 from .sampling import DEFAULT_ARENA_SCALE, SAMPLER_MODES, SamplerConfig
@@ -104,7 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate area and perimeter of one shape")
     p.add_argument("--shape", required=True, help="built-in name or shape JSON path")
     common(p, lines_default=10_000)
-    p.add_argument("--batches", type=_positive(int), default=DEFAULT_BATCHES, help=BATCHES_HELP)
+    p.add_argument(
+        "--batches", type=_positive(int), default=estimators.DEFAULT_BATCHES, help=BATCHES_HELP
+    )
     p.add_argument("--workers", type=_positive(int), default=1)
     p.add_argument("--out", default="report.json")
     p.add_argument("--dump-observations", default=None, metavar="PATH")
@@ -121,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", required=True)
     p.add_argument("--dict", required=True, dest="dict_path")
     common(p, lines_default=1_000)
-    p.add_argument("--batches", type=_positive(int), default=DEFAULT_BATCHES, help=BATCHES_HELP)
+    p.add_argument(
+        "--batches", type=_positive(int), default=estimators.DEFAULT_BATCHES, help=BATCHES_HELP
+    )
     p.add_argument("--threshold", type=float, default=0.95)
     p.add_argument("--out", default="posterior.json")
 

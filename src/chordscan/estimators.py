@@ -38,9 +38,8 @@ class InsufficientDataError(ValueError):
 class Accumulator:
     """Constant-memory running sums over observed lines; mergeable.
 
-    Line i of the n_planned lines that explore plans goes to batch
-    floor(i * n_batches / n_planned): contiguous batches whose sizes differ by
-    at most one. Unplanned, lines take a batch each and the last the rest.
+    Line i of the n_planned lines goes to batch floor(i * n_batches /
+    n_planned): contiguous batches whose sizes differ by at most one.
     """
 
     __slots__ = (
@@ -59,16 +58,14 @@ class Accumulator:
         "batch",
     )
 
-    def __init__(
-        self, l_cap: float, n_batches: int = DEFAULT_BATCHES, *, n_planned: int | None = None
-    ):
+    def __init__(self, l_cap: float, n_planned: int, n_batches: int = DEFAULT_BATCHES):
         if l_cap <= 0.0:
             raise ValueError("l_cap (histogram upper edge) must be positive")
         if n_batches < 1:
             raise ValueError("batch count must be positive")
         self.l_cap = float(l_cap)
         self.n_batches = int(n_batches)
-        self.n_planned = self.n_batches if n_planned is None else int(n_planned)
+        self.n_planned = int(n_planned)
         self.n_lines = 0
         self.n_hit = 0
         self.rejected = 0
@@ -82,21 +79,28 @@ class Accumulator:
         # chord cube sum, lines
         self.batch = np.zeros((self.n_batches, 5))
 
+    def same_layout(self, other: "Accumulator") -> bool:
+        return self.l_cap == other.l_cap and self.n_batches == other.n_batches
+
     def _bin_of(self, lengths: np.ndarray) -> np.ndarray:
         b = np.floor(lengths / self.l_cap * DEFAULT_BINS).astype(np.int64)
         return np.clip(b, 0, DEFAULT_BINS - 1)
 
+    def note_rejections(self, n: int) -> None:
+        self.rejected += int(n)
+
     def ingest(self, bobs: BatchObservations) -> None:
         """Accumulate a block of per-line statistics in line order; rejected lines only count."""
-        self.rejected += int(np.count_nonzero(bobs.rejected))
+        self.note_rejections(np.count_nonzero(bobs.rejected))
         bobs = bobs.accepted()
         n = len(bobs)
         if n == 0:
             return
+        if self.n_lines + n > self.n_planned:
+            raise ValueError(f"{self.n_lines + n} lines ingested, {self.n_planned} planned")
         k, L1, L3, cube = bobs.k, bobs.L1, bobs.L3, bobs.chord_cube_sum
         chords = bobs.chords_flat
-        # where each batch starts in this block: batch b at line
-        # ceil(b * n_planned / nb), the last also taking lines past the plan
+        # where each batch starts in this block: batch b at line ceil(b * n_planned / nb)
         nb = self.n_batches
         starts = np.clip(-(-np.arange(nb) * self.n_planned // nb) - self.n_lines, 0, n)
         sizes = np.diff(starts, append=n)
@@ -121,9 +125,9 @@ class Accumulator:
 
 def merge(a: Accumulator, b: Accumulator) -> Accumulator:
     """Field-wise sum of two compatible accumulators (commutative, associative)."""
-    if (a.l_cap, a.n_batches) != (b.l_cap, b.n_batches):
+    if not a.same_layout(b):
         raise ValueError("accumulator layouts differ (l_cap / batches)")
-    out = Accumulator(a.l_cap, a.n_batches, n_planned=a.n_planned + b.n_planned)
+    out = Accumulator(a.l_cap, a.n_planned + b.n_planned, a.n_batches)
     out.n_lines = a.n_lines + b.n_lines
     out.n_hit = a.n_hit + b.n_hit
     out.rejected = a.rejected + b.rejected
@@ -147,7 +151,7 @@ def area_perimeter(sum_L1, sum_L3, chord_count):
 
     A = (pi/3) sum(L3) / sum(L1), and P from the mean-chord identity
     <l> = pi*A/P with <l> = sum(L1) / chord_count (a line's L1 is its chord
-    sum). Elementwise on arrays, so it serves batches and prefixes alike.
+    sum). Elementwise on arrays, so it serves prefixes and the stopping loop alike.
     """
     area = _ratio_area(sum_L1, sum_L3)
     return area, math.pi * area / (sum_L1 / chord_count)

@@ -10,7 +10,6 @@ of it.
 from __future__ import annotations
 
 import copy
-import functools
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -20,6 +19,8 @@ from .batch import BatchObservations, CompiledShape, observe_segments
 from .chords import ArenaTooSmallError
 from .geometry import Shape
 from .sampling import (
+    REPLICATE,
+    WORKER,
     ArenaCircle,
     BilliardState,
     SamplerConfig,
@@ -116,13 +117,15 @@ def explore(
     if n_lines < 1:
         raise ValueError("n_lines must be positive")
     stream = LineStream(shape, config, arena=arena, rng=rng)
-    acc = estimators.Accumulator(2.0 * stream.arena.radius, n_batches, n_planned=n_lines)
-    for done in range(0, n_lines, DEFAULT_CHUNK):
+    acc = estimators.Accumulator(2.0 * stream.arena.radius, n_lines, n_batches)
+    done = 0
+    while done < n_lines:
         obs = stream.take(min(DEFAULT_CHUNK, n_lines - done), dump_rows is not None)
         acc.ingest(obs)
         if dump_rows is not None:
             _append_dump_rows(dump_rows, obs)
-    acc.rejected += stream.rejected_total
+        done += len(obs)
+    acc.note_rejections(stream.rejected_total)
     return acc
 
 
@@ -151,14 +154,17 @@ def explore_per_line(
 
 def _take_record(stream: LineStream, n_lines: int) -> BatchObservations:
     """The stream's next n_lines accepted lines as one record."""
-    return BatchObservations.concatenate(
-        [stream.take(min(DEFAULT_CHUNK, n_lines - lo)) for lo in range(0, n_lines, DEFAULT_CHUNK)]
-    )
+    parts: list[BatchObservations] = []
+    done = 0
+    while done < n_lines:
+        parts.append(stream.take(min(DEFAULT_CHUNK, n_lines - done)))
+        done += len(parts[-1])
+    return BatchObservations.concatenate(parts)
 
 
 def _worker_explore(args) -> estimators.Accumulator:
     shape, n_lines, config, arena, n_batches, worker_idx = args
-    rng = np.random.default_rng(substream(config.seed, worker_idx))
+    rng = np.random.default_rng(substream(config.seed, WORKER, worker_idx))
     return explore(shape, n_lines, config, arena=arena, n_batches=n_batches, rng=rng)
 
 
@@ -175,10 +181,20 @@ def explore_parallel(
     if workers <= 1:
         return explore(shape, n_lines, config, n_batches=n_batches)
     arena = arena_for(shape, config.arena_scale)
-    shares = [(n_lines + workers - 1 - w) // workers for w in range(workers)]
-    jobs = [(shape, s, config, arena, n_batches, w) for w, s in enumerate(shares) if s > 0]
+    shares = [n_lines // workers] * workers
+    for i in range(n_lines % workers):
+        shares[i] += 1
+    jobs = [
+        (shape, shares[w], config, arena, n_batches, w)
+        for w in range(workers)
+        if shares[w] > 0
+    ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return functools.reduce(estimators.merge, pool.map(_worker_explore, jobs))
+        accs = list(pool.map(_worker_explore, jobs))
+    out = accs[0]
+    for acc in accs[1:]:
+        out = estimators.merge(out, acc)
+    return out
 
 
 def convergence_series(
@@ -189,7 +205,7 @@ def convergence_series(
 ) -> estimators.ConvergenceSeries:
     """Replicate spread of (area, perimeter) estimates at each N in n_grid.
 
-    Each replicate runs max(n_grid) lines once from substream(seed, rep);
+    Each replicate runs max(n_grid) lines once from substream(seed, REPLICATE, rep);
     smaller N values reuse its prefixes, which keeps replicates independent
     of each other at every N. The shape is compiled and the arena checked
     once for all replicates.
@@ -205,7 +221,8 @@ def convergence_series(
     areas = np.empty((replicates, len(n_grid)))
     perims = np.empty((replicates, len(n_grid)))
     for rep in range(replicates):
-        obs = _take_record(base.fork(np.random.default_rng(substream(config.seed, rep))), n_max)
+        rng = np.random.default_rng(substream(config.seed, REPLICATE, rep))
+        obs = _take_record(base.fork(rng), n_max)
         areas[rep], perims[rep] = estimators.prefix_estimates(obs, n_grid)
         del obs  # freed before the next replicate's record is built
     return estimators.ConvergenceSeries(

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import recognition
 from .geometry import Point, Ring, Shape, exact_area, exact_perimeter
-from .sampling import ArenaCircle, SamplerConfig, substream
+from .sampling import LETTER, SLOT, WORD, ArenaCircle, SamplerConfig, substream
 
 # Rows are top to bottom; 'X' marks a filled cell.
 LETTER_MASKS: dict[str, tuple[str, ...]] = {
@@ -230,7 +230,7 @@ def read_local(
 ) -> ReadResult:
     """Letter-by-letter strategy: each slot gets its own arena and stopping.
 
-    Slot i explores its own substream(seed, i). Word-level area/perimeter
+    Slot i explores its own substream(seed, SLOT, i). Word-level area/perimeter
     are sums of the per-letter estimates; no error bar is reported for them.
     The threshold applies to the word: with independent letters the word's
     posterior is the product of the letters', so each letter must clear the
@@ -264,7 +264,7 @@ def read_local(
             warm_up=_read_warmup(per_letter_budget),
             confirm=READ_CONFIRM,
             arena=arena,
-            rng=np.random.default_rng(substream(config.seed, i)),
+            rng=np.random.default_rng(substream(config.seed, SLOT, i)),
         )
         text.append(res.label if res.label is not None else "?")
         per_n.append(res.n_stop)
@@ -386,7 +386,7 @@ def calibrate_letters(
                 alphabet.shape(c),
                 m_lines,
                 replicates,
-                dataclasses.replace(config, seed=substream(config.seed, i)),
+                dataclasses.replace(config, seed=substream(config.seed, LETTER, i)),
                 name=c,
                 arena=letter_arena(box, config.arena_scale),
             )
@@ -411,7 +411,7 @@ def calibrate_words(
                 ws.shape,
                 m_lines,
                 replicates,
-                dataclasses.replace(config, seed=substream(config.seed, i)),
+                dataclasses.replace(config, seed=substream(config.seed, WORD, i)),
                 name=w,
             )
         )

@@ -114,7 +114,10 @@ def calibrate(
         )
     acc = explore(shape, n_batches * CALIBRATION_BATCH, config, arena=arena, n_batches=n_batches)
     if_a, if_p, _ = estimators.batch_influence(acc)
-    corr = float(np.clip(np.nan_to_num(np.corrcoef(if_p, if_a)[0, 1]), -_CORR_CLAMP, _CORR_CLAMP))
+    corr = float(np.corrcoef(if_p, if_a)[0, 1])
+    if not math.isfinite(corr):
+        corr = 0.0
+    corr = max(-_CORR_CLAMP, min(_CORR_CLAMP, corr))
     root_b = math.sqrt(CALIBRATION_BATCH)
     return DictEntry(
         name=name or shape.name or "shape",

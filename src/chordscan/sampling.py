@@ -52,6 +52,11 @@ class SamplerConfig:
         return {"billiard-cos": "cosine", "billiard-uni": "uniform"}.get(self.mode)
 
 
+# First word of the substream key of each site that draws substreams, so that
+# no two sites share a stream: substream(seed, LETTER, i) for letter i.
+WORKER, REPLICATE, SLOT, LETTER, WORD = range(5)
+
+
 def substream(seed: int, *key: int) -> np.random.SeedSequence:
     """Substream `key` of `seed`, for np.random.default_rng.
 

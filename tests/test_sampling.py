@@ -178,6 +178,12 @@ def test_arena_for_contains_shape():
 def test_substreams_differ_from_each_other_and_the_seed(seed):
     # default_rng([seed, 0]) would repeat default_rng(seed): numpy ignores
     # trailing zero words of the entropy
+    sites = (sp.WORKER, sp.REPLICATE, sp.SLOT, sp.LETTER, sp.WORD)
+    assert len(set(sites)) == len(sites)
     draws = [np.random.default_rng(seed).random(4)]
-    draws += [np.random.default_rng(sp.substream(seed, i)).random(4) for i in range(64)]
+    draws += [
+        np.random.default_rng(sp.substream(seed, site, i)).random(4)
+        for site in sites
+        for i in range(64)
+    ]
     assert len({d.tobytes() for d in draws}) == len(draws)
