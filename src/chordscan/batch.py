@@ -18,7 +18,9 @@ from .geometry import Shape
 
 # Relative half-width of the "on the line" band for vertex classification.
 ONLINE_TOL = 1e-12
-_PAD = 1e-9  # prefilter slack so tolerance-band vertices are never missed
+# Prefilter slack past a ring's circle and the tolerance band, so rounding in
+# the line-to-centre distance never drops a line that reaches a vertex's band.
+_PAD = 1e-9
 # Elements per kernel sub-block: lines x vertices in the ring scan, lines x
 # events in the sort and pair sums. The temporaries stay in cache and do not
 # grow with the lines observed in one call: observing 16,384 lines of a word
@@ -27,18 +29,21 @@ _BLOCK = 1 << 15
 
 
 class CompiledShape:
-    """Shape flattened to per-ring arrays plus per-ring bounding circles.
+    """A shape's rings as the arrays the ring scan reads.
 
     Each ring's vertices are kept relative to the ring's centre and transposed
     to (2, V): projecting them on K line normals is then one (K, 2) @ (2, V)
     product, and the differences stay small for shapes far from the origin.
+    Each ring also keeps its radius about that centre, for the prefilter, and
+    each vertex's successor index, so an edge's far end is one gather. Callers
+    take it from shape.derived("kernel", CompiledShape), built once per shape.
     """
 
-    __slots__ = ("shape", "rel", "centers", "radii", "tol")
+    __slots__ = ("rel", "nxt", "centers", "radii", "tol")
 
     def __init__(self, shape: Shape):
-        self.shape = shape
         self.rel = []
+        self.nxt = []
         centers = []
         radii = []
         for r in shape.rings:
@@ -46,6 +51,7 @@ class CompiledShape:
             mid = 0.5 * (c.min(axis=0) + c.max(axis=0))
             rel = c - mid
             self.rel.append(np.ascontiguousarray(rel.T))
+            self.nxt.append(np.roll(np.arange(len(c)), -1))
             centers.append(mid)
             radii.append(float(np.max(np.hypot(rel[:, 0], rel[:, 1]))))
         self.centers = np.array(centers)
@@ -121,12 +127,13 @@ def _scan(
     ev_t: list[np.ndarray] = []
     rejected = np.zeros(m, dtype=bool)
 
-    for rel, center, rad in zip(cshape.rel, cshape.centers, cshape.radii):
+    for rel, nxt, center, rad in zip(cshape.rel, cshape.nxt, cshape.centers, cshape.radii):
         dcx = center[0] - a[:, 0]
         dcy = center[1] - a[:, 1]
         s_c = dcx * nrm[:, 0] + dcy * nrm[:, 1]
         xi_c = dcx * ux + dcy * uy
-        reach = rad + _PAD
+        # a line farther than this from the centre misses every vertex's band
+        reach = rad + tol + _PAD
         keep = active & (np.abs(s_c) <= reach) & (xi_c >= -reach) & (xi_c <= length + reach)
         idx = np.flatnonzero(keep)
         n_vert = rel.shape[1]
@@ -141,10 +148,10 @@ def _scan(
             s = (nrm[pair] @ rel)[: blk.size]
             s += s_c[blk, None]
             above = s > 0.0
-            cross = above != np.roll(above, -1, axis=1)
+            cross = above != above[:, nxt]
             rows, cols = np.divmod(np.flatnonzero(cross), n_vert)
             s1 = s[rows, cols]
-            cols2 = (cols + 1) % n_vert
+            cols2 = nxt[cols]
             s2 = s[rows, cols2]
             # s is not read again, so |s| may overwrite it
             bad = (np.abs(s, out=s) <= tol).any(axis=1)

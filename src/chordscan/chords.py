@@ -70,7 +70,7 @@ def crossings(shape: Shape, seg: tuple[Point, Point]) -> list[CrossingEvent]:
         return []
     if contains(shape, a_pt) or contains(shape, b_pt):
         raise ArenaTooSmallError("segment endpoint lies inside the shape")
-    _, ts, rejected = batch._scan(batch.CompiledShape(shape), a[None], b[None])
+    _, ts, rejected = batch._scan(shape.derived("kernel", batch.CompiledShape), a[None], b[None])
     if rejected[0]:
         raise DegenerateLineError("line passes within tolerance of a vertex")
     if ts.size % 2 != 0:

@@ -312,9 +312,14 @@ def _cmd_read(args) -> int:
             "area_hat": res.area_hat,
             "perim_hat": res.perim_hat,
             "per_letter_n": res.per_letter_n,
+            "per_letter_censored": res.per_letter_censored,
         },
         args.out,
     )
+    if res.censored:
+        slots = [f"slot {i} ({args.word[i]})" for i, c in enumerate(res.per_letter_censored) if c]
+        what = ", ".join(slots) or "the word"
+        print(f"read: censored: {what} did not clear the threshold", file=sys.stderr)
     print(res.text)
     return 0
 

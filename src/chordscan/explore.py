@@ -9,7 +9,6 @@ of it.
 
 from __future__ import annotations
 
-import copy
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -47,20 +46,12 @@ class LineStream:
     ):
         self.config = config or SamplerConfig()
         self.shape = shape
-        self.cshape = CompiledShape(shape)
+        self.cshape = shape.derived("kernel", CompiledShape)
         self.arena = arena if arena is not None else arena_for(shape, self.config.arena_scale)
         _check_arena(shape, self.arena)
         self.rng = rng if rng is not None else np.random.default_rng(self.config.seed)
         self._billiard_state: BilliardState | None = None
         self.rejected_total = 0
-
-    def fork(self, rng: np.random.Generator) -> "LineStream":
-        """A fresh stream over the same compiled shape and arena, drawing from rng."""
-        sub = copy.copy(self)
-        sub.rng = rng
-        sub._billiard_state = None
-        sub.rejected_total = 0
-        return sub
 
     def _segments(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         policy = self.config.billiard_policy
@@ -207,7 +198,7 @@ def convergence_series(
 
     Each replicate runs max(n_grid) lines once from substream(seed, REPLICATE, rep);
     smaller N values reuse its prefixes, which keeps replicates independent
-    of each other at every N. The shape is compiled and the arena checked
+    of each other at every N. The shape is compiled, and its arena found,
     once for all replicates.
     """
     config = config or SamplerConfig()
@@ -217,12 +208,11 @@ def convergence_series(
     n_max = n_grid[-1]
     if n_max < 1:
         raise ValueError("n_grid must hold a positive N")
-    base = LineStream(shape, config)
     areas = np.empty((replicates, len(n_grid)))
     perims = np.empty((replicates, len(n_grid)))
     for rep in range(replicates):
         rng = np.random.default_rng(substream(config.seed, REPLICATE, rep))
-        obs = _take_record(base.fork(rng), n_max)
+        obs = _take_record(LineStream(shape, config, rng=rng), n_max)
         areas[rep], perims[rep] = estimators.prefix_estimates(obs, n_grid)
         del obs  # freed before the next replicate's record is built
     return estimators.ConvergenceSeries(

@@ -93,11 +93,12 @@ class Ring:
 class Shape:
     """Immutable collection of non-crossing rings with an even-odd interior."""
 
-    __slots__ = ("rings", "name")
+    __slots__ = ("rings", "name", "_derived")
 
     def __init__(self, rings, name: str | None = None, validate: bool = True):
         self.rings = tuple(r if isinstance(r, Ring) else Ring(r) for r in rings)
         self.name = name
+        self._derived = {}  # filled by derived() on first use
         if not self.rings:
             raise InvalidShapeError("a shape needs at least one ring")
         if validate:
@@ -107,6 +108,16 @@ class Shape:
 
     def coordinate_scale(self) -> float:
         return max(1.0, max(float(np.max(np.abs(r.coords))) for r in self.rings))
+
+    def derived(self, key: str, build):
+        """build(self), made on first use and kept with the shape under key.
+
+        A shape never changes, so its compiled kernel arrays and bounding
+        circle are made once, however many streams and reads use them.
+        """
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
 
 
 def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -129,27 +129,30 @@ def calibrate(
     )
 
 
+def _entry_arrays(entries: list[DictEntry]) -> np.ndarray:
+    """The entries' p_ref, a_ref, sigma0_p, sigma0_a and corr as rows, one column per entry."""
+    return np.array([(e.p_ref, e.a_ref, e.sigma0_p, e.sigma0_a, e.corr) for e in entries]).T
+
+
 def _log_likelihoods(
     p_hat: np.ndarray,
     a_hat: np.ndarray,
     n: np.ndarray,
-    entries: list[DictEntry],
+    ref: np.ndarray,
     shared_sigma: tuple[float, float] | None = None,
 ) -> np.ndarray:
-    """Log-density of each observation (rows) under each entry (columns)."""
+    """Log-density of each observation (rows) under each entry (columns of _entry_arrays)."""
     p_hat = np.atleast_1d(np.asarray(p_hat, dtype=float))[:, None]
     a_hat = np.atleast_1d(np.asarray(a_hat, dtype=float))[:, None]
     n = np.atleast_1d(np.asarray(n, dtype=float))[:, None]
-    pr = np.array([e.p_ref for e in entries])[None, :]
-    ar = np.array([e.a_ref for e in entries])[None, :]
+    pr, ar, s0p, s0a, rho = ref[:, None, :]
     if shared_sigma is None:
-        sp = np.array([e.sigma0_p for e in entries])[None, :] / np.sqrt(n)
-        sa = np.array([e.sigma0_a for e in entries])[None, :] / np.sqrt(n)
-        rho = np.array([e.corr for e in entries])[None, :]
+        sp = s0p / np.sqrt(n)
+        sa = s0a / np.sqrt(n)
     else:
-        sp = np.full((1, len(entries)), shared_sigma[0])
-        sa = np.full((1, len(entries)), shared_sigma[1])
-        rho = np.zeros((1, len(entries)))
+        sp = np.full_like(pr, shared_sigma[0])
+        sa = np.full_like(pr, shared_sigma[1])
+        rho = np.zeros_like(pr)
     dp = (p_hat - pr) / sp
     da = (a_hat - ar) / sa
     z = _mahalanobis_sq(dp, da, rho)
@@ -180,7 +183,7 @@ def classify(report: EstimateReport, entries: list[DictEntry]) -> Posterior:
     )
     shared = (report.stderr_p, report.stderr_a) if own else None
     loglik = _log_likelihoods(
-        report.perim_hat, report.area_hat, report.n_lines, entries, shared_sigma=shared
+        report.perim_hat, report.area_hat, report.n_lines, _entry_arrays(entries), shared
     )
     probs, top, top_prob = _posteriors(loglik)
     return Posterior(
@@ -238,9 +241,9 @@ def landscape(
     """Classify a synthetic estimate at every grid point with N-scaled noise."""
     if not entries:
         raise ValueError("dictionary is empty")
+    ref = _entry_arrays(entries)
     if p_axis is None or a_axis is None:
-        pr = np.array([e.p_ref for e in entries])
-        ar = np.array([e.a_ref for e in entries])
+        pr, ar = ref[0], ref[1]
         pad_p = 0.25 * (pr.max() - pr.min() + 1.0)
         pad_a = 0.25 * (ar.max() - ar.min() + 1.0)
         if p_axis is None:
@@ -248,9 +251,7 @@ def landscape(
         if a_axis is None:
             a_axis = np.linspace(max(ar.min() - pad_a, 1e-9), ar.max() + pad_a, resolution)
     pg, ag = np.meshgrid(p_axis, a_axis, indexing="ij")
-    loglik = _log_likelihoods(
-        pg.ravel(), ag.ravel(), np.full(pg.size, n_lines), entries
-    )
+    loglik = _log_likelihoods(pg.ravel(), ag.ravel(), np.full(pg.size, n_lines), ref)
     _, top, top_prob = _posteriors(loglik)
     names = [e.name for e in entries]
     flat = [
@@ -304,6 +305,7 @@ def explore_until_stop(
     if n_max < 1:
         raise ValueError("n_max must be positive")
     stream = LineStream(shape, config, arena=arena, rng=rng)
+    ref = _entry_arrays(entries)
     # running sums; each draw continues from the previous draw's last prefix
     l1 = l3 = np.zeros(1)
     kk = np.zeros(1, dtype=np.int64)
@@ -324,7 +326,7 @@ def explore_until_stop(
         idx = np.flatnonzero((l1 > 0.0) & (kk > 0) & (n_prefix >= min_n))
         if idx.size:
             a_hat, p_hat = estimators.area_perimeter(l1[idx], l3[idx], kk[idx])
-            _, top, top_prob = _posteriors(_log_likelihoods(p_hat, a_hat, n_prefix[idx], entries))
+            _, top, top_prob = _posteriors(_log_likelihoods(p_hat, a_hat, n_prefix[idx], ref))
             over = top_prob >= threshold
             # a prefix over the threshold continues the run of the previous
             # evaluated prefix if that was over it with the same label, and

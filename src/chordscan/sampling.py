@@ -68,7 +68,7 @@ def substream(seed: int, *key: int) -> np.random.SeedSequence:
 
 def arena_for(shape: Shape, scale: float = DEFAULT_ARENA_SCALE) -> ArenaCircle:
     """Arena containing the shape with margin, so no chord is ever clipped."""
-    center, radius = bounding_circle(shape)
+    center, radius = shape.derived("bounding_circle", bounding_circle)
     return ArenaCircle(center, radius * scale)
 
 

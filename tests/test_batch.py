@@ -230,6 +230,37 @@ def test_lines_inside_the_vertex_band_rejected(name):
             chords.observe(shape, (Point(*a[i]), Point(*b[i])))
 
 
+def _far_corner_tangents(offsets):
+    """Unit square at (1e6, 1e6) and segments on lines perpendicular to its
+    diagonal, each the given distance outside its far corner: tangent to the
+    ring's circle about its centre, offset by that much."""
+    sq = shapes.square(corner=(1e6, 1e6))
+    corner = np.array([1e6 + 1.0, 1e6 + 1.0])
+    out = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    along = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    feet = corner + np.asarray(offsets)[:, None] * out
+    return sq, feet - 2.0 * along, feet + 2.0 * along
+
+
+def test_prefilter_keeps_the_vertex_band_far_from_the_origin():
+    # the band's half-width here is 1e-12 * (1e6 + 1), past the prefilter's
+    # 1e-9 slack: a line 5e-7 from the corner reaches the band, so the scan
+    # must see it, though it lies outside the ring's circle
+    sq, a, b = _far_corner_tangents([0.0, 5e-7, 2e-6])
+    cs = batch.CompiledShape(sq)
+    assert cs.tol == pytest.approx(1e-6, rel=1e-5)
+    _, ts, rejected = batch._scan(cs, a, b)
+    assert rejected.tolist() == [True, True, False]
+    assert ts.size == 0
+    for i, want in enumerate(rejected):
+        seg = (Point(*a[i]), Point(*b[i]))
+        if want:
+            with pytest.raises(chords.DegenerateLineError):
+                chords.crossings(sq, seg)
+        else:
+            assert chords.crossings(sq, seg) == []
+
+
 def test_statue_reaches_k6():
     st = shapes.statue()
     # horizontal lines across the tooth band cross all six teeth

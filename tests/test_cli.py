@@ -437,6 +437,36 @@ def test_read_local_prints_word(tmp_path, capsys):
     assert len(doc["per_letter_n"]) == 7
 
 
+def test_read_local_reports_censored_slots(tmp_path, capsys):
+    # 60 lines give each of the 7 slots 8 lines, fewer than the warm-up, so
+    # no slot can stop on a label
+    entries = reading.calibrate_letters(m_lines=100, replicates=10, config=SamplerConfig(seed=21))
+    dict_path = tmp_path / "letters.json"
+    recognition.save_dictionary(entries, dict_path)
+    out = tmp_path / "read.json"
+    rc = main(
+        ["read", "--word", "FREEDOM", "--strategy", "local", "--dict", str(dict_path),
+         "--lines", "60", "--out", str(out)]
+    )
+    captured = capsys.readouterr()
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["censored"] and True in doc["per_letter_censored"]
+    assert len(doc["per_letter_censored"]) == 7
+    assert captured.out.strip().splitlines()[-1] == doc["text"]
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("read: censored: ")
+    for i, c in enumerate("FREEDOM"):
+        assert (f"slot {i} ({c})" in err[0]) == doc["per_letter_censored"][i]
+    # a whole-word read has no slots; its note names the word
+    rc = main(
+        ["read", "--word", "O", "--strategy", "global", "--dict", str(dict_path),
+         "--lines", "10", "--out", str(out)]
+    )
+    assert rc == 0 and json.loads(out.read_text())["censored"]
+    assert capsys.readouterr().err == "read: censored: the word did not clear the threshold\n"
+
+
 def test_converge_without_chords_fails_cleanly(tmp_path):
     # all 60 first lines hit the statue with probability 1.5e-12
     proc = run_cli(

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -391,6 +392,28 @@ def test_convergence_series_compiles_once_and_equals_per_replicate_records(monke
     areas, perims = np.array([est.prefix_estimates(obs, n_grid) for obs in records]).transpose(1, 0, 2)
     assert np.array_equal(series.sigma_a, np.std(areas, axis=0, ddof=1))
     assert np.array_equal(series.sigma_p, np.std(perims, axis=0, ddof=1))
+
+
+@pytest.mark.parametrize("mode", ["iur", "billiard-cos"])
+def test_stream_on_a_cached_shape_reports_the_same_bits(mode):
+    config = SamplerConfig(mode=mode, seed=8)
+    warm = shapes.statue()
+    explore(warm, 500, config)  # fills the shape's kernel and circle
+    reports = [est.report(explore(s, 3000, config)) for s in (warm, shapes.statue())]
+    fields = ("area_hat", "perim_hat", "stderr_a", "stderr_p")
+    cached, fresh = ([float(getattr(r, f)).hex() for f in fields] for r in reports)
+    assert cached == fresh
+
+
+def test_shape_with_filled_cache_pickles():
+    # explore_parallel sends shapes to its worker processes
+    shape = shapes.annulus()
+    config = SamplerConfig(seed=2)
+    before = est.report(explore(shape, 2000, config))
+    copy = pickle.loads(pickle.dumps(shape))
+    assert [r.coords.tolist() for r in copy.rings] == [r.coords.tolist() for r in shape.rings]
+    assert copy.name == shape.name
+    assert est.report(explore(copy, 2000, config)) == before
 
 
 def test_convergence_series_disk_quick():

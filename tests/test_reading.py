@@ -197,6 +197,50 @@ def test_read_global_anagram_dictionary_warns():
     assert res.censored  # posterior is pinned at 1/2 between the twins
 
 
+def _count_builds(monkeypatch):
+    """Shapes passed to each CompiledShape build and bounding_circle call, in order."""
+    from chordscan import batch, sampling
+
+    compiled, circled = [], []
+    compile_shape, circle = batch.CompiledShape.__init__, sampling.bounding_circle
+
+    def counting_compile(self, shape):
+        compiled.append(shape)
+        compile_shape(self, shape)
+
+    def counting_circle(shape):
+        circled.append(shape)
+        return circle(shape)
+
+    monkeypatch.setattr(batch.CompiledShape, "__init__", counting_compile)
+    monkeypatch.setattr(sampling, "bounding_circle", counting_circle)
+    return compiled, circled
+
+
+def test_read_local_compiles_each_slot_once(monkeypatch, letter_dict):
+    compiled, circled = _count_builds(monkeypatch)
+    target = rd.word_shape("FREEDOM", 1.0)
+    first = rd.read_local(target, letter_dict, 300, SamplerConfig(seed=5))
+    second = rd.read_local(target, letter_dict, 300, SamplerConfig(seed=5))
+    assert [id(s) for s in compiled] == [id(s) for s in target.letter_shapes]
+    assert circled == []  # each slot's arena is its box's circle
+    assert first == second
+
+
+def test_read_global_compiles_and_circles_the_word_once(monkeypatch):
+    compiled, circled = _count_builds(monkeypatch)
+    target = rd.word_shape("ON", 1.0)
+    entries = [
+        rec.DictEntry("ON", 36.0, 22.0, 30.0, 20.0),
+        rec.DictEntry("IT", 30.0, 12.0, 30.0, 20.0),
+    ]
+    first = rd.read_global(target, entries, 300, SamplerConfig(seed=5))
+    second = rd.read_global(target, entries, 300, SamplerConfig(seed=5))
+    assert [id(s) for s in compiled] == [id(target.shape)]
+    assert [id(s) for s in circled] == [id(target.shape)]
+    assert first == second
+
+
 def test_letter_arena_covers_box():
     arena = rd.letter_arena((0.0, 0.0, 3.0, 5.0), 1.2)
     # every box corner is inside the arena

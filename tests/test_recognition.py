@@ -360,7 +360,7 @@ def _stop_by_walking_prefixes(shape, entries, cfg, *, threshold, warm_up, confir
     confirm = 1 if threshold <= 0.0 else max(1, confirm)
     ns = [n for n in range(min_n, n_max + 1) if l1[n - 1] > 0.0 and kk[n - 1] > 0]
     a, p = prefix_estimates(obs, ns)
-    _, top, top_prob = rec._posteriors(rec._log_likelihoods(p, a, ns, entries))
+    _, top, top_prob = rec._posteriors(rec._log_likelihoods(p, a, ns, rec._entry_arrays(entries)))
     streak, label = 0, -1
     for i, n in enumerate(ns):
         if top_prob[i] < threshold:
