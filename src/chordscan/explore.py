@@ -66,14 +66,14 @@ class LineStream:
     def take(self, n: int, _line_params: bool = False) -> BatchObservations:
         """Exactly n accepted lines; degenerate ones are resampled and counted.
 
-        Each refill draws as many lines as are missing. Each line's
-        (theta, p) is recovered only with _line_params, which the observation
-        dump needs and nothing else does.
+        Each refill draws as many lines as are missing, at most DEFAULT_CHUNK.
+        Each line's (theta, p) is recovered only with _line_params, which the
+        observation dump needs and nothing else does.
         """
         parts: list[BatchObservations] = []
         got = 0
         while got < n:
-            a, b = self._segments(n - got)
+            a, b = self._segments(min(n - got, DEFAULT_CHUNK))
             bobs = observe_segments(self.cshape, a, b)
             if _line_params:
                 bobs.theta, bobs.p = line_params_of_segments(a, b, self.arena)
@@ -140,17 +140,7 @@ def explore_per_line(
     """Record of n_lines accepted lines in sampling order (for prefix studies)."""
     if n_lines < 1:
         raise ValueError("n_lines must be positive")
-    return _take_record(LineStream(shape, config, arena=arena, rng=rng), n_lines)
-
-
-def _take_record(stream: LineStream, n_lines: int) -> BatchObservations:
-    """The stream's next n_lines accepted lines as one record."""
-    parts: list[BatchObservations] = []
-    done = 0
-    while done < n_lines:
-        parts.append(stream.take(min(DEFAULT_CHUNK, n_lines - done)))
-        done += len(parts[-1])
-    return BatchObservations.concatenate(parts)
+    return LineStream(shape, config, arena=arena, rng=rng).take(n_lines)
 
 
 def _worker_explore(args) -> estimators.Accumulator:
@@ -212,7 +202,7 @@ def convergence_series(
     perims = np.empty((replicates, len(n_grid)))
     for rep in range(replicates):
         rng = np.random.default_rng(substream(config.seed, REPLICATE, rep))
-        obs = _take_record(LineStream(shape, config, rng=rng), n_max)
+        obs = LineStream(shape, config, rng=rng).take(n_max)
         areas[rep], perims[rep] = estimators.prefix_estimates(obs, n_grid)
         del obs  # freed before the next replicate's record is built
     return estimators.ConvergenceSeries(

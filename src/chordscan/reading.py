@@ -220,6 +220,38 @@ class ReadResult:
     per_letter_censored: list[bool] = field(default_factory=list)
 
 
+def _read(word, slots, entries, budget, config, threshold) -> ReadResult:
+    """One stop loop per (shape, arena, rng) slot; the joined labels are the word read.
+
+    Word-level area/perimeter are sums of the slot estimates, with no error bar.
+    The threshold applies to the word: with independent slots the word's
+    posterior is the product of the slots', so each slot must clear the n-th
+    root of the threshold (Sidak). A budget below 1 leaves every slot censored.
+    """
+    if threshold > 0.0:
+        threshold = threshold ** (1.0 / len(slots))
+    results = [
+        recognition.explore_until_stop(
+            shape, entries, config, threshold=threshold, n_max=budget,
+            warm_up=_read_warmup(budget), confirm=READ_CONFIRM, arena=arena, rng=rng,
+        )
+        if budget >= 1
+        else recognition.StopResult(None, 0, True, math.nan, math.nan, 0.0)
+        for shape, arena, rng in slots
+    ]
+    text = "".join("?" if r.label is None else r.label for r in results)
+    return ReadResult(
+        text=text,
+        n_lines=sum(r.n_stop for r in results),
+        correct=text == word,
+        censored=any(r.censored for r in results),
+        area_hat=float(np.sum([r.area_hat for r in results])),
+        perim_hat=float(np.sum([r.perim_hat for r in results])),
+        per_letter_n=[r.n_stop for r in results],
+        per_letter_censored=[r.censored for r in results],
+    )
+
+
 def read_local(
     target: WordShape,
     letter_dict: list[recognition.DictEntry],
@@ -228,60 +260,14 @@ def read_local(
     *,
     threshold: float = recognition.DEFAULT_THRESHOLD,
 ) -> ReadResult:
-    """Letter-by-letter strategy: each slot gets its own arena and stopping.
-
-    Slot i explores its own substream(seed, SLOT, i). Word-level area/perimeter
-    are sums of the per-letter estimates; no error bar is reported for them.
-    The threshold applies to the word: with independent letters the word's
-    posterior is the product of the letters', so each letter must clear the
-    n-th root of the threshold (Sidak).
-    """
+    """Letter-by-letter strategy: slot i has its own arena and substream(seed, SLOT, i)."""
     config = config or SamplerConfig()
-    if per_letter_budget < 1:
-        return ReadResult(
-            text="?" * len(target.word),
-            n_lines=0,
-            correct=False,
-            censored=True,
-            area_hat=float("nan"),
-            perim_hat=float("nan"),
-            per_letter_n=[0] * len(target.word),
-            per_letter_censored=[True] * len(target.word),
-        )
-    if threshold > 0.0:
-        threshold = threshold ** (1.0 / len(target.word))
-    text = []
-    per_n, per_cens = [], []
-    areas, perims = [], []
-    for i, letter_sh in enumerate(target.letter_shapes):
-        arena = letter_arena(target.boxes[i], config.arena_scale)
-        res = recognition.explore_until_stop(
-            letter_sh,
-            letter_dict,
-            config,
-            threshold=threshold,
-            n_max=per_letter_budget,
-            warm_up=_read_warmup(per_letter_budget),
-            confirm=READ_CONFIRM,
-            arena=arena,
-            rng=np.random.default_rng(substream(config.seed, SLOT, i)),
-        )
-        text.append(res.label if res.label is not None else "?")
-        per_n.append(res.n_stop)
-        per_cens.append(res.censored)
-        areas.append(res.area_hat)
-        perims.append(res.perim_hat)
-    word = "".join(text)
-    return ReadResult(
-        text=word,
-        n_lines=sum(per_n),
-        correct=word == target.word,
-        censored=any(per_cens),
-        area_hat=float(np.sum(areas)),
-        perim_hat=float(np.sum(perims)),
-        per_letter_n=per_n,
-        per_letter_censored=per_cens,
-    )
+    slots = [
+        (sh, letter_arena(box, config.arena_scale),
+         np.random.default_rng(substream(config.seed, SLOT, i)))
+        for i, (sh, box) in enumerate(zip(target.letter_shapes, target.boxes))
+    ]
+    return _read(target.word, slots, letter_dict, per_letter_budget, config, threshold)
 
 
 def anagram_groups(words) -> list[list[str]]:
@@ -299,8 +285,7 @@ def read_global(
     *,
     threshold: float = recognition.DEFAULT_THRESHOLD,
 ) -> ReadResult:
-    """Whole-word strategy: one arena over the full word, one classification."""
-    config = config or SamplerConfig()
+    """Whole-word strategy: one slot over the full word at the full threshold."""
     groups = anagram_groups([e.name for e in word_dict])
     if groups:
         warnings.warn(
@@ -308,32 +293,9 @@ def read_global(
             "(perimeter, area) and cannot be told apart",
             stacklevel=2,
         )
-    if budget < 1:
-        return ReadResult(
-            text="?",
-            n_lines=0,
-            correct=False,
-            censored=True,
-            area_hat=float("nan"),
-            perim_hat=float("nan"),
-        )
-    res = recognition.explore_until_stop(
-        target.shape,
-        word_dict,
-        config,
-        threshold=threshold,
-        n_max=budget,
-        warm_up=_read_warmup(budget),
-        confirm=READ_CONFIRM,
-    )
-    return ReadResult(
-        text=res.label if res.label is not None else "?",
-        n_lines=res.n_stop,
-        correct=res.label == target.word,
-        censored=res.censored,
-        area_hat=res.area_hat,
-        perim_hat=res.perim_hat,
-    )
+    # one slot: the default arena and lines seeded by config
+    res = _read(target.word, [(target.shape, None, None)], word_dict, budget, config, threshold)
+    return dataclasses.replace(res, per_letter_n=[], per_letter_censored=[])
 
 
 # Words drawn from the UN charter preamble, upper-cased and filtered so no two
@@ -369,6 +331,19 @@ def default_word_list() -> list[str]:
     return words
 
 
+def _calibrate(names, shapes, site, m_lines, replicates, config, arena=None):
+    """One calibrated entry per named shape, entry i seeded by substream(seed, site, i)."""
+    config = config or SamplerConfig()
+    return [
+        recognition.calibrate(
+            shape, m_lines, replicates,
+            dataclasses.replace(config, seed=substream(config.seed, site, i)),
+            name=name, arena=arena,
+        )
+        for i, (name, shape) in enumerate(zip(names, shapes))
+    ]
+
+
 def calibrate_letters(
     cell: float = 1.0,
     m_lines: int = 800,
@@ -377,21 +352,10 @@ def calibrate_letters(
 ) -> list[recognition.DictEntry]:
     """Calibrated dictionary over the alphabet, arenas matching read_local."""
     config = config or SamplerConfig()
-    alphabet = Alphabet(cell)
-    entries = []
-    for i, c in enumerate(sorted(LETTER_MASKS)):
-        box = (0.0, 0.0, GRID_COLS * cell, GRID_ROWS * cell)
-        entries.append(
-            recognition.calibrate(
-                alphabet.shape(c),
-                m_lines,
-                replicates,
-                dataclasses.replace(config, seed=substream(config.seed, LETTER, i)),
-                name=c,
-                arena=letter_arena(box, config.arena_scale),
-            )
-        )
-    return entries
+    names = sorted(LETTER_MASKS)
+    arena = letter_arena((0.0, 0.0, GRID_COLS * cell, GRID_ROWS * cell), config.arena_scale)
+    shapes = [letter_shape(c, cell) for c in names]
+    return _calibrate(names, shapes, LETTER, m_lines, replicates, config, arena)
 
 
 def calibrate_words(
@@ -402,17 +366,6 @@ def calibrate_words(
     config: SamplerConfig | None = None,
 ) -> list[recognition.DictEntry]:
     """Calibrated dictionary over whole-word shapes."""
-    config = config or SamplerConfig()
-    entries = []
-    for i, w in enumerate(words):
-        ws = word_shape(w, cell)
-        entries.append(
-            recognition.calibrate(
-                ws.shape,
-                m_lines,
-                replicates,
-                dataclasses.replace(config, seed=substream(config.seed, WORD, i)),
-                name=w,
-            )
-        )
-    return entries
+    words = list(words)
+    shapes = [word_shape(w, cell).shape for w in words]
+    return _calibrate(words, shapes, WORD, m_lines, replicates, config)

@@ -50,6 +50,8 @@ class DictEntry:
     corr: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.p_ref, self.a_ref, self.sigma0_a, self.sigma0_p))):
+            raise ValueError("reference values and noise prefactors must be finite")
         if self.p_ref <= 0 or self.a_ref <= 0:
             raise ValueError("reference perimeter/area must be positive")
         if self.sigma0_a <= 0 or self.sigma0_p <= 0:

@@ -263,6 +263,19 @@ def test_calibrate_classify_roundtrip(tmp_path):
     assert doc["should_stop"] is True
 
 
+def test_classify_non_finite_dictionary_is_error(tmp_path, capsys):
+    dict_path = tmp_path / "dict.json"
+    dict_path.write_text(
+        '[{"name": "disk", "p_ref": NaN, "a_ref": 3.14, "sigma0_a": 1.0, "sigma0_p": 1.0}]'
+    )
+    out = tmp_path / "post.json"
+    rc = main(["classify", "--shape", "disk", "--dict", str(dict_path), "--lines", "500",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("chordscan classify: error: ")
+    assert not out.exists()
+
+
 def test_landscape_csv_and_svg(tmp_path):
     dict_path = tmp_path / "dict.json"
     main(

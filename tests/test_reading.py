@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -10,7 +11,7 @@ from chordscan import shapes
 from chordscan.estimators import prefix_estimates
 from chordscan.explore import explore_per_line
 from chordscan.geometry import exact_area, exact_perimeter
-from chordscan.sampling import SLOT, SamplerConfig, arena_for, substream
+from chordscan.sampling import LETTER, SLOT, WORD, SamplerConfig, arena_for, substream
 
 ex = importlib.import_module("chordscan.explore")
 
@@ -130,6 +131,46 @@ def test_read_single_letter_equals_classification(letter_dict):
     )
     assert res.text == direct.label
     assert res.n_lines == direct.n_stop
+
+
+def test_read_global_equals_classification():
+    # the whole-word twin of the single-letter test: one slot at the full
+    # threshold, the default arena and lines seeded by the config
+    words = rd.calibrate_words(["ON", "IN", "OF", "TO"], m_lines=200, replicates=5,
+                               config=SamplerConfig(seed=43))
+    target = rd.word_shape("ON", 1.0)
+    cfg = SamplerConfig(seed=7)
+    res = rd.read_global(target, words, 3000, cfg)
+    direct = rec.explore_until_stop(
+        target.shape, words, cfg, n_max=3000, warm_up=rd._read_warmup(3000), confirm=rd.READ_CONFIRM
+    )
+    label = "?" if direct.label is None else direct.label
+    assert (res.text, res.n_lines, res.correct, res.censored) == (
+        label, direct.n_stop, label == "ON", direct.censored
+    )
+    assert (res.area_hat, res.perim_hat) == (direct.area_hat, direct.perim_hat)
+    assert res.per_letter_n == [] and res.per_letter_censored == []
+
+
+@pytest.mark.parametrize("kind", ["letters", "words"])
+def test_calibrated_entry_i_draws_its_site_substream(kind):
+    # entry i is recognition.calibrate on its own shape from substream(seed, site, i),
+    # letters in the slot-box arena of read_local, words in their default arena
+    cell, cfg = 2.0, SamplerConfig(seed=5, arena_scale=1.5)
+    if kind == "letters":
+        names, site = sorted(rd.LETTER_MASKS), LETTER
+        entries = rd.calibrate_letters(cell, 100, 3, cfg)
+        shapes_ = [rd.letter_shape(c, cell) for c in names]
+        arena = rd.letter_arena((0.0, 0.0, 3 * cell, 5 * cell), cfg.arena_scale)
+    else:
+        names, site = ["FREEDOM", "ON", "LIFE"], WORD
+        entries = rd.calibrate_words(iter(names), cell, 100, 3, cfg)
+        shapes_ = [rd.word_shape(w, cell).shape for w in names]
+        arena = None
+    assert [e.name for e in entries] == names
+    for i, (name, shape, entry) in enumerate(zip(names, shapes_, entries)):
+        sub = dataclasses.replace(cfg, seed=substream(cfg.seed, site, i))
+        assert entry == rec.calibrate(shape, 100, 3, sub, name=name, arena=arena)
 
 
 def test_substream_sites_draw_distinct_streams(monkeypatch, letter_dict):

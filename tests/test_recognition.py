@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -42,6 +43,17 @@ def test_dict_entry_validation():
         rec.DictEntry("x", p_ref=1, a_ref=1, sigma0_a=0, sigma0_p=1)
     with pytest.raises(ValueError):
         rec.DictEntry("x", p_ref=1, a_ref=1, sigma0_a=1, sigma0_p=1, corr=1.0)
+
+
+@pytest.mark.parametrize("field", ["p_ref", "a_ref", "sigma0_a", "sigma0_p"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_load_dictionary_rejects_non_finite(tmp_path, field, value):
+    # NaN fails every ordered comparison, so it needs its own check
+    doc = {"name": "disk", "p_ref": 6.28, "a_ref": 3.14, "sigma0_a": 1.0, "sigma0_p": 1.0}
+    path = tmp_path / "dict.json"
+    path.write_text(json.dumps([{**doc, field: value}]))  # NaN / Infinity tokens
+    with pytest.raises(ValueError, match="finite"):
+        rec.load_dictionary(path)
 
 
 def test_calibrate_disk_reference_values():
