@@ -68,7 +68,7 @@ class Accumulator:
         self.n_planned = int(n_planned)
         self.n_lines = 0
         self.n_hit = 0
-        self.rejected = 0
+        self.rejected = 0  # lines the stream resampled; explore sets it
         self.sum_L1 = 0.0
         self.sum_L3 = 0.0
         self.chord_count = 0
@@ -86,13 +86,8 @@ class Accumulator:
         b = np.floor(lengths / self.l_cap * DEFAULT_BINS).astype(np.int64)
         return np.clip(b, 0, DEFAULT_BINS - 1)
 
-    def note_rejections(self, n: int) -> None:
-        self.rejected += int(n)
-
     def ingest(self, bobs: BatchObservations) -> None:
-        """Accumulate a block of per-line statistics in line order; rejected lines only count."""
-        self.note_rejections(np.count_nonzero(bobs.rejected))
-        bobs = bobs.accepted()
+        """Accumulate a block of accepted lines' statistics in line order."""
         n = len(bobs)
         if n == 0:
             return

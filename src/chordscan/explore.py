@@ -2,13 +2,16 @@
 
 LineStream produces accepted line statistics in sampling order, as
 batch.BatchObservations records, transparently resampling the (measure-zero)
-degenerate lines and counting them. Everything else - one-shot estimates,
-per-line records for convergence studies, parallel workers - is built on top
-of it.
+degenerate lines and counting them. Its lines are fixed by its shape, its
+SamplerConfig (whose seed is the only source of randomness) and its arena.
+Everything else - one-shot estimates, per-line records for convergence
+studies, parallel workers - is built on top of it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -42,14 +45,12 @@ class LineStream:
         shape: Shape,
         config: SamplerConfig | None = None,
         arena: ArenaCircle | None = None,
-        rng: np.random.Generator | None = None,
     ):
         self.config = config or SamplerConfig()
-        self.shape = shape
         self.cshape = shape.derived("kernel", CompiledShape)
         self.arena = arena if arena is not None else arena_for(shape, self.config.arena_scale)
         _check_arena(shape, self.arena)
-        self.rng = rng if rng is not None else np.random.default_rng(self.config.seed)
+        self.rng = np.random.default_rng(self.config.seed)
         self._billiard_state: BilliardState | None = None
         self.rejected_total = 0
 
@@ -101,13 +102,12 @@ def explore(
     *,
     arena: ArenaCircle | None = None,
     n_batches: int = estimators.DEFAULT_BATCHES,
-    rng: np.random.Generator | None = None,
     dump_rows: list | None = None,
 ) -> estimators.Accumulator:
     """Accumulate n_lines accepted observations of the shape, in n_batches contiguous batches."""
     if n_lines < 1:
         raise ValueError("n_lines must be positive")
-    stream = LineStream(shape, config, arena=arena, rng=rng)
+    stream = LineStream(shape, config, arena=arena)
     acc = estimators.Accumulator(2.0 * stream.arena.radius, n_lines, n_batches)
     done = 0
     while done < n_lines:
@@ -116,7 +116,7 @@ def explore(
         if dump_rows is not None:
             _append_dump_rows(dump_rows, obs)
         done += len(obs)
-    acc.note_rejections(stream.rejected_total)
+    acc.rejected = stream.rejected_total
     return acc
 
 
@@ -135,18 +135,11 @@ def explore_per_line(
     config: SamplerConfig | None = None,
     *,
     arena: ArenaCircle | None = None,
-    rng: np.random.Generator | None = None,
 ) -> BatchObservations:
     """Record of n_lines accepted lines in sampling order (for prefix studies)."""
     if n_lines < 1:
         raise ValueError("n_lines must be positive")
-    return LineStream(shape, config, arena=arena, rng=rng).take(n_lines)
-
-
-def _worker_explore(args) -> estimators.Accumulator:
-    shape, n_lines, config, arena, n_batches, worker_idx = args
-    rng = np.random.default_rng(substream(config.seed, WORKER, worker_idx))
-    return explore(shape, n_lines, config, arena=arena, n_batches=n_batches, rng=rng)
+    return LineStream(shape, config, arena=arena).take(n_lines)
 
 
 def explore_parallel(
@@ -157,21 +150,25 @@ def explore_parallel(
     workers: int = 1,
     n_batches: int = estimators.DEFAULT_BATCHES,
 ) -> estimators.Accumulator:
-    """Split lines over worker substreams; merge in worker-index order."""
+    """Split lines over worker substreams; merge in worker-index order.
+
+    Worker w explores its share with seed substream(seed, WORKER, w).
+    """
     config = config or SamplerConfig()
     if workers <= 1:
         return explore(shape, n_lines, config, n_batches=n_batches)
     arena = arena_for(shape, config.arena_scale)
-    shares = [n_lines // workers] * workers
-    for i in range(n_lines % workers):
-        shares[i] += 1
-    jobs = [
-        (shape, shares[w], config, arena, n_batches, w)
-        for w in range(workers)
-        if shares[w] > 0
+    # equal shares, the remainder one line each to the first workers
+    shares = [
+        n_lines // workers + (w < n_lines % workers) for w in range(min(workers, n_lines))
     ]
+    configs = [
+        dataclasses.replace(config, seed=substream(config.seed, WORKER, w))
+        for w in range(len(shares))
+    ]
+    job = functools.partial(explore, shape, arena=arena, n_batches=n_batches)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        accs = list(pool.map(_worker_explore, jobs))
+        accs = list(pool.map(job, shares, configs))
     out = accs[0]
     for acc in accs[1:]:
         out = estimators.merge(out, acc)
@@ -201,8 +198,8 @@ def convergence_series(
     areas = np.empty((replicates, len(n_grid)))
     perims = np.empty((replicates, len(n_grid)))
     for rep in range(replicates):
-        rng = np.random.default_rng(substream(config.seed, REPLICATE, rep))
-        obs = LineStream(shape, config, rng=rng).take(n_max)
+        sub = dataclasses.replace(config, seed=substream(config.seed, REPLICATE, rep))
+        obs = explore_per_line(shape, n_max, sub)
         areas[rep], perims[rep] = estimators.prefix_estimates(obs, n_grid)
         del obs  # freed before the next replicate's record is built
     return estimators.ConvergenceSeries(

@@ -220,8 +220,8 @@ class ReadResult:
     per_letter_censored: list[bool] = field(default_factory=list)
 
 
-def _read(word, slots, entries, budget, config, threshold) -> ReadResult:
-    """One stop loop per (shape, arena, rng) slot; the joined labels are the word read.
+def _read(word, slots, entries, budget, threshold) -> ReadResult:
+    """One stop loop per (shape, arena, config) slot; the joined labels are the word read.
 
     Word-level area/perimeter are sums of the slot estimates, with no error bar.
     The threshold applies to the word: with independent slots the word's
@@ -233,11 +233,11 @@ def _read(word, slots, entries, budget, config, threshold) -> ReadResult:
     results = [
         recognition.explore_until_stop(
             shape, entries, config, threshold=threshold, n_max=budget,
-            warm_up=_read_warmup(budget), confirm=READ_CONFIRM, arena=arena, rng=rng,
+            warm_up=_read_warmup(budget), confirm=READ_CONFIRM, arena=arena,
         )
         if budget >= 1
         else recognition.StopResult(None, 0, True, math.nan, math.nan, 0.0)
-        for shape, arena, rng in slots
+        for shape, arena, config in slots
     ]
     text = "".join("?" if r.label is None else r.label for r in results)
     return ReadResult(
@@ -264,10 +264,10 @@ def read_local(
     config = config or SamplerConfig()
     slots = [
         (sh, letter_arena(box, config.arena_scale),
-         np.random.default_rng(substream(config.seed, SLOT, i)))
+         dataclasses.replace(config, seed=substream(config.seed, SLOT, i)))
         for i, (sh, box) in enumerate(zip(target.letter_shapes, target.boxes))
     ]
-    return _read(target.word, slots, letter_dict, per_letter_budget, config, threshold)
+    return _read(target.word, slots, letter_dict, per_letter_budget, threshold)
 
 
 def anagram_groups(words) -> list[list[str]]:
@@ -294,7 +294,7 @@ def read_global(
             stacklevel=2,
         )
     # one slot: the default arena and lines seeded by config
-    res = _read(target.word, [(target.shape, None, None)], word_dict, budget, config, threshold)
+    res = _read(target.word, [(target.shape, None, config)], word_dict, budget, threshold)
     return dataclasses.replace(res, per_letter_n=[], per_letter_censored=[])
 
 

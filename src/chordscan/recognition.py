@@ -285,7 +285,6 @@ def explore_until_stop(
     warm_up: int = DEFAULT_WARMUP,
     confirm: int = 1,
     arena: ArenaCircle | None = None,
-    rng: np.random.Generator | None = None,
 ) -> StopResult:
     """Explore line by line until the posterior top clears the threshold.
 
@@ -296,17 +295,16 @@ def explore_until_stop(
     consecutive lines, which counters the multiple-comparison inflation of
     checking after every line: a prefix below the threshold ends the streak,
     while one without a defined estimate neither extends nor ends it. Lines
-    come from rng when given, otherwise from a generator seeded by config.
-    The first draw ends at the earliest possible stop, warm_up + confirm - 1
-    lines (at least STOP_CHUNK), later ones are STOP_CHUNK lines; the prefix
-    sums and the streak run on across draws, so the result does not depend
-    on the draw sizes.
+    are drawn from config's seed. The first draw ends at the earliest
+    possible stop, warm_up + confirm - 1 lines (at least STOP_CHUNK), later
+    ones are STOP_CHUNK lines; the prefix sums and the streak run on across
+    draws, so the result does not depend on the draw sizes.
     """
     if not entries:
         raise ValueError("dictionary is empty")
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    stream = LineStream(shape, config, arena=arena, rng=rng)
+    stream = LineStream(shape, config, arena=arena)
     ref = _entry_arrays(entries)
     # running sums; each draw continues from the previous draw's last prefix
     l1 = l3 = np.zeros(1)
@@ -402,19 +400,8 @@ def lines_to_recognize(
 
 
 def save_dictionary(entries: list[DictEntry], path) -> None:
-    doc = [
-        {
-            "name": e.name,
-            "p_ref": e.p_ref,
-            "a_ref": e.a_ref,
-            "sigma0_a": e.sigma0_a,
-            "sigma0_p": e.sigma0_p,
-            "corr": e.corr,
-        }
-        for e in entries
-    ]
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump([dataclasses.asdict(e) for e in entries], fh, indent=2)
         fh.write("\n")
 
 

@@ -40,7 +40,7 @@ class BilliardState:
 @dataclass(frozen=True)
 class SamplerConfig:
     mode: str = "iur"
-    seed: int | np.random.SeedSequence = 0  # a SeedSequence: one from substream
+    seed: int | np.random.SeedSequence = 0  # an int, or a SeedSequence from substream
     arena_scale: float = DEFAULT_ARENA_SCALE
 
     def __post_init__(self):
@@ -57,12 +57,18 @@ class SamplerConfig:
 WORKER, REPLICATE, SLOT, LETTER, WORD = range(5)
 
 
-def substream(seed: int, *key: int) -> np.random.SeedSequence:
+def substream(seed: int | np.random.SeedSequence, *key: int) -> np.random.SeedSequence:
     """Substream `key` of `seed`, for np.random.default_rng.
 
     Unlike default_rng([seed, 0]), which draws what default_rng(seed) draws,
-    a spawn key repeats neither the seed's stream nor another key's.
+    a spawn key repeats neither the seed's stream nor another key's. A seed
+    that is itself a substream is keyed further, as SeedSequence.spawn does:
+    substream(substream(s, i), j) is substream(s, i, j).
     """
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key + key, pool_size=seed.pool_size
+        )
     return np.random.SeedSequence(seed, spawn_key=key)
 
 

@@ -179,9 +179,7 @@ def test_criterion_7_few_hundred_lines():
         a_exact, p_exact = exact_area(shape), exact_perimeter(shape)
         good = 0
         for rep in range(100):
-            acc = explore(
-                shape, 300, SamplerConfig(seed=77), rng=np.random.default_rng([77, rep])
-            )
+            acc = explore(shape, 300, SamplerConfig(seed=np.random.SeedSequence([77, rep])))
             a_hat = est.estimate_area(acc)
             p_hat = est.estimate_perimeter(acc)
             good += (
@@ -200,8 +198,7 @@ def test_criterion_8_recognition(builtin_dictionary):
             acc = explore(
                 shape,
                 1000,
-                SamplerConfig(seed=88),
-                rng=np.random.default_rng([88, i, rep]),
+                SamplerConfig(seed=np.random.SeedSequence([88, i, rep])),
             )
             post = rec.classify(est.report(acc), builtin_dictionary)
             correct += post.top == name
@@ -234,8 +231,7 @@ def test_criterion_9_ellipse_coverage(builtin_dictionary):
         acc = explore(
             shapes.disk(),
             1000,
-            SamplerConfig(seed=99),
-            rng=np.random.default_rng([99, rep]),
+            SamplerConfig(seed=np.random.SeedSequence([99, rep])),
         )
         a_hat, p_hat = est.estimate_area(acc), est.estimate_perimeter(acc)
         inside += ell.contains(p_hat, a_hat, disk_entry, 1000)

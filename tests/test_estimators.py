@@ -1,5 +1,6 @@
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,7 +250,7 @@ def test_stderr_matches_replicate_spread(mode, n_lines, key):
     config = SamplerConfig(mode=mode)
     values, errors = [], []
     for r in range(400):
-        acc = explore(shape, n_lines, config, rng=np.random.default_rng(key + [r]))
+        acc = explore(shape, n_lines, replace(config, seed=np.random.SeedSequence(key + [r])))
         values.append((est.estimate_area(acc), est.estimate_perimeter(acc)))
         errors.append(est.stderrs(acc))
     ratio = np.std(values, axis=0, ddof=1) / np.sqrt(np.mean(np.square(errors), axis=0))
@@ -384,8 +385,7 @@ def test_convergence_series_compiles_once_and_equals_per_replicate_records(monke
         explore_per_line(
             shapes.square(),
             n_grid[-1],
-            config,
-            rng=np.random.default_rng(substream(config.seed, REPLICATE, rep)),
+            replace(config, seed=substream(config.seed, REPLICATE, rep)),
         )
         for rep in range(replicates)
     ]

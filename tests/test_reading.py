@@ -8,10 +8,10 @@ import pytest
 from chordscan import reading as rd
 from chordscan import recognition as rec
 from chordscan import shapes
-from chordscan.estimators import prefix_estimates
+from chordscan.estimators import merge, prefix_estimates
 from chordscan.explore import explore_per_line
 from chordscan.geometry import exact_area, exact_perimeter
-from chordscan.sampling import LETTER, SLOT, WORD, SamplerConfig, arena_for, substream
+from chordscan.sampling import LETTER, SLOT, WORD, WORKER, SamplerConfig, arena_for, substream
 
 ex = importlib.import_module("chordscan.explore")
 
@@ -122,12 +122,11 @@ def test_read_single_letter_equals_classification(letter_dict):
     direct = rec.explore_until_stop(
         target.letter_shapes[0],
         letter_dict,
-        cfg,
+        dataclasses.replace(cfg, seed=substream(cfg.seed, SLOT, 0)),  # slot 0's substream
         n_max=3000,
         warm_up=rd._read_warmup(3000),
         confirm=rd.READ_CONFIRM,
         arena=rd.letter_arena(target.boxes[0], cfg.arena_scale),
-        rng=np.random.default_rng(substream(cfg.seed, SLOT, 0)),  # slot 0's substream
     )
     assert res.text == direct.label
     assert res.n_lines == direct.n_stop
@@ -187,14 +186,44 @@ def test_substream_sites_draw_distinct_streams(monkeypatch, letter_dict):
     monkeypatch.setattr(ex, "substream", spy)
     monkeypatch.setattr(rd, "substream", spy)
     cfg = SamplerConfig(seed=3)
-    for w in range(2):
-        ex._worker_explore((shapes.disk(), 50, cfg, arena_for(shapes.disk()), 10, w))
+    ex.explore_parallel(shapes.disk(), 100, cfg, workers=2, n_batches=10)
     ex.convergence_series(shapes.disk(), [50, 100], 3, cfg)
     rd.read_local(rd.word_shape("FREEDOM", 1.0), letter_dict, 300, cfg)
     rd.calibrate_letters(m_lines=100, replicates=2, config=cfg)
     rd.calibrate_words(["FREEDOM", "GENERATIONS"], m_lines=100, replicates=2, config=cfg)
     assert len(firsts) == 2 + 3 + 7 + 26 + 2
     assert len(set(firsts + [np.random.default_rng(3).random()])) == len(firsts) + 1
+
+
+def test_parallel_workers_explore_their_site_substreams():
+    # worker w explores its share from substream(seed, WORKER, w); the result
+    # is the merge of the workers' accumulators in worker order
+    shape, cfg = shapes.annulus(), SamplerConfig(mode="billiard-cos", seed=12)
+    got = ex.explore_parallel(shape, 3001, cfg, workers=2)
+    arena = arena_for(shape, cfg.arena_scale)
+    want = merge(*(
+        ex.explore(shape, share, dataclasses.replace(cfg, seed=substream(cfg.seed, WORKER, w)),
+                   arena=arena)
+        for w, share in enumerate((1501, 1500))
+    ))
+    for field in ("sum_L1", "sum_L3", "chord_count", "rejected"):
+        assert getattr(got, field) == getattr(want, field), field
+    for field in ("batch", "hist"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+def test_substream_seeded_config_seeds_every_site(letter_dict):
+    # a seed that is already a substream is keyed further, as SeedSequence.spawn does
+    assert np.array_equal(
+        np.random.default_rng(substream(substream(3, 1), 2)).random(8),
+        np.random.default_rng(substream(3, 1, 2)).random(8),
+    )
+    cfg = SamplerConfig(seed=substream(3, 1, 2))
+    rd.calibrate_letters(m_lines=100, replicates=2, config=cfg)
+    rd.calibrate_words(["ON", "IN"], m_lines=100, replicates=2, config=cfg)
+    rd.read_local(rd.word_shape("ON", 1.0), letter_dict, 300, cfg)
+    ex.convergence_series(shapes.disk(), [50, 100], 2, cfg)
+    ex.explore_parallel(shapes.disk(), 100, cfg, workers=2, n_batches=10)
 
 
 def test_letter_stop_estimates_equal_one_draw_prefix(letter_dict):

@@ -172,8 +172,8 @@ def test_calibrate_sigma0_matches_replicate_spread(name, mode, m_lines):
     entry = rec.calibrate(shape, m_lines, 400_000 // m_lines, config, arena=arena)
     a_vals, p_vals = [], []
     for r in range(1000):
-        rng = np.random.default_rng([config.seed, 1, r])
-        acc = explore(shape, m_lines, config, arena=arena, rng=rng)
+        sub = dataclasses.replace(config, seed=np.random.SeedSequence([config.seed, 1, r]))
+        acc = explore(shape, m_lines, sub, arena=arena)
         a_vals.append(est.estimate_area(acc))
         p_vals.append(est.estimate_perimeter(acc))
     root_m = math.sqrt(m_lines)
