@@ -1,15 +1,19 @@
 """Vectorized many-lines-at-once observation kernel and its per-line record.
 
 _scan finds every boundary crossing of arrays of segments: the one ring scan
-in the package, which chords.crossings also runs on a single line. A line
-passing within tolerance of any vertex is rejected outright; random lines hit
-this with probability ~0, and rejections are counted. observe_segments reduces
-the crossings to a BatchObservations: the one record of a block of lines,
-from the kernel through the line stream to the accumulator.
+in the package, which chords.crossings also runs on a single line. Each line
+tests only the edges its cell of the shape's candidate-edge table lists (see
+CompiledShape), so the work per line follows the edges it can cross, not the
+vertex count. A line passing within tolerance of any vertex is rejected
+outright; random lines hit this with probability ~0, and rejections are
+counted. observe_segments reduces the crossings to a BatchObservations: the
+one record of a block of lines, from the kernel through the line stream to
+the accumulator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,45 +22,104 @@ from .geometry import Shape
 
 # Relative half-width of the "on the line" band for vertex classification.
 ONLINE_TOL = 1e-12
-# Prefilter slack past a ring's circle and the tolerance band, so rounding in
-# the line-to-centre distance never drops a line that reaches a vertex's band.
+# Slack past the tolerance band when the table lists an edge for a cell, so
+# rounding in a line's angle, offset and vertex distances never drops an edge
+# the line reaches.
 _PAD = 1e-9
-# Elements per kernel sub-block: lines x vertices in the ring scan, lines x
-# events in the sort and pair sums. The temporaries stay in cache and do not
-# grow with the lines observed in one call: observing 16,384 lines of a word
-# shape peaks at 3.9 MB of them (tracemalloc), 6.4 MB with 2**17 elements.
+# Elements per kernel sub-block: lines x events in the sort and pair sums.
+# The ring scan takes (line, candidate edge) pairs, and the table build
+# (angle row, edge) pairs, _BLOCK // 8 at a time: each pair carries about a
+# dozen temporaries, and at that size none of them passes 64 kB. The
+# temporaries do not grow with the lines observed in one call.
 _BLOCK = 1 << 15
+# Side of a table cell along the offset axis, as a fraction of the shape's
+# mean edge length (an angle bin moves the farthest vertex's offset as far),
+# and the most cells along either axis. At 0.1 a line tests about a fifth
+# fewer edges, but the tables are three to four times as large and take
+# twice as long to build, and observe_segments measured no faster.
+_CELL = 0.25
+_MAX_CELLS = 256
 
 
 class CompiledShape:
-    """A shape's rings as the arrays the ring scan reads.
+    """A shape's edges and its candidate-edge table: the arrays the ring scan reads.
 
-    Each ring's vertices are kept relative to the ring's centre and transposed
-    to (2, V): projecting them on K line normals is then one (K, 2) @ (2, V)
-    product, and the differences stay small for shapes far from the origin.
-    Each ring also keeps its radius about that centre, for the prefilter, and
-    each vertex's successor index, so an edge's far end is one gather. Callers
-    take it from shape.derived("kernel", CompiledShape), built once per shape.
+    A line is placed by the angle phi in [0, pi) of its normal and its offset
+    c from the shape's centre O along that normal (the Hough parametrisation).
+    The band |c| <= reach, outside which a line is farther than the tolerance
+    band from every vertex, is cut into n_phi x n_c cells; cell (i, j), at
+    index i * n_c + j, lists edges[ptr[cell]:ptr[cell + 1]]: every edge that
+    a line of the cell can cross or pass within tol of an endpoint of. A last,
+    empty cell serves the lines out of reach. Edge endpoints are kept
+    relative to O as the rows of ends = (px, py, qx, qy), so the differences
+    stay small for shapes far from the origin. Callers take it from
+    shape.derived("kernel", CompiledShape), built once per shape.
     """
 
-    __slots__ = ("rel", "nxt", "centers", "radii", "tol")
+    __slots__ = ("center", "ends", "tol", "reach", "n_phi", "n_c", "ptr", "edges")
 
     def __init__(self, shape: Shape):
-        self.rel = []
-        self.nxt = []
-        centers = []
-        radii = []
-        for r in shape.rings:
-            c = r.coords
-            mid = 0.5 * (c.min(axis=0) + c.max(axis=0))
-            rel = c - mid
-            self.rel.append(np.ascontiguousarray(rel.T))
-            self.nxt.append(np.roll(np.arange(len(c)), -1))
-            centers.append(mid)
-            radii.append(float(np.max(np.hypot(rel[:, 0], rel[:, 1]))))
-        self.centers = np.array(centers)
-        self.radii = np.array(radii)
+        coords = [r.coords for r in shape.rings]
+        pts = np.concatenate(coords)
+        self.center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+        p = pts - self.center
+        q = np.concatenate([np.roll(c, -1, axis=0) for c in coords]) - self.center
+        self.ends = np.ascontiguousarray(np.concatenate([p, q], axis=1).T)
         self.tol = ONLINE_TOL * shape.coordinate_scale()
+        slack = self.tol + _PAD
+        self.reach = float(np.max(np.hypot(p[:, 0], p[:, 1]))) + slack
+        side = _CELL * float(np.mean(np.hypot(*(q - p).T)))
+        self.n_c = min(_MAX_CELLS, math.ceil(2.0 * self.reach / side))
+        self.n_phi = min(_MAX_CELLS, math.ceil(math.pi * self.reach / side))
+        self.ptr, self.edges = self._table(p, q, slack)
+
+    def _table(self, p: np.ndarray, q: np.ndarray, slack: float):
+        """(ptr, edges) of the cells, built a few angle rows at a time.
+
+        Over an angle bin of width dphi, an endpoint v's offset n(phi).v
+        moves by at most |v| dphi / 2 from its value at the bin's middle
+        (|d/dphi n(phi).v| <= |v|), so an edge reaches the offsets between
+        its endpoints' middle offsets, widened by that motion and by the
+        tolerance band plus _PAD. Each cell lists its edges in index order.
+        """
+        n_edges = len(p)
+        dphi = math.pi / self.n_phi
+        move_p = np.hypot(p[:, 0], p[:, 1]) * (0.5 * dphi) + slack
+        move_q = np.hypot(q[:, 0], q[:, 1]) * (0.5 * dphi) + slack
+        to_col = self.n_c / (2.0 * self.reach)
+        # each listing is sorted as one key, cell << bits | edge, with cells
+        # numbered from the chunk's first row (fewer than 2**16 of them)
+        bits = 16 if n_edges <= 1 << 16 else 32
+        key_type = np.uint32 if bits == 16 else np.uint64
+        edge_ids = np.arange(n_edges, dtype=key_type)
+        edge_type = np.min_scalar_type(n_edges - 1)
+        step = max(1, _BLOCK // 8 // n_edges)
+        counts, lists = [], []
+        for row0 in range(0, self.n_phi, step):
+            rows = np.arange(row0, min(row0 + step, self.n_phi))
+            phi = ((rows + 0.5) * dphi)[:, None]
+            cos, sin = np.cos(phi), np.sin(phi)
+            off_p = p[:, 0] * cos + p[:, 1] * sin
+            off_q = q[:, 0] * cos + q[:, 1] * sin
+            lo = np.minimum(off_p - move_p, off_q - move_q)
+            hi = np.maximum(off_p + move_p, off_q + move_q)
+            col_lo = np.clip((lo + self.reach) * to_col, 0, self.n_c - 1).astype(key_type)
+            col_hi = np.clip((hi + self.reach) * to_col, 0, self.n_c - 1).astype(key_type)
+            # a (row, edge) pair lists the edge in span cells from its first;
+            # the keys wrap around in unsigned arithmetic, and end in range
+            span = (col_hi - col_lo + 1).ravel()
+            first = (col_lo + self.n_c * (rows - row0).astype(key_type)[:, None]) << bits
+            skip = (np.cumsum(span, dtype=key_type) - span) << bits
+            key = np.repeat((first | edge_ids).ravel() - skip, span)
+            key += np.arange(key.size, dtype=key_type) << bits
+            key.sort()
+            lists.append((key & ((1 << bits) - 1)).astype(edge_type))
+            counts.append(np.bincount((key >> bits).astype(np.intp), minlength=rows.size * self.n_c))
+        # one more, empty cell for the lines out of reach
+        ptr = np.zeros(self.n_phi * self.n_c + 2, dtype=np.int32)
+        np.cumsum(np.concatenate(counts), out=ptr[1:-1])
+        ptr[-1] = ptr[-2]
+        return ptr, np.concatenate(lists)
 
 
 @dataclass
@@ -103,77 +166,111 @@ class BatchObservations:
         )
 
 
+def _cells(cshape: CompiledShape, ux, uy, s_o, active) -> np.ndarray:
+    """Each line's table cell; the empty last cell for lines out of reach."""
+    # the normal (-uy, ux) has angle phi and O's offset c = -s_o along it;
+    # folding phi into [0, pi) flips the normal
+    phi = np.arctan2(ux, -uy)
+    back = phi < 0.0
+    np.add(phi, math.pi, out=phi, where=back)
+    c = np.where(back, s_o, -s_o)
+    row = (phi * (cshape.n_phi / math.pi)).astype(np.intp)
+    np.minimum(row, cshape.n_phi - 1, out=row)
+    col = (c + cshape.reach) * (cshape.n_c / (2.0 * cshape.reach))
+    np.clip(col, -1.0, cshape.n_c, out=col)  # far lines stay in integer range
+    inside = active & (col >= 0.0) & (col < cshape.n_c)
+    row *= cshape.n_c
+    row += col.astype(np.intp)
+    row[~inside] = cshape.ptr.size - 2
+    return row
+
+
 def _scan(
     cshape: CompiledShape, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Boundary crossings of M segments given as (M, 2) endpoint arrays.
 
     Returns each crossing's line index and arclength position along its
-    segment, in no particular order, and the mask of lines that pass within
-    tolerance of a vertex.
+    segment, grouped by line in line order (in no particular order within a
+    line), and the mask of lines that pass within tolerance of a vertex.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m = a.shape[0]
-    d = b - a
-    length = np.hypot(d[:, 0], d[:, 1])
+    ux = b[:, 0] - a[:, 0]
+    uy = b[:, 1] - a[:, 1]
+    length = np.sqrt(ux * ux + uy * uy)
     active = length > 0.0
-    u = d / np.where(active, length, 1.0)[:, None]
-    ux, uy = u[:, 0], u[:, 1]
-    nrm = np.column_stack([-uy, ux])
+    norm = np.where(active, length, 1.0)
+    ux /= norm
+    uy /= norm
+    # O relative to each line: its signed distance from the line, along the
+    # normal (-uy, ux), and its position along the line
+    ox = cshape.center[0] - a[:, 0]
+    oy = cshape.center[1] - a[:, 1]
+    s_o = oy * ux
+    s_o -= ox * uy
+    xi_o = ox * ux
+    xi_o += oy * uy
     tol = cshape.tol
 
+    cell = _cells(cshape, ux, uy, s_o, active)
+    start = cshape.ptr[cell]
+    count = cshape.ptr[cell + 1] - start
+    lines = np.flatnonzero(count)
+    count = count[lines]
+    pair_end = np.cumsum(count)
+    # a line's candidates sit at table positions shift + its pair numbers
+    shift = start[lines] - (pair_end - count)
+
+    px, py, qx, qy = cshape.ends
     ev_line: list[np.ndarray] = []
     ev_t: list[np.ndarray] = []
     rejected = np.zeros(m, dtype=bool)
-
-    for rel, nxt, center, rad in zip(cshape.rel, cshape.nxt, cshape.centers, cshape.radii):
-        dcx = center[0] - a[:, 0]
-        dcy = center[1] - a[:, 1]
-        s_c = dcx * nrm[:, 0] + dcy * nrm[:, 1]
-        xi_c = dcx * ux + dcy * uy
-        # a line farther than this from the centre misses every vertex's band
-        reach = rad + tol + _PAD
-        keep = active & (np.abs(s_c) <= reach) & (xi_c >= -reach) & (xi_c <= length + reach)
-        idx = np.flatnonzero(keep)
-        n_vert = rel.shape[1]
-        rows_per_block = max(1, _BLOCK // n_vert)
-        for lo in range(0, idx.size, rows_per_block):
-            blk = idx[lo : lo + rows_per_block]
-            # signed distance of every vertex from each line of the block. A
-            # lone line would take numpy's matrix-vector product, which rounds
-            # differently; scanned twice, each line's result is the same
-            # whatever lines share its block.
-            pair = blk if blk.size > 1 else np.repeat(blk, 2)
-            s = (nrm[pair] @ rel)[: blk.size]
-            s += s_c[blk, None]
-            above = s > 0.0
-            cross = above != above[:, nxt]
-            rows, cols = np.divmod(np.flatnonzero(cross), n_vert)
-            s1 = s[rows, cols]
-            cols2 = nxt[cols]
-            s2 = s[rows, cols2]
-            # s is not read again, so |s| may overwrite it
-            bad = (np.abs(s, out=s) <= tol).any(axis=1)
-            if bad.any():
-                rejected[blk[bad]] = True
-            if rows.size == 0:
-                continue
-            lines = blk[rows]
-            lux = ux[lines]
-            luy = uy[lines]
-            x1 = rel[0, cols] * lux + rel[1, cols] * luy
-            x2 = rel[0, cols2] * lux + rel[1, cols2] * luy
-            t = xi_c[lines] + (x1 + (x2 - x1) * (s1 / (s1 - s2)))
-            inside = (t >= 0.0) & (t <= length[lines])
-            ev_line.append(lines[inside])
-            ev_t.append(t[inside])
-
+    lo = 0
+    while lo < lines.size:
+        # as many lines as fit _BLOCK // 8 candidate pairs (at least one)
+        done = int(pair_end[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(pair_end, done + _BLOCK // 8, side="right")))
+        cnt = count[lo:hi]
+        line = np.repeat(lines[lo:hi], cnt)
+        edge = np.repeat(shift[lo:hi], cnt)
+        edge += np.arange(done, done + edge.size)
+        edge = cshape.edges[edge].astype(np.intp)
+        lo = hi
+        # each candidate edge's endpoints: signed distance from the line
+        # and position along it
+        lux = ux[line]
+        luy = uy[line]
+        ls = s_o[line]
+        ex = px[edge]
+        ey = py[edge]
+        s1 = ey * lux - ex * luy + ls
+        x1 = ex * lux + ey * luy
+        ex = qx[edge]
+        ey = qy[edge]
+        s2 = ey * lux - ex * luy + ls
+        x2 = ex * lux + ey * luy
+        bad = np.abs(s1) <= tol
+        bad |= np.abs(s2) <= tol
+        if bad.any():
+            rejected[line[bad]] = True
+        k = np.flatnonzero((s1 > 0.0) != (s2 > 0.0))
+        line = line[k]
+        s1 = s1[k]
+        x1 = x1[k]
+        x2 = x2[k]
+        t = xi_o[line] + (x1 + (x2 - x1) * (s1 / (s1 - s2[k])))
+        inside = (t >= 0.0) & (t <= length[line])
+        ev_line.append(line[inside])
+        ev_t.append(t[inside])
+    # the per-line arrays go before the events are joined
+    del ux, uy, s_o, xi_o, length, lines, count, pair_end, shift
     if ev_line:
         lines_all = np.concatenate(ev_line)
         t_all = np.concatenate(ev_t)
     else:
-        lines_all = np.empty(0, dtype=int)
+        lines_all = np.empty(0, dtype=np.intp)
         t_all = np.empty(0)
     return lines_all, t_all, rejected
 
@@ -185,10 +282,9 @@ def observe_segments(cshape: CompiledShape, a: np.ndarray, b: np.ndarray) -> Bat
     counts = np.bincount(lines_all, minlength=m)
     rejected |= counts % 2 == 1
     if rejected.any():
-        valid_ev = ~rejected[lines_all]
-        lines_all = lines_all[valid_ev]
-        t_all = t_all[valid_ev]
+        t_all = t_all[~rejected[lines_all]]
         counts[rejected] = 0
+    del lines_all
 
     k = counts // 2
     L1 = np.zeros(m)
@@ -197,16 +293,16 @@ def observe_segments(cshape: CompiledShape, a: np.ndarray, b: np.ndarray) -> Bat
     hit = np.flatnonzero(counts)
     if hit.size == 0:
         return BatchObservations(k, L1, L3, cube, np.empty(0), rejected)
-    # Events grouped by line. The hit lines are padded, sorted and summed a
-    # sub-block at a time, as many lines as fit _BLOCK events at the longest
-    # line's count (at least one), so the temporaries do not grow with m.
-    t_by_line = t_all[np.argsort(lines_all, kind="stable")]
+    # The scan gives the events grouped by line, in line order. The hit lines
+    # are padded, sorted and summed a sub-block at a time, as many lines as
+    # fit _BLOCK events at the longest line's count (at least one), so the
+    # temporaries do not grow with m.
     ev_start = np.concatenate(([0], np.cumsum(counts[hit])))
     rows = max(1, _BLOCK // int(counts.max()))
     chords = []
     for lo in range(0, hit.size, rows):
         sub = hit[lo : lo + rows]
-        t = t_by_line[ev_start[lo] : ev_start[lo + sub.size]]
+        t = t_all[ev_start[lo] : ev_start[lo + sub.size]]
         L1[sub], cube[sub], L3[sub], ch = _line_sums(t, counts[sub])
         chords.append(ch)
     return BatchObservations(k, L1, L3, cube, np.concatenate(chords), rejected)

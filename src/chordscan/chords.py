@@ -6,7 +6,8 @@ pairwise gaps: sum over ingoing x outgoing pairs of gap**n, minus the same sum
 over outgoing pairs and over ingoing pairs. Order 1 collapses to the plain
 in-shape intercept length; order 3 is what the area estimator consumes.
 
-crossings runs the batch ring scan (batch._scan) on one line, so a line within
+crossings runs the batch ring scan (batch._scan, which tests the edges the
+shape's candidate-edge table lists for the line) on one line, so a line within
 tolerance of a vertex is rejected here exactly as in every estimate.
 geometric_function keeps the pair-sum definition above as the reference the
 batch kernel's O(k) sums are checked against.

@@ -154,6 +154,8 @@ def explore_parallel(
 
     Worker w explores its share with seed substream(seed, WORKER, w).
     """
+    if n_lines < 1:
+        raise ValueError("n_lines must be positive")
     config = config or SamplerConfig()
     if workers <= 1:
         return explore(shape, n_lines, config, n_batches=n_batches)

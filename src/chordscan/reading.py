@@ -332,7 +332,11 @@ def default_word_list() -> list[str]:
 
 
 def _calibrate(names, shapes, site, m_lines, replicates, config, arena=None):
-    """One calibrated entry per named shape, entry i seeded by substream(seed, site, i)."""
+    """One calibrated entry per named shape, entry i seeded by substream(seed, site, i).
+
+    shapes may be a generator: each shape, with its compiled kernel, is then
+    freed before the next one is built.
+    """
     config = config or SamplerConfig()
     return [
         recognition.calibrate(
@@ -354,7 +358,7 @@ def calibrate_letters(
     config = config or SamplerConfig()
     names = sorted(LETTER_MASKS)
     arena = letter_arena((0.0, 0.0, GRID_COLS * cell, GRID_ROWS * cell), config.arena_scale)
-    shapes = [letter_shape(c, cell) for c in names]
+    shapes = (letter_shape(c, cell) for c in names)
     return _calibrate(names, shapes, LETTER, m_lines, replicates, config, arena)
 
 
@@ -367,5 +371,5 @@ def calibrate_words(
 ) -> list[recognition.DictEntry]:
     """Calibrated dictionary over whole-word shapes."""
     words = list(words)
-    shapes = [word_shape(w, cell).shape for w in words]
+    shapes = (word_shape(w, cell).shape for w in words)
     return _calibrate(words, shapes, WORD, m_lines, replicates, config)

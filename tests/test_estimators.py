@@ -9,7 +9,7 @@ from chordscan import estimators as est
 from chordscan import shapes
 from chordscan.batch import BatchObservations, CompiledShape
 from chordscan.chords import ArenaTooSmallError, CrossingEvent, LineObservation, ZERO_OBSERVATION
-from chordscan.explore import convergence_series, explore, explore_per_line
+from chordscan.explore import convergence_series, explore, explore_parallel, explore_per_line
 from chordscan.geometry import Point, Ring, Shape, exact_area, exact_perimeter, union_disjoint
 from chordscan.sampling import REPLICATE, ArenaCircle, SamplerConfig, substream
 
@@ -454,6 +454,13 @@ def test_line_counts_out_of_range_raise(n_lines, checkpoints):
     with pytest.raises(ValueError, match="checkpoints must lie|n_lines must be positive"):
         obs = explore_per_line(shapes.square(), n_lines, SamplerConfig(seed=20))
         est.prefix_estimates(obs, checkpoints)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_parallel_explore_of_no_lines_raises(workers):
+    # with two workers there is no share to explore, so no accumulator to merge
+    with pytest.raises(ValueError, match="n_lines must be positive"):
+        explore_parallel(shapes.square(), 0, SamplerConfig(seed=20), workers=workers)
 
 
 def test_accumulator_state_size_constant():

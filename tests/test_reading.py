@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,22 @@ def test_calibrated_entry_i_draws_its_site_substream(kind):
     for i, (name, shape, entry) in enumerate(zip(names, shapes_, entries)):
         sub = dataclasses.replace(cfg, seed=substream(cfg.seed, site, i))
         assert entry == rec.calibrate(shape, 100, 3, sub, name=name, arena=arena)
+
+
+def test_calibrate_words_keeps_one_word_shape_at_a_time():
+    # each word's shape and compiled kernel are freed before the next word is
+    # built, so the peak does not grow with the number of words
+    words, cfg = rd.default_word_list(), SamplerConfig(seed=1)
+    rd.calibrate_words(words[:1], m_lines=100, replicates=2, config=cfg)
+    peaks = []
+    for n in (5, 20):
+        tracemalloc.start()
+        try:
+            rd.calibrate_words(words[:n], m_lines=100, replicates=2, config=cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
 
 
 def test_substream_sites_draw_distinct_streams(monkeypatch, letter_dict):
