@@ -4,11 +4,12 @@ _scan finds every boundary crossing of arrays of segments: the one ring scan
 in the package, which chords.crossings also runs on a single line. Each line
 tests only the edges its cell of the shape's candidate-edge table lists (see
 CompiledShape), so the work per line follows the edges it can cross, not the
-vertex count. A line passing within tolerance of any vertex is rejected
-outright; random lines hit this with probability ~0, and rejections are
-counted. observe_segments reduces the crossings to a BatchObservations: the
-one record of a block of lines, from the kernel through the line stream to
-the accumulator.
+vertex count. A line passing within tolerance of any vertex is rejected;
+random lines hit this with probability ~0, and rejections are counted.
+observe_segments reduces the crossings to a BatchObservations, the one record
+of a block of lines from the kernel to the accumulator. It takes the hit
+lines most events first, and sorts each run of one event count at that count
+(a lone chord needs none), not every line at the longest line's count.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ ONLINE_TOL = 1e-12
 # rounding in a line's angle, offset and vertex distances never drops an edge
 # the line reaches.
 _PAD = 1e-9
-# Elements per kernel sub-block: lines x events in the sort and pair sums.
+# Elements per reduction sub-block: lines x events at its longest line.
 # The ring scan takes (line, candidate edge) pairs, and the table build
 # (angle row, edge) pairs, _BLOCK // 8 at a time: each pair carries about a
 # dozen temporaries, and at that size none of them passes 64 kB. The
@@ -278,69 +279,74 @@ def _scan(
 def observe_segments(cshape: CompiledShape, a: np.ndarray, b: np.ndarray) -> BatchObservations:
     """Observe M segments given as (M, 2) endpoint arrays, endpoints outside."""
     lines_all, t_all, rejected = _scan(cshape, a, b)
+    counts = np.bincount(lines_all, minlength=rejected.size)
+    del lines_all  # the events come grouped by line: counts place them
+    return _reduce(counts, t_all, rejected)
+
+
+def _reduce(counts: np.ndarray, t_all: np.ndarray, rejected: np.ndarray) -> BatchObservations:
+    """Record of lines with counts[i] events, at t_all line by line; odd counts are rejected."""
     m = rejected.size
-    counts = np.bincount(lines_all, minlength=m)
-    rejected |= counts % 2 == 1
+    rejected |= (counts & 1).astype(bool)
     if rejected.any():
-        t_all = t_all[~rejected[lines_all]]
+        t_all = t_all[np.repeat(~rejected, counts)]
         counts[rejected] = 0
-    del lines_all
-
-    k = counts // 2
-    L1 = np.zeros(m)
-    L3 = np.zeros(m)
-    cube = np.zeros(m)
+    L1, L3, cube, chords = np.zeros(m), np.zeros(m), np.zeros(m), np.empty(t_all.size // 2)
+    # The hit lines, most events first (a stable radix sort on a small key),
+    # a sub-block at a time: as many lines as fit _BLOCK events at the
+    # sub-block's longest line (at least one), so the temporaries do not grow
+    # with m.
     hit = np.flatnonzero(counts)
-    if hit.size == 0:
-        return BatchObservations(k, L1, L3, cube, np.empty(0), rejected)
-    # The scan gives the events grouped by line, in line order. The hit lines
-    # are padded, sorted and summed a sub-block at a time, as many lines as
-    # fit _BLOCK events at the longest line's count (at least one), so the
-    # temporaries do not grow with m.
-    ev_start = np.concatenate(([0], np.cumsum(counts[hit])))
-    rows = max(1, _BLOCK // int(counts.max()))
-    chords = []
-    for lo in range(0, hit.size, rows):
-        sub = hit[lo : lo + rows]
-        t = t_all[ev_start[lo] : ev_start[lo + sub.size]]
-        L1[sub], cube[sub], L3[sub], ch = _line_sums(t, counts[sub])
-        chords.append(ch)
-    return BatchObservations(k, L1, L3, cube, np.concatenate(chords), rejected)
+    n_ev = counts[hit]
+    most = int(n_ev.max(initial=0))
+    order = np.argsort((most - n_ev).astype(np.min_scalar_type(most)), kind="stable")
+    first = (np.cumsum(n_ev) - n_ev)[order]  # each line's first event in t_all
+    hit, n_ev = hit[order], n_ev[order]
+    lo = 0
+    while lo < hit.size:
+        hi = min(hit.size, lo + max(1, _BLOCK // int(n_ev[lo])))
+        sub = hit[lo:hi]
+        L1[sub], cube[sub], L3[sub] = _line_sums(t_all, first[lo:hi], n_ev[lo:hi], chords)
+        lo = hi
+    return BatchObservations(counts // 2, L1, L3, cube, chords, rejected)
 
 
-def _line_sums(t: np.ndarray, n_ev: np.ndarray):
-    """(L1, chord cube sum, L3, chords) of lines with n_ev events each, t line by line."""
-    # One row per line, padded with the largest event position so that padded
-    # chords and gaps come out exactly zero.
-    n = n_ev.size
-    cmax = int(n_ev.max())
-    row_start = np.cumsum(n_ev) - n_ev
-    flat = np.arange(t.size) + np.repeat(np.arange(n) * cmax - row_start, n_ev)
-    grid = np.full((n, cmax), t.max())
-    grid.ravel()[flat] = t
-    grid.sort(axis=1)
-
-    # Sorted events alternate in/out. Transposed, row j holds every line's
-    # j-th event, so each step along a line is one vector op across lines.
-    ev = np.ascontiguousarray(grid.T)
+def _line_sums(t: np.ndarray, first: np.ndarray, n_ev: np.ndarray, chords: np.ndarray):
+    """(L1, chord cube sum, L3) of lines whose events are t[first:first + n_ev],
+    n_ev non-increasing; each line's chords go to chords[first // 2:]."""
+    # Row i of ev holds every line's i-th event, and past a line's count some
+    # other (finite) event, whose chords are zeroed. Each run of lines with
+    # one count c > 2 sorts its c rows; a lone chord's events need no order.
+    n_chords = int(n_ev[0]) // 2
+    ev = t.take(first + np.arange(2 * n_chords)[:, None], mode="clip")
+    ends = [*(np.flatnonzero(n_ev[1:] != n_ev[:-1]) + 1).tolist(), n_ev.size]
+    for a, b in zip([0, *ends], ends):
+        if n_ev[a] > 2:
+            ev[: n_ev[a], a:b].sort(axis=0)
     ch = ev[1::2] - ev[0::2]
+    np.abs(ch[0], out=ch[0])
+    chord_j = np.arange(n_chords)[:, None]
+    real = chord_j < n_ev // 2
+    chords[(first // 2 + chord_j)[real]] = ch[real]
+    ch *= real
+    # Sorted events alternate in/out, so each step along a line is one vector
+    # op across lines. S_3 = sum_i c_i^3 + 6 sum_{i<j} c_i c_j (m_j - m_i),
+    # with chord lengths c and midpoints m: the signed pair terms of chords i
+    # and j collapse to 6 c_i c_j (m_j - m_i). Running sums over j of the
+    # chord length so far and of (chord length so far) x (midpoint step) give
+    # it in O(k); every term is non-negative, so nothing cancels, and a
+    # zeroed chord adds exact zeros. The chord and cube sums run in chord
+    # order too: numpy would sum a lone line's column pairwise, and its
+    # result would then depend on the lines that share its sub-block.
     ch3 = ch * ch * ch
-    # S_3 = sum_i c_i^3 + 6 sum_{i<j} c_i c_j (m_j - m_i), with chord lengths
-    # c and midpoints m: the signed pair terms of chords i and j collapse to
-    # 6 c_i c_j (m_j - m_i). Running sums over j of the chord length so far
-    # and of (chord length so far) x (midpoint step) give it in O(k); every
-    # term is non-negative, so nothing cancels. The chord and cube sums run
-    # in chord order too: numpy would sum a lone line's column pairwise, and
-    # its result would then depend on the lines that share its sub-block.
     mid_step = 0.5 * (ch[:-1] + ch[1:]) + (ev[2::2] - ev[1:-1:2])
     so_far = ch[0].copy()
     cube_sum = ch3[0].copy()
-    weighted_gap = np.zeros(n)
-    pair_terms = np.zeros(n)
-    for j in range(1, cmax // 2):
+    weighted_gap = np.zeros(n_ev.size)
+    pair_terms = np.zeros(n_ev.size)
+    for j in range(1, n_chords):
         weighted_gap += so_far * mid_step[j - 1]
         pair_terms += ch[j] * weighted_gap
         so_far += ch[j]
         cube_sum += ch3[j]
-    ch_valid = np.arange(cmax // 2) < (n_ev // 2)[:, None]
-    return so_far, cube_sum, cube_sum + 6.0 * pair_terms, ch.T[ch_valid]
+    return so_far, cube_sum, cube_sum + 6.0 * pair_terms

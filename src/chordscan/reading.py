@@ -11,6 +11,7 @@ into touching rings).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -131,8 +132,9 @@ def mask_to_shape(mask, cell: float, origin: tuple[float, float] = (0.0, 0.0), n
     return Shape(rings, name=name)
 
 
+@functools.lru_cache(maxsize=256)
 def letter_shape(c: str, s: float) -> Shape:
-    """Shape of one capital letter with cell side s, anchored at the origin."""
+    """Shape of one capital letter with cell side s at the origin, built once per (c, s)."""
     if c not in LETTER_MASKS:
         raise KeyError(f"unsupported character {c!r} (A-Z only)")
     return mask_to_shape(LETTER_MASKS[c], s, name=c)
@@ -194,7 +196,9 @@ def word_shape(word: str, s: float) -> WordShape:
         x0 = i * advance
         if c not in LETTER_MASKS:
             raise KeyError(f"unsupported character {c!r} in word {word!r}")
-        letters.append(mask_to_shape(LETTER_MASKS[c], s, origin=(x0, 0.0), name=c))
+        # x0 + (0.0 + x * s) is x0 + x * s: the valid rings mask_to_shape traces at (x0, 0)
+        rings = [r.coords + (x0, 0.0) for r in letter_shape(c, s).rings]
+        letters.append(Shape(rings, name=c, validate=False))
         boxes.append((x0, 0.0, x0 + GRID_COLS * s, GRID_ROWS * s))
     combined = Shape([r for sh in letters for r in sh.rings], name=word, validate=False)
     return WordShape(word, combined, letters, boxes)

@@ -5,8 +5,9 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chordscan import batch, chords, reading, shapes
 from chordscan.geometry import Point, RigidTransform, Shape, contains, transform
@@ -146,8 +147,8 @@ def test_lone_line_observed_as_in_a_block(name):
 @pytest.mark.parametrize("name", ["statue", "GENERATIONS"])
 def test_sub_blocks_do_not_change_bits(monkeypatch, name):
     # with a tiny block the ring scan and the per-line sums run a few lines
-    # at a time, padded to the longest line of their sub-block; every line's
-    # results must stay the same, bit for bit
+    # at a time, each sub-block of sums up to its own longest line; every
+    # line's results must stay the same, bit for bit
     shape = shapes.statue() if name == "statue" else reading.word_shape(name, 1.0).shape
     cshape = batch.CompiledShape(shape)
     a, b = _random_segments(shape, 700, seed=4)
@@ -167,6 +168,95 @@ def test_batch_chord_cube_sums():
     per_line = np.split(bobs.chords_flat, np.cumsum(bobs.k)[:-1])
     for i, mine in enumerate(per_line):
         assert bobs.chord_cube_sum[i] == pytest.approx(float(np.sum(mine**3)), rel=1e-12)
+
+
+def _padded_line_sums(t, n_ev):
+    """(L1, chord cube sum, L3, chords) of lines with n_ev events each, t line by line.
+
+    The reduction as the kernel ran it before lines were grouped by event
+    count, kept as the oracle of batch._reduce: every line padded to the
+    longest line's count with the largest event, sorted row by row, and
+    summed across the whole padded grid.
+    """
+    n = n_ev.size
+    cmax = int(n_ev.max())
+    row_start = np.cumsum(n_ev) - n_ev
+    flat = np.arange(t.size) + np.repeat(np.arange(n) * cmax - row_start, n_ev)
+    grid = np.full((n, cmax), t.max())
+    grid.ravel()[flat] = t
+    grid.sort(axis=1)
+    ev = np.ascontiguousarray(grid.T)
+    ch = ev[1::2] - ev[0::2]
+    ch3 = ch * ch * ch
+    mid_step = 0.5 * (ch[:-1] + ch[1:]) + (ev[2::2] - ev[1:-1:2])
+    so_far = ch[0].copy()
+    cube_sum = ch3[0].copy()
+    weighted_gap = np.zeros(n)
+    pair_terms = np.zeros(n)
+    for j in range(1, cmax // 2):
+        weighted_gap += so_far * mid_step[j - 1]
+        pair_terms += ch[j] * weighted_gap
+        so_far += ch[j]
+        cube_sum += ch3[j]
+    ch_valid = np.arange(cmax // 2) < (n_ev // 2)[:, None]
+    return so_far, cube_sum, cube_sum + 6.0 * pair_terms, ch.T[ch_valid]
+
+
+def _padded_reduce(counts, t, rejected):
+    """The oracle's record: odd-parity lines join the rejected, whose events go."""
+    rejected = rejected | (counts % 2 == 1)
+    t = t[np.repeat(~rejected, counts)]
+    counts = np.where(rejected, 0, counts)
+    L1, L3, cube = (np.zeros(counts.size) for _ in range(3))
+    hit = np.flatnonzero(counts)
+    chords_flat = np.empty(0)
+    if hit.size:
+        L1[hit], cube[hit], L3[hit], chords_flat = _padded_line_sums(t, counts[hit])
+    return {"k": counts // 2, "L1": L1, "L3": L3, "chord_cube_sum": cube,
+            "chords_flat": chords_flat, "rejected": rejected}
+
+
+@st.composite
+def event_blocks(draw):
+    """(event counts, event positions line by line in no order, vertex-rejected mask).
+
+    Counts run 0-30 with most lines even and some odd, in any order; a few
+    lines are vertex-rejected, and their events stay in the block, as the
+    ring scan leaves them.
+    """
+    n = draw(st.integers(1, 60))
+    count = st.one_of(st.integers(0, 15).map(lambda k: 2 * k), st.integers(0, 30))
+    counts = np.array(draw(st.lists(count, min_size=n, max_size=n)), dtype=np.intp)
+    rejected = draw(hnp.arrays(bool, n, elements=st.sampled_from([False] * 7 + [True])))
+    t = draw(hnp.arrays(float, int(counts.sum()), elements=st.floats(0.0, 50.0)))
+    return counts, t, rejected
+
+
+def _block(counts, seed):
+    counts = np.asarray(counts, dtype=np.intp)
+    t = np.random.default_rng(seed).uniform(0.0, 50.0, int(counts.sum()))
+    return counts, t, np.zeros(counts.size, dtype=bool)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(block=event_blocks(), size=st.sampled_from([64, batch._BLOCK]))
+@example(block=_block([2] * 500, 1), size=64)  # one chord on every line
+@example(block=_block([2] * 500, 1), size=batch._BLOCK)
+@example(block=_block([30], 2), size=64)  # a lone line of 30 events
+@example(block=_block([0, 30, 2, 0, 4, 30, 2, 6], 3), size=batch._BLOCK)
+def test_reduction_matches_the_padded_grid(block, size):
+    # lines grouped by event count, each count sorted on its own, must give
+    # the padded grid's numbers bit for bit, whatever sub-blocks they run in
+    counts, t, rejected = block
+    want = _padded_reduce(counts, t, rejected)
+    saved = batch._BLOCK
+    batch._BLOCK = size
+    try:
+        got = batch._reduce(counts.copy(), t.copy(), rejected.copy())
+    finally:
+        batch._BLOCK = saved
+    for field, value in want.items():
+        assert np.array_equal(getattr(got, field), value), field
 
 
 def test_vertex_hit_line_rejected():

@@ -75,6 +75,20 @@ def test_word_ii_additive():
     assert exact_perimeter(ws.shape) == pytest.approx(24.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("cell", [1.0, 0.37])
+def test_word_letters_are_the_masks_traced_in_place(cell):
+    # word_shape translates one cached letter per (letter, cell); the rings
+    # must be the ones mask_to_shape traces at the slot origin, bit for bit
+    advance = (rd.GRID_COLS + rd.DEFAULT_GAP_CELLS) * cell
+    for c, mask in rd.LETTER_MASKS.items():
+        ws = rd.word_shape(c * 4, cell)
+        for i, letter in enumerate(ws.letter_shapes):
+            traced = rd.mask_to_shape(mask, cell, origin=(i * advance, 0.0))
+            assert len(letter.rings) == len(traced.rings)
+            for got, want in zip(letter.rings, traced.rings):
+                assert np.array_equal(got.coords, want.coords), (c, i)
+
+
 def test_empty_word_rejected():
     with pytest.raises(ValueError):
         rd.word_shape("", 1.0)
