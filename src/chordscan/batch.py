@@ -1,8 +1,10 @@
 """Vectorized many-lines-at-once observation kernel and its per-line record.
 
-_scan finds every boundary crossing of arrays of segments: the one ring scan
-in the package, which chords.crossings also runs on a single line. Each line
-tests only the edges its cell of the shape's candidate-edge table lists (see
+A line is (theta, p) as the samplers draw it (see sampling): the angle theta
+in [0, pi) of its normal and its offset p from a given point. _scan finds
+every boundary crossing of arrays of such lines: the one ring scan in the
+package, which chords.crossings also runs on a single line. Each line tests
+only the edges its cell of the shape's candidate-edge table lists (see
 CompiledShape), so the work per line follows the edges it can cross, not the
 vertex count. A line passing within tolerance of any vertex is rejected;
 random lines hit this with probability ~0, and rejections are counted.
@@ -19,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Shape
+from .geometry import Point, Shape
 
 # Relative half-width of the "on the line" band for vertex classification.
 ONLINE_TOL = 1e-12
@@ -133,7 +135,7 @@ class BatchObservations:
     chord_cube_sum: np.ndarray
     chords_flat: np.ndarray  # all chord lengths, line by line (k[i] for line i)
     rejected: np.ndarray  # bool mask
-    theta: np.ndarray | None = None  # line parameters, only for the dump
+    theta: np.ndarray | None = None  # the lines as observed (see sampling)
     p: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -167,19 +169,13 @@ class BatchObservations:
         )
 
 
-def _cells(cshape: CompiledShape, ux, uy, s_o, active) -> np.ndarray:
+def _cells(cshape: CompiledShape, theta: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Each line's table cell; the empty last cell for lines out of reach."""
-    # the normal (-uy, ux) has angle phi and O's offset c = -s_o along it;
-    # folding phi into [0, pi) flips the normal
-    phi = np.arctan2(ux, -uy)
-    back = phi < 0.0
-    np.add(phi, math.pi, out=phi, where=back)
-    c = np.where(back, s_o, -s_o)
-    row = (phi * (cshape.n_phi / math.pi)).astype(np.intp)
+    row = (theta * (cshape.n_phi / math.pi)).astype(np.intp)
     np.minimum(row, cshape.n_phi - 1, out=row)
     col = (c + cshape.reach) * (cshape.n_c / (2.0 * cshape.reach))
     np.clip(col, -1.0, cshape.n_c, out=col)  # far lines stay in integer range
-    inside = active & (col >= 0.0) & (col < cshape.n_c)
+    inside = (col >= 0.0) & (col < cshape.n_c)
     row *= cshape.n_c
     row += col.astype(np.intp)
     row[~inside] = cshape.ptr.size - 2
@@ -187,35 +183,26 @@ def _cells(cshape: CompiledShape, ux, uy, s_o, active) -> np.ndarray:
 
 
 def _scan(
-    cshape: CompiledShape, a: np.ndarray, b: np.ndarray
+    cshape: CompiledShape, theta: np.ndarray, p: np.ndarray, origin: Point
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boundary crossings of M segments given as (M, 2) endpoint arrays.
+    """Boundary crossings of M lines (theta, p), p measured from origin.
 
-    Returns each crossing's line index and arclength position along its
-    segment, grouped by line in line order (in no particular order within a
-    line), and the mask of lines that pass within tolerance of a vertex.
+    Returns each line's number of crossings, each crossing's position along
+    its line (direction (-sin theta, cos theta), from the foot of the
+    shape's centre O), grouped by line in line order and in no particular
+    order within a line, and the mask of lines that pass within tolerance
+    of a vertex.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m = a.shape[0]
-    ux = b[:, 0] - a[:, 0]
-    uy = b[:, 1] - a[:, 1]
-    length = np.sqrt(ux * ux + uy * uy)
-    active = length > 0.0
-    norm = np.where(active, length, 1.0)
-    ux /= norm
-    uy /= norm
-    # O relative to each line: its signed distance from the line, along the
-    # normal (-uy, ux), and its position along the line
-    ox = cshape.center[0] - a[:, 0]
-    oy = cshape.center[1] - a[:, 1]
-    s_o = oy * ux
-    s_o -= ox * uy
-    xi_o = ox * ux
-    xi_o += oy * uy
+    m = theta.size
+    cos = np.cos(theta)
+    sin = np.sin(theta)
+    # each line's offset from O along its normal
+    c = cos * (cshape.center[0] - origin.x)
+    c += sin * (cshape.center[1] - origin.y)
+    np.subtract(p, c, out=c)
     tol = cshape.tol
 
-    cell = _cells(cshape, ux, uy, s_o, active)
+    cell = _cells(cshape, theta, c)
     start = cshape.ptr[cell]
     count = cshape.ptr[cell + 1] - start
     lines = np.flatnonzero(count)
@@ -225,8 +212,8 @@ def _scan(
     shift = start[lines] - (pair_end - count)
 
     px, py, qx, qy = cshape.ends
-    ev_line: list[np.ndarray] = []
     ev_t: list[np.ndarray] = []
+    ev_end = np.empty(lines.size, dtype=np.intp)  # events up to each line's last
     rejected = np.zeros(m, dtype=bool)
     lo = 0
     while lo < lines.size:
@@ -238,50 +225,45 @@ def _scan(
         edge = np.repeat(shift[lo:hi], cnt)
         edge += np.arange(done, done + edge.size)
         edge = cshape.edges[edge].astype(np.intp)
-        lo = hi
         # each candidate edge's endpoints: signed distance from the line
         # and position along it
-        lux = ux[line]
-        luy = uy[line]
-        ls = s_o[line]
+        lcos = cos[line]
+        lsin = sin[line]
+        lc = c[line]
         ex = px[edge]
         ey = py[edge]
-        s1 = ey * lux - ex * luy + ls
-        x1 = ex * lux + ey * luy
+        s1 = ex * lcos + ey * lsin - lc
+        x1 = ey * lcos - ex * lsin
         ex = qx[edge]
         ey = qy[edge]
-        s2 = ey * lux - ex * luy + ls
-        x2 = ex * lux + ey * luy
+        s2 = ex * lcos + ey * lsin - lc
+        x2 = ey * lcos - ex * lsin
         bad = np.abs(s1) <= tol
         bad |= np.abs(s2) <= tol
         if bad.any():
             rejected[line[bad]] = True
         k = np.flatnonzero((s1 > 0.0) != (s2 > 0.0))
-        line = line[k]
+        # the pairs come grouped by line, and so do the events
+        ev_end[lo:hi] = np.searchsorted(k, pair_end[lo:hi] - done)
+        ev_end[lo:hi] += ev_end[lo - 1] if lo else 0
         s1 = s1[k]
         x1 = x1[k]
-        x2 = x2[k]
-        t = xi_o[line] + (x1 + (x2 - x1) * (s1 / (s1 - s2[k])))
-        inside = (t >= 0.0) & (t <= length[line])
-        ev_line.append(line[inside])
-        ev_t.append(t[inside])
+        ev_t.append(x1 + (x2[k] - x1) * (s1 / (s1 - s2[k])))
+        lo = hi
+    counts = np.zeros(m, dtype=np.intp)
+    counts[lines] = np.diff(ev_end, prepend=0)
     # the per-line arrays go before the events are joined
-    del ux, uy, s_o, xi_o, length, lines, count, pair_end, shift
-    if ev_line:
-        lines_all = np.concatenate(ev_line)
-        t_all = np.concatenate(ev_t)
-    else:
-        lines_all = np.empty(0, dtype=np.intp)
-        t_all = np.empty(0)
-    return lines_all, t_all, rejected
+    del cos, sin, c, cell, start, lines, count, pair_end, shift, ev_end
+    return counts, np.concatenate(ev_t) if ev_t else np.empty(0), rejected
 
 
-def observe_segments(cshape: CompiledShape, a: np.ndarray, b: np.ndarray) -> BatchObservations:
-    """Observe M segments given as (M, 2) endpoint arrays, endpoints outside."""
-    lines_all, t_all, rejected = _scan(cshape, a, b)
-    counts = np.bincount(lines_all, minlength=rejected.size)
-    del lines_all  # the events come grouped by line: counts place them
-    return _reduce(counts, t_all, rejected)
+def observe_segments(
+    cshape: CompiledShape, theta: np.ndarray, p: np.ndarray, origin: Point
+) -> BatchObservations:
+    """Observe M lines (theta, p), p measured from origin; the record keeps the lines."""
+    bobs = _reduce(*_scan(cshape, theta, p, origin))
+    bobs.theta, bobs.p = theta, p
+    return bobs
 
 
 def _reduce(counts: np.ndarray, t_all: np.ndarray, rejected: np.ndarray) -> BatchObservations:

@@ -8,7 +8,10 @@ in-shape intercept length; order 3 is what the area estimator consumes.
 
 crossings runs the batch ring scan (batch._scan, which tests the edges the
 shape's candidate-edge table lists for the line) on one line, so a line within
-tolerance of a vertex is rejected here exactly as in every estimate.
+tolerance of a vertex is rejected here exactly as in every estimate. It is the
+one caller whose segment need not be an arena chord: it turns the segment
+into a line (theta, p) with sampling.line_params_of_segments, as the billiard
+samplers do, and keeps the crossings that fall within the segment.
 geometric_function keeps the pair-sum definition above as the reference the
 batch kernel's O(k) sums are checked against.
 """
@@ -22,6 +25,7 @@ import numpy as np
 
 from . import batch
 from .geometry import Point, Shape, contains
+from .sampling import line_params_of_segments
 
 INGOING = "in"
 OUTGOING = "out"
@@ -66,17 +70,26 @@ def crossings(shape: Shape, seg: tuple[Point, Point]) -> list[CrossingEvent]:
     a_pt, b_pt = seg
     a = a_pt.as_array()
     b = b_pt.as_array()
-    length = float(np.hypot(*(b - a)))
+    d = b - a
+    length = float(np.hypot(*d))
     if length == 0.0:
         return []
     if contains(shape, a_pt) or contains(shape, b_pt):
         raise ArenaTooSmallError("segment endpoint lies inside the shape")
-    _, ts, rejected = batch._scan(shape.derived("kernel", batch.CompiledShape), a[None], b[None])
+    cshape = shape.derived("kernel", batch.CompiledShape)
+    theta, p = line_params_of_segments(a[None], b[None], a_pt)  # p is 0
+    _, ts, rejected = batch._scan(cshape, theta, p, a_pt)
     if rejected[0]:
         raise DegenerateLineError("line passes within tolerance of a vertex")
+    # the scan measures along (-sin theta, cos theta) from the foot of the
+    # shape's centre O: move the start to a and turn the axis toward b
+    u = np.array([-np.sin(theta[0]), np.cos(theta[0])])
+    ts -= float(u @ (a - cshape.center))
+    if u @ d < 0.0:
+        ts = -ts
+    ts = np.sort(ts[(ts >= 0.0) & (ts <= length)])
     if ts.size % 2 != 0:
         raise DegenerateLineError(f"odd crossing count ({ts.size})")
-    ts.sort()
     return [
         CrossingEvent(float(t), INGOING if i % 2 == 0 else OUTGOING) for i, t in enumerate(ts)
     ]

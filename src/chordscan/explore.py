@@ -26,7 +26,6 @@ from .sampling import (
     ArenaCircle,
     BilliardState,
     SamplerConfig,
-    _segments_from_lines,
     arena_for,
     billiard_segments,
     line_params_of_segments,
@@ -54,30 +53,26 @@ class LineStream:
         self._billiard_state: BilliardState | None = None
         self.rejected_total = 0
 
-    def _segments(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def _lines(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next n lines (theta, p), p measured from the arena's centre."""
         policy = self.config.billiard_policy
         if policy is None:
-            theta, p = sample_iur_batch(self.rng, self.arena, n)
-            return _segments_from_lines(theta, p, self.arena)
+            return sample_iur_batch(self.rng, self.arena, n)
         a, b, self._billiard_state = billiard_segments(
             self.rng, self.arena, n, policy=policy, state=self._billiard_state
         )
-        return a, b
+        return line_params_of_segments(a, b, self.arena.center)
 
-    def take(self, n: int, _line_params: bool = False) -> BatchObservations:
+    def take(self, n: int) -> BatchObservations:
         """Exactly n accepted lines; degenerate ones are resampled and counted.
 
         Each refill draws as many lines as are missing, at most DEFAULT_CHUNK.
-        Each line's (theta, p) is recovered only with _line_params, which the
-        observation dump needs and nothing else does.
         """
         parts: list[BatchObservations] = []
         got = 0
         while got < n:
-            a, b = self._segments(min(n - got, DEFAULT_CHUNK))
-            bobs = observe_segments(self.cshape, a, b)
-            if _line_params:
-                bobs.theta, bobs.p = line_params_of_segments(a, b, self.arena)
+            theta, p = self._lines(min(n - got, DEFAULT_CHUNK))
+            bobs = observe_segments(self.cshape, theta, p, self.arena.center)
             self.rejected_total += int(np.count_nonzero(bobs.rejected))
             parts.append(bobs.accepted())
             got += len(parts[-1])
@@ -111,7 +106,7 @@ def explore(
     acc = estimators.Accumulator(2.0 * stream.arena.radius, n_lines, n_batches)
     done = 0
     while done < n_lines:
-        obs = stream.take(min(DEFAULT_CHUNK, n_lines - done), dump_rows is not None)
+        obs = stream.take(min(DEFAULT_CHUNK, n_lines - done))
         acc.ingest(obs)
         if dump_rows is not None:
             _append_dump_rows(dump_rows, obs)

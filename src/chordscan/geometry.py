@@ -66,14 +66,17 @@ class Ring:
     __slots__ = ("coords",)
 
     def __init__(self, vertices):
-        pts = [(v.x, v.y) if isinstance(v, Point) else (float(v[0]), float(v[1])) for v in vertices]
-        coords = np.asarray(pts, dtype=float)
+        if isinstance(vertices, np.ndarray) and vertices.dtype.kind == "f":
+            coords = np.array(vertices, dtype=float)  # a copy the caller cannot change
+        else:
+            pts = [(v.x, v.y) if isinstance(v, Point) else (float(v[0]), float(v[1])) for v in vertices]
+            coords = np.asarray(pts, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != 2 or coords.shape[0] < 3:
             raise InvalidShapeError("a ring needs at least 3 (x, y) vertices")
-        if not np.all(np.isfinite(coords)):
+        if not np.isfinite(coords).all():
             raise InvalidShapeError("ring has non-finite coordinates")
-        nxt = np.roll(coords, -1, axis=0)
-        if np.any(np.all(np.abs(nxt - coords) <= _EPS, axis=1)):
+        step = np.abs(np.concatenate((coords[1:], coords[:1])) - coords)
+        if (step <= _EPS).all(axis=1).any():
             raise InvalidShapeError("ring has repeated consecutive vertices")
         coords.setflags(write=False)
         self.coords = coords

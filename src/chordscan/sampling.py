@@ -1,11 +1,16 @@
 """Exploration line generators: IUR lines and billiard bounces in a circular arena.
 
+A line is (theta, p): the angle theta in [0, pi) of its normal
+n = (cos theta, sin theta) and its offset p along n from the arena's centre,
+the coordinates in which IUR lines are uniform (dG = dp dtheta). This is the
+one line format from the samplers to the ring scan.
+
 Lines are drawn a block at a time, in a fixed order so runs are reproducible
-from the seed. sample_iur_batch draws n (theta, offset) pairs, one row of two
-uniforms per line; _segments_from_lines clips them to the arena circle.
-billiard_segments draws a bounce chain: two uniforms for the initial position
-and heading of a fresh chain, one per further bounce, and one for the heading
-it hands on to the next call.
+from the seed. sample_iur_batch draws n (theta, p) pairs, one row of two
+uniforms per line. billiard_segments draws a bounce chain as arena chords:
+two uniforms for the initial position and heading of a fresh chain, one per
+further bounce, and one for the heading it hands on to the next call;
+line_params_of_segments turns chords into lines.
 """
 
 from __future__ import annotations
@@ -85,28 +90,26 @@ def sample_iur_batch(
     return u[:, 0] * math.pi, (2.0 * u[:, 1] - 1.0) * arena.radius
 
 
-def _segments_from_lines(
-    theta: np.ndarray, p: np.ndarray, arena: ArenaCircle
-) -> tuple[np.ndarray, np.ndarray]:
-    nx, ny = np.cos(theta), np.sin(theta)
-    half = np.sqrt(np.maximum(arena.radius**2 - p**2, 0.0))
-    foot_x = arena.center.x + p * nx
-    foot_y = arena.center.y + p * ny
-    # tangent = normal rotated +90 degrees
-    a = np.column_stack([foot_x - half * -ny, foot_y - half * nx])
-    b = np.column_stack([foot_x + half * -ny, foot_y + half * nx])
-    return a, b
-
-
 def line_params_of_segments(
-    a: np.ndarray, b: np.ndarray, arena: ArenaCircle
+    a: np.ndarray, b: np.ndarray, origin: Point
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Recover (theta, p) of each segment's carrier line, theta in [0, pi)."""
+    """(theta, p) of each segment's carrier line, p measured from origin.
+
+    theta lies in [0, pi): the normal is the segment's direction turned by
+    -90 or +90 degrees, whichever lands there, before the one arctan2, so
+    theta is rounded once.
+    """
     d = b - a
-    theta = np.arctan2(d[:, 1], d[:, 0]) - 0.5 * math.pi  # normal angle
-    theta = np.mod(theta, math.pi)
-    nx, ny = np.cos(theta), np.sin(theta)
-    p = (a[:, 0] - arena.center.x) * nx + (a[:, 1] - arena.center.y) * ny
+    # the normal (dy, -dx), turned round where -dx < 0
+    nx = np.where(d[:, 0] > 0.0, -d[:, 1], d[:, 1])
+    ny = np.abs(d[:, 0])
+    theta = np.arctan2(ny, nx)
+    p = (a[:, 0] - origin.x) * nx + (a[:, 1] - origin.y) * ny
+    p /= np.sqrt(nx * nx + ny * ny)
+    # an angle that rounds to pi is the line at 0 with its normal turned round
+    at_pi = theta == math.pi
+    theta[at_pi] = 0.0
+    np.negative(p, out=p, where=at_pi)
     return theta, p
 
 

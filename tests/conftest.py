@@ -23,3 +23,18 @@ def builtin_dictionary():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def arena_chords(theta, p, arena):
+    """Each line (theta, p)'s chord of the arena circle, as (M, 2) endpoint arrays.
+
+    a runs to b along (-sin theta, cos theta), the direction the ring scan
+    measures along. Lines past the circle get zero-length chords.
+    """
+    nx, ny = np.cos(theta), np.sin(theta)
+    half = np.sqrt(np.maximum(arena.radius**2 - p**2, 0.0))
+    foot_x = arena.center.x + p * nx
+    foot_y = arena.center.y + p * ny
+    a = np.column_stack([foot_x - half * -ny, foot_y - half * nx])
+    b = np.column_stack([foot_x + half * -ny, foot_y + half * nx])
+    return a, b

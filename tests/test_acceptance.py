@@ -25,7 +25,8 @@ from chordscan.geometry import (
     transform,
     union_disjoint,
 )
-from chordscan.sampling import SamplerConfig, arena_for, sample_iur_batch, _segments_from_lines
+from chordscan.sampling import SamplerConfig, arena_for, sample_iur_batch
+from conftest import arena_chords
 
 
 def _passline(num, text):
@@ -117,7 +118,7 @@ def test_criterion_5_rigid_invariance():
     st2 = transform(st, t)
     arena = arena_for(st, 1.4)
     theta, p = sample_iur_batch(np.random.default_rng(55), arena, 200)
-    a, b = _segments_from_lines(theta, p, arena)
+    a, b = arena_chords(theta, p, arena)
     a2 = t.apply(a)
     b2 = t.apply(b)
     checked = 0
@@ -289,7 +290,7 @@ def test_criterion_11_frugality():
     st = shapes.statue()
     arena = arena_for(st)
     theta, p = sample_iur_batch(np.random.default_rng(112), arena, 2000)
-    a, b = _segments_from_lines(theta, p, arena)
+    a, b = arena_chords(theta, p, arena)
     k_max = 0
     scratch_max = 0
     for i in range(len(a)):

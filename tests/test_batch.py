@@ -11,26 +11,59 @@ from hypothesis.extra import numpy as hnp
 
 from chordscan import batch, chords, reading, shapes
 from chordscan.geometry import Point, RigidTransform, Shape, contains, transform
+from chordscan.sampling import (
+    ArenaCircle,
+    arena_for,
+    billiard_segments,
+    line_params_of_segments,
+    sample_iur_batch,
+)
+from conftest import arena_chords
+
+ORIGIN = Point(0.0, 0.0)
 
 
-def _random_segments(shape, n, seed):
-    """Segments across the shape's arena, endpoints outside the shape."""
-    from chordscan.sampling import arena_for, sample_iur_batch, _segments_from_lines
-
+def _random_lines(shape, n, seed):
+    """IUR lines (theta, p, origin) across the shape's arena."""
     arena = arena_for(shape)
-    theta, p = sample_iur_batch(np.random.default_rng(seed), arena, n)
-    return _segments_from_lines(theta, p, arena)
+    return (*sample_iur_batch(np.random.default_rng(seed), arena, n), arena.center)
 
 
-def _assert_oracles(shape, a, b):
+def _billiard_lines(shape, n, seed):
+    """Lines (theta, p, origin) of a billiard-cos chain in the shape's arena."""
+    arena = arena_for(shape)
+    a, b, _ = billiard_segments(np.random.default_rng(seed), arena, n, "cosine")
+    return (*line_params_of_segments(a, b, arena.center), arena.center)
+
+
+def _lines_through(a, b):
+    """Lines (theta, p, origin) through the rows of a and b."""
+    return (*line_params_of_segments(np.asarray(a, float), np.asarray(b, float), ORIGIN), ORIGIN)
+
+
+def _chords_of(shape, lines):
+    """Each line's chord of a circle about its origin that covers the shape."""
+    theta, p, origin = lines
+    verts = np.concatenate([r.coords for r in shape.rings])
+    reach = float(np.max(np.hypot(verts[:, 0] - origin.x, verts[:, 1] - origin.y)))
+    return arena_chords(theta, p, ArenaCircle(origin, 1.5 * max(reach, np.max(np.abs(p)))))
+
+
+def _assert_oracles(shape, lines):
     """Check every accepted line of the kernel against independent oracles.
 
-    Per line: membership flips at each event of chords.crossings (chord
-    midpoints inside, gap and outer-stretch midpoints outside), the kernel's
-    chords are the differences of those events, and L1/L3 match the scalar
-    pair-sum geometric function.
+    Per line: membership flips at each event of chords.crossings on a chord
+    of the line (chord midpoints inside, gap and outer-stretch midpoints
+    outside), the kernel's chords are the differences of those events, and
+    L1/L3 match the scalar pair-sum geometric function. The kernel observes
+    the chords' own lines: far from the origin, rounding the chord's
+    endpoints moves its line by more than these tolerances.
     """
-    bobs = batch.observe_segments(batch.CompiledShape(shape), a, b)
+    a, b = _chords_of(shape, lines)
+    origin = lines[2]
+    bobs = batch.observe_segments(
+        batch.CompiledShape(shape), *line_params_of_segments(a, b, origin), origin
+    )
     per_line = np.split(bobs.chords_flat, np.cumsum(bobs.k)[:-1])
     for i in np.flatnonzero(~bobs.rejected):
         seg = (Point(*a[i]), Point(*b[i]))
@@ -55,9 +88,10 @@ def _assert_oracles(shape, a, b):
 @pytest.mark.parametrize("name", shapes.BUILTIN_NAMES)
 def test_batch_matches_scalar_observe(name):
     shape = shapes.builtin(name)
-    a, b = _random_segments(shape, 400, seed=zlib.crc32(name.encode()) % 1000)
-    bobs = _assert_oracles(shape, a, b)
-    assert not bobs.rejected.any()
+    seed = zlib.crc32(name.encode()) % 1000
+    for lines in (_random_lines(shape, 400, seed), _billiard_lines(shape, 400, seed)):
+        bobs = _assert_oracles(shape, lines)
+        assert not bobs.rejected.any()
 
 
 def _star_ring(angles, radii):
@@ -95,8 +129,7 @@ def holed_stars(draw):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(shape=holed_stars(), seed=st.integers(0, 2**32 - 1))
 def test_batch_matches_scalar_on_generated_holed_stars(shape, seed):
-    a, b = _random_segments(shape, 60, seed)
-    bobs = _assert_oracles(shape, a, b)
+    bobs = _assert_oracles(shape, _random_lines(shape, 60, seed))
     assert bobs.k.max() >= 1
 
 
@@ -104,9 +137,10 @@ def test_batch_matches_scalar_on_many_chord_word():
     # the running sums behind L3 grow with the chord count; GENERATIONS
     # reaches 15 chords on one line
     shape = reading.word_shape("GENERATIONS", 1.0).shape
-    a, b = _random_segments(shape, 1000, seed=3)
-    bobs = _assert_oracles(shape, a, b)
+    bobs = _assert_oracles(shape, _random_lines(shape, 1000, seed=3))
     assert int(bobs.k.max()) == 15
+    bobs = _assert_oracles(shape, _billiard_lines(shape, 1000, seed=3))
+    assert int(bobs.k.max()) >= 10
 
 
 def _assert_same_lines_in_blocks(name, n_lines, size):
@@ -116,8 +150,8 @@ def _assert_same_lines_in_blocks(name, n_lines, size):
     # on its draw sizes, nor calibrate's entry on its take sizes
     shape = shapes.annulus() if name == "annulus" else reading.word_shape(name, 1.0).shape
     cshape = batch.CompiledShape(shape)
-    a, b = _random_segments(shape, 6000, seed=8)
-    full = batch.observe_segments(cshape, a, b)
+    theta, p, origin = _random_lines(shape, 6000, seed=8)
+    full = batch.observe_segments(cshape, theta, p, origin)
     n_chords = int(np.cumsum(full.k)[n_lines - 1])
     whole = dataclasses.replace(
         full,
@@ -125,7 +159,7 @@ def _assert_same_lines_in_blocks(name, n_lines, size):
         **{f: getattr(full, f)[:n_lines] for f in ("k", "rejected", "L1", "L3", "chord_cube_sum")},
     )
     parts = [
-        batch.observe_segments(cshape, a[i : i + size], b[i : i + size])
+        batch.observe_segments(cshape, theta[i : i + size], p[i : i + size], origin)
         for i in range(0, n_lines, size)
     ]
     for field in ("k", "rejected", "L1", "L3", "chord_cube_sum", "chords_flat"):
@@ -151,10 +185,10 @@ def test_sub_blocks_do_not_change_bits(monkeypatch, name):
     # line's results must stay the same, bit for bit
     shape = shapes.statue() if name == "statue" else reading.word_shape(name, 1.0).shape
     cshape = batch.CompiledShape(shape)
-    a, b = _random_segments(shape, 700, seed=4)
-    want = batch.observe_segments(cshape, a, b)
+    lines = _random_lines(shape, 700, seed=4)
+    want = batch.observe_segments(cshape, *lines)
     monkeypatch.setattr(batch, "_BLOCK", 64)
-    got = batch.observe_segments(cshape, a, b)
+    got = batch.observe_segments(cshape, *lines)
     rows = 64 // (2 * int(want.k.max()))
     assert 2 <= rows < np.count_nonzero(want.k) // 10
     for field in ("k", "rejected", "L1", "L3", "chord_cube_sum", "chords_flat"):
@@ -163,8 +197,7 @@ def test_sub_blocks_do_not_change_bits(monkeypatch, name):
 
 def test_batch_chord_cube_sums():
     shape = shapes.annulus()
-    a, b = _random_segments(shape, 300, seed=3)
-    bobs = batch.observe_segments(batch.CompiledShape(shape), a, b)
+    bobs = batch.observe_segments(batch.CompiledShape(shape), *_random_lines(shape, 300, seed=3))
     per_line = np.split(bobs.chords_flat, np.cumsum(bobs.k)[:-1])
     for i, mine in enumerate(per_line):
         assert bobs.chord_cube_sum[i] == pytest.approx(float(np.sum(mine**3)), rel=1e-12)
@@ -264,7 +297,7 @@ def test_vertex_hit_line_rejected():
     a = np.array([[-1.0, -1.0], [-1.0, 0.5], [-1.0, 1e-13]])
     # first runs through two corners, third passes inside the tolerance band
     b = np.array([[2.0, 2.0], [2.0, 0.5], [2.0, 1e-13]])
-    bobs = batch.observe_segments(batch.CompiledShape(sq), a, b)
+    bobs = batch.observe_segments(batch.CompiledShape(sq), *_lines_through(a, b))
     assert bobs.rejected[0]
     assert not bobs.rejected[1]
     assert bobs.k[1] == 1
@@ -285,27 +318,27 @@ NEAR_VERTEX_SHAPES = {
 }
 
 
-def _near_vertex_segments(shape, dist, seed, per_vertex=5):
-    """Arena segments on lines passing at dist from each vertex, random directions."""
-    from chordscan.sampling import ArenaCircle, arena_for, _segments_from_lines
-
-    # widened by dist, so that no line misses the arena
-    arena = arena_for(shape)
-    arena = ArenaCircle(arena.center, arena.radius + dist)
+def _near_vertex_lines(shape, dist, seed, per_vertex=5):
+    """Lines (theta, p, origin) passing at dist from each vertex, random directions."""
+    origin = arena_for(shape).center
     verts = np.concatenate([r.coords for r in shape.rings])
-    theta = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, (len(verts), per_vertex))
+    phi = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, (len(verts), per_vertex))
+    # a normal at phi >= pi is the normal at phi - pi turned round: its line
+    # lies dist on the other side
+    side = np.where(phi < math.pi, 1.0, -1.0)
+    theta = np.where(phi < math.pi, phi, phi - math.pi)
     # offset of the parallel line through the vertex, then moved dist off it
-    through = (verts[:, :1] - arena.center.x) * np.cos(theta)
-    through += (verts[:, 1:] - arena.center.y) * np.sin(theta)
-    return _segments_from_lines(theta.ravel(), (through + dist).ravel(), arena)
+    through = (verts[:, :1] - origin.x) * np.cos(theta)
+    through += (verts[:, 1:] - origin.y) * np.sin(theta)
+    return theta.ravel(), (through + side * dist).ravel(), origin
 
 
 @pytest.mark.parametrize("name", NEAR_VERTEX_SHAPES)
 def test_lines_just_outside_the_vertex_band_accepted(name):
     shape = NEAR_VERTEX_SHAPES[name]
     for j in range(6, 12):
-        a, b = _near_vertex_segments(shape, 10.0**-j * shape.coordinate_scale(), seed=j)
-        bobs = _assert_oracles(shape, a, b)
+        lines = _near_vertex_lines(shape, 10.0**-j * shape.coordinate_scale(), seed=j)
+        bobs = _assert_oracles(shape, lines)
         assert not bobs.rejected.any(), j
 
 
@@ -313,42 +346,45 @@ def test_lines_just_outside_the_vertex_band_accepted(name):
 def test_lines_inside_the_vertex_band_rejected(name):
     # the band's half-width is 1e-12 * scale; nothing is asserted at the edge
     shape = NEAR_VERTEX_SHAPES[name]
-    a, b = _near_vertex_segments(shape, 1e-13 * shape.coordinate_scale(), seed=13)
-    bobs = batch.observe_segments(batch.CompiledShape(shape), a, b)
+    lines = _near_vertex_lines(shape, 1e-13 * shape.coordinate_scale(), seed=13)
+    bobs = batch.observe_segments(batch.CompiledShape(shape), *lines)
     assert bobs.rejected.all()
+    a, b = _chords_of(shape, lines)
     for i in range(len(a)):
         with pytest.raises(chords.DegenerateLineError):
             chords.observe(shape, (Point(*a[i]), Point(*b[i])))
 
 
-def _vertex_scan(shape, a, b):
+def _vertex_scan(shape, theta, p, origin):
     """Every vertex of every ring against every line: the scan before the table.
 
     Kept as the oracle of the candidate-edge table. Returns the sorted
     (line, t) events and the rejected mask, by the kernel's rules: a vertex
     within tol of a line rejects it, an edge whose endpoints lie on opposite
-    sides is crossed, and t is interpolated between the endpoints.
+    sides is crossed, and t is interpolated between the endpoints, along
+    (-sin theta, cos theta) from the foot of the centre of the shape's box.
     """
     tol = batch.ONLINE_TOL * shape.coordinate_scale()
-    d = b - a
-    length = np.hypot(d[:, 0], d[:, 1])
-    ux, uy = (d / length[:, None]).T
+    verts = np.concatenate([r.coords for r in shape.rings])
+    centre = 0.5 * (verts.min(axis=0) + verts.max(axis=0))
+    nx, ny = np.cos(theta), np.sin(theta)
+    ux, uy = -ny, nx
     lines, ts = [], []
-    rejected = np.zeros(len(a), dtype=bool)
+    rejected = np.zeros(len(theta), dtype=bool)
     for ring in shape.rings:
         mid = 0.5 * (ring.coords.min(axis=0) + ring.coords.max(axis=0))
         rx, ry = (ring.coords - mid).T
-        cx, cy = mid[0] - a[:, 0], mid[1] - a[:, 1]
-        s = (ry * ux[:, None] - rx * uy[:, None]) + (cy * ux - cx * uy)[:, None]
+        s = (rx * nx[:, None] + ry * ny[:, None]) + (
+            (mid[0] - origin.x) * nx + (mid[1] - origin.y) * ny - p
+        )[:, None]
         x = rx * ux[:, None] + ry * uy[:, None]
         s_next, x_next = np.roll(s, -1, axis=1), np.roll(x, -1, axis=1)
         rejected |= (np.abs(s) <= tol).any(axis=1)
         i, j = np.nonzero((s > 0.0) != (s_next > 0.0))
         s1, s2, x1, x2 = s[i, j], s_next[i, j], x[i, j], x_next[i, j]
-        t = (cx * ux + cy * uy)[i] + (x1 + (x2 - x1) * (s1 / (s1 - s2)))
-        inside = (t >= 0.0) & (t <= length[i])
-        lines.append(i[inside])
-        ts.append(t[inside])
+        t = ((mid[0] - centre[0]) * ux + (mid[1] - centre[1]) * uy)[i]
+        lines.append(i)
+        ts.append(t + (x1 + (x2 - x1) * (s1 / (s1 - s2))))
     lines, ts = np.concatenate(lines), np.concatenate(ts)
     order = np.lexsort((ts, lines))
     return lines[order], ts[order], rejected
@@ -367,10 +403,11 @@ def oracle_cases(draw):
         shape = transform(word, motion)
     seed = draw(st.integers(0, 2**32 - 1))
     scale = shape.coordinate_scale()
-    parts = [_random_segments(shape, 200, seed)]
+    parts = [_random_lines(shape, 200, seed)]
     for dist in (1e-13 * scale, 1e-11 * scale, 1e-8 * scale):
-        parts.append(_near_vertex_segments(shape, dist, seed, per_vertex=2))
-    return shape, np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+        parts.append(_near_vertex_lines(shape, dist, seed, per_vertex=2))
+    theta, p = (np.concatenate([part[i] for part in parts]) for i in (0, 1))
+    return shape, theta, p, parts[0][2]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -378,16 +415,18 @@ def oracle_cases(draw):
 def test_table_scan_matches_the_vertex_scan(case):
     # the table must hand every line each edge that the all-vertex scan
     # finds crossed or within the band, and the arithmetic stays close
-    shape, a, b = case
-    want_lines, want_t, want_rejected = _vertex_scan(shape, a, b)
-    lines, t, rejected = batch._scan(batch.CompiledShape(shape), a, b)
-    order = np.lexsort((t, lines))
-    lines, t = lines[order], t[order]
+    shape, theta, p, origin = case
+    want_lines, want_t, want_rejected = _vertex_scan(shape, theta, p, origin)
+    counts, t, rejected = batch._scan(batch.CompiledShape(shape), theta, p, origin)
     assert np.array_equal(rejected, want_rejected)
-    assert 0 < rejected.sum() < len(a)
-    keep, want_keep = ~rejected[lines], ~want_rejected[want_lines]
-    assert np.array_equal(lines[keep], want_lines[want_keep])
-    assert np.all(np.abs(t[keep] - want_t[want_keep]) <= 1e-12 * shape.coordinate_scale())
+    assert 0 < rejected.sum() < len(theta)
+    keep = ~rejected
+    assert np.array_equal(counts[keep], np.bincount(want_lines, minlength=len(theta))[keep])
+    # the events come grouped by line, in line order
+    lines = np.repeat(np.arange(len(theta)), counts)
+    t = t[np.lexsort((t, lines))]
+    t_keep, want_keep = keep[lines], keep[want_lines]
+    assert np.all(np.abs(t[t_keep] - want_t[want_keep]) <= 1e-12 * shape.coordinate_scale())
 
 
 TABLE_SHAPES = {
@@ -439,39 +478,35 @@ def test_observing_a_chunk_holds_little_memory(name):
     # higher than the all-vertex scan did (3.5 and 3.4 MB)
     shape = TABLE_SHAPES[name]
     cs = batch.CompiledShape(shape)
-    a, b = _random_segments(shape, 16384, seed=6)
-    batch.observe_segments(cs, a, b)
+    lines = _random_lines(shape, 16384, seed=6)
+    batch.observe_segments(cs, *lines)
     tracemalloc.start()
     try:
-        batch.observe_segments(cs, a, b)
+        batch.observe_segments(cs, *lines)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 3.2e6
 
 
-def _far_corner_tangents(offsets):
-    """Unit square at (1e6, 1e6) and segments on lines perpendicular to its
-    diagonal, each the given distance outside its far corner: tangent to the
-    ring's circle about its centre, offset by that much."""
-    sq = shapes.square(corner=(1e6, 1e6))
-    corner = np.array([1e6 + 1.0, 1e6 + 1.0])
-    out = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    along = np.array([1.0, -1.0]) / math.sqrt(2.0)
-    feet = corner + np.asarray(offsets)[:, None] * out
-    return sq, feet - 2.0 * along, feet + 2.0 * along
-
-
 def test_prefilter_keeps_the_vertex_band_far_from_the_origin():
     # the band's half-width here is 1e-12 * (1e6 + 1), past the table's 1e-9
     # pad: a line 5e-7 from the corner reaches the band, so its cell must list
-    # the corner's edges, though it lies outside the ring's circle
-    sq, a, b = _far_corner_tangents([0.0, 5e-7, 2e-6])
+    # the corner's edges, though it lies outside the ring's circle. The lines
+    # are perpendicular to the diagonal of the unit square at (1e6, 1e6), each
+    # the given distance outside its far corner.
+    sq = shapes.square(corner=(1e6, 1e6))
+    offsets = np.array([0.0, 5e-7, 2e-6])
+    corner = Point(1e6 + 1.0, 1e6 + 1.0)
     cs = batch.CompiledShape(sq)
     assert cs.tol == pytest.approx(1e-6, rel=1e-5)
-    _, ts, rejected = batch._scan(cs, a, b)
+    _, ts, rejected = batch._scan(cs, np.full(3, 0.25 * math.pi), offsets, corner)
     assert rejected.tolist() == [True, True, False]
     assert ts.size == 0
+    out = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    along = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    feet = corner.as_array() + offsets[:, None] * out
+    a, b = feet - 2.0 * along, feet + 2.0 * along
     for i, want in enumerate(rejected):
         seg = (Point(*a[i]), Point(*b[i]))
         if want:
@@ -485,20 +520,8 @@ def test_statue_reaches_k6():
     st = shapes.statue()
     # horizontal lines across the tooth band cross all six teeth
     ys = np.linspace(0.2, 0.9, 50) * st.rings[0].coords[:, 1].max()
-    a = np.column_stack([np.full(50, -3.0), ys])
-    b = np.column_stack([np.full(50, 3.0), ys])
-    bobs = batch.observe_segments(batch.CompiledShape(st), a, b)
+    bobs = batch.observe_segments(batch.CompiledShape(st), np.full(50, 0.5 * math.pi), ys, ORIGIN)
     assert int(bobs.k.max()) == 6
-
-
-def test_zero_length_and_missing_segments():
-    sq = shapes.square()
-    a = np.array([[-1.0, 0.5], [-1.0, 9.0]])
-    b = np.array([[-1.0, 0.5], [2.0, 9.0]])
-    bobs = batch.observe_segments(batch.CompiledShape(sq), a, b)
-    assert not bobs.rejected.any()
-    assert bobs.k.tolist() == [0, 0]
-    assert bobs.chords_flat.size == 0
 
 
 def test_accepted_drops_rejected_lines_and_reindexes_chords():
@@ -509,10 +532,10 @@ def test_accepted_drops_rejected_lines_and_reindexes_chords():
     a = np.array([[-1.0, 0.5], [-1.0, 0.1], [-1.0, -1.0], [0.4, -1.0], [-1.0, 9.0], [-0.25, -1.0]])
     b = np.array([[2.0, 0.5], [2.0, 0.7], [2.0, 2.0], [0.4, 2.0], [2.0, 9.0], [1.25, 2.0]])
     kept = [0, 1, 3, 4, 5]
-    full = batch.observe_segments(cs, a, b)
+    full = batch.observe_segments(cs, *_lines_through(a, b))
     assert full.rejected.tolist() == [False, False, True, False, False, False]
     got = full.accepted()
-    want = batch.observe_segments(cs, a[kept], b[kept])
+    want = batch.observe_segments(cs, *_lines_through(a[kept], b[kept]))
     assert not got.rejected.any() and len(got) == len(kept)
     for field in ("k", "L1", "L3", "chord_cube_sum", "chords_flat"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field

@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import chordscan
-from chordscan import reading, recognition
+from chordscan import reading, recognition, shapes
 from chordscan.cli import main
-from chordscan.sampling import SamplerConfig
+from chordscan.explore import DEFAULT_CHUNK, explore
+from chordscan.sampling import SamplerConfig, arena_for, sample_iur_batch
 
 
 def run_python(*args, cwd):
@@ -189,6 +191,20 @@ def test_dump_observations_rows(tmp_path):
     # a hitting line carries its chord list
     hit = next(l for l in lines[1:] if l.split(",")[2] != "0")
     assert hit.split(",")[5] != ""
+
+
+def test_dump_rows_are_the_drawn_lines():
+    # each dumped line is (theta, p) as sample_iur_batch drew it, bit for
+    # bit, over two takes; no line is rejected, so the rows are the draws
+    shape = shapes.statue()
+    rows = []
+    acc = explore(shape, DEFAULT_CHUNK + 3000, SamplerConfig(seed=5), dump_rows=rows)
+    assert acc.rejected == 0
+    rng = np.random.default_rng(5)
+    draws = [sample_iur_batch(rng, arena_for(shape), n) for n in (DEFAULT_CHUNK, 3000)]
+    for col in (0, 1):
+        want = np.concatenate([d[col] for d in draws])
+        assert np.array_equal(np.array([row[col] for row in rows]), want)
 
 
 def test_estimate_workers_flag(tmp_path):

@@ -26,6 +26,31 @@ def test_ring_needs_three_distinct_vertices():
         g.Ring([(0, 0), (1, 0), (1, 0), (0, 1)])
 
 
+def test_ring_from_a_float_array_is_the_ring_from_tuples():
+    verts = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.5), (0.5, 1.0)]
+    for dtype in (float, np.float32):
+        arr = np.array(verts, dtype=dtype)
+        ring = g.Ring(arr)
+        want = g.Ring([(float(x), float(y)) for x, y in arr])
+        assert ring.coords.dtype == float and np.array_equal(ring.coords, want.coords)
+        assert not ring.coords.flags.writeable
+        arr[0] = (9.0, 9.0)  # the caller's array stays the caller's
+        assert np.array_equal(ring.coords, want.coords)
+    bad = {
+        "two vertices": [[0.0, 0.0], [1.0, 0.0]],
+        "three columns": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]],
+        "flat": [0.0, 0.0, 1.0, 0.0, 1.0, 1.0],
+        "non-finite": [[0.0, 0.0], [1.0, np.nan], [1.0, 1.0]],
+        "infinite": [[0.0, 0.0], [np.inf, 0.0], [1.0, 1.0]],
+        "repeated": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 1.0]],
+        "repeated across the closing edge": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]],
+    }
+    for name, coords in bad.items():
+        with pytest.raises(g.InvalidShapeError):
+            g.Ring(np.array(coords))
+            pytest.fail(name)
+
+
 def test_exact_area_unit_square():
     assert g.exact_area(shapes.square()) == pytest.approx(1.0, abs=1e-12)
 

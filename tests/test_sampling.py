@@ -47,20 +47,43 @@ def test_mean_arena_chord_is_cauchy_value():
     assert abs(chords.mean() - math.pi / 2) < 3 * se
 
 
-def test_segments_from_lines_cases():
-    # a diameter, a tangent line and a line at half the radius
-    a, b = sp._segments_from_lines(np.array([0.0, 0.3, 1.1]), np.array([0.0, 1.0, 0.5]), ARENA)
-    lengths = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
-    assert lengths == pytest.approx([2.0, 0.0, math.sqrt(3.0)])
+def _assert_on_line(a, b, theta, p, arena):
+    # both endpoints lie on the line, and theta is in [0, pi)
+    assert np.all((theta >= 0.0) & (theta < math.pi))
+    n = np.column_stack([np.cos(theta), np.sin(theta)])
+    for end in (a, b):
+        off = np.sum((end - arena.center.as_array()) * n, axis=1)
+        assert np.all(np.abs(off - p) <= 1e-12 * arena.radius)
 
 
-def test_line_params_roundtrip():
-    rng = np.random.default_rng(4)
-    theta, p = sp.sample_iur_batch(rng, OFFCENTER, 500)
-    a, b = sp._segments_from_lines(theta, p, OFFCENTER)
-    theta2, p2 = sp.line_params_of_segments(a, b, OFFCENTER)
-    assert np.allclose(theta2, theta, atol=1e-9)
-    assert np.allclose(p2, p, atol=1e-9)
+@pytest.mark.parametrize("arena", [ARENA, OFFCENTER], ids=["centred", "off-centre"])
+def test_line_params_of_billiard_chords(arena):
+    for policy in ("cosine", "uniform"):
+        a, b, _ = sp.billiard_segments(np.random.default_rng(4), arena, 2000, policy)
+        _assert_on_line(a, b, *sp.line_params_of_segments(a, b, arena.center), arena)
+    # horizontal, vertical and through-centre chords, each both ways
+    c, r = arena.center.as_array(), arena.radius
+    ends = [((-r, 0.3), (r, 0.3)), ((0.2, -r), (0.2, r)), ((-r, 0.0), (r, 0.0)),
+            ((0.0, -r), (0.0, r)), ((-0.6 * r, -0.8 * r), (0.6 * r, 0.8 * r))]
+    a = np.array([e[0] for e in ends] + [e[1] for e in ends]) + c
+    b = np.array([e[1] for e in ends] + [e[0] for e in ends]) + c
+    theta, p = sp.line_params_of_segments(a, b, arena.center)
+    _assert_on_line(a, b, theta, p, arena)
+    assert theta[[0, 2]] == pytest.approx([0.5 * math.pi] * 2)
+    assert theta[[1, 3]].tolist() == [0.0, 0.0]
+    # a chord and its reverse are one line
+    assert np.array_equal(theta[:5], theta[5:])
+    assert p == pytest.approx([0.3, 0.2, 0.0, 0.0, 0.0] * 2, abs=1e-15 * r)
+
+
+def test_line_params_fold_a_near_vertical_chord_to_zero():
+    # the normal of a downward chord a rounding off vertical is (-1, tiny),
+    # whose angle rounds to pi: it is the line at angle 0
+    a = np.array([[0.0, 1.0]])
+    b = np.array([[-4e-16, -1.0]])
+    theta, p = sp.line_params_of_segments(a, b, ARENA.center)
+    assert theta.tolist() == [0.0]
+    _assert_on_line(a, b, theta, p, ARENA)
 
 
 def test_billiard_diameter_heading():
