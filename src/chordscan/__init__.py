@@ -32,7 +32,7 @@ from .estimators import (
     report,
     stderrs,
 )
-from .explore import convergence_series, explore, explore_parallel, explore_per_line
+from .explore import convergence_series, explore, explore_parallel
 from .geometry import (
     InvalidShapeError,
     Point,

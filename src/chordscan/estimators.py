@@ -5,8 +5,8 @@ constant-size running sums (plus a fixed-bin chord histogram and the sums of
 contiguous batches of lines), so memory never grows with the number of
 explored lines. Estimates are ratios of sums, which makes them insensitive to
 lines that miss the shape entirely; area_perimeter writes both ratio formulas
-once for arrays of sums: per prefix of a per-line record and per line of the
-stopping loop. ratio_influence is the one variance formula: the delta method
+once for arrays of sums: at the grid of a convergence series and per line of
+the stopping loop. ratio_influence is the one variance formula: the delta method
 applied to the batch sums gives the report's standard errors and the
 dictionary's calibrated noise alike.
 """
@@ -195,18 +195,6 @@ def convex_third_moment_area(acc: Accumulator) -> float:
     return _ratio_area(acc.sum_L1, acc.chord_cube_sum)
 
 
-def prefix_estimates(obs: BatchObservations, checkpoints) -> tuple[np.ndarray, np.ndarray]:
-    """(area, perimeter) estimates using only the first N lines of obs, per N."""
-    idx = np.asarray(checkpoints, dtype=int) - 1
-    if np.any((idx < 0) | (idx >= len(obs))):
-        raise ValueError(f"checkpoints must lie in [1, {len(obs)}]")
-    sum_L1, sum_L3, chords = (np.cumsum(col)[idx] for col in (obs.L1, obs.L3, obs.k))
-    empty = (sum_L1 <= 0.0) | (chords <= 0)
-    if empty.any():
-        raise InsufficientDataError(f"no chord in the first {np.min(idx[empty]) + 1} lines")
-    return area_perimeter(sum_L1, sum_L3, chords)
-
-
 def batch_influence(acc: Accumulator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ratio_influence of area, perimeter and convex baseline on the batches with lines.
 
@@ -329,8 +317,8 @@ def fit_power(n_values, sigmas) -> tuple[float, float]:
     """Least-squares fit sigma = prefactor * N**exponent in log-log space."""
     n_values = np.asarray(n_values, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
-    if len(n_values) < 2:
-        raise ValueError("need at least two samples to fit")
+    if np.unique(n_values).size < 2:
+        raise ValueError("need at least two distinct N to fit")
     if not (np.all(np.isfinite(sigmas) & (sigmas > 0.0)) and np.all(n_values > 0.0)):
         raise ValueError("power-law fit needs positive N and finite positive sigma")
     slope, intercept = np.polyfit(np.log(n_values), np.log(sigmas), 1)

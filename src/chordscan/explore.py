@@ -4,8 +4,8 @@ LineStream produces accepted line statistics in sampling order, as
 batch.BatchObservations records, transparently resampling the (measure-zero)
 degenerate lines and counting them. Its lines are fixed by its shape, its
 SamplerConfig (whose seed is the only source of randomness) and its arena.
-Everything else - one-shot estimates, per-line records for convergence
-studies, parallel workers - is built on top of it.
+Everything else - one-shot estimates, convergence studies that read its
+running sums one take at a time, parallel workers - is built on top of it.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ class LineStream:
         self.rng = np.random.default_rng(self.config.seed)
         self._billiard_state: BilliardState | None = None
         self.rejected_total = 0
+        self._totals = (0.0, 0.0, 0)  # L1, L3, k over the lines running_sums returned
 
     def _lines(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The next n lines (theta, p), p measured from the arena's centre."""
@@ -77,6 +78,21 @@ class LineStream:
             parts.append(bobs.accepted())
             got += len(parts[-1])
         return BatchObservations.concatenate(parts)
+
+    def running_sums(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Running totals (L1, L3, k) of the stream after each of its next n lines.
+
+        The totals carry on from the last call (sequential sums seeded with its
+        last total), so a prefix's sums do not depend on how calls split the
+        stream. Lines drawn by take() are not counted.
+        """
+        obs = self.take(n)
+        runs = [
+            np.cumsum(np.concatenate(([last], col)))
+            for last, col in zip(self._totals, (obs.L1, obs.L3, obs.k))
+        ]
+        self._totals = tuple(run[-1] for run in runs)
+        return tuple(run[1:] for run in runs)
 
 
 def _check_arena(shape: Shape, arena: ArenaCircle) -> None:
@@ -124,19 +140,6 @@ def _append_dump_rows(rows: list, obs: BatchObservations) -> None:
         )
 
 
-def explore_per_line(
-    shape: Shape,
-    n_lines: int,
-    config: SamplerConfig | None = None,
-    *,
-    arena: ArenaCircle | None = None,
-) -> BatchObservations:
-    """Record of n_lines accepted lines in sampling order (for prefix studies)."""
-    if n_lines < 1:
-        raise ValueError("n_lines must be positive")
-    return LineStream(shape, config, arena=arena).take(n_lines)
-
-
 def explore_parallel(
     shape: Shape,
     n_lines: int,
@@ -181,26 +184,35 @@ def convergence_series(
     """Replicate spread of (area, perimeter) estimates at each N in n_grid.
 
     Each replicate runs max(n_grid) lines once from substream(seed, REPLICATE, rep);
-    smaller N values reuse its prefixes, which keeps replicates independent
-    of each other at every N. The shape is compiled, and its arena found,
+    smaller N values read its running sums, which keeps replicates independent
+    of each other at every N. A replicate holds one take at a time, keeping
+    only the sums at the grid. The shape is compiled, and its arena found,
     once for all replicates.
     """
     config = config or SamplerConfig()
-    n_grid = sorted(int(n) for n in n_grid)
+    grid = np.sort(np.asarray([int(n) for n in n_grid], dtype=np.int64))
     if replicates < 2:
         raise ValueError("need at least two replicates")
-    n_max = n_grid[-1]
-    if n_max < 1:
-        raise ValueError("n_grid must hold a positive N")
-    areas = np.empty((replicates, len(n_grid)))
-    perims = np.empty((replicates, len(n_grid)))
+    if grid.size == 0 or grid[0] < 1:
+        raise ValueError(f"n_grid must be a non-empty list of positive N, not {grid.tolist()}")
+    n_max = int(grid[-1])
+    areas = np.empty((replicates, grid.size))
+    perims = np.empty((replicates, grid.size))
+    sums = np.empty((3, grid.size))  # L1, L3, k at each N
     for rep in range(replicates):
         sub = dataclasses.replace(config, seed=substream(config.seed, REPLICATE, rep))
-        obs = explore_per_line(shape, n_max, sub)
-        areas[rep], perims[rep] = estimators.prefix_estimates(obs, n_grid)
-        del obs  # freed before the next replicate's record is built
+        stream = LineStream(shape, sub)
+        for done in range(0, n_max, DEFAULT_CHUNK):
+            runs = stream.running_sums(min(DEFAULT_CHUNK, n_max - done))
+            at = (grid > done) & (grid <= done + DEFAULT_CHUNK)
+            sums[:, at] = [run[grid[at] - done - 1] for run in runs]
+        sum_L1, sum_L3, chords = sums
+        empty = (sum_L1 <= 0.0) | (chords <= 0)
+        if empty.any():
+            raise estimators.InsufficientDataError(f"no chord in the first {grid[empty][0]} lines")
+        areas[rep], perims[rep] = estimators.area_perimeter(sum_L1, sum_L3, chords)
     return estimators.ConvergenceSeries(
-        n_values=np.asarray(n_grid, dtype=float),
+        n_values=grid.astype(float),
         sigma_a=np.std(areas, axis=0, ddof=1),
         sigma_p=np.std(perims, axis=0, ddof=1),
     ).fit()

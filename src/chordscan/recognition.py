@@ -306,9 +306,6 @@ def explore_until_stop(
         raise ValueError("n_max must be positive")
     stream = LineStream(shape, config, arena=arena)
     ref = _entry_arrays(entries)
-    # running sums; each draw continues from the previous draw's last prefix
-    l1 = l3 = np.zeros(1)
-    kk = np.zeros(1, dtype=np.int64)
     done = 0
     min_n = 1 if threshold <= 0.0 else max(1, warm_up)
     confirm = 1 if threshold <= 0.0 else max(1, confirm)
@@ -318,10 +315,7 @@ def explore_until_stop(
     last = StopResult(None, n_max, True, float("nan"), float("nan"), 0.0)
     while done < n_max:
         take_n = min(STOP_CHUNK if done else max(min_n + confirm - 1, STOP_CHUNK), n_max - done)
-        obs = stream.take(take_n)
-        l1 = np.cumsum(np.concatenate((l1[-1:], obs.L1)))[1:]
-        l3 = np.cumsum(np.concatenate((l3[-1:], obs.L3)))[1:]
-        kk = np.cumsum(np.concatenate((kk[-1:], obs.k)))[1:]
+        l1, l3, kk = stream.running_sums(take_n)
         n_prefix = done + np.arange(1, take_n + 1)
         idx = np.flatnonzero((l1 > 0.0) & (kk > 0) & (n_prefix >= min_n))
         if idx.size:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chordscan import recognition, shapes
+from chordscan.explore import LineStream
 from chordscan.sampling import SamplerConfig
 
 
@@ -38,3 +39,12 @@ def arena_chords(theta, p, arena):
     a = np.column_stack([foot_x - half * -ny, foot_y - half * nx])
     b = np.column_stack([foot_x + half * -ny, foot_y + half * nx])
     return a, b
+
+
+def record_sums(shape, n_max, config, arena=None):
+    """Running (L1, L3, k) totals of one whole n_max-line record, one cumsum per column.
+
+    The oracle for LineStream.running_sums, which sums a stream take by take.
+    """
+    obs = LineStream(shape, config, arena=arena).take(n_max)
+    return [np.cumsum(col) for col in (obs.L1, obs.L3, obs.k)]

@@ -505,3 +505,16 @@ def test_converge_without_chords_fails_cleanly(tmp_path):
     assert proc.returncode == 1
     assert "chordscan converge: error: no chord" in proc.stderr
     assert not (tmp_path / "conv.csv").exists()
+
+
+@pytest.mark.parametrize("grid", [",", "0,100", "100,-5", "100,100"])
+def test_converge_bad_grid_fails_cleanly(tmp_path, grid):
+    # an empty grid, an N below 1, or a single distinct N fitted twice
+    proc = run_cli(
+        "converge", "--shape", "disk", "--grid", grid, "--replicates", "3",
+        "--out", "conv.csv", cwd=tmp_path,
+    )
+    assert proc.returncode == 1
+    assert "chordscan converge: error: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "conv.csv").exists()

@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +10,11 @@ from chordscan import estimators as est
 from chordscan import shapes
 from chordscan.batch import BatchObservations, CompiledShape
 from chordscan.chords import ArenaTooSmallError, CrossingEvent, LineObservation, ZERO_OBSERVATION
-from chordscan.explore import convergence_series, explore, explore_parallel, explore_per_line
+from chordscan.explore import LineStream, convergence_series, explore, explore_parallel
 from chordscan.geometry import Point, Ring, Shape, exact_area, exact_perimeter, union_disjoint
-from chordscan.sampling import REPLICATE, ArenaCircle, SamplerConfig, substream
+from chordscan.sampling import REPLICATE, SAMPLER_MODES, ArenaCircle, SamplerConfig, substream
+
+from conftest import record_sums
 
 
 def obs_from_chords(*chords, gap=5.0):
@@ -270,7 +273,7 @@ def test_batches_are_contiguous_and_even():
     # takes sums both parts
     config = SamplerConfig(seed=6)
     acc = explore(shapes.disk(), 40_000, config)
-    obs = explore_per_line(shapes.disk(), 40_000, config)
+    obs = LineStream(shapes.disk(), config).take(40_000)
     cols = (obs.L1, obs.L3, obs.k, obs.chord_cube_sum)
     want = np.column_stack([np.add.reduceat(c, np.arange(0, 40_000, 400)) for c in cols])
     np.testing.assert_allclose(acc.batch[:, :4], want, rtol=1e-12)
@@ -342,6 +345,10 @@ def test_fit_power_constant_series():
     assert expo == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         est.fit_power(n, np.array([1.0, -1.0, 2.0]))
+    # one N, however often, fixes no slope
+    for same_n in (n[:1], np.full(3, 100.0)):
+        with pytest.raises(ValueError, match="need at least two distinct N to fit"):
+            est.fit_power(same_n, np.full(len(same_n), 2.0))
 
 
 @pytest.mark.parametrize("name", shapes.BUILTIN_NAMES)
@@ -368,7 +375,7 @@ def test_convergence_series_without_chords_raises():
         convergence_series(shapes.statue(), [1, 10, 100], 60, SamplerConfig(seed=1))
 
 
-@pytest.mark.parametrize("mode", ["iur", "billiard-cos"])
+@pytest.mark.parametrize("mode", SAMPLER_MODES)
 def test_convergence_series_compiles_once_and_equals_per_replicate_records(monkeypatch, mode):
     compiled = []
     compile_shape = CompiledShape.__init__
@@ -378,20 +385,33 @@ def test_convergence_series_compiles_once_and_equals_per_replicate_records(monke
         compile_shape(self, shape)
 
     monkeypatch.setattr(CompiledShape, "__init__", counting_compile)
-    config, n_grid, replicates = SamplerConfig(mode=mode, seed=4), [50, 400, 2000], 5
+    # 40,000 lines are summed 16,384 at a time: the grid reads sums of the
+    # first, second and third take
+    config, n_grid, replicates = SamplerConfig(mode=mode, seed=4), [50, 16_384, 20_000, 40_000], 5
     series = convergence_series(shapes.square(), n_grid, replicates, config)
     assert len(compiled) == 1
-    records = [
-        explore_per_line(
-            shapes.square(),
-            n_grid[-1],
-            replace(config, seed=substream(config.seed, REPLICATE, rep)),
-        )
-        for rep in range(replicates)
-    ]
-    areas, perims = np.array([est.prefix_estimates(obs, n_grid) for obs in records]).transpose(1, 0, 2)
+    idx = np.asarray(n_grid) - 1
+    estimates = []
+    for rep in range(replicates):
+        sub = replace(config, seed=substream(config.seed, REPLICATE, rep))
+        sums = record_sums(shapes.square(), n_grid[-1], sub)
+        estimates.append(est.area_perimeter(*(run[idx] for run in sums)))
+    areas, perims = np.array(estimates).transpose(1, 0, 2)
     assert np.array_equal(series.sigma_a, np.std(areas, axis=0, ddof=1))
     assert np.array_equal(series.sigma_p, np.std(perims, axis=0, ddof=1))
+
+
+def test_convergence_series_memory_does_not_grow_with_n():
+    # a replicate holds one take of running sums, not a record of its lines
+    shape, config = shapes.statue(), SamplerConfig(seed=3)
+    convergence_series(shape, [100, 200], 2, config)  # fills the shape's kernel and circle
+    tracemalloc.start()
+    try:
+        convergence_series(shape, [1000, 200_000], 2, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("mode", ["iur", "billiard-cos"])
@@ -438,22 +458,22 @@ def test_arena_check_covers_vertices(radius, covers):
 
 
 def test_prefix_estimates_match_full_run():
-    obs = explore_per_line(shapes.square(), 5000, SamplerConfig(seed=16))
-    a, p = est.prefix_estimates(obs, [5000])
+    stream = LineStream(shapes.square(), SamplerConfig(seed=16))
+    runs = [stream.running_sums(n) for n in (1000, 4000)]
+    a, p = est.area_perimeter(*(run[-1] for run in runs[-1]))
     acc = explore(shapes.square(), 5000, SamplerConfig(seed=16))
-    assert a[0] == pytest.approx(est.estimate_area(acc), rel=1e-9)
-    assert p[0] == pytest.approx(est.estimate_perimeter(acc), rel=1e-9)
+    assert a == pytest.approx(est.estimate_area(acc), rel=1e-9)
+    assert p == pytest.approx(est.estimate_perimeter(acc), rel=1e-9)
 
 
 @pytest.mark.parametrize(
-    "n_lines, checkpoints",
-    [(100, [0]), (100, [-1]), (100, [101]), (0, [1])],
-    ids=["checkpoint-0", "checkpoint-negative", "checkpoint-past-end", "no-lines"],
+    "n_grid",
+    [[0, 100], [100, -1], []],
+    ids=["checkpoint-0", "checkpoint-negative", "no-lines"],
 )
-def test_line_counts_out_of_range_raise(n_lines, checkpoints):
-    with pytest.raises(ValueError, match="checkpoints must lie|n_lines must be positive"):
-        obs = explore_per_line(shapes.square(), n_lines, SamplerConfig(seed=20))
-        est.prefix_estimates(obs, checkpoints)
+def test_line_counts_out_of_range_raise(n_grid):
+    with pytest.raises(ValueError, match="n_grid must be a non-empty list of positive N"):
+        convergence_series(shapes.square(), n_grid, 3, SamplerConfig(seed=20))
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -9,10 +9,11 @@ import pytest
 from chordscan import reading as rd
 from chordscan import recognition as rec
 from chordscan import shapes
-from chordscan.estimators import merge, prefix_estimates
-from chordscan.explore import explore_per_line
+from chordscan.estimators import area_perimeter, merge
 from chordscan.geometry import exact_area, exact_perimeter
 from chordscan.sampling import LETTER, SLOT, WORD, WORKER, SamplerConfig, arena_for, substream
+
+from conftest import record_sums
 
 ex = importlib.import_module("chordscan.explore")
 
@@ -273,9 +274,8 @@ def test_letter_stop_estimates_equal_one_draw_prefix(letter_dict):
             confirm=rd.READ_CONFIRM,
             arena=arena,
         )
-        obs = explore_per_line(target.letter_shapes[0], res.n_stop, cfg, arena=arena)
-        a, p = prefix_estimates(obs, [res.n_stop])
-        assert (res.area_hat, res.perim_hat) == (a[0], p[0])
+        sums = record_sums(target.letter_shapes[0], res.n_stop, cfg, arena=arena)
+        assert (res.area_hat, res.perim_hat) == area_perimeter(*(s[-1] for s in sums))
 
 
 def test_read_local_freedom(letter_dict):

@@ -10,10 +10,12 @@ from chordscan import estimators as est
 from chordscan import reading as rd
 from chordscan import recognition as rec
 from chordscan import shapes
-from chordscan.estimators import EstimateReport, prefix_estimates
-from chordscan.explore import explore, explore_per_line
+from chordscan.estimators import EstimateReport
+from chordscan.explore import LineStream, explore
 from chordscan.geometry import Point, exact_area, exact_perimeter
 from chordscan.sampling import SAMPLER_MODES, ArenaCircle, SamplerConfig, arena_for
+
+from conftest import record_sums
 
 
 def make_report(p, a, n=1000, se_p=float("nan"), se_a=float("nan")):
@@ -87,7 +89,7 @@ def _entry_from_record(shape, m_lines, replicates, config, arena):
     """calibrate's batch rule applied to the first whole batches of explore's stream."""
     b = rec.CALIBRATION_BATCH
     n = m_lines * replicates // b * b
-    obs = explore_per_line(shape, n, config, arena=arena)
+    obs = LineStream(shape, config, arena=arena).take(n)
     sums = [np.add.reduceat(col, np.arange(0, n, b)) for col in (obs.L1, obs.L3, obs.k)]
     if_a, if_p = est.ratio_influence(*sums)
     corr = float(np.corrcoef(if_p, if_a)[0, 1])
@@ -359,19 +361,19 @@ def test_stop_estimates_equal_one_draw_prefix(builtin_dictionary):
     for seed in range(6):
         cfg = SamplerConfig(seed=seed)
         res = rec.explore_until_stop(shapes.square(), [square, twin], cfg)
-        a, p = prefix_estimates(explore_per_line(shapes.square(), res.n_stop, cfg), [res.n_stop])
-        assert (res.area_hat, res.perim_hat) == (a[0], p[0])
+        sums = record_sums(shapes.square(), res.n_stop, cfg)
+        assert (res.area_hat, res.perim_hat) == est.area_perimeter(*(s[-1] for s in sums))
 
 
 def _stop_by_walking_prefixes(shape, entries, cfg, *, threshold, warm_up, confirm, n_max):
     """explore_until_stop's (label, n_stop, censored, area, perimeter), found by
     walking every prefix of one n_max-line record in order."""
-    obs = explore_per_line(shape, n_max, cfg)
-    l1, kk = np.cumsum(obs.L1), np.cumsum(obs.k)
+    l1, l3, kk = record_sums(shape, n_max, cfg)
     min_n = 1 if threshold <= 0.0 else max(1, warm_up)
     confirm = 1 if threshold <= 0.0 else max(1, confirm)
     ns = [n for n in range(min_n, n_max + 1) if l1[n - 1] > 0.0 and kk[n - 1] > 0]
-    a, p = prefix_estimates(obs, ns)
+    idx = np.asarray(ns) - 1
+    a, p = est.area_perimeter(l1[idx], l3[idx], kk[idx])
     _, top, top_prob = rec._posteriors(rec._log_likelihoods(p, a, ns, rec._entry_arrays(entries)))
     streak, label = 0, -1
     for i, n in enumerate(ns):
