@@ -10,8 +10,8 @@ crossings runs the batch ring scan (batch._scan, which tests the edges the
 shape's candidate-edge table lists for the line) on one line, so a line within
 tolerance of a vertex is rejected here exactly as in every estimate. It is the
 one caller whose segment need not be an arena chord: it turns the segment
-into a line (theta, p) with sampling.line_params_of_segments, as the billiard
-samplers do, and keeps the crossings that fall within the segment.
+into a line (theta, p) with sampling.line_params_of_segments and keeps the
+crossings that fall within the segment.
 geometric_function keeps the pair-sum definition above as the reference the
 batch kernel's O(k) sums are checked against.
 """

@@ -167,7 +167,7 @@ def _cmd_estimate(args) -> int:
     shape = _resolve_shape(args.shape)
     config = _sampler_config(args)
     dump_rows = [] if args.dump_observations else None
-    if args.workers > 1 and dump_rows is None:
+    if args.workers > 1:
         acc = explore_parallel(
             shape, args.lines, config, workers=args.workers, n_batches=args.batches
         )
@@ -353,7 +353,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "estimate" and args.workers > 1 and args.dump_observations:
+        parser.error("--dump-observations lists one stream's lines; it needs --workers 1")
     try:
         return _COMMANDS[args.command](args)
     except (

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -27,8 +28,7 @@ from .sampling import (
     BilliardState,
     SamplerConfig,
     arena_for,
-    billiard_segments,
-    line_params_of_segments,
+    billiard_lines,
     sample_iur_batch,
     substream,
 )
@@ -56,13 +56,12 @@ class LineStream:
 
     def _lines(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The next n lines (theta, p), p measured from the arena's centre."""
-        policy = self.config.billiard_policy
-        if policy is None:
+        if self.config.mode == "iur":
             return sample_iur_batch(self.rng, self.arena, n)
-        a, b, self._billiard_state = billiard_segments(
-            self.rng, self.arena, n, policy=policy, state=self._billiard_state
+        theta, p, self._billiard_state = billiard_lines(
+            self.rng, self.arena, n, self.config.mode, self._billiard_state
         )
-        return line_params_of_segments(a, b, self.arena.center)
+        return theta, p
 
     def take(self, n: int) -> BatchObservations:
         """Exactly n accepted lines; degenerate ones are resampled and counted.
@@ -167,7 +166,8 @@ def explore_parallel(
         for w in range(len(shares))
     ]
     job = functools.partial(explore, shape, arena=arena, n_batches=n_batches)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a pool forks all its processes at once: no more than there are shares or CPUs
+    with ProcessPoolExecutor(max_workers=min(len(shares), os.cpu_count() or 1)) as pool:
         accs = list(pool.map(job, shares, configs))
     out = accs[0]
     for acc in accs[1:]:

@@ -6,11 +6,9 @@ the coordinates in which IUR lines are uniform (dG = dp dtheta). This is the
 one line format from the samplers to the ring scan.
 
 Lines are drawn a block at a time, in a fixed order so runs are reproducible
-from the seed. sample_iur_batch draws n (theta, p) pairs, one row of two
-uniforms per line. billiard_segments draws a bounce chain as arena chords:
-two uniforms for the initial position and heading of a fresh chain, one per
-further bounce, and one for the heading it hands on to the next call;
-line_params_of_segments turns chords into lines.
+from the seed: sample_iur_batch draws n (theta, p) pairs, one row of two
+uniforms per line, and billiard_lines works each line of a bounce chain out
+from its bounce angles. line_params_of_segments turns segments into lines.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ class ArenaCircle:
 
 @dataclass(frozen=True)
 class BilliardState:
-    position: Point  # on the arena boundary
-    heading: float  # radians, pointing into the arena
+    beta: float  # wall angle of the next bounce point about the centre, in [-pi, pi]
+    phi: float  # angle of the next heading from the inward normal there
 
 
 @dataclass(frozen=True)
@@ -51,10 +49,6 @@ class SamplerConfig:
     def __post_init__(self):
         if self.mode not in SAMPLER_MODES:
             raise ValueError(f"sampler mode must be one of {SAMPLER_MODES}")
-
-    @property
-    def billiard_policy(self) -> str | None:
-        return {"billiard-cos": "cosine", "billiard-uni": "uniform"}.get(self.mode)
 
 
 # First word of the substream key of each site that draws substreams, so that
@@ -106,62 +100,64 @@ def line_params_of_segments(
     theta = np.arctan2(ny, nx)
     p = (a[:, 0] - origin.x) * nx + (a[:, 1] - origin.y) * ny
     p /= np.sqrt(nx * nx + ny * ny)
-    # an angle that rounds to pi is the line at 0 with its normal turned round
+    return _fold_at_pi(theta, p)
+
+
+def _fold_at_pi(theta: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An angle that rounds to pi is the line at 0 with its normal turned round."""
     at_pi = theta == math.pi
     theta[at_pi] = 0.0
     np.negative(p, out=p, where=at_pi)
     return theta, p
 
 
-def _draw_normal_angle(u: np.ndarray, policy: str) -> np.ndarray:
+def _draw_normal_angle(u: np.ndarray, mode: str) -> np.ndarray:
     """Outgoing angle from the inward normal for one bounce, from a uniform."""
-    if policy == "cosine":
+    if mode == "billiard-cos":
         return np.arcsin(2.0 * u - 1.0)  # density prop. to cos(phi)
-    if policy == "uniform":
+    if mode == "billiard-uni":
         return (u - 0.5) * math.pi
-    raise ValueError(f"unknown billiard policy {policy!r}")
+    raise ValueError(f"unknown billiard mode {mode!r}")
 
 
-def billiard_segments(
+def billiard_lines(
     rng: np.random.Generator,
     arena: ArenaCircle,
     n: int,
-    policy: str = "cosine",
+    mode: str,
     state: BilliardState | None = None,
 ) -> tuple[np.ndarray, np.ndarray, BilliardState]:
-    """n consecutive bounce segments, vectorized over the whole chain.
+    """The lines (theta, p) of n consecutive bounce chords, and the chain's state.
 
-    On a circle the bounce map is a rotation: beta' = beta + pi + 2*phi, so the
-    chain is a cumulative sum of independent increments. A fresh chain draws
-    one uniform for its initial position and one for its initial heading,
-    then one per further bounce and one for the heading of the returned
-    state: n + 2 uniforms in that order. A resumed chain takes its first
-    heading from the state and draws the other n. So n1 + n2 segments drawn
-    at once equal n1 then n2 drawn by two chained calls, up to rounding.
+    A chord leaving wall angle beta at phi from the inward normal ends at
+    beta + pi + 2*phi, so the chain is a cumulative sum of independent
+    increments. Its normal points at its midpoint, at angle
+    mu = beta + pi/2 + phi and distance -R*sin(phi); theta is mu mod pi, p
+    turning sign with the normal at odd multiples of pi.
+
+    A fresh chain draws a uniform for its first wall angle and one per bounce
+    angle, the last for the state it returns: n + 2 in that order. A resumed
+    chain starts from the state and draws n. So n1 + n2 lines at once equal
+    n1 then n2 from two chained calls, up to rounding.
     """
-    if state is None:
-        u0 = rng.random()
-        beta0 = 2.0 * math.pi * u0
-        phi0 = float(_draw_normal_angle(np.asarray(rng.random()), policy))
-    else:
-        beta0 = math.atan2(
-            state.position.y - arena.center.y, state.position.x - arena.center.x
-        )
-        # wrap to (-pi, pi]: unwrapped, the angle doubles on every resumed call
-        phi0 = math.remainder(state.heading - beta0 - math.pi, 2.0 * math.pi)
     if n < 1:
-        raise ValueError("need at least one segment")
+        raise ValueError("need at least one line")
+    if state is None:
+        beta0 = 2.0 * math.pi * rng.random()
+        phi0 = float(_draw_normal_angle(np.asarray(rng.random()), mode))
+    else:
+        beta0, phi0 = state.beta, state.phi
     phis = np.empty(n)
     phis[0] = phi0
     if n > 1:
-        phis[1:] = _draw_normal_angle(rng.random(n - 1), policy)
+        phis[1:] = _draw_normal_angle(rng.random(n - 1), mode)
     betas = np.empty(n + 1)
     betas[0] = beta0
     betas[1:] = beta0 + np.cumsum(math.pi + 2.0 * phis)
-    cx, cy, r = arena.center.x, arena.center.y, arena.radius
-    pts = np.column_stack([cx + r * np.cos(betas), cy + r * np.sin(betas)])
-    # heading for the state after the last segment
-    phi_next = float(_draw_normal_angle(np.asarray(rng.random()), policy))
-    heading = math.remainder(betas[-1] + math.pi + phi_next, 2.0 * math.pi)
-    end = BilliardState(Point(*pts[-1]), heading)
-    return pts[:-1], pts[1:], end
+    turns, theta = np.divmod(betas[:-1] + (0.5 * math.pi + phis), math.pi)
+    p = arena.radius * np.sin(phis)
+    np.negative(p, out=p, where=turns % 2.0 == 0.0)
+    phi_next = float(_draw_normal_angle(np.asarray(rng.random()), mode))
+    # wrapped, the wall angle does not grow over a chain of resumed calls
+    end = BilliardState(math.remainder(betas[-1], 2.0 * math.pi), phi_next)
+    return (*_fold_at_pi(theta, p), end)

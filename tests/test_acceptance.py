@@ -307,16 +307,17 @@ def test_criterion_11_frugality():
 
 
 def test_criterion_12_sampler_equivalence():
-    from chordscan.sampling import ArenaCircle, billiard_segments
+    from chordscan.sampling import ArenaCircle, billiard_lines
 
     arena = ArenaCircle(Point(0.0, 0.0), 1.0)
     n = 100_000
     _, p = sample_iur_batch(np.random.default_rng(120), arena, n)
     iur = 2.0 * np.sqrt(np.clip(1.0 - p**2, 0.0, None))
-    a, b, _ = billiard_segments(np.random.default_rng(121), arena, n, "cosine")
-    cos_l = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
-    a, b, _ = billiard_segments(np.random.default_rng(122), arena, n, "uniform")
-    uni_l = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
+    # a line at offset p cuts the unit arena in a chord of length 2 sqrt(1 - p^2)
+    _, p, _ = billiard_lines(np.random.default_rng(121), arena, n, "billiard-cos")
+    cos_l = 2.0 * np.sqrt(1.0 - p**2)
+    _, p, _ = billiard_lines(np.random.default_rng(122), arena, n, "billiard-uni")
+    uni_l = 2.0 * np.sqrt(1.0 - p**2)
     p_cos = stats.ks_2samp(iur, cos_l).pvalue
     p_uni = stats.ks_2samp(iur, uni_l).pvalue
     assert p_cos > 0.001

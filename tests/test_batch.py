@@ -14,7 +14,7 @@ from chordscan.geometry import Point, RigidTransform, Shape, contains, transform
 from chordscan.sampling import (
     ArenaCircle,
     arena_for,
-    billiard_segments,
+    billiard_lines,
     line_params_of_segments,
     sample_iur_batch,
 )
@@ -32,8 +32,8 @@ def _random_lines(shape, n, seed):
 def _billiard_lines(shape, n, seed):
     """Lines (theta, p, origin) of a billiard-cos chain in the shape's arena."""
     arena = arena_for(shape)
-    a, b, _ = billiard_segments(np.random.default_rng(seed), arena, n, "cosine")
-    return (*line_params_of_segments(a, b, arena.center), arena.center)
+    theta, p, _ = billiard_lines(np.random.default_rng(seed), arena, n, "billiard-cos")
+    return theta, p, arena.center
 
 
 def _lines_through(a, b):

@@ -11,7 +11,7 @@ import chordscan
 from chordscan import reading, recognition, shapes
 from chordscan.cli import main
 from chordscan.explore import DEFAULT_CHUNK, explore
-from chordscan.sampling import SamplerConfig, arena_for, sample_iur_batch
+from chordscan.sampling import SamplerConfig, arena_for, billiard_lines, sample_iur_batch
 
 
 def run_python(*args, cwd):
@@ -63,6 +63,16 @@ def test_unknown_flag_usage_error(tmp_path):
 def test_lines_zero_rejected(tmp_path):
     proc = run_cli("estimate", "--shape", "disk", "--lines", "0", cwd=tmp_path)
     assert proc.returncode == 2
+
+
+def test_dump_with_workers_usage_error(tmp_path):
+    # workers explore substreams, not the one stream a dump lists
+    proc = run_cli(
+        "estimate", "--shape", "square", "--workers", "2", "--dump-observations", "d.csv",
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_shape_runtime_error(tmp_path):
@@ -194,17 +204,24 @@ def test_dump_observations_rows(tmp_path):
 
 
 def test_dump_rows_are_the_drawn_lines():
-    # each dumped line is (theta, p) as sample_iur_batch drew it, bit for
-    # bit, over two takes; no line is rejected, so the rows are the draws
+    # each dumped line is (theta, p) as its sampler drew it, bit for bit, over
+    # two takes, a billiard chain resuming across them; no line is rejected,
+    # so the rows are the draws
     shape = shapes.statue()
-    rows = []
-    acc = explore(shape, DEFAULT_CHUNK + 3000, SamplerConfig(seed=5), dump_rows=rows)
-    assert acc.rejected == 0
-    rng = np.random.default_rng(5)
-    draws = [sample_iur_batch(rng, arena_for(shape), n) for n in (DEFAULT_CHUNK, 3000)]
-    for col in (0, 1):
-        want = np.concatenate([d[col] for d in draws])
-        assert np.array_equal(np.array([row[col] for row in rows]), want)
+    arena = arena_for(shape)
+    for mode in ("iur", "billiard-cos"):
+        rows = []
+        acc = explore(shape, DEFAULT_CHUNK + 3000, SamplerConfig(mode, seed=5), dump_rows=rows)
+        assert acc.rejected == 0
+        rng = np.random.default_rng(5)
+        if mode == "iur":
+            draws = [sample_iur_batch(rng, arena, n) for n in (DEFAULT_CHUNK, 3000)]
+        else:
+            first = billiard_lines(rng, arena, DEFAULT_CHUNK, mode)
+            draws = [first, billiard_lines(rng, arena, 3000, mode, first[2])]
+        for col in (0, 1):
+            want = np.concatenate([d[col] for d in draws])
+            assert np.array_equal(np.array([row[col] for row in rows]), want), (mode, col)
 
 
 def test_estimate_workers_flag(tmp_path):

@@ -1,3 +1,4 @@
+import importlib
 import math
 import pickle
 import tracemalloc
@@ -481,6 +482,30 @@ def test_parallel_explore_of_no_lines_raises(workers):
     # with two workers there is no share to explore, so no accumulator to merge
     with pytest.raises(ValueError, match="n_lines must be positive"):
         explore_parallel(shapes.square(), 0, SamplerConfig(seed=20), workers=workers)
+
+
+def test_parallel_pool_has_no_more_processes_than_shares(monkeypatch):
+    # a pool forks all its processes at once; 3 lines make 3 shares however
+    # many workers are asked for. The pool here maps in this process.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(importlib.import_module("chordscan.explore"), "ProcessPoolExecutor", SerialPool)
+    acc = explore_parallel(shapes.square(), 3, SamplerConfig(seed=20), workers=64)
+    assert acc.n_lines == 3
+    assert len(sizes) == 1 and sizes[0] <= 3
 
 
 def test_accumulator_state_size_constant():

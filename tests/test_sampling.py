@@ -6,6 +6,7 @@ from scipy import stats
 
 from chordscan import sampling as sp
 from chordscan.geometry import Point
+from conftest import arena_chords
 
 ARENA = sp.ArenaCircle(Point(0.0, 0.0), 1.0)
 OFFCENTER = sp.ArenaCircle(Point(3.0, -2.0), 2.5)
@@ -56,10 +57,61 @@ def _assert_on_line(a, b, theta, p, arena):
         assert np.all(np.abs(off - p) <= 1e-12 * arena.radius)
 
 
+# each billiard mode's bounce angle from the inward normal, from its uniform
+DRAWS = {
+    "billiard-cos": lambda u: np.arcsin(2.0 * u - 1.0),
+    "billiard-uni": lambda u: (u - 0.5) * math.pi,
+}
+
+
+def _wall_points(seed, arena, n, mode):
+    """The n + 1 wall points of a fresh chain, from its uniforms.
+
+    Wall angle beta_0 = 2*pi*u_0, then beta_i+1 = beta_i + pi + 2*phi_i, one
+    angle phi_i per chord from the uniforms after u_0.
+    """
+    u = np.random.default_rng(seed).random(n + 2)
+    betas = np.empty(n + 1)
+    betas[0] = 2.0 * math.pi * u[0]
+    betas[1:] = betas[0] + np.cumsum(math.pi + 2.0 * DRAWS[mode](u[1 : n + 1]))
+    return arena.center.as_array() + arena.radius * np.column_stack([np.cos(betas), np.sin(betas)])
+
+
+def _wall_points_of(theta, p, arena):
+    """The n + 1 wall points a chain of n lines visits, checking that the chords share them.
+
+    Line i's chord of the arena ends where line i + 1's starts, and line
+    i + 1's chord leaves from its other end.
+    """
+    a, b = arena_chords(theta, p, arena)
+    ends = np.stack([a, b], axis=1)  # line, end, (x, y)
+    # gap[i, j, k] from end j of line i to end k of line i + 1
+    gap = np.linalg.norm(ends[:-1, :, None] - ends[1:, None, :], axis=-1).reshape(-1, 4)
+    assert np.all(gap.min(axis=1) <= 1e-9 * arena.radius)
+    j, k = np.divmod(gap.argmin(axis=1), 2)
+    assert np.array_equal(j[1:], 1 - k[:-1])
+    return np.vstack([ends[0, 1 - j[0]], ends[np.arange(len(j)), j], ends[-1, 1 - k[-1]]])
+
+
+def _assert_same_lines(theta, p, theta_ref, p_ref, tol, arena):
+    """theta within tol and p within tol * R, as one line up to (theta, p) ~ (theta - pi, -p)."""
+    d_theta = np.abs(theta - theta_ref)
+    seam = d_theta > 0.5 * math.pi
+    d_theta[seam] = math.pi - d_theta[seam]
+    d_p = np.where(seam, p + p_ref, p - p_ref)
+    assert np.all(d_theta <= tol)
+    assert np.all(np.abs(d_p) <= tol * arena.radius)
+
+
+def _chord_lengths(p, arena):
+    return 2.0 * np.sqrt(arena.radius**2 - p**2)
+
+
 @pytest.mark.parametrize("arena", [ARENA, OFFCENTER], ids=["centred", "off-centre"])
 def test_line_params_of_billiard_chords(arena):
-    for policy in ("cosine", "uniform"):
-        a, b, _ = sp.billiard_segments(np.random.default_rng(4), arena, 2000, policy)
+    for mode in DRAWS:
+        w = _wall_points(4, arena, 2000, mode)
+        a, b = w[:-1], w[1:]
         _assert_on_line(a, b, *sp.line_params_of_segments(a, b, arena.center), arena)
     # horizontal, vertical and through-centre chords, each both ways
     c, r = arena.center.as_array(), arena.radius
@@ -76,6 +128,21 @@ def test_line_params_of_billiard_chords(arena):
     assert p == pytest.approx([0.3, 0.2, 0.0, 0.0, 0.0] * 2, abs=1e-15 * r)
 
 
+@pytest.mark.parametrize("mode", list(DRAWS))
+@pytest.mark.parametrize("arena", [ARENA, OFFCENTER], ids=["centred", "off-centre"])
+def test_billiard_lines_are_the_lines_through_the_wall_points(arena, mode):
+    # the lines worked out from the bounce angles are those of the chords
+    # between the chain's wall points; the chain is kept short, as the wall
+    # angle's rounding grows with its size
+    n = 1000
+    theta, p, _ = sp.billiard_lines(np.random.default_rng(4), arena, n, mode)
+    w = _wall_points(4, arena, n, mode)
+    want_theta, want_p = sp.line_params_of_segments(w[:-1], w[1:], arena.center)
+    long = np.hypot(*(w[1:] - w[:-1]).T) > 0.1 * arena.radius
+    assert np.count_nonzero(long) > 0.9 * n
+    _assert_same_lines(theta[long], p[long], want_theta[long], want_p[long], 1e-12, arena)
+
+
 def test_line_params_fold_a_near_vertical_chord_to_zero():
     # the normal of a downward chord a rounding off vertical is (-1, tiny),
     # whose angle rounds to pi: it is the line at angle 0
@@ -87,71 +154,72 @@ def test_line_params_fold_a_near_vertical_chord_to_zero():
 
 
 def test_billiard_diameter_heading():
-    state = sp.BilliardState(Point(1.0, 0.0), math.pi)  # straight through the center
-    a, b, _ = sp.billiard_segments(np.random.default_rng(0), ARENA, 1, state=state)
-    assert math.hypot(*(b[0] - a[0])) == pytest.approx(2.0, abs=1e-12)
+    state = sp.BilliardState(beta=0.0, phi=0.0)  # straight through the center
+    theta, p, _ = sp.billiard_lines(np.random.default_rng(0), ARENA, 1, "billiard-cos", state)
+    assert p.tolist() == [0.0]
+    assert theta == pytest.approx([0.5 * math.pi])
 
 
-def test_billiard_segments_split_across_calls():
+def test_billiard_lines_split_across_calls():
     # a fresh chain draws n + 2 uniforms and a resumed one n, in the same
-    # order, so n1 + n2 segments at once are n1 then n2 from chained calls
-    a, b, end = sp.billiard_segments(np.random.default_rng(21), OFFCENTER, 400, "cosine")
+    # order, so n1 + n2 lines at once are n1 then n2 from chained calls
+    theta, p, end = sp.billiard_lines(np.random.default_rng(21), OFFCENTER, 400, "billiard-cos")
     rng = np.random.default_rng(21)
-    a1, b1, state = sp.billiard_segments(rng, OFFCENTER, 150, "cosine")
-    a2, b2, end2 = sp.billiard_segments(rng, OFFCENTER, 250, "cosine", state=state)
-    assert np.allclose(np.concatenate([a1, a2]), a, atol=1e-9)
-    assert np.allclose(np.concatenate([b1, b2]), b, atol=1e-9)
-    assert end2.heading == pytest.approx(end.heading, abs=1e-9)
+    t1, p1, state = sp.billiard_lines(rng, OFFCENTER, 150, "billiard-cos")
+    t2, p2, end2 = sp.billiard_lines(rng, OFFCENTER, 250, "billiard-cos", state)
+    _assert_same_lines(np.concatenate([t1, t2]), np.concatenate([p1, p2]), theta, p, 1e-9, OFFCENTER)
+    assert end2.beta == pytest.approx(end.beta, abs=1e-9)
+    assert end2.phi == end.phi
     assert rng.random() == np.random.default_rng(21).random(403)[-1]
 
 
 def test_billiard_reflection_law():
-    # each segment leaves the wall at arcsin(2u - 1) from the inward normal,
-    # u being that bounce's uniform: the second draw of the chain for the
-    # first segment, then one draw per bounce
+    # consecutive chords share their wall points, and each leaves the wall at
+    # arcsin(2u - 1) from the inward normal, u being that bounce's uniform:
+    # the second draw of the chain for the first chord, then one per bounce
     n = 400
-    a, b, _ = sp.billiard_segments(np.random.default_rng(22), OFFCENTER, n, "cosine")
+    theta, p, _ = sp.billiard_lines(np.random.default_rng(22), OFFCENTER, n, "billiard-cos")
     u = np.random.default_rng(22).random(n + 2)[1 : n + 1]
-    c = np.array([OFFCENTER.center.x, OFFCENTER.center.y])
-    assert np.array_equal(a[1:], b[:-1])
-    for ends in (a, b):
-        assert np.allclose(np.hypot(*(ends - c).T), OFFCENTER.radius, atol=1e-9)
-    inward = c - a
-    d = b - a
+    w = _wall_points_of(theta, p, OFFCENTER)
+    inward = OFFCENTER.center.as_array() - w[:-1]
+    d = w[1:] - w[:-1]
     phi = np.arctan2(inward[:, 0] * d[:, 1] - inward[:, 1] * d[:, 0], np.sum(inward * d, axis=1))
     assert np.allclose(phi, np.arcsin(2.0 * u - 1.0), atol=1e-9)
 
 
 def test_billiard_stays_on_boundary():
-    a, b, end = sp.billiard_segments(np.random.default_rng(2), OFFCENTER, 2000, "cosine")
-    r = np.hypot(b[:, 0] - OFFCENTER.center.x, b[:, 1] - OFFCENTER.center.y)
-    assert np.allclose(r, OFFCENTER.radius, atol=1e-9)
-    assert math.hypot(
-        end.position.x - OFFCENTER.center.x, end.position.y - OFFCENTER.center.y
-    ) == pytest.approx(OFFCENTER.radius, abs=1e-9)
+    # every line crosses the arena, and the state resumes from the last wall point
+    theta, p, end = sp.billiard_lines(np.random.default_rng(2), OFFCENTER, 2000, "billiard-cos")
+    assert np.all(np.abs(p) < OFFCENTER.radius)
+    last = _wall_points_of(theta, p, OFFCENTER)[-1]
+    wall = OFFCENTER.center.as_array() + OFFCENTER.radius * np.array(
+        [math.cos(end.beta), math.sin(end.beta)]
+    )
+    assert np.allclose(last, wall, atol=1e-9)
+    assert abs(end.phi) <= 0.5 * math.pi
 
 
 def test_billiard_chain_keeps_heading_wrapped():
-    # a resumed chain must not carry the angle it has turned through: an
-    # unwrapped heading doubled on every call until segments had zero length
+    # a resumed chain must not carry the angle it has turned through: its wall
+    # angle would grow by about 500 pi a call, and its lines lose precision
     rng = np.random.default_rng(11)
     state = None
     for _ in range(60):
-        a, b, state = sp.billiard_segments(rng, OFFCENTER, 500, "cosine", state=state)
-        assert np.all(np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]) > 0.0)
-        assert -math.pi <= state.heading <= math.pi
+        theta, p, state = sp.billiard_lines(rng, OFFCENTER, 500, "billiard-cos", state)
+        assert np.all(np.abs(p) < OFFCENTER.radius)
+        assert -math.pi <= state.beta <= math.pi
 
 
 def test_cosine_billiard_reproduces_mean_chord():
-    a, b, _ = sp.billiard_segments(np.random.default_rng(5), ARENA, 100_000, "cosine")
-    lengths = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
+    _, p, _ = sp.billiard_lines(np.random.default_rng(5), ARENA, 100_000, "billiard-cos")
+    lengths = _chord_lengths(p, ARENA)
     se = lengths.std(ddof=1) / math.sqrt(len(lengths))
     assert abs(lengths.mean() - math.pi / 2) < 3 * se
 
 
 def test_uniform_billiard_is_biased():
-    a, b, _ = sp.billiard_segments(np.random.default_rng(6), ARENA, 100_000, "uniform")
-    lengths = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
+    _, p, _ = sp.billiard_lines(np.random.default_rng(6), ARENA, 100_000, "billiard-uni")
+    lengths = _chord_lengths(p, ARENA)
     se = lengths.std(ddof=1) / math.sqrt(len(lengths))
     # analytic mean for uniform reflection is 4R/pi, well below pi*R/2
     assert abs(lengths.mean() - math.pi / 2) > 5 * se
@@ -162,18 +230,15 @@ def test_cosine_chords_match_iur_distribution_ks():
     n = 100_000
     _, p = sp.sample_iur_batch(np.random.default_rng(8), ARENA, n)
     iur_chords = 2.0 * np.sqrt(np.clip(1.0 - p**2, 0.0, None))
-    a, b, _ = sp.billiard_segments(np.random.default_rng(9), ARENA, n, "cosine")
-    cos_chords = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
-    assert stats.ks_2samp(iur_chords, cos_chords).pvalue > 0.001
-    a, b, _ = sp.billiard_segments(np.random.default_rng(10), ARENA, n, "uniform")
-    uni_chords = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
-    assert stats.ks_2samp(iur_chords, uni_chords).pvalue < 0.001
+    _, p, _ = sp.billiard_lines(np.random.default_rng(9), ARENA, n, "billiard-cos")
+    assert stats.ks_2samp(iur_chords, _chord_lengths(p, ARENA)).pvalue > 0.001
+    _, p, _ = sp.billiard_lines(np.random.default_rng(10), ARENA, n, "billiard-uni")
+    assert stats.ks_2samp(iur_chords, _chord_lengths(p, ARENA)).pvalue < 0.001
 
 
 def test_billiard_midpoints_isotropic():
-    a, b, _ = sp.billiard_segments(np.random.default_rng(12), ARENA, 100_000, "cosine")
-    mid = 0.5 * (a + b)
-    ang = np.arctan2(mid[:, 1], mid[:, 0])
+    theta, p, _ = sp.billiard_lines(np.random.default_rng(12), ARENA, 100_000, "billiard-cos")
+    ang = np.arctan2(p * np.sin(theta), p * np.cos(theta))  # of each chord's midpoint
     counts, _ = np.histogram(ang, bins=24, range=(-math.pi, math.pi))
     assert stats.chisquare(counts).pvalue > 0.001
 
@@ -181,9 +246,8 @@ def test_billiard_midpoints_isotropic():
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         sp.SamplerConfig(mode="noisy")
-    assert sp.SamplerConfig(mode="billiard-cos").billiard_policy == "cosine"
-    assert sp.SamplerConfig(mode="billiard-uni").billiard_policy == "uniform"
-    assert sp.SamplerConfig().billiard_policy is None
+    with pytest.raises(ValueError, match="unknown billiard mode"):
+        sp.billiard_lines(np.random.default_rng(0), ARENA, 10, "iur")
 
 
 def test_arena_for_contains_shape():
