@@ -6,6 +6,10 @@ masks below were chosen so that no two letters share an (area, perimeter)
 pair; some carry distinguishing cells on top of the plain block form. Cells
 may touch only along full edges (corner-only contact would pinch the outline
 into touching rings).
+
+A letter is one cached shape per cell side, letter_shape(c, cell): the letter
+dictionary calibrates it, and a letter-by-letter read explores it, in the one
+letter arena. A word's shape holds its letters' rings moved into place.
 """
 
 from __future__ import annotations
@@ -123,13 +127,9 @@ def _trace_boundary(cells: set[tuple[int, int]]) -> list[list[tuple[float, float
     return loops
 
 
-def mask_to_shape(mask, cell: float, origin: tuple[float, float] = (0.0, 0.0), name=None) -> Shape:
+def mask_to_shape(mask, cell: float, name=None) -> Shape:
     loops = _trace_boundary(_mask_cells(mask))
-    rings = [
-        Ring([(origin[0] + x * cell, origin[1] + y * cell) for x, y in loop])
-        for loop in loops
-    ]
-    return Shape(rings, name=name)
+    return Shape([Ring([(x * cell, y * cell) for x, y in loop]) for loop in loops], name=name)
 
 
 @functools.lru_cache(maxsize=256)
@@ -177,12 +177,11 @@ class Alphabet:
 
 @dataclass
 class WordShape:
-    """A word as disjoint letter shapes placed left to right."""
+    """A word as one shape: slot i holds letter_shape(word[i], cell), moved right."""
 
     word: str
     shape: Shape
-    letter_shapes: list[Shape]
-    boxes: list[tuple[float, float, float, float]]
+    cell: float
 
 
 def word_shape(word: str, s: float) -> WordShape:
@@ -190,26 +189,19 @@ def word_shape(word: str, s: float) -> WordShape:
     if not word:
         raise ValueError("word must be non-empty")
     advance = (GRID_COLS + DEFAULT_GAP_CELLS) * s
-    letters = []
-    boxes = []
+    rings = []
     for i, c in enumerate(word):
-        x0 = i * advance
         if c not in LETTER_MASKS:
             raise KeyError(f"unsupported character {c!r} in word {word!r}")
-        # x0 + (0.0 + x * s) is x0 + x * s: the valid rings mask_to_shape traces at (x0, 0)
-        rings = [r.coords + (x0, 0.0) for r in letter_shape(c, s).rings]
-        letters.append(Shape(rings, name=c, validate=False))
-        boxes.append((x0, 0.0, x0 + GRID_COLS * s, GRID_ROWS * s))
-    combined = Shape([r for sh in letters for r in sh.rings], name=word, validate=False)
-    return WordShape(word, combined, letters, boxes)
+        # x0 + x * s: the cached letter's valid rings, moved to slot i
+        rings += [r.coords + (i * advance, 0.0) for r in letter_shape(c, s).rings]
+    return WordShape(word, Shape(rings, name=word, validate=False), s)
 
 
-def letter_arena(box: tuple[float, float, float, float], scale: float = 1.2) -> ArenaCircle:
-    """Circumscribed circle of a letter slot box, inflated by the arena scale."""
-    x0, y0, x1, y1 = box
-    cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
-    r = math.hypot(x1 - x0, y1 - y0) / 2.0
-    return ArenaCircle(Point(cx, cy), r * scale)
+def letter_arena(cell: float, scale: float) -> ArenaCircle:
+    """The one arena of letter_shape(c, cell): its cell box's circumscribed circle, times scale."""
+    w, h = GRID_COLS * cell, GRID_ROWS * cell
+    return ArenaCircle(Point(w / 2.0, h / 2.0), math.hypot(w, h) / 2.0 * scale)
 
 
 @dataclass
@@ -264,12 +256,14 @@ def read_local(
     *,
     threshold: float = recognition.DEFAULT_THRESHOLD,
 ) -> ReadResult:
-    """Letter-by-letter strategy: slot i has its own arena and substream(seed, SLOT, i)."""
+    """Letter-by-letter strategy: slot i explores letter_shape(word[i], cell) in
+    the letter arena, from substream(seed, SLOT, i)."""
     config = config or SamplerConfig()
+    arena = letter_arena(target.cell, config.arena_scale)
     slots = [
-        (sh, letter_arena(box, config.arena_scale),
+        (letter_shape(c, target.cell), arena,
          dataclasses.replace(config, seed=substream(config.seed, SLOT, i)))
-        for i, (sh, box) in enumerate(zip(target.letter_shapes, target.boxes))
+        for i, c in enumerate(target.word)
     ]
     return _read(target.word, slots, letter_dict, per_letter_budget, threshold)
 
@@ -358,10 +352,10 @@ def calibrate_letters(
     replicates: int = 30,
     config: SamplerConfig | None = None,
 ) -> list[recognition.DictEntry]:
-    """Calibrated dictionary over the alphabet, arenas matching read_local."""
+    """Calibrated dictionary over the alphabet, in the letter arena read_local explores."""
     config = config or SamplerConfig()
     names = sorted(LETTER_MASKS)
-    arena = letter_arena((0.0, 0.0, GRID_COLS * cell, GRID_ROWS * cell), config.arena_scale)
+    arena = letter_arena(cell, config.arena_scale)
     shapes = (letter_shape(c, cell) for c in names)
     return _calibrate(names, shapes, LETTER, m_lines, replicates, config, arena)
 

@@ -252,6 +252,8 @@ def landscape(
             p_axis = np.linspace(max(pr.min() - pad_p, 1e-9), pr.max() + pad_p, resolution)
         if a_axis is None:
             a_axis = np.linspace(max(ar.min() - pad_a, 1e-9), ar.max() + pad_a, resolution)
+    if n_lines < 1 or np.size(p_axis) == 0 or np.size(a_axis) == 0:
+        raise ValueError("a landscape needs at least 1 line and non-empty axes")
     pg, ag = np.meshgrid(p_axis, a_axis, indexing="ij")
     loglik = _log_likelihoods(pg.ravel(), ag.ravel(), np.full(pg.size, n_lines), ref)
     _, top, top_prob = _posteriors(loglik)

@@ -133,7 +133,9 @@ def billiard_lines(
     beta + pi + 2*phi, so the chain is a cumulative sum of independent
     increments. Its normal points at its midpoint, at angle
     mu = beta + pi/2 + phi and distance -R*sin(phi); theta is mu mod pi, p
-    turning sign with the normal at odd multiples of pi.
+    turning sign with the normal at odd multiples of pi. The sum drops the
+    half turns, gamma_i = beta_i - i*pi, so theta rounds at the size of the
+    walk of the 2*phi, not of the chain; each half turn flips p's sign.
 
     A fresh chain draws a uniform for its first wall angle and one per bounce
     angle, the last for the state it returns: n + 2 in that order. A resumed
@@ -151,13 +153,13 @@ def billiard_lines(
     phis[0] = phi0
     if n > 1:
         phis[1:] = _draw_normal_angle(rng.random(n - 1), mode)
-    betas = np.empty(n + 1)
-    betas[0] = beta0
-    betas[1:] = beta0 + np.cumsum(math.pi + 2.0 * phis)
-    turns, theta = np.divmod(betas[:-1] + (0.5 * math.pi + phis), math.pi)
+    gammas = np.empty(n + 1)
+    gammas[0] = beta0
+    gammas[1:] = beta0 + np.cumsum(2.0 * phis)
+    turns, theta = np.divmod(gammas[:-1] + (0.5 * math.pi + phis), math.pi)
     p = arena.radius * np.sin(phis)
-    np.negative(p, out=p, where=turns % 2.0 == 0.0)
+    np.negative(p, out=p, where=(turns + np.arange(n)) % 2.0 == 0.0)
     phi_next = float(_draw_normal_angle(np.asarray(rng.random()), mode))
     # wrapped, the wall angle does not grow over a chain of resumed calls
-    end = BilliardState(math.remainder(betas[-1], 2.0 * math.pi), phi_next)
+    end = BilliardState(math.remainder(gammas[-1] + (n % 2) * math.pi, 2.0 * math.pi), phi_next)
     return (*_fold_at_pi(theta, p), end)

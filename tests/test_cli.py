@@ -377,6 +377,19 @@ def test_landscape_explicit_grid(tmp_path):
     assert len(rows) == 121
 
 
+@pytest.mark.parametrize("grid", ["0", "1:2:3:4:0"])
+def test_landscape_empty_grid_is_error(tmp_path, capsys, grid):
+    dict_path = tmp_path / "dict.json"
+    dict_path.write_text(
+        '[{"name": "disk", "p_ref": 6.28, "a_ref": 3.14, "sigma0_a": 1.0, "sigma0_p": 1.0}]'
+    )
+    out = tmp_path / "land.csv"
+    rc = main(["landscape", "--dict", str(dict_path), "--grid", grid, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("chordscan landscape: error: ")
+    assert not out.exists()
+
+
 def test_converge_square_exponent(tmp_path):
     out = tmp_path / "conv.csv"
     assert (

@@ -78,16 +78,21 @@ def test_word_ii_additive():
 
 @pytest.mark.parametrize("cell", [1.0, 0.37])
 def test_word_letters_are_the_masks_traced_in_place(cell):
-    # word_shape translates one cached letter per (letter, cell); the rings
-    # must be the ones mask_to_shape traces at the slot origin, bit for bit
+    # word_shape translates one cached letter per (letter, cell); slot i's
+    # rings must be the mask's boundary loops at x0 + x * cell, y * cell, with
+    # x0 = i letter advances, bit for bit
     advance = (rd.GRID_COLS + rd.DEFAULT_GAP_CELLS) * cell
     for c, mask in rd.LETTER_MASKS.items():
-        ws = rd.word_shape(c * 4, cell)
-        for i, letter in enumerate(ws.letter_shapes):
-            traced = rd.mask_to_shape(mask, cell, origin=(i * advance, 0.0))
-            assert len(letter.rings) == len(traced.rings)
-            for got, want in zip(letter.rings, traced.rings):
-                assert np.array_equal(got.coords, want.coords), (c, i)
+        loops = rd._trace_boundary(rd._mask_cells(mask))
+        want = [
+            np.array([(i * advance + x * cell, y * cell) for x, y in loop])
+            for i in range(4)
+            for loop in loops
+        ]
+        got = rd.word_shape(c * 4, cell).shape.rings
+        assert len(got) == len(want), c
+        for k, (ring, coords) in enumerate(zip(got, want)):
+            assert np.array_equal(ring.coords, coords), (c, k)
 
 
 def test_empty_word_rejected():
@@ -97,8 +102,8 @@ def test_empty_word_rejected():
 
 def test_word_additivity_over_letters():
     ws = rd.word_shape("FREEDOM", 1.0)
-    a_sum = sum(exact_area(s) for s in ws.letter_shapes)
-    p_sum = sum(exact_perimeter(s) for s in ws.letter_shapes)
+    a_sum = sum(exact_area(rd.letter_shape(c, 1.0)) for c in ws.word)
+    p_sum = sum(exact_perimeter(rd.letter_shape(c, 1.0)) for c in ws.word)
     assert exact_area(ws.shape) == pytest.approx(a_sum, rel=1e-9)
     assert exact_perimeter(ws.shape) == pytest.approx(p_sum, rel=1e-9)
 
@@ -136,13 +141,13 @@ def test_read_single_letter_equals_classification(letter_dict):
     cfg = SamplerConfig(seed=7)
     res = rd.read_local(target, letter_dict, 3000, cfg)
     direct = rec.explore_until_stop(
-        target.letter_shapes[0],
+        rd.letter_shape("C", 1.0),
         letter_dict,
         dataclasses.replace(cfg, seed=substream(cfg.seed, SLOT, 0)),  # slot 0's substream
         n_max=3000,
         warm_up=rd._read_warmup(3000),
         confirm=rd.READ_CONFIRM,
-        arena=rd.letter_arena(target.boxes[0], cfg.arena_scale),
+        arena=rd.letter_arena(1.0, cfg.arena_scale),
     )
     assert res.text == direct.label
     assert res.n_lines == direct.n_stop
@@ -170,13 +175,13 @@ def test_read_global_equals_classification():
 @pytest.mark.parametrize("kind", ["letters", "words"])
 def test_calibrated_entry_i_draws_its_site_substream(kind):
     # entry i is recognition.calibrate on its own shape from substream(seed, site, i),
-    # letters in the slot-box arena of read_local, words in their default arena
+    # letters in the letter arena read_local explores, words in their default arena
     cell, cfg = 2.0, SamplerConfig(seed=5, arena_scale=1.5)
     if kind == "letters":
         names, site = sorted(rd.LETTER_MASKS), LETTER
         entries = rd.calibrate_letters(cell, 100, 3, cfg)
         shapes_ = [rd.letter_shape(c, cell) for c in names]
-        arena = rd.letter_arena((0.0, 0.0, 3 * cell, 5 * cell), cfg.arena_scale)
+        arena = rd.letter_arena(cell, cfg.arena_scale)
     else:
         names, site = ["FREEDOM", "ON", "LIFE"], WORD
         entries = rd.calibrate_words(iter(names), cell, 100, 3, cfg)
@@ -261,12 +266,12 @@ def test_substream_seeded_config_seeds_every_site(letter_dict):
 def test_letter_stop_estimates_equal_one_draw_prefix(letter_dict):
     # the read-style warm-up sizes the first draw; the estimates at the stop
     # are still those of the letter's first n_stop lines
-    target = rd.word_shape("E", 1.0)
+    letter = rd.letter_shape("E", 1.0)
     for seed in range(5):
         cfg = SamplerConfig(seed=seed)
-        arena = rd.letter_arena(target.boxes[0], cfg.arena_scale)
+        arena = rd.letter_arena(1.0, cfg.arena_scale)
         res = rec.explore_until_stop(
-            target.letter_shapes[0],
+            letter,
             letter_dict,
             cfg,
             n_max=3000,
@@ -274,7 +279,7 @@ def test_letter_stop_estimates_equal_one_draw_prefix(letter_dict):
             confirm=rd.READ_CONFIRM,
             arena=arena,
         )
-        sums = record_sums(target.letter_shapes[0], res.n_stop, cfg, arena=arena)
+        sums = record_sums(letter, res.n_stop, cfg, arena=arena)
         assert (res.area_hat, res.perim_hat) == area_perimeter(*(s[-1] for s in sums))
 
 
@@ -318,14 +323,26 @@ def _count_builds(monkeypatch):
     return compiled, circled
 
 
-def test_read_local_compiles_each_slot_once(monkeypatch, letter_dict):
+def test_read_local_after_calibration_builds_nothing(monkeypatch):
+    # calibrate_letters compiles each cached letter at its cell; a local read
+    # at that cell explores those letters, in the letter arena
+    cell = 1.7
+    entries = rd.calibrate_letters(cell, 100, 2, SamplerConfig(seed=2))
     compiled, circled = _count_builds(monkeypatch)
-    target = rd.word_shape("FREEDOM", 1.0)
-    first = rd.read_local(target, letter_dict, 300, SamplerConfig(seed=5))
-    second = rd.read_local(target, letter_dict, 300, SamplerConfig(seed=5))
-    assert [id(s) for s in compiled] == [id(s) for s in target.letter_shapes]
-    assert circled == []  # each slot's arena is its box's circle
+    first = rd.read_local(rd.word_shape("FREEDOM", cell), entries, 300, SamplerConfig(seed=5))
+    second = rd.read_local(rd.word_shape("FREEDOM", cell), entries, 300, SamplerConfig(seed=5))
+    assert compiled == [] and circled == []
     assert first == second
+
+
+def test_read_local_compiles_a_repeated_letter_once(monkeypatch, letter_dict):
+    # with nothing calibrated at the cell, both slots of EE explore the one
+    # cached E, compiled once
+    cell = 2.9
+    compiled, circled = _count_builds(monkeypatch)
+    rd.read_local(rd.word_shape("EE", cell), letter_dict, 300, SamplerConfig(seed=5))
+    assert [id(s) for s in compiled] == [id(rd.letter_shape("E", cell))]
+    assert circled == []
 
 
 def test_read_global_compiles_and_circles_the_word_once(monkeypatch):
@@ -343,10 +360,19 @@ def test_read_global_compiles_and_circles_the_word_once(monkeypatch):
 
 
 def test_letter_arena_covers_box():
-    arena = rd.letter_arena((0.0, 0.0, 3.0, 5.0), 1.2)
-    # every box corner is inside the arena
-    for x, y in [(0, 0), (3, 0), (0, 5), (3, 5)]:
-        assert math.hypot(x - arena.center.x, y - arena.center.y) <= arena.radius
+    # the arena is the circle through the corners of the 3 x 5 cell box at
+    # the origin, times the scale; every letter lies in that box
+    for cell in (1.0, 0.37):
+        arena = rd.letter_arena(cell, 1.2)
+        assert (arena.center.x, arena.center.y) == (1.5 * cell, 2.5 * cell)
+        assert arena.radius == pytest.approx(1.2 * math.hypot(3 * cell, 5 * cell) / 2, rel=1e-15)
+        for x, y in [(0, 0), (3, 0), (0, 5), (3, 5)]:
+            d = math.hypot(x * cell - arena.center.x, y * cell - arena.center.y)
+            assert d == pytest.approx(arena.radius / 1.2, rel=1e-15)
+        for c in rd.LETTER_MASKS:
+            coords = np.vstack([r.coords for r in rd.letter_shape(c, cell).rings])
+            assert coords.min() >= 0.0
+            assert np.all(coords <= (3 * cell, 5 * cell))
 
 
 def test_local_word_error_grows_like_sqrt_letters(letter_dict):

@@ -165,9 +165,8 @@ def test_calibrate_sigma0_matches_replicate_spread(name, mode, m_lines):
     # about 2%
     config = SamplerConfig(mode=mode, seed=17)
     if name == "E":
-        shape = rd.Alphabet(1.0).shape("E")
-        box = (0.0, 0.0, rd.GRID_COLS * 1.0, rd.GRID_ROWS * 1.0)
-        arena = rd.letter_arena(box, config.arena_scale)
+        shape = rd.letter_shape("E", 1.0)
+        arena = rd.letter_arena(1.0, config.arena_scale)
     else:
         shape = shapes.builtin(name)
         arena = arena_for(shape, config.arena_scale)
@@ -330,6 +329,20 @@ def test_landscape_far_cell_still_labeled():
 def test_landscape_empty_dictionary():
     with pytest.raises(ValueError):
         rec.landscape([], 100)
+
+
+def test_landscape_rejects_an_empty_map():
+    # no lines, or an axis without a point, leaves nothing to classify
+    entries = two_entries()
+    for n_lines in (0, -5):
+        with pytest.raises(ValueError, match="at least 1 line"):
+            rec.landscape(entries, n_lines)
+    with pytest.raises(ValueError, match="non-empty axes"):
+        rec.landscape(entries, 1000, resolution=0)
+    axis = np.linspace(4.0, 9.0, 5)
+    for p_axis, a_axis in ((axis, np.array([])), (np.array([]), axis)):
+        with pytest.raises(ValueError, match="non-empty axes"):
+            rec.landscape(entries, 1000, p_axis=p_axis, a_axis=a_axis)
 
 
 def test_explore_until_stop_threshold_zero():

@@ -68,13 +68,16 @@ def _wall_points(seed, arena, n, mode):
     """The n + 1 wall points of a fresh chain, from its uniforms.
 
     Wall angle beta_0 = 2*pi*u_0, then beta_i+1 = beta_i + pi + 2*phi_i, one
-    angle phi_i per chord from the uniforms after u_0.
+    angle phi_i per chord from the uniforms after u_0. Wall point i is at
+    beta_i = gamma_i + i*pi, gamma_i summing the 2*phi alone, so it is
+    centre + (-1)^i * R * (cos gamma_i, sin gamma_i).
     """
     u = np.random.default_rng(seed).random(n + 2)
-    betas = np.empty(n + 1)
-    betas[0] = 2.0 * math.pi * u[0]
-    betas[1:] = betas[0] + np.cumsum(math.pi + 2.0 * DRAWS[mode](u[1 : n + 1]))
-    return arena.center.as_array() + arena.radius * np.column_stack([np.cos(betas), np.sin(betas)])
+    gammas = np.empty(n + 1)
+    gammas[0] = 2.0 * math.pi * u[0]
+    gammas[1:] = gammas[0] + np.cumsum(2.0 * DRAWS[mode](u[1 : n + 1]))
+    sign = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)[:, None]
+    return arena.center.as_array() + sign * arena.radius * np.column_stack([np.cos(gammas), np.sin(gammas)])
 
 
 def _wall_points_of(theta, p, arena):
@@ -132,15 +135,15 @@ def test_line_params_of_billiard_chords(arena):
 @pytest.mark.parametrize("arena", [ARENA, OFFCENTER], ids=["centred", "off-centre"])
 def test_billiard_lines_are_the_lines_through_the_wall_points(arena, mode):
     # the lines worked out from the bounce angles are those of the chords
-    # between the chain's wall points; the chain is kept short, as the wall
-    # angle's rounding grows with its size
-    n = 1000
+    # between the chain's wall points, over a whole 16,384-line take: the
+    # angles round at the size of the bounce angles' walk, not of the take
+    n = 16_384
     theta, p, _ = sp.billiard_lines(np.random.default_rng(4), arena, n, mode)
     w = _wall_points(4, arena, n, mode)
     want_theta, want_p = sp.line_params_of_segments(w[:-1], w[1:], arena.center)
     long = np.hypot(*(w[1:] - w[:-1]).T) > 0.1 * arena.radius
     assert np.count_nonzero(long) > 0.9 * n
-    _assert_same_lines(theta[long], p[long], want_theta[long], want_p[long], 1e-12, arena)
+    _assert_same_lines(theta[long], p[long], want_theta[long], want_p[long], 1e-13, arena)
 
 
 def test_line_params_fold_a_near_vertical_chord_to_zero():
