@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import estimators, reading, recognition, shapes, svgplot
-from .chords import ArenaTooSmallError, DegenerateLineError
+from .chords import DegenerateLineError
 from .explore import convergence_series, explore, explore_parallel
 from .geometry import InvalidShapeError, Shape, load_shape
 from .sampling import DEFAULT_ARENA_SCALE, SAMPLER_MODES, SamplerConfig
@@ -60,14 +60,19 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _positive(kind):
+def _checked(kind, ok, what):
     def parse(text):
-        value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"{text!r} must be positive")
+        if not ok(value := kind(text)):
+            raise argparse.ArgumentTypeError(f"{text!r} must be {what}")
         return value
 
     return parse
+
+
+POSITIVE_INT = _checked(int, lambda v: v > 0, "positive")
+POSITIVE_FLOAT = _checked(float, lambda v: v > 0, "positive")
+THRESHOLD = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+ARENA_SCALE = _checked(float, lambda v: 1.0 <= v < float("inf"), "finite and at least 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,14 +93,15 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--arena-scale",
-            type=_positive(float),
+            type=ARENA_SCALE,
             default=DEFAULT_ARENA_SCALE,
-            help="arena radius / shape bounding radius (default 1.2)",
+            help="arena radius / bounding radius, at least 1; for letters, of the cell box's "
+            "circle (default 1.2)",
         )
         if lines_default is not None:
             p.add_argument(
                 "--lines",
-                type=_positive(int),
+                type=POSITIVE_INT,
                 default=lines_default,
                 help=f"number of exploration lines (default {lines_default})",
             )
@@ -104,9 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", required=True, help="built-in name or shape JSON path")
     common(p, lines_default=10_000)
     p.add_argument(
-        "--batches", type=_positive(int), default=estimators.DEFAULT_BATCHES, help=BATCHES_HELP
+        "--batches", type=POSITIVE_INT, default=estimators.DEFAULT_BATCHES, help=BATCHES_HELP
     )
-    p.add_argument("--workers", type=_positive(int), default=1)
+    p.add_argument("--workers", type=POSITIVE_INT, default=1)
     p.add_argument("--out", default="report.json")
     p.add_argument("--dump-observations", default=None, metavar="PATH")
 
@@ -115,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--shape", action="append", required=True, help="repeatable")
     common(p, lines_default=1_000)
-    p.add_argument("--replicates", type=_positive(int), default=50)
+    p.add_argument("--replicates", type=POSITIVE_INT, default=50)
     p.add_argument("--out", default="dictionary.json")
 
     p = sub.add_parser("classify", help="explore a shape and classify it")
@@ -123,9 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dict", required=True, dest="dict_path")
     common(p, lines_default=1_000)
     p.add_argument(
-        "--batches", type=_positive(int), default=estimators.DEFAULT_BATCHES, help=BATCHES_HELP
+        "--batches", type=POSITIVE_INT, default=estimators.DEFAULT_BATCHES, help=BATCHES_HELP
     )
-    p.add_argument("--threshold", type=float, default=0.95)
+    p.add_argument("--threshold", type=THRESHOLD, default=0.95)
     p.add_argument("--out", default="posterior.json")
 
     p = sub.add_parser("landscape", help="classification map over the (P, A) plane")
@@ -136,14 +142,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="60",
         help="RES or PMIN:PMAX:AMIN:AMAX:RES (default auto range, 60 cells)",
     )
-    p.add_argument("--threshold", type=float, default=0.95)
+    p.add_argument("--threshold", type=THRESHOLD, default=0.95)
     p.add_argument("--out", default="landscape.csv")
     p.add_argument("--svg", default=None)
 
     p = sub.add_parser("converge", help="replicate spread of the estimates vs N")
     p.add_argument("--shape", required=True)
     common(p)
-    p.add_argument("--replicates", type=_positive(int), default=100)
+    p.add_argument("--replicates", type=POSITIVE_INT, default=100)
     p.add_argument("--grid", default="100,1000,10000", help="comma list of N values")
     p.add_argument("--out", default="convergence.csv")
 
@@ -152,12 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("local", "global"), default="global")
     p.add_argument("--dict", required=True, dest="dict_path")
     common(p, lines_default=30_000)
-    p.add_argument("--threshold", type=float, default=0.95)
-    p.add_argument("--cell", type=_positive(float), default=1.0)
+    p.add_argument("--threshold", type=THRESHOLD, default=0.95)
+    p.add_argument("--cell", type=POSITIVE_FLOAT, default=1.0)
     p.add_argument("--out", default="read.json")
 
     p = sub.add_parser("letters", help="dump the block alphabet's exact values")
-    p.add_argument("--cell", type=_positive(float), default=1.0)
+    p.add_argument("--cell", type=POSITIVE_FLOAT, default=1.0)
     p.add_argument("--out", default="letters.csv")
     p.add_argument("--svg", default=None)
     return ap
@@ -361,7 +367,6 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (
         InvalidShapeError,
-        ArenaTooSmallError,
         DegenerateLineError,
         estimators.InsufficientDataError,
         FileNotFoundError,

@@ -2,8 +2,8 @@
 
 LineStream produces accepted line statistics in sampling order, as
 batch.BatchObservations records, transparently resampling the (measure-zero)
-degenerate lines and counting them. Its lines are fixed by its shape, its
-SamplerConfig (whose seed is the only source of randomness) and its arena.
+degenerate lines and counting them. Its lines are fixed by its shape, which
+carries its arena circle, and its SamplerConfig, whose seed is the only randomness.
 Everything else - one-shot estimates, convergence studies that read its
 running sums one take at a time, parallel workers - is built on top of it.
 """
@@ -19,12 +19,10 @@ import numpy as np
 
 from . import estimators
 from .batch import BatchObservations, CompiledShape, observe_segments
-from .chords import ArenaTooSmallError
 from .geometry import Shape
 from .sampling import (
     REPLICATE,
     WORKER,
-    ArenaCircle,
     BilliardState,
     SamplerConfig,
     arena_for,
@@ -39,16 +37,10 @@ DEFAULT_CHUNK = 16384
 class LineStream:
     """Seeded stream of accepted line observations for one shape."""
 
-    def __init__(
-        self,
-        shape: Shape,
-        config: SamplerConfig | None = None,
-        arena: ArenaCircle | None = None,
-    ):
+    def __init__(self, shape: Shape, config: SamplerConfig | None = None):
         self.config = config or SamplerConfig()
         self.cshape = shape.derived("kernel", CompiledShape)
-        self.arena = arena if arena is not None else arena_for(shape, self.config.arena_scale)
-        _check_arena(shape, self.arena)
+        self.arena = arena_for(shape, self.config.arena_scale)
         self.rng = np.random.default_rng(self.config.seed)
         self._billiard_state: BilliardState | None = None
         self.rejected_total = 0
@@ -94,30 +86,18 @@ class LineStream:
         return tuple(run[1:] for run in runs)
 
 
-def _check_arena(shape: Shape, arena: ArenaCircle) -> None:
-    # the arena disk is convex: it covers the shape iff it covers every vertex
-    pts = np.vstack([r.coords for r in shape.rings])
-    reach = float(np.max(np.hypot(pts[:, 0] - arena.center.x, pts[:, 1] - arena.center.y)))
-    if reach > arena.radius * (1.0 + 1e-9):
-        raise ArenaTooSmallError(
-            f"arena radius {arena.radius:.6g} does not cover the shape "
-            f"(needs {reach:.6g})"
-        )
-
-
 def explore(
     shape: Shape,
     n_lines: int,
     config: SamplerConfig | None = None,
     *,
-    arena: ArenaCircle | None = None,
     n_batches: int = estimators.DEFAULT_BATCHES,
     dump_rows: list | None = None,
 ) -> estimators.Accumulator:
     """Accumulate n_lines accepted observations of the shape, in n_batches contiguous batches."""
     if n_lines < 1:
         raise ValueError("n_lines must be positive")
-    stream = LineStream(shape, config, arena=arena)
+    stream = LineStream(shape, config)
     acc = estimators.Accumulator(2.0 * stream.arena.radius, n_lines, n_batches)
     done = 0
     while done < n_lines:
@@ -149,14 +129,14 @@ def explore_parallel(
 ) -> estimators.Accumulator:
     """Split lines over worker substreams; merge in worker-index order.
 
-    Worker w explores its share with seed substream(seed, WORKER, w).
+    Worker w explores its share with seed substream(seed, WORKER, w). The
+    pickled shape carries what it has cached, a letter's arena circle with it.
     """
     if n_lines < 1:
         raise ValueError("n_lines must be positive")
     config = config or SamplerConfig()
     if workers <= 1:
         return explore(shape, n_lines, config, n_batches=n_batches)
-    arena = arena_for(shape, config.arena_scale)
     # equal shares, the remainder one line each to the first workers
     shares = [
         n_lines // workers + (w < n_lines % workers) for w in range(min(workers, n_lines))
@@ -165,7 +145,7 @@ def explore_parallel(
         dataclasses.replace(config, seed=substream(config.seed, WORKER, w))
         for w in range(len(shares))
     ]
-    job = functools.partial(explore, shape, arena=arena, n_batches=n_batches)
+    job = functools.partial(explore, shape, n_batches=n_batches)
     # a pool forks all its processes at once: no more than there are shares or CPUs
     with ProcessPoolExecutor(max_workers=min(len(shares), os.cpu_count() or 1)) as pool:
         accs = list(pool.map(job, shares, configs))

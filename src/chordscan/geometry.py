@@ -115,8 +115,8 @@ class Shape:
     def derived(self, key: str, build):
         """build(self), made on first use and kept with the shape under key.
 
-        A shape never changes, so its compiled kernel arrays and bounding
-        circle are made once, however many streams and reads use them.
+        A shape never changes, so its kernel arrays and arena circle are made once;
+        a maker may fix one first, as letter_shape its arena (a transformed copy has none).
         """
         if key not in self._derived:
             self._derived[key] = build(self)

@@ -7,9 +7,9 @@ pair; some carry distinguishing cells on top of the plain block form. Cells
 may touch only along full edges (corner-only contact would pinch the outline
 into touching rings).
 
-A letter is one cached shape per cell side, letter_shape(c, cell): the letter
-dictionary calibrates it, and a letter-by-letter read explores it, in the one
-letter arena. A word's shape holds its letters' rings moved into place.
+A letter is one cached shape per cell side, letter_shape(c, cell), that carries
+its cell box's circle as its arena: the letter dictionary calibrates it, and a
+letter-by-letter read explores it. A word's shape holds its letters' rings moved into place.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import recognition
 from .geometry import Point, Ring, Shape, exact_area, exact_perimeter
-from .sampling import LETTER, SLOT, WORD, ArenaCircle, SamplerConfig, substream
+from .sampling import LETTER, SLOT, WORD, SamplerConfig, substream
 
 # Rows are top to bottom; 'X' marks a filled cell.
 LETTER_MASKS: dict[str, tuple[str, ...]] = {
@@ -134,10 +134,13 @@ def mask_to_shape(mask, cell: float, name=None) -> Shape:
 
 @functools.lru_cache(maxsize=256)
 def letter_shape(c: str, s: float) -> Shape:
-    """Shape of one capital letter with cell side s at the origin, built once per (c, s)."""
+    """Capital letter c with cell side s at the origin, in its cell box's circle; one per (c, s)."""
     if c not in LETTER_MASKS:
         raise KeyError(f"unsupported character {c!r} (A-Z only)")
-    return mask_to_shape(LETTER_MASKS[c], s, name=c)
+    shape = mask_to_shape(LETTER_MASKS[c], s, name=c)
+    w, h = GRID_COLS * s, GRID_ROWS * s
+    shape.derived("arena", lambda _: (Point(w / 2.0, h / 2.0), math.hypot(w, h) / 2.0))
+    return shape
 
 
 class Alphabet:
@@ -198,12 +201,6 @@ def word_shape(word: str, s: float) -> WordShape:
     return WordShape(word, Shape(rings, name=word, validate=False), s)
 
 
-def letter_arena(cell: float, scale: float) -> ArenaCircle:
-    """The one arena of letter_shape(c, cell): its cell box's circumscribed circle, times scale."""
-    w, h = GRID_COLS * cell, GRID_ROWS * cell
-    return ArenaCircle(Point(w / 2.0, h / 2.0), math.hypot(w, h) / 2.0 * scale)
-
-
 @dataclass
 class ReadResult:
     text: str
@@ -217,7 +214,7 @@ class ReadResult:
 
 
 def _read(word, slots, entries, budget, threshold) -> ReadResult:
-    """One stop loop per (shape, arena, config) slot; the joined labels are the word read.
+    """One stop loop per (shape, config) slot; the joined labels are the word read.
 
     Word-level area/perimeter are sums of the slot estimates, with no error bar.
     The threshold applies to the word: with independent slots the word's
@@ -229,11 +226,11 @@ def _read(word, slots, entries, budget, threshold) -> ReadResult:
     results = [
         recognition.explore_until_stop(
             shape, entries, config, threshold=threshold, n_max=budget,
-            warm_up=_read_warmup(budget), confirm=READ_CONFIRM, arena=arena,
+            warm_up=_read_warmup(budget), confirm=READ_CONFIRM,
         )
         if budget >= 1
         else recognition.StopResult(None, 0, True, math.nan, math.nan, 0.0)
-        for shape, arena, config in slots
+        for shape, config in slots
     ]
     text = "".join("?" if r.label is None else r.label for r in results)
     return ReadResult(
@@ -256,12 +253,11 @@ def read_local(
     *,
     threshold: float = recognition.DEFAULT_THRESHOLD,
 ) -> ReadResult:
-    """Letter-by-letter strategy: slot i explores letter_shape(word[i], cell) in
-    the letter arena, from substream(seed, SLOT, i)."""
+    """Letter-by-letter strategy: slot i explores letter_shape(word[i], cell),
+    the dictionary's letter in its arena, from substream(seed, SLOT, i)."""
     config = config or SamplerConfig()
-    arena = letter_arena(target.cell, config.arena_scale)
     slots = [
-        (letter_shape(c, target.cell), arena,
+        (letter_shape(c, target.cell),
          dataclasses.replace(config, seed=substream(config.seed, SLOT, i)))
         for i, c in enumerate(target.word)
     ]
@@ -291,8 +287,7 @@ def read_global(
             "(perimeter, area) and cannot be told apart",
             stacklevel=2,
         )
-    # one slot: the default arena and lines seeded by config
-    res = _read(target.word, [(target.shape, None, config)], word_dict, budget, threshold)
+    res = _read(target.word, [(target.shape, config)], word_dict, budget, threshold)
     return dataclasses.replace(res, per_letter_n=[], per_letter_censored=[])
 
 
@@ -329,7 +324,7 @@ def default_word_list() -> list[str]:
     return words
 
 
-def _calibrate(names, shapes, site, m_lines, replicates, config, arena=None):
+def _calibrate(names, shapes, site, m_lines, replicates, config):
     """One calibrated entry per named shape, entry i seeded by substream(seed, site, i).
 
     shapes may be a generator: each shape, with its compiled kernel, is then
@@ -340,7 +335,7 @@ def _calibrate(names, shapes, site, m_lines, replicates, config, arena=None):
         recognition.calibrate(
             shape, m_lines, replicates,
             dataclasses.replace(config, seed=substream(config.seed, site, i)),
-            name=name, arena=arena,
+            name=name,
         )
         for i, (name, shape) in enumerate(zip(names, shapes))
     ]
@@ -352,12 +347,10 @@ def calibrate_letters(
     replicates: int = 30,
     config: SamplerConfig | None = None,
 ) -> list[recognition.DictEntry]:
-    """Calibrated dictionary over the alphabet, in the letter arena read_local explores."""
-    config = config or SamplerConfig()
+    """Calibrated dictionary over the alphabet: the letters read_local explores."""
     names = sorted(LETTER_MASKS)
-    arena = letter_arena(cell, config.arena_scale)
     shapes = (letter_shape(c, cell) for c in names)
-    return _calibrate(names, shapes, LETTER, m_lines, replicates, config, arena)
+    return _calibrate(names, shapes, LETTER, m_lines, replicates, config)
 
 
 def calibrate_words(

@@ -19,7 +19,7 @@ from . import estimators
 from .estimators import EstimateReport
 from .explore import LineStream, explore
 from .geometry import Shape, exact_area, exact_perimeter
-from .sampling import ArenaCircle, SamplerConfig
+from .sampling import SamplerConfig
 
 DEFAULT_THRESHOLD = 0.95
 # The sigma0/sqrt(N) noise model is a central-limit approximation; confidence
@@ -97,7 +97,6 @@ def calibrate(
     config: SamplerConfig | None = None,
     *,
     name: str | None = None,
-    arena: ArenaCircle | None = None,
 ) -> DictEntry:
     """Reference values from the exact oracles, noise by linearization.
 
@@ -114,7 +113,7 @@ def calibrate(
         raise estimators.InsufficientDataError(
             f"{m_lines * replicates} lines hold fewer than 2 batches of {CALIBRATION_BATCH}"
         )
-    acc = explore(shape, n_batches * CALIBRATION_BATCH, config, arena=arena, n_batches=n_batches)
+    acc = explore(shape, n_batches * CALIBRATION_BATCH, config, n_batches=n_batches)
     if_a, if_p, _ = estimators.batch_influence(acc)
     corr = float(np.corrcoef(if_p, if_a)[0, 1])
     if not math.isfinite(corr):
@@ -195,7 +194,13 @@ def classify(report: EstimateReport, entries: list[DictEntry]) -> Posterior:
     )
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], not {threshold}")
+
+
 def should_stop(post: Posterior, threshold: float = DEFAULT_THRESHOLD) -> bool:
+    _check_threshold(threshold)
     return post.top_prob >= threshold
 
 
@@ -243,6 +248,7 @@ def landscape(
     """Classify a synthetic estimate at every grid point with N-scaled noise."""
     if not entries:
         raise ValueError("dictionary is empty")
+    _check_threshold(threshold)
     ref = _entry_arrays(entries)
     if p_axis is None or a_axis is None:
         pr, ar = ref[0], ref[1]
@@ -286,7 +292,6 @@ def explore_until_stop(
     n_max: int = 100_000,
     warm_up: int = DEFAULT_WARMUP,
     confirm: int = 1,
-    arena: ArenaCircle | None = None,
 ) -> StopResult:
     """Explore line by line until the posterior top clears the threshold.
 
@@ -306,7 +311,8 @@ def explore_until_stop(
         raise ValueError("dictionary is empty")
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    stream = LineStream(shape, config, arena=arena)
+    _check_threshold(threshold)
+    stream = LineStream(shape, config)
     ref = _entry_arrays(entries)
     done = 0
     min_n = 1 if threshold <= 0.0 else max(1, warm_up)

@@ -49,6 +49,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.mode not in SAMPLER_MODES:
             raise ValueError(f"sampler mode must be one of {SAMPLER_MODES}")
+        if not 1.0 <= self.arena_scale < math.inf:
+            raise ValueError(f"arena_scale must be finite and at least 1, not {self.arena_scale}")
 
 
 # First word of the substream key of each site that draws substreams, so that
@@ -72,8 +74,8 @@ def substream(seed: int | np.random.SeedSequence, *key: int) -> np.random.SeedSe
 
 
 def arena_for(shape: Shape, scale: float = DEFAULT_ARENA_SCALE) -> ArenaCircle:
-    """Arena containing the shape with margin, so no chord is ever clipped."""
-    center, radius = shape.derived("bounding_circle", bounding_circle)
+    """The shape's arena: the circle it carries (letter_shape's) or its bounding circle, scaled."""
+    center, radius = shape.derived("arena", bounding_circle)
     return ArenaCircle(center, radius * scale)
 
 

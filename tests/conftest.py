@@ -41,10 +41,10 @@ def arena_chords(theta, p, arena):
     return a, b
 
 
-def record_sums(shape, n_max, config, arena=None):
+def record_sums(shape, n_max, config):
     """Running (L1, L3, k) totals of one whole n_max-line record, one cumsum per column.
 
     The oracle for LineStream.running_sums, which sums a stream take by take.
     """
-    obs = LineStream(shape, config, arena=arena).take(n_max)
+    obs = LineStream(shape, config).take(n_max)
     return [np.cumsum(col) for col in (obs.L1, obs.L3, obs.k)]

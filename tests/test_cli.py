@@ -65,6 +65,30 @@ def test_lines_zero_rejected(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate", "--shape", "square", "--arena-scale", "0.9"),
+        ("estimate", "--shape", "square", "--arena-scale", "inf"),
+        ("converge", "--shape", "disk", "--arena-scale", "nan"),
+        ("classify", "--shape", "square", "--dict", "d.json", "--threshold", "1.5"),
+        ("landscape", "--dict", "d.json", "--threshold", "nan"),
+        ("read", "--word", "FREEDOM", "--dict", "d.json", "--threshold", "-0.5"),
+    ],
+    ids=["scale-0.9", "scale-inf", "scale-nan", "classify-1.5", "landscape-nan", "read--0.5"],
+)
+def test_out_of_range_flag_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # an arena scale below 1 or not finite, or a threshold outside [0, 1],
+    # is refused while parsing, before any file is read or written
+    (tmp_path / "d.json").write_text("[]")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "must be" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["d.json"]
+
+
 def test_dump_with_workers_usage_error(tmp_path):
     # workers explore substreams, not the one stream a dump lists
     proc = run_cli(

@@ -10,10 +10,10 @@ import pytest
 from chordscan import estimators as est
 from chordscan import shapes
 from chordscan.batch import BatchObservations, CompiledShape
-from chordscan.chords import ArenaTooSmallError, CrossingEvent, LineObservation, ZERO_OBSERVATION
+from chordscan.chords import CrossingEvent, LineObservation, ZERO_OBSERVATION
 from chordscan.explore import LineStream, convergence_series, explore, explore_parallel
-from chordscan.geometry import Point, Ring, Shape, exact_area, exact_perimeter, union_disjoint
-from chordscan.sampling import REPLICATE, SAMPLER_MODES, ArenaCircle, SamplerConfig, substream
+from chordscan.geometry import Ring, Shape, exact_area, exact_perimeter, union_disjoint
+from chordscan.sampling import REPLICATE, SAMPLER_MODES, SamplerConfig, substream
 
 from conftest import record_sums
 
@@ -445,17 +445,21 @@ def test_convergence_series_disk_quick():
     assert -0.65 < series.exponent_p < -0.35
 
 
-@pytest.mark.parametrize("radius, covers", [(1.0001, True), (0.9999, False)])
-def test_arena_check_covers_vertices(radius, covers):
-    # a 2 x 0.01 bar standing on the x-axis: its top corners lie 1.00005 from
-    # the origin, but its enclosing circle's centre sits 0.005 above it
+@pytest.mark.parametrize(
+    "scale, covers",
+    [(1.0, True), (0.9999, False), (0.0, False), (math.nan, False), (math.inf, False)],
+)
+def test_arena_scale_covers_the_shape(scale, covers):
+    # a 2 x 0.01 bar standing on the x-axis: at scale 1 its arena is its
+    # enclosing circle, centred 0.005 above the origin, which covers every
+    # corner. A smaller scale would clip the bar, and a scale of 0, NaN or
+    # infinity makes no arena, so the config refuses them all
     bar = Shape([Ring([(-1.0, 0.0), (1.0, 0.0), (1.0, 0.01), (-1.0, 0.01)])])
-    arena = ArenaCircle(Point(0.0, 0.0), radius)
     if covers:
-        assert explore(bar, 1000, arena=arena).n_lines == 1000
+        assert explore(bar, 1000, SamplerConfig(arena_scale=scale)).n_lines == 1000
     else:
-        with pytest.raises(ArenaTooSmallError):
-            explore(bar, 1000, arena=arena)
+        with pytest.raises(ValueError, match="arena_scale"):
+            SamplerConfig(arena_scale=scale)
 
 
 def test_prefix_estimates_match_full_run():

@@ -10,8 +10,12 @@ from chordscan import reading as rd
 from chordscan import recognition as rec
 from chordscan import shapes
 from chordscan.estimators import area_perimeter, merge
-from chordscan.geometry import exact_area, exact_perimeter
-from chordscan.sampling import LETTER, SLOT, WORD, WORKER, SamplerConfig, arena_for, substream
+from chordscan.geometry import (
+    Point, RigidTransform, bounding_circle, exact_area, exact_perimeter, transform,
+)
+from chordscan.sampling import (
+    LETTER, SLOT, WORD, WORKER, ArenaCircle, SamplerConfig, arena_for, substream,
+)
 
 from conftest import record_sums
 
@@ -147,7 +151,6 @@ def test_read_single_letter_equals_classification(letter_dict):
         n_max=3000,
         warm_up=rd._read_warmup(3000),
         confirm=rd.READ_CONFIRM,
-        arena=rd.letter_arena(1.0, cfg.arena_scale),
     )
     assert res.text == direct.label
     assert res.n_lines == direct.n_stop
@@ -155,7 +158,7 @@ def test_read_single_letter_equals_classification(letter_dict):
 
 def test_read_global_equals_classification():
     # the whole-word twin of the single-letter test: one slot at the full
-    # threshold, the default arena and lines seeded by the config
+    # threshold, the word's own arena and lines seeded by the config
     words = rd.calibrate_words(["ON", "IN", "OF", "TO"], m_lines=200, replicates=5,
                                config=SamplerConfig(seed=43))
     target = rd.word_shape("ON", 1.0)
@@ -175,22 +178,20 @@ def test_read_global_equals_classification():
 @pytest.mark.parametrize("kind", ["letters", "words"])
 def test_calibrated_entry_i_draws_its_site_substream(kind):
     # entry i is recognition.calibrate on its own shape from substream(seed, site, i),
-    # letters in the letter arena read_local explores, words in their default arena
+    # letters and words each in the arena their shape carries
     cell, cfg = 2.0, SamplerConfig(seed=5, arena_scale=1.5)
     if kind == "letters":
         names, site = sorted(rd.LETTER_MASKS), LETTER
         entries = rd.calibrate_letters(cell, 100, 3, cfg)
         shapes_ = [rd.letter_shape(c, cell) for c in names]
-        arena = rd.letter_arena(cell, cfg.arena_scale)
     else:
         names, site = ["FREEDOM", "ON", "LIFE"], WORD
         entries = rd.calibrate_words(iter(names), cell, 100, 3, cfg)
         shapes_ = [rd.word_shape(w, cell).shape for w in names]
-        arena = None
     assert [e.name for e in entries] == names
     for i, (name, shape, entry) in enumerate(zip(names, shapes_, entries)):
         sub = dataclasses.replace(cfg, seed=substream(cfg.seed, site, i))
-        assert entry == rec.calibrate(shape, 100, 3, sub, name=name, arena=arena)
+        assert entry == rec.calibrate(shape, 100, 3, sub, name=name)
 
 
 def test_calibrate_words_keeps_one_word_shape_at_a_time():
@@ -237,10 +238,8 @@ def test_parallel_workers_explore_their_site_substreams():
     # is the merge of the workers' accumulators in worker order
     shape, cfg = shapes.annulus(), SamplerConfig(mode="billiard-cos", seed=12)
     got = ex.explore_parallel(shape, 3001, cfg, workers=2)
-    arena = arena_for(shape, cfg.arena_scale)
     want = merge(*(
-        ex.explore(shape, share, dataclasses.replace(cfg, seed=substream(cfg.seed, WORKER, w)),
-                   arena=arena)
+        ex.explore(shape, share, dataclasses.replace(cfg, seed=substream(cfg.seed, WORKER, w)))
         for w, share in enumerate((1501, 1500))
     ))
     for field in ("sum_L1", "sum_L3", "chord_count", "rejected"):
@@ -269,7 +268,6 @@ def test_letter_stop_estimates_equal_one_draw_prefix(letter_dict):
     letter = rd.letter_shape("E", 1.0)
     for seed in range(5):
         cfg = SamplerConfig(seed=seed)
-        arena = rd.letter_arena(1.0, cfg.arena_scale)
         res = rec.explore_until_stop(
             letter,
             letter_dict,
@@ -277,9 +275,8 @@ def test_letter_stop_estimates_equal_one_draw_prefix(letter_dict):
             n_max=3000,
             warm_up=rd._read_warmup(3000),
             confirm=rd.READ_CONFIRM,
-            arena=arena,
         )
-        sums = record_sums(letter, res.n_stop, cfg, arena=arena)
+        sums = record_sums(letter, res.n_stop, cfg)
         assert (res.area_hat, res.perim_hat) == area_perimeter(*(s[-1] for s in sums))
 
 
@@ -359,20 +356,49 @@ def test_read_global_compiles_and_circles_the_word_once(monkeypatch):
     assert first == second
 
 
-def test_letter_arena_covers_box():
-    # the arena is the circle through the corners of the 3 x 5 cell box at
-    # the origin, times the scale; every letter lies in that box
+def test_letter_arena_is_the_cell_box_circle():
+    # every letter carries the circle through the corners of its 3 x 5 cell
+    # box at the origin, whatever its outline; arena_for scales it, bit for
+    # bit the box formula, and it covers the letter
     for cell in (1.0, 0.37):
-        arena = rd.letter_arena(cell, 1.2)
-        assert (arena.center.x, arena.center.y) == (1.5 * cell, 2.5 * cell)
-        assert arena.radius == pytest.approx(1.2 * math.hypot(3 * cell, 5 * cell) / 2, rel=1e-15)
-        for x, y in [(0, 0), (3, 0), (0, 5), (3, 5)]:
-            d = math.hypot(x * cell - arena.center.x, y * cell - arena.center.y)
-            assert d == pytest.approx(arena.radius / 1.2, rel=1e-15)
-        for c in rd.LETTER_MASKS:
-            coords = np.vstack([r.coords for r in rd.letter_shape(c, cell).rings])
-            assert coords.min() >= 0.0
-            assert np.all(coords <= (3 * cell, 5 * cell))
+        w, h = 3 * cell, 5 * cell
+        for scale in (1.2, 1.5):
+            want = ArenaCircle(Point(w / 2, h / 2), math.hypot(w, h) / 2 * scale)
+            for c in rd.LETTER_MASKS:
+                letter = rd.letter_shape(c, cell)
+                assert arena_for(letter, scale) == want, (c, cell, scale)
+                coords = np.vstack([r.coords for r in letter.rings])
+                assert coords.min() >= 0.0 and np.all(coords <= (w, h))
+                reach = np.hypot(coords[:, 0] - w / 2, coords[:, 1] - h / 2)
+                assert reach.max() <= math.hypot(w, h) / 2 * (1 + 1e-15)
+
+
+def test_transformed_letter_gets_its_own_bounding_circle():
+    # a moved copy of a letter carries nothing cached: its arena is its own
+    # minimal enclosing circle, for I much smaller than the cell box's
+    letter = rd.letter_shape("I", 1.0)
+    moved = transform(letter, RigidTransform(rotation=0.3, translation=Point(4.0, -2.0)))
+    center, radius = bounding_circle(moved)
+    assert arena_for(moved, 1.2) == ArenaCircle(center, radius * 1.2)
+    assert radius == pytest.approx(math.hypot(1.0, 5.0) / 2, rel=1e-12)
+    assert arena_for(letter, 1.2).radius == pytest.approx(math.hypot(3.0, 5.0) / 2 * 1.2, rel=1e-15)
+
+
+def test_parallel_workers_explore_a_letter_in_its_arena():
+    # the pickled letter carries its arena circle to the workers: they draw
+    # the lines explore draws in the cell box's circle, and the merged
+    # histogram spans that circle's diameter
+    letter, cfg = rd.letter_shape("I", 1.0), SamplerConfig(seed=12)
+    got = ex.explore_parallel(letter, 3001, cfg, workers=2)
+    want = merge(*(
+        ex.explore(letter, share, dataclasses.replace(cfg, seed=substream(cfg.seed, WORKER, w)))
+        for w, share in enumerate((1501, 1500))
+    ))
+    assert got.l_cap == pytest.approx(math.hypot(3.0, 5.0) * 1.2, rel=1e-15)
+    for field in ("l_cap", "sum_L1", "sum_L3", "chord_count", "rejected"):
+        assert getattr(got, field) == getattr(want, field), field
+    for field in ("batch", "hist"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
 def test_local_word_error_grows_like_sqrt_letters(letter_dict):
@@ -385,9 +411,10 @@ def test_local_word_error_grows_like_sqrt_letters(letter_dict):
     word_sums, singles = [], []
     for seed in range(24):
         cfg = SamplerConfig(seed=100 + seed)
-        # threshold > 1 disables stopping, so every letter uses the full budget
-        rw = rd.read_local(target, letter_dict, n_per_letter, cfg, threshold=1.5)
-        rs = rd.read_local(single, letter_dict, n_per_letter, cfg, threshold=1.5)
+        # no posterior reaches 1 in 400 lines, so every letter uses the full budget
+        rw = rd.read_local(target, letter_dict, n_per_letter, cfg, threshold=1.0)
+        rs = rd.read_local(single, letter_dict, n_per_letter, cfg, threshold=1.0)
+        assert rw.per_letter_n + rs.per_letter_n == [n_per_letter] * (len(word) + 1)
         word_sums.append(rw.area_hat)
         singles.append(rs.area_hat)
     ratio = np.std(word_sums, ddof=1) / np.std(singles, ddof=1)
@@ -398,6 +425,7 @@ def test_read_local_slots_explore_independent_lines(letter_dict):
     # two slots of the same letter must not be probed by the same lines: with
     # a shared line set, the word's area would be exactly twice one slot's
     cfg = SamplerConfig(seed=3)
-    pair = rd.read_local(rd.word_shape("EE", 1.0), letter_dict, 400, cfg, threshold=1.5)
-    one = rd.read_local(rd.word_shape("E", 1.0), letter_dict, 400, cfg, threshold=1.5)
+    pair = rd.read_local(rd.word_shape("EE", 1.0), letter_dict, 400, cfg, threshold=1.0)
+    one = rd.read_local(rd.word_shape("E", 1.0), letter_dict, 400, cfg, threshold=1.0)
+    assert pair.per_letter_n + one.per_letter_n == [400] * 3
     assert abs(pair.area_hat - 2.0 * one.area_hat) > 1e-3

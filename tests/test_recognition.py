@@ -12,8 +12,8 @@ from chordscan import recognition as rec
 from chordscan import shapes
 from chordscan.estimators import EstimateReport
 from chordscan.explore import LineStream, explore
-from chordscan.geometry import Point, exact_area, exact_perimeter
-from chordscan.sampling import SAMPLER_MODES, ArenaCircle, SamplerConfig, arena_for
+from chordscan.geometry import exact_area, exact_perimeter
+from chordscan.sampling import SAMPLER_MODES, SamplerConfig
 
 from conftest import record_sums
 
@@ -85,11 +85,11 @@ def test_calibrate_budget_is_lines_times_replicates():
     assert one == rec.calibrate(shapes.disk(), 500, 2, config)
 
 
-def _entry_from_record(shape, m_lines, replicates, config, arena):
+def _entry_from_record(shape, m_lines, replicates, config):
     """calibrate's batch rule applied to the first whole batches of explore's stream."""
     b = rec.CALIBRATION_BATCH
     n = m_lines * replicates // b * b
-    obs = LineStream(shape, config, arena=arena).take(n)
+    obs = LineStream(shape, config).take(n)
     sums = [np.add.reduceat(col, np.arange(0, n, b)) for col in (obs.L1, obs.L3, obs.k)]
     if_a, if_p = est.ratio_influence(*sums)
     corr = float(np.corrcoef(if_p, if_a)[0, 1])
@@ -119,11 +119,10 @@ def test_calibrate_equals_batch_rule_on_explore_record(
         monkeypatch.setattr(batch, "ONLINE_TOL", online_tol)
     shape = shapes.statue()
     config = SamplerConfig(mode=mode, seed=31)
-    arena = arena_for(shape, config.arena_scale)
-    want = _entry_from_record(shape, m_lines, replicates, config, arena)
-    got = rec.calibrate(shape, m_lines, replicates, config, arena=arena)
+    want = _entry_from_record(shape, m_lines, replicates, config)
+    got = rec.calibrate(shape, m_lines, replicates, config)
     if online_tol is not None:
-        assert explore(shape, m_lines * replicates, config, arena=arena).rejected > 0
+        assert explore(shape, m_lines * replicates, config).rejected > 0
     assert got == want
 
 
@@ -150,9 +149,8 @@ def test_calibrate_short_budget_is_error():
     with pytest.raises(ValueError, match="at least 1 line"):
         rec.calibrate(shapes.statue(), 0, 50, SamplerConfig(seed=1))
     # a unit disk in an arena of radius 1e6: no line of 200 meets it
-    far = ArenaCircle(Point(0.0, 0.0), 1e6)
     with pytest.raises(est.InsufficientDataError, match="no chord"):
-        rec.calibrate(shapes.disk(), 100, 2, SamplerConfig(seed=1), arena=far)
+        rec.calibrate(shapes.disk(), 100, 2, SamplerConfig(seed=1, arena_scale=1e6))
 
 
 @pytest.mark.parametrize(
@@ -164,17 +162,12 @@ def test_calibrate_sigma0_matches_replicate_spread(name, mode, m_lines):
     # 1,000 independent m-line explorations, whose own standard error is
     # about 2%
     config = SamplerConfig(mode=mode, seed=17)
-    if name == "E":
-        shape = rd.letter_shape("E", 1.0)
-        arena = rd.letter_arena(1.0, config.arena_scale)
-    else:
-        shape = shapes.builtin(name)
-        arena = arena_for(shape, config.arena_scale)
-    entry = rec.calibrate(shape, m_lines, 400_000 // m_lines, config, arena=arena)
+    shape = rd.letter_shape("E", 1.0) if name == "E" else shapes.builtin(name)
+    entry = rec.calibrate(shape, m_lines, 400_000 // m_lines, config)
     a_vals, p_vals = [], []
     for r in range(1000):
         sub = dataclasses.replace(config, seed=np.random.SeedSequence([config.seed, 1, r]))
-        acc = explore(shape, m_lines, sub, arena=arena)
+        acc = explore(shape, m_lines, sub)
         a_vals.append(est.estimate_area(acc))
         p_vals.append(est.estimate_perimeter(acc))
     root_m = math.sqrt(m_lines)
@@ -452,6 +445,29 @@ def test_read_style_stop_at_earliest_prefix_takes_one_draw(builtin_dictionary, m
     )
     assert (res.label, res.n_stop, res.censored) == ("disk", 529, False)
     assert takes == [529]
+
+
+@pytest.mark.parametrize("threshold", [1.5, -0.5, math.nan])
+def test_threshold_outside_0_1_is_error(threshold):
+    # a threshold is a posterior probability: above 1 no read could stop,
+    # below 0 every read would stop at once, and NaN clears nothing
+    entries, cfg = two_entries(), SamplerConfig(seed=1)
+    with pytest.raises(ValueError, match="threshold"):
+        rec.explore_until_stop(shapes.disk(), entries, cfg, threshold=threshold, n_max=2000)
+    with pytest.raises(ValueError, match="threshold"):
+        rec.landscape(entries, 100, resolution=5, threshold=threshold)
+    with pytest.raises(ValueError, match="threshold"):
+        rec.should_stop(rec.Posterior({"left": 1.0}, "left", 1.0), threshold)
+
+
+def test_threshold_ends_are_accepted():
+    post = rec.Posterior({"left": 1.0}, "left", 1.0)
+    assert rec.should_stop(post, 0.0) and rec.should_stop(post, 1.0)
+    for threshold in (0.0, 1.0):
+        rec.landscape(two_entries(), 100, resolution=5, threshold=threshold)
+        rec.explore_until_stop(
+            shapes.disk(), two_entries(), SamplerConfig(seed=1), threshold=threshold, n_max=50
+        )
 
 
 @pytest.mark.parametrize("n_max", [0, -5])
