@@ -221,6 +221,7 @@ def _read(word, slots, entries, budget, threshold) -> ReadResult:
     posterior is the product of the slots', so each slot must clear the n-th
     root of the threshold (Sidak). A budget below 1 leaves every slot censored.
     """
+    recognition._check_threshold(threshold)
     if threshold > 0.0:
         threshold = threshold ** (1.0 / len(slots))
     results = [

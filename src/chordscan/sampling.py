@@ -160,7 +160,7 @@ def billiard_lines(
     gammas[1:] = beta0 + np.cumsum(2.0 * phis)
     turns, theta = np.divmod(gammas[:-1] + (0.5 * math.pi + phis), math.pi)
     p = arena.radius * np.sin(phis)
-    np.negative(p, out=p, where=(turns + np.arange(n)) % 2.0 == 0.0)
+    np.negative(p, out=p, where=((turns.astype(np.int64) + np.arange(n)) & 1) == 0)
     phi_next = float(_draw_normal_angle(np.asarray(rng.random()), mode))
     # wrapped, the wall angle does not grow over a chain of resumed calls
     end = BilliardState(math.remainder(gammas[-1] + (n % 2) * math.pi, 2.0 * math.pi), phi_next)

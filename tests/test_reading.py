@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -138,6 +139,17 @@ def test_read_global_zero_budget_censored(letter_dict):
     target = rd.word_shape("ON", 1.0)
     res = rd.read_global(target, letter_dict[:3], 0, SamplerConfig(seed=1))
     assert res.censored
+
+
+@pytest.mark.parametrize("budget", [0, 5])
+@pytest.mark.parametrize("threshold", [1.5, -0.5, math.nan])
+def test_read_threshold_outside_0_1_is_error(letter_dict, budget, threshold):
+    # the caller's threshold is checked, whatever the budget, and named
+    # rather than the root each slot must clear
+    target = rd.word_shape("FE", 1.0)
+    for read, entries in ((rd.read_local, letter_dict), (rd.read_global, letter_dict[:3])):
+        with pytest.raises(ValueError, match=re.escape(f"not {threshold}") + "$"):
+            read(target, entries, budget, SamplerConfig(seed=1), threshold=threshold)
 
 
 def test_read_single_letter_equals_classification(letter_dict):

@@ -213,6 +213,22 @@ def test_billiard_chain_keeps_heading_wrapped():
         assert -math.pi <= state.beta <= math.pi
 
 
+def test_billiard_sign_parity_holds_where_half_turns_go_negative():
+    # p turns sign with the normal at every half turn and at every odd line:
+    # the lines equal those of the float rule (turns + i) % 2.0 == 0.0 bit for
+    # bit, on a resumed chain whose half-turn counts fall below zero
+    n, state = 3000, sp.BilliardState(beta=-3.0, phi=-1.2)
+    theta, p, _ = sp.billiard_lines(np.random.default_rng(31), OFFCENTER, n, "billiard-uni", state)
+    phis = np.concatenate([[state.phi], DRAWS["billiard-uni"](np.random.default_rng(31).random(n - 1))])
+    gammas = state.beta + np.concatenate([[0.0], np.cumsum(2.0 * phis[:-1])])
+    turns, want_theta = np.divmod(gammas + (0.5 * math.pi + phis), math.pi)
+    want_p = OFFCENTER.radius * np.sin(phis)
+    np.negative(want_p, out=want_p, where=(turns + np.arange(n)) % 2.0 == 0.0)
+    want_theta, want_p = sp._fold_at_pi(want_theta, want_p)
+    assert {-1.0, -2.0} <= set(turns.tolist())
+    assert np.array_equal(theta, want_theta) and np.array_equal(p, want_p)
+
+
 def test_cosine_billiard_reproduces_mean_chord():
     _, p, _ = sp.billiard_lines(np.random.default_rng(5), ARENA, 100_000, "billiard-cos")
     lengths = _chord_lengths(p, ARENA)
