@@ -10,18 +10,20 @@ vertex count. Endpoints z are complex, relative to the shape's centre, so
 one multiply z (cos theta - i sin theta) gives an endpoint's signed distance
 s from the line plus i times its position x along it. A line passing within
 tolerance of any vertex is rejected; random lines hit this with probability
-~0, and rejections are counted. Error model (cf. Higham, Accuracy and
-Stability of Numerical Algorithms, 2002): with the scan's own floats taken
-as exact (cos, sin, a line's offset from the centre, the endpoints), a
-crossing lies within 4 eps E kappa of its exact position, E the largest
-absolute endpoint coordinate and kappa = 1 + |x2 - x1| / |s1 - s2| its
-conditioning; tests/test_batch.py measured at most 0.83 eps E kappa. numpy
-may fuse the complex multiply, so the last bit can differ across CPUs and
-numpy builds. observe_segments reduces the crossings to a BatchObservations,
-the one record of a block of lines from the kernel to the accumulator. It
-takes the hit lines most events first, and sorts each run of one event count
-at that count (a lone chord needs none), not every line at the longest
-line's count.
+~0, and rejections are counted. The band is tested once per vertex, at the
+start of each candidate edge: every vertex starts exactly one edge, and the
+table lists that edge wherever a line passes within tolerance of the vertex.
+Error model (cf. Higham, Accuracy and Stability of Numerical Algorithms,
+2002): with the scan's own floats taken as exact (cos, sin, a line's offset
+from the centre, the endpoints), a crossing lies within 4 eps E kappa of its
+exact position, E the largest absolute endpoint coordinate and kappa = 1 +
+|x2 - x1| / |s1 - s2| its conditioning; tests/test_batch.py measured at most
+0.83 eps E kappa. numpy may fuse the complex multiply, so the last bit can
+differ across CPUs and numpy builds. observe_segments reduces the crossings
+to a BatchObservations, the one record of a block of lines from the kernel
+to the accumulator. A lone chord is read straight from its two events; the
+other hit lines go most events first, and each run of one event count is
+sorted at that count, not every line at the longest line's count.
 """
 
 from __future__ import annotations
@@ -204,8 +206,11 @@ def _scan(
     of a vertex.
     """
     m = theta.size
-    # z (cos - i sin) is (offset along the normal) + i (position along the line)
-    rot = np.cos(theta) - 1j * np.sin(theta)
+    # z (cos - i sin) is (offset along the normal) + i (position along the line);
+    # the imaginary part is 0 - sin, so +0 at theta = 0
+    rot = np.empty(m, dtype=complex)
+    np.cos(theta, out=rot.real)
+    np.subtract(0.0, np.sin(theta, out=rot.imag), out=rot.imag)
     # each line's offset from O along its normal
     c = rot.real * (cshape.center[0] - origin.x)
     c -= rot.imag * (cshape.center[1] - origin.y)
@@ -242,8 +247,8 @@ def _scan(
         v2 *= lrot
         s1, x1 = v1.real - lc, v1.imag
         s2, x2 = v2.real - lc, v2.imag
+        # every vertex starts one edge: testing the starts tests them all
         bad = np.abs(s1) <= cshape.tol
-        bad |= np.abs(s2) <= cshape.tol
         if bad.any():
             rejected[line[bad]] = True
         k = np.flatnonzero((s1 > 0.0) != (s2 > 0.0))
@@ -278,19 +283,25 @@ def _reduce(counts: np.ndarray, t_all: np.ndarray, rejected: np.ndarray) -> Batc
         t_all = t_all[np.repeat(~rejected, counts)]
         counts[rejected] = 0
     L1, L3, cube, chords = np.zeros(m), np.zeros(m), np.zeros(m), np.empty(t_all.size // 2)
-    # The hit lines, most events first (a stable radix sort on a small key),
-    # a sub-block at a time: as many lines as fit _BLOCK events at the
-    # sub-block's longest line (at least one), so the temporaries do not grow
-    # with m.
+    # The hit lines, most events first (a stable radix sort on a small key).
     hit = np.flatnonzero(counts)
     n_ev = counts[hit]
     most = int(n_ev.max(initial=0))
     order = np.argsort((most - n_ev).astype(np.min_scalar_type(most)), kind="stable")
     first = (np.cumsum(n_ev) - n_ev)[order]  # each line's first event in t_all
     hit, n_ev = hit[order], n_ev[order]
+    # The one-chord lines, last in that order, are their two events apart.
+    lone = hit.size - int(np.count_nonzero(n_ev == 2))
+    f = first[lone:]
+    ch = np.abs(t_all[f + 1] - t_all[f])
+    chords[f // 2] = L1[hit[lone:]] = ch
+    L3[hit[lone:]] = cube[hit[lone:]] = ch * ch * ch
+    # The others a sub-block at a time: as many lines as fit _BLOCK events at
+    # the sub-block's longest line (at least one), so the temporaries do not
+    # grow with m.
     lo = 0
-    while lo < hit.size:
-        hi = min(hit.size, lo + max(1, _BLOCK // int(n_ev[lo])))
+    while lo < lone:
+        hi = min(lone, lo + max(1, _BLOCK // int(n_ev[lo])))
         sub = hit[lo:hi]
         L1[sub], cube[sub], L3[sub] = _line_sums(t_all, first[lo:hi], n_ev[lo:hi], chords)
         lo = hi
@@ -302,13 +313,12 @@ def _line_sums(t: np.ndarray, first: np.ndarray, n_ev: np.ndarray, chords: np.nd
     n_ev non-increasing; each line's chords go to chords[first // 2:]."""
     # Row i of ev holds every line's i-th event, and past a line's count some
     # other (finite) event, whose chords are zeroed. Each run of lines with
-    # one count c > 2 sorts its c rows; a lone chord's events need no order.
+    # one count c sorts its c rows.
     n_chords = int(n_ev[0]) // 2
     ev = t.take(first + np.arange(2 * n_chords)[:, None], mode="clip")
     ends = [*(np.flatnonzero(n_ev[1:] != n_ev[:-1]) + 1).tolist(), n_ev.size]
     for a, b in zip([0, *ends], ends):
-        if n_ev[a] > 2:
-            ev[: n_ev[a], a:b].sort(axis=0)
+        ev[: n_ev[a], a:b].sort(axis=0)
     ch = ev[1::2] - ev[0::2]
     np.abs(ch[0], out=ch[0])
     chord_j = np.arange(n_chords)[:, None]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -145,6 +144,8 @@ def explore_parallel(
         dataclasses.replace(config, seed=substream(config.seed, WORKER, w))
         for w in range(len(shares))
     ]
+    from concurrent.futures import ProcessPoolExecutor  # importing chordscan loads no pool
+
     job = functools.partial(explore, shape, n_batches=n_batches)
     # a pool forks all its processes at once: no more than there are shares or CPUs
     with ProcessPoolExecutor(max_workers=min(len(shares), os.cpu_count() or 1)) as pool:

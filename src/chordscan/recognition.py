@@ -27,9 +27,10 @@ DEFAULT_THRESHOLD = 0.95
 # yet, so stopping decisions only begin here (unless threshold == 0, which
 # claims no confidence at all).
 DEFAULT_WARMUP = 30
-# Lines per draw after the first, which ends at the earliest possible stop
-# (warm-up plus confirmation window); the stop is checked after every line,
-# so this only bounds how far a draw runs past it.
+# The fewest lines of explore_until_stop's first draw, which ends at the
+# earliest possible stop (warm-up plus confirmation window); later draws are
+# 4 * STOP_CHUNK. The stop is checked after every line, so the sizes only
+# bound how far a draw runs past it.
 STOP_CHUNK = 256
 _CORR_CLAMP = 0.999
 # Lines per batch of calibrate's influence values. Consecutive billiard
@@ -131,48 +132,62 @@ def calibrate(
 
 
 def _entry_arrays(entries: list[DictEntry]) -> np.ndarray:
-    """The entries' p_ref, a_ref, sigma0_p, sigma0_a and corr as rows, one column per entry."""
-    return np.array([(e.p_ref, e.a_ref, e.sigma0_p, e.sigma0_a, e.corr) for e in entries]).T
+    """The entries' p_ref, a_ref, 1/sigma0_p, 1/sigma0_a and corr as rows, one column per entry."""
+    return np.array([(e.p_ref, e.a_ref, 1 / e.sigma0_p, 1 / e.sigma0_a, e.corr) for e in entries]).T
 
 
 def _log_likelihoods(
-    p_hat: np.ndarray,
-    a_hat: np.ndarray,
-    n: np.ndarray,
-    ref: np.ndarray,
-    shared_sigma: tuple[float, float] | None = None,
+    p_hat: np.ndarray, a_hat: np.ndarray, n: np.ndarray, ref: np.ndarray
 ) -> np.ndarray:
-    """Log-density of each observation (rows) under each entry (columns of _entry_arrays)."""
-    p_hat = np.atleast_1d(np.asarray(p_hat, dtype=float))[:, None]
-    a_hat = np.atleast_1d(np.asarray(a_hat, dtype=float))[:, None]
-    n = np.atleast_1d(np.asarray(n, dtype=float))[:, None]
-    pr, ar, s0p, s0a, rho = ref[:, None, :]
-    if shared_sigma is None:
-        sp = s0p / np.sqrt(n)
-        sa = s0a / np.sqrt(n)
-    else:
-        sp = np.full_like(pr, shared_sigma[0])
-        sa = np.full_like(pr, shared_sigma[1])
-        rho = np.zeros_like(pr)
-    dp = (p_hat - pr) / sp
-    da = (a_hat - ar) / sa
-    z = _mahalanobis_sq(dp, da, rho)
-    return -np.log(2.0 * math.pi * sp * sa * np.sqrt(1.0 - rho * rho)) - 0.5 * z
+    """Log-density of each observation (rows) under each entry (columns of
+    _entry_arrays), exact up to a constant per row.
+
+    With sigma = sigma0/sqrt(N) the squared Mahalanobis distance is N times
+    its value at N = 1, and the normaliser's log N term, the same for every
+    entry, is left out: the softmax of _posteriors cancels it. So the block
+    takes one per-entry normaliser and is updated in place. It is the
+    transpose of an entry-major array, so numpy's inner loops run along the
+    observations.
+    """
+    pr, ar, inv_p, inv_a, rho = ref[:, :, None]
+    one_minus = 1.0 - rho * rho
+    dp = np.asarray(p_hat, dtype=float).ravel() - pr
+    dp *= inv_p
+    da = np.asarray(a_hat, dtype=float).ravel() - ar
+    da *= inv_a
+    cross = dp * da
+    cross *= 2.0 * rho
+    z = np.square(dp, out=dp)
+    z += np.square(da, out=da)
+    z -= cross
+    z *= -0.5 / one_minus
+    z *= np.asarray(n, dtype=float).ravel()
+    z += np.log(inv_p * inv_a / (2.0 * math.pi * np.sqrt(one_minus)))
+    return z.T
 
 
 def _posteriors(loglik: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise softmax posteriors (uniform prior), top entries and their probabilities."""
-    w = np.exp(loglik - loglik.max(axis=1, keepdims=True))
-    probs = w / w.sum(axis=1, keepdims=True)
-    top = np.argmax(probs, axis=1)
-    return probs, top, probs[np.arange(len(top)), top]
+    """Row-wise softmax posteriors (uniform prior), top entries and their
+    probabilities; the posteriors take loglik's place. An entry less likely
+    than e^-700 times the top reads as that fraction of it."""
+    w = loglik.T  # entry-major, as _log_likelihoods lays it out
+    top = np.argmax(w, axis=0)
+    w -= w.max(axis=0)
+    # exp is many times slower where it underflows, and a weight under
+    # e^-700 cannot move a sum that holds 1
+    np.maximum(w, -700.0, out=w)
+    np.exp(w, out=w)
+    total = w.sum(axis=0)
+    w /= total
+    # the top's weight is exp(0) = 1
+    return loglik, top, 1.0 / total
 
 
 def classify(report: EstimateReport, entries: list[DictEntry]) -> Posterior:
     """Posterior over dictionary entries for one estimate report.
 
-    The noise is the report's own batch stderrs when they are finite and
-    positive, otherwise each entry's calibrated sigma0/sqrt(N).
+    The noise is the report's own batch stderrs, uncorrelated, when they are
+    finite and positive, otherwise each entry's calibrated sigma0/sqrt(N).
     """
     if not entries:
         raise ValueError("dictionary is empty")
@@ -182,11 +197,11 @@ def classify(report: EstimateReport, entries: list[DictEntry]) -> Posterior:
         and report.stderr_p > 0.0
         and report.stderr_a > 0.0
     )
-    shared = (report.stderr_p, report.stderr_a) if own else None
-    loglik = _log_likelihoods(
-        report.perim_hat, report.area_hat, report.n_lines, _entry_arrays(entries), shared
-    )
-    probs, top, top_prob = _posteriors(loglik)
+    ref, n = _entry_arrays(entries), report.n_lines
+    if own:
+        # every entry's noise is the report's stderrs, as sigma0 at N = 1
+        ref[2], ref[3], ref[4], n = 1.0 / report.stderr_p, 1.0 / report.stderr_a, 0.0, 1
+    probs, top, top_prob = _posteriors(_log_likelihoods(report.perim_hat, report.area_hat, n, ref))
     return Posterior(
         probs={e.name: float(pv) for e, pv in zip(entries, probs[0])},
         top=entries[top[0]].name,
@@ -304,8 +319,8 @@ def explore_until_stop(
     while one without a defined estimate neither extends nor ends it. Lines
     are drawn from config's seed. The first draw ends at the earliest
     possible stop, warm_up + confirm - 1 lines (at least STOP_CHUNK), later
-    ones are STOP_CHUNK lines; the prefix sums and the streak run on across
-    draws, so the result does not depend on the draw sizes.
+    ones are 4 * STOP_CHUNK lines; the prefix sums and the streak run on
+    across draws, so the result does not depend on the draw sizes.
     """
     if not entries:
         raise ValueError("dictionary is empty")
@@ -322,7 +337,7 @@ def explore_until_stop(
     streak = 0
     last = StopResult(None, n_max, True, float("nan"), float("nan"), 0.0)
     while done < n_max:
-        take_n = min(STOP_CHUNK if done else max(min_n + confirm - 1, STOP_CHUNK), n_max - done)
+        take_n = min(4 * STOP_CHUNK if done else max(min_n + confirm - 1, STOP_CHUNK), n_max - done)
         l1, l3, kk = stream.running_sums(take_n)
         n_prefix = done + np.arange(1, take_n + 1)
         idx = np.flatnonzero((l1 > 0.0) & (kk > 0) & (n_prefix >= min_n))

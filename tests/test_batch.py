@@ -266,10 +266,12 @@ def event_blocks(draw):
     return counts, t, rejected
 
 
-def _block(counts, seed):
+def _block(counts, seed, rejected=()):
     counts = np.asarray(counts, dtype=np.intp)
     t = np.random.default_rng(seed).uniform(0.0, 50.0, int(counts.sum()))
-    return counts, t, np.zeros(counts.size, dtype=bool)
+    mask = np.zeros(counts.size, dtype=bool)
+    mask[list(rejected)] = True
+    return counts, t, mask
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -278,6 +280,10 @@ def _block(counts, seed):
 @example(block=_block([2] * 500, 1), size=batch._BLOCK)
 @example(block=_block([30], 2), size=64)  # a lone line of 30 events
 @example(block=_block([0, 30, 2, 0, 4, 30, 2, 6], 3), size=batch._BLOCK)
+# one-chord lines among vertex-rejected (lines 1, 3, 8) and odd-parity lines
+@example(block=_block([2, 3, 2, 4, 2, 1, 2, 6, 2, 5, 0, 2], 4, rejected=[1, 3, 8]), size=64)
+@example(block=_block([2, 3, 2, 4, 2, 1, 2, 6, 2, 5, 0, 2], 4, rejected=[1, 3, 8]), size=batch._BLOCK)
+@example(block=_block([2] * 40 + [1], 5, rejected=[0, 7, 39]), size=64)  # rejected lone chords
 def test_reduction_matches_the_padded_grid(block, size):
     # lines grouped by event count, each count sorted on its own, must give
     # the padded grid's numbers bit for bit, whatever sub-blocks they run in

@@ -1,6 +1,9 @@
 import importlib
 import math
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -506,10 +509,25 @@ def test_parallel_pool_has_no_more_processes_than_shares(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(importlib.import_module("chordscan.explore"), "ProcessPoolExecutor", SerialPool)
+    # explore_parallel imports the pool class when it is called
+    monkeypatch.setattr(importlib.import_module("concurrent.futures"), "ProcessPoolExecutor", SerialPool)
     acc = explore_parallel(shapes.square(), 3, SamplerConfig(seed=20), workers=64)
     assert acc.n_lines == 3
     assert len(sizes) == 1 and sizes[0] <= 3
+
+
+def test_import_loads_no_process_pool():
+    # only explore_parallel needs a pool; a fresh import must not pay for one
+    src = os.path.dirname(os.path.dirname(importlib.import_module("chordscan").__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, chordscan; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_accumulator_state_size_constant():

@@ -447,6 +447,101 @@ def test_read_style_stop_at_earliest_prefix_takes_one_draw(builtin_dictionary, m
     assert takes == [529]
 
 
+def test_later_draws_are_four_stop_chunks(builtin_dictionary, monkeypatch):
+    # against its 2% twin, the square at seed 5 stops at line 2018, two
+    # draws after the first
+    square = builtin_dictionary[shapes.BUILTIN_NAMES.index("square")]
+    twin = dataclasses.replace(
+        square, name="twin", p_ref=1.02 * square.p_ref, a_ref=1.02**2 * square.a_ref
+    )
+    takes = []
+    take = rec.LineStream.take
+
+    def counting_take(self, n, *args):
+        takes.append(n)
+        return take(self, n, *args)
+
+    monkeypatch.setattr(rec.LineStream, "take", counting_take)
+    res = rec.explore_until_stop(shapes.square(), [square, twin], SamplerConfig(seed=5))
+    assert (res.label, res.n_stop, res.censored) == ("square", 2018, False)
+    assert takes == [256, 1024, 1024]
+    # an exact twin never clears the threshold: the last draw ends at n_max
+    takes.clear()
+    same = dataclasses.replace(square, name="same")
+    res = rec.explore_until_stop(shapes.square(), [square, same], SamplerConfig(seed=5), n_max=3000)
+    assert res.censored and takes == [256, 1024, 1024, 696]
+
+
+def _reference_log_likelihoods(p_hat, a_hat, n, entries, shared_sigma=None):
+    """The bivariate-Gaussian log-density as written, sigma0/sqrt(N) and the
+    normaliser computed per element."""
+    p_hat = np.atleast_1d(np.asarray(p_hat, dtype=float))[:, None]
+    a_hat = np.atleast_1d(np.asarray(a_hat, dtype=float))[:, None]
+    n = np.atleast_1d(np.asarray(n, dtype=float))[:, None]
+    pr, ar, s0p, s0a, rho = (
+        np.array([(e.p_ref, e.a_ref, e.sigma0_p, e.sigma0_a, e.corr) for e in entries]).T
+    )
+    if shared_sigma is None:
+        sp, sa = s0p / np.sqrt(n), s0a / np.sqrt(n)
+    else:
+        sp, sa = np.full_like(pr, shared_sigma[0]), np.full_like(pr, shared_sigma[1])
+        rho = np.zeros_like(pr)
+    dp = (p_hat - pr) / sp
+    da = (a_hat - ar) / sa
+    z = (dp * dp - 2.0 * rho * dp * da + da * da) / (1.0 - rho * rho)
+    return -np.log(2.0 * math.pi * sp * sa * np.sqrt(1.0 - rho * rho)) - 0.5 * z
+
+
+def _reference_posteriors(loglik):
+    w = np.exp(loglik - loglik.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _assert_posteriors_match(got_probs, got_top, got_top_prob, want_probs):
+    assert np.max(np.abs(got_probs - want_probs)) <= 1e-12
+    assert np.array_equal(got_top, np.argmax(want_probs, axis=1))
+    assert np.max(np.abs(got_top_prob - want_probs.max(axis=1))) <= 1e-12
+
+
+def test_likelihood_matches_the_per_element_density(builtin_dictionary):
+    # the lean likelihood leaves out log N, a constant per row: posteriors
+    # agree with the density as written, correlated entries included
+    square = builtin_dictionary[shapes.BUILTIN_NAMES.index("square")]
+    twin = dataclasses.replace(
+        square, name="twin", p_ref=1.02 * square.p_ref, a_ref=1.02**2 * square.a_ref
+    )
+    entries = [*builtin_dictionary, twin]
+    assert all(e.corr != 0.0 for e in entries)
+    ref = rec._entry_arrays(entries)
+    # stop-loop rows: every prefix of a square record from line 30, which
+    # the square and its twin contest
+    l1, l3, kk = record_sums(shapes.square(), 3000, SamplerConfig(seed=11))
+    n = np.arange(30, 3001)
+    a, p = est.area_perimeter(l1[n - 1], l3[n - 1], kk[n - 1])
+    want = _reference_posteriors(_reference_log_likelihoods(p, a, n, entries))
+    _assert_posteriors_match(*rec._posteriors(rec._log_likelihoods(p, a, n, ref)), want)
+    assert np.count_nonzero(want.max(axis=1) < 0.9) > 100
+    # classify, with the entries' noise and with the report's own stderrs
+    for se in (float("nan"), 0.05):
+        report = make_report(p=3.9, a=0.97, n=400, se_p=se, se_a=se)
+        shared = None if math.isnan(se) else (se, se)
+        want = _reference_posteriors(_reference_log_likelihoods(3.9, 0.97, 400, entries, shared))
+        post = rec.classify(report, entries)
+        got = np.array([[post.probs[e.name] for e in entries]])
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert post.top == entries[int(np.argmax(want))].name
+        assert abs(post.top_prob - want.max()) <= 1e-12
+    # a landscape grid, whose labels follow the reference's tops
+    grid = rec.landscape(entries, 200, resolution=40, threshold=0.5)
+    pg, ag = np.meshgrid(grid.p_axis, grid.a_axis, indexing="ij")
+    n = np.full(pg.size, 200)
+    want = _reference_posteriors(_reference_log_likelihoods(pg.ravel(), ag.ravel(), n, entries))
+    _assert_posteriors_match(*rec._posteriors(rec._log_likelihoods(pg.ravel(), ag.ravel(), n, ref)), want)
+    names = [e.name for e in entries]
+    labels = [names[t] if q >= 0.5 else None for t, q in zip(want.argmax(axis=1), want.max(axis=1))]
+    assert [label for row in grid.labels for label in row] == labels
+
+
 @pytest.mark.parametrize("threshold", [1.5, -0.5, math.nan])
 def test_threshold_outside_0_1_is_error(threshold):
     # a threshold is a posterior probability: above 1 no read could stop,
