@@ -13,17 +13,19 @@ tolerance of any vertex is rejected; random lines hit this with probability
 ~0, and rejections are counted. The band is tested once per vertex, at the
 start of each candidate edge: every vertex starts exactly one edge, and the
 table lists that edge wherever a line passes within tolerance of the vertex.
-Error model (cf. Higham, Accuracy and Stability of Numerical Algorithms,
-2002): with the scan's own floats taken as exact (cos, sin, a line's offset
-from the centre, the endpoints), a crossing lies within 4 eps E kappa of its
-exact position, E the largest absolute endpoint coordinate and kappa = 1 +
-|x2 - x1| / |s1 - s2| its conditioning; tests/test_batch.py measured at most
-0.83 eps E kappa. numpy may fuse the complex multiply, so the last bit can
-differ across CPUs and numpy builds. observe_segments reduces the crossings
-to a BatchObservations, the one record of a block of lines from the kernel
-to the accumulator. A lone chord is read straight from its two events; the
-other hit lines go most events first, and each run of one event count is
-sorted at that count, not every line at the longest line's count.
+A line's cos theta and sin theta are _sincos' floats, each within eps of
+its true value. Error model (cf. Higham, Accuracy and Stability of Numerical
+Algorithms, 2002): with the scan's own floats taken as exact (those cos and
+sin, a line's offset from the centre, the endpoints), a crossing lies within
+4 eps E kappa of its exact position, E the largest absolute endpoint
+coordinate and kappa = 1 + |x2 - x1| / |s1 - s2| its conditioning;
+tests/test_batch.py measured at most 0.83 eps E kappa. numpy may fuse the
+complex multiply, so the last bit can differ across CPUs and numpy builds.
+observe_segments reduces the crossings to a BatchObservations, the one record
+of a block of lines from the kernel to the accumulator. A lone chord is read
+straight from its two events; the other hit lines go most events first, and
+each run of one event count is sorted at that count, not every line at the
+longest line's count.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ _BLOCK = 1 << 15
 # twice as long to build, and observe_segments measured no faster.
 _CELL = 0.25
 _MAX_CELLS = 256
+# _sincos' table: cos and sin at the nodes k pi / 1024, k = 0..1024.
+_NODE_STEP = math.pi / 1024
+_NODE_COS = np.cos(np.arange(1025) * _NODE_STEP)
+_NODE_SIN = np.sin(np.arange(1025) * _NODE_STEP)
 
 
 class CompiledShape:
@@ -194,6 +200,44 @@ def _cells(cshape: CompiledShape, theta: np.ndarray, c: np.ndarray) -> np.ndarra
     return row
 
 
+def _sincos(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos theta, sin theta) for angles in [0, pi], each within eps.
+
+    The package's one rule for a line's direction, at a multiply's speed
+    where np.cos and np.sin each cost a libm call per angle. theta is its
+    nearest table node theta_k = k pi / 1024 plus delta = theta - theta_k,
+    which is exact (Sterbenz: theta_k / 2 <= theta <= 2 theta_k, or k = 0),
+    and |delta| <= pi / 2048. Angle addition combines the node's cos and sin
+    with cos delta - 1 to its delta^4 term and sin delta to its delta^5 term,
+    whose truncation errors stay below 2e-19. A result is the node's value,
+    within half an ulp, plus a correction below 1.6e-3 that is off by about
+    1e-19, rounded once more: within eps of the true value.
+    """
+    k = theta * (1.0 / _NODE_STEP)
+    np.rint(k, out=k)
+    node = k.astype(np.intp)
+    k *= _NODE_STEP
+    delta = np.subtract(theta, k, out=k)
+    d2 = delta * delta
+    cos_m1 = d2 * (1.0 / 24.0)  # cos delta - 1
+    cos_m1 -= 0.5
+    cos_m1 *= d2
+    sin_d = d2 * (1.0 / 120.0)  # sin delta
+    sin_d -= 1.0 / 6.0
+    sin_d *= d2
+    sin_d *= delta
+    sin_d += delta
+    cos_k, sin_k = _NODE_COS.take(node), _NODE_SIN.take(node)
+    # cos_k + (cos_k (cos delta - 1) - sin_k sin delta), and sin likewise
+    cos = cos_k * cos_m1
+    cos -= np.multiply(sin_k, sin_d, out=d2)
+    cos += cos_k
+    sin = np.multiply(sin_k, cos_m1, out=cos_m1)
+    sin += np.multiply(cos_k, sin_d, out=sin_d)
+    sin += sin_k
+    return cos, sin
+
+
 def _scan(
     cshape: CompiledShape, theta: np.ndarray, p: np.ndarray, origin: Point
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -208,9 +252,10 @@ def _scan(
     m = theta.size
     # z (cos - i sin) is (offset along the normal) + i (position along the line);
     # the imaginary part is 0 - sin, so +0 at theta = 0
+    cos, sin = _sincos(theta)
     rot = np.empty(m, dtype=complex)
-    np.cos(theta, out=rot.real)
-    np.subtract(0.0, np.sin(theta, out=rot.imag), out=rot.imag)
+    rot.real = cos
+    np.subtract(0.0, sin, out=rot.imag)
     # each line's offset from O along its normal
     c = rot.real * (cshape.center[0] - origin.x)
     c -= rot.imag * (cshape.center[1] - origin.y)
@@ -262,7 +307,7 @@ def _scan(
     counts = np.zeros(m, dtype=np.intp)
     counts[lines] = np.diff(ev_end, prepend=0)
     # the per-line arrays go before the events are joined
-    del rot, c, cell, start, lines, count, pair_end, shift, ev_end
+    del cos, sin, rot, c, cell, start, lines, count, pair_end, shift, ev_end
     return counts, np.concatenate(ev_t) if ev_t else np.empty(0), rejected
 
 

@@ -83,7 +83,8 @@ def crossings(shape: Shape, seg: tuple[Point, Point]) -> list[CrossingEvent]:
         raise DegenerateLineError("line passes within tolerance of a vertex")
     # the scan measures along (-sin theta, cos theta) from the foot of the
     # shape's centre O: move the start to a and turn the axis toward b
-    u = np.array([-np.sin(theta[0]), np.cos(theta[0])])
+    cos, sin = batch._sincos(theta)
+    u = np.array([-sin[0], cos[0]])
     ts -= float(u @ (a - cshape.center))
     if u @ d < 0.0:
         ts = -ts

@@ -171,8 +171,11 @@ def _posteriors(loglik: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     probabilities; the posteriors take loglik's place. An entry less likely
     than e^-700 times the top reads as that fraction of it."""
     w = loglik.T  # entry-major, as _log_likelihoods lays it out
-    top = np.argmax(w, axis=0)
-    w -= w.max(axis=0)
+    # numpy's argmax does not vectorise along the strided entry axis, but the
+    # comparison and a boolean argmax do: the first entry at the maximum
+    top_w = w.max(axis=0)
+    top = (w == top_w).argmax(axis=0)
+    w -= top_w
     # exp is many times slower where it underflows, and a weight under
     # e^-700 cannot move a sum that holds 1
     np.maximum(w, -700.0, out=w)

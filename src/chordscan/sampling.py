@@ -8,7 +8,10 @@ one line format from the samplers to the ring scan.
 Lines are drawn a block at a time, in a fixed order so runs are reproducible
 from the seed: sample_iur_batch draws n (theta, p) pairs, one row of two
 uniforms per line, and billiard_lines works each line of a bounce chain out
-from its bounce angles. line_params_of_segments turns segments into lines.
+from its bounce angles. The cosine law draws sin(phi) = 2u - 1 uniformly,
+which is the line's offset over the radius up to sign, and phi is its
+arcsine; theta is the exact remainder of the normal's angle modulo pi.
+line_params_of_segments turns segments into lines.
 """
 
 from __future__ import annotations
@@ -108,17 +111,52 @@ def line_params_of_segments(
 def _fold_at_pi(theta: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """An angle that rounds to pi is the line at 0 with its normal turned round."""
     at_pi = theta == math.pi
-    theta[at_pi] = 0.0
-    np.negative(p, out=p, where=at_pi)
+    if at_pi.any():
+        theta[at_pi] = 0.0
+        p[at_pi] = -p[at_pi]
     return theta, p
 
 
-def _draw_normal_angle(u: np.ndarray, mode: str) -> np.ndarray:
-    """Outgoing angle from the inward normal for one bounce, from a uniform."""
+# pi = _PI_HI + _PI_LO: _PI_HI has 36 bits, so t * _PI_HI is exact for |t| < 2**17
+_PI_HI = float.fromhex("0x1.921fb54440000p+1")
+_PI_LO = math.pi - _PI_HI
+
+
+def _mod_pi(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, theta) with mu = t*pi + theta, theta in [0, pi): np.divmod(mu, pi)'s
+    quotient and remainder, but a remainder that rounds to pi is 0 of the
+    next half turn.
+
+    theta is mu - t*pi for t = floor(mu / pi), taken in two steps: both
+    products t*_PI_HI and t*_PI_LO are exact while |t| < 2**17, and
+    mu - t*_PI_HI is exact or rounded onto the remainder's own ulp grid, on
+    which _PI_LO lies, so theta is rounded once, as np.divmod's remainder is,
+    and equals it. Where the quotient rounded up to the next integer, or the
+    remainder of a negative mu rounds to pi, theta moves by a half turn.
+    """
+    turns = np.floor(mu / math.pi)
+    theta = turns * -_PI_HI
+    theta += mu
+    theta -= turns * _PI_LO
+    if theta.min() < 0.0 or theta.max() >= math.pi:
+        low = theta < 0.0
+        theta[low] += math.pi
+        turns[low] -= 1.0
+        high = theta >= math.pi
+        theta[high] -= math.pi
+        turns[high] += 1.0
+    return turns, theta
+
+
+def _draw_bounces(u: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Outgoing angles phi from the inward normal, one per uniform, and sin(phi)."""
     if mode == "billiard-cos":
-        return np.arcsin(2.0 * u - 1.0)  # density prop. to cos(phi)
+        # sin(phi) uniform on [-1, 1] is phi's density prop. to cos(phi)
+        sin_phi = 2.0 * u - 1.0
+        return np.arcsin(sin_phi), sin_phi
     if mode == "billiard-uni":
-        return (u - 0.5) * math.pi
+        phi = (u - 0.5) * math.pi
+        return phi, np.sin(phi)
     raise ValueError(f"unknown billiard mode {mode!r}")
 
 
@@ -134,8 +172,8 @@ def billiard_lines(
     A chord leaving wall angle beta at phi from the inward normal ends at
     beta + pi + 2*phi, so the chain is a cumulative sum of independent
     increments. Its normal points at its midpoint, at angle
-    mu = beta + pi/2 + phi and distance -R*sin(phi); theta is mu mod pi, p
-    turning sign with the normal at odd multiples of pi. The sum drops the
+    mu = beta + pi/2 + phi and distance -R*sin(phi); theta is mu mod pi,
+    exactly (_mod_pi), p turning sign with the normal at odd multiples of pi. The sum drops the
     half turns, gamma_i = beta_i - i*pi, so theta rounds at the size of the
     walk of the 2*phi, not of the chain; each half turn flips p's sign.
 
@@ -146,22 +184,23 @@ def billiard_lines(
     """
     if n < 1:
         raise ValueError("need at least one line")
+    phis, sin_phis = np.empty(n), np.empty(n)
     if state is None:
         beta0 = 2.0 * math.pi * rng.random()
-        phi0 = float(_draw_normal_angle(np.asarray(rng.random()), mode))
+        phis[0], sin_phis[0] = _draw_bounces(np.asarray(rng.random()), mode)
     else:
-        beta0, phi0 = state.beta, state.phi
-    phis = np.empty(n)
-    phis[0] = phi0
+        beta0, phis[0] = state.beta, state.phi
+        sin_phis[0] = np.sin(state.phi)
     if n > 1:
-        phis[1:] = _draw_normal_angle(rng.random(n - 1), mode)
+        phis[1:], sin_phis[1:] = _draw_bounces(rng.random(n - 1), mode)
     gammas = np.empty(n + 1)
     gammas[0] = beta0
     gammas[1:] = beta0 + np.cumsum(2.0 * phis)
-    turns, theta = np.divmod(gammas[:-1] + (0.5 * math.pi + phis), math.pi)
-    p = arena.radius * np.sin(phis)
-    np.negative(p, out=p, where=((turns.astype(np.int64) + np.arange(n)) & 1) == 0)
-    phi_next = float(_draw_normal_angle(np.asarray(rng.random()), mode))
+    turns, theta = _mod_pi(gammas[:-1] + (0.5 * math.pi + phis))
+    # p is -R sin(phi) at even (turns + i), R sin(phi) at odd
+    p = ((turns.astype(np.int64) + np.arange(n)) & 1) * (2.0 * arena.radius) - arena.radius
+    p *= sin_phis
+    phi_next = float(_draw_bounces(np.asarray(rng.random()), mode)[0])
     # wrapped, the wall angle does not grow over a chain of resumed calls
     end = BilliardState(math.remainder(gammas[-1] + (n % 2) * math.pi, 2.0 * math.pi), phi_next)
-    return (*_fold_at_pi(theta, p), end)
+    return theta, p, end

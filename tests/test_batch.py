@@ -440,11 +440,12 @@ def _exact_crossings(cs, theta, p, origin):
     """Each line's crossings (t, kappa) in exact arithmetic, sorted by t.
 
     The inputs are the scan's own floats, taken as exact: each line's cos and
-    sin and its offset c from the centre O, and every edge's centre-relative
-    endpoints. Every edge is tested; kappa = 1 + |x2 - x1| / |s1 - s2| is the
-    crossing's conditioning, large where the line grazes the edge.
+    sin from batch._sincos and its offset c from the centre O, and every
+    edge's centre-relative endpoints. Every edge is tested; kappa = 1 +
+    |x2 - x1| / |s1 - s2| is the crossing's conditioning, large where the
+    line grazes the edge.
     """
-    cos, sin = np.cos(theta), np.sin(theta)
+    cos, sin = batch._sincos(theta)
     c = cos * (cs.center[0] - origin.x)
     c += sin * (cs.center[1] - origin.y)
     c = p - c
@@ -487,6 +488,30 @@ def test_scan_matches_exact_arithmetic(name):
     t = t[np.lexsort((t, lines))]
     for got, (t_exact, kappa) in zip(t.tolist(), [e for w in want for e in w]):
         assert abs(Fraction(got) - t_exact) <= 4 * Fraction(unit) * kappa, (got, float(t_exact), float(kappa))
+
+
+def test_sincos_is_within_eps_of_cos_and_sin():
+    # a dense grid over [0, pi), every table node and one ulp either side of
+    # it, 0, and the largest float below pi, whose node may round to 1024
+    nodes = np.arange(1025) * (math.pi / 1024)
+    theta = np.concatenate(
+        [
+            np.linspace(0.0, math.pi, 1 << 20, endpoint=False),
+            nodes,
+            np.nextafter(nodes, -np.inf),
+            np.nextafter(nodes, np.inf),
+            [0.0, np.nextafter(math.pi, 0.0)],
+        ]
+    )
+    theta = theta[(theta >= 0.0) & (theta < math.pi)]
+    cos, sin = batch._sincos(theta)
+    eps = np.finfo(float).eps
+    assert np.abs(cos - np.cos(theta)).max() <= eps
+    assert np.abs(sin - np.sin(theta)).max() <= eps
+    assert np.abs(cos * cos + sin * sin - 1.0).max() <= 2.0 * eps
+    # exact at 0, where sin is +0
+    cos, sin = batch._sincos(np.zeros(1))
+    assert cos.tolist() == [1.0] and sin.tolist() == [0.0] and math.copysign(1.0, sin[0]) == 1.0
 
 
 TABLE_SHAPES = {

@@ -227,6 +227,40 @@ def test_billiard_sign_parity_holds_where_half_turns_go_negative():
     want_theta, want_p = sp._fold_at_pi(want_theta, want_p)
     assert {-1.0, -2.0} <= set(turns.tolist())
     assert np.array_equal(theta, want_theta) and np.array_equal(p, want_p)
+    # the cosine law draws sin(phi) = 2u - 1 itself: past the state's line, p
+    # is R (2u - 1) times the sign, bit for bit, and theta is np.divmod's
+    theta, p, _ = sp.billiard_lines(np.random.default_rng(32), OFFCENTER, n, "billiard-cos", state)
+    sin_phis = np.concatenate([[np.sin(state.phi)], 2.0 * np.random.default_rng(32).random(n - 1) - 1.0])
+    phis = np.concatenate([[state.phi], np.arcsin(sin_phis[1:])])
+    gammas = state.beta + np.concatenate([[0.0], np.cumsum(2.0 * phis[:-1])])
+    turns, want_theta = np.divmod(gammas + (0.5 * math.pi + phis), math.pi)
+    want_p = OFFCENTER.radius * sin_phis * np.where((turns + np.arange(n)) % 2.0 == 0.0, -1.0, 1.0)
+    want_theta, want_p = sp._fold_at_pi(want_theta, want_p)
+    assert {-1.0, -2.0} <= set(turns.tolist())
+    assert np.array_equal(theta, want_theta) and np.array_equal(p, want_p)
+
+
+def test_mod_pi_is_divmods_remainder():
+    # next to every multiple of pi, where the quotient may round up and a
+    # negative remainder may round to pi, at signed zeros and tiny angles,
+    # and at random: np.divmod's quotient and remainder bit for bit, with a
+    # remainder of pi folded to 0 of the next half turn
+    near = [np.arange(-3000.0, 3000.0) * math.pi]
+    for way in (-np.inf, np.inf):
+        step = near[0]
+        for _ in range(3):
+            step = np.nextafter(step, way)
+            near.append(step)
+    rng = np.random.default_rng(33)
+    tiny = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-20, -1e-20]
+    mu = np.concatenate([*near, tiny, rng.uniform(-4e5, 4e5, 100_000), rng.uniform(-10.0, 10.0, 100_000)])
+    turns, theta = sp._mod_pi(mu)
+    want_turns, want_theta = np.divmod(mu, math.pi)
+    at_pi = want_theta == math.pi
+    want_theta[at_pi], want_turns[at_pi] = 0.0, want_turns[at_pi] + 1.0
+    assert at_pi.any() and np.any(np.floor(mu / math.pi) != want_turns)
+    assert np.array_equal(theta, want_theta) and np.array_equal(turns, want_turns)
+    assert np.all((theta >= 0.0) & (theta < math.pi))
 
 
 def test_cosine_billiard_reproduces_mean_chord():
