@@ -21,6 +21,10 @@ sin, a line's offset from the centre, the endpoints), a crossing lies within
 coordinate and kappa = 1 + |x2 - x1| / |s1 - s2| its conditioning;
 tests/test_batch.py measured at most 0.83 eps E kappa. numpy may fuse the
 complex multiply, so the last bit can differ across CPUs and numpy builds.
+One call may span several shapes: its lines come in parts, each part's
+lines placed in its own shape's table from its own origin and tested
+against its own shape's vertex band, while the tables are joined and
+_sincos runs once, so a part's numbers are those of its own call.
 observe_segments reduces the crossings to a BatchObservations, the one record
 of a block of lines from the kernel to the accumulator. A lone chord is read
 straight from its two events; the other hit lines go most events first, and
@@ -56,6 +60,19 @@ _BLOCK = 1 << 15
 # twice as long to build, and observe_segments measured no faster.
 _CELL = 0.25
 _MAX_CELLS = 256
+# Compare-exchange networks that sort 4 and 6 events (Knuth, The Art of
+# Computer Programming, vol. 3, 5.3.4). np.sort along a run's columns costs
+# about 60 ns a line, a compare-exchange a few us whatever the run's length,
+# so a network sorts a run of at least _EXCHANGE_LINES lines per exchange:
+# on 6,816 four-event lines it took 50 us, np.sort 426 us.
+_NETWORKS = {
+    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
+    6: (
+        (0, 5), (1, 3), (2, 4), (1, 2), (3, 4), (0, 3),
+        (2, 5), (0, 1), (2, 3), (4, 5), (1, 2), (3, 4),
+    ),
+}
+_EXCHANGE_LINES = 64
 # _sincos' table: cos and sin at the nodes k pi / 1024, k = 0..1024.
 _NODE_STEP = math.pi / 1024
 _NODE_COS = np.cos(np.arange(1025) * _NODE_STEP)
@@ -95,28 +112,26 @@ class CompiledShape:
         self.ptr, self.edges = self._table(p, q, slack)
 
     def _table(self, p: np.ndarray, q: np.ndarray, slack: float):
-        """(ptr, edges) of the cells, built a few angle rows at a time.
+        """(ptr, edges) of the cells, counted and then filled a few angle rows at a time.
 
         Over an angle bin of width dphi, an endpoint v's offset n(phi).v
         moves by at most |v| dphi / 2 from its value at the bin's middle
         (|d/dphi n(phi).v| <= |v|), so an edge reaches the offsets between
         its endpoints' middle offsets, widened by that motion and by the
         tolerance band plus _PAD. Each cell lists its edges in index order.
+        The cells' counts come first, so edges is filled where it lies and
+        the table is never held twice.
         """
         n_edges = len(p)
         dphi = math.pi / self.n_phi
         move_p = np.hypot(p[:, 0], p[:, 1]) * (0.5 * dphi) + slack
         move_q = np.hypot(q[:, 0], q[:, 1]) * (0.5 * dphi) + slack
         to_col = self.n_c / (2.0 * self.reach)
-        # each listing is sorted as one key, cell << bits | edge, with cells
-        # numbered from the chunk's first row (fewer than 2**16 of them)
-        bits = 16 if n_edges <= 1 << 16 else 32
-        key_type = np.uint32 if bits == 16 else np.uint64
-        edge_ids = np.arange(n_edges, dtype=key_type)
-        edge_type = np.min_scalar_type(n_edges - 1)
         step = max(1, _BLOCK // 8 // n_edges)
-        counts, lists = [], []
-        for row0 in range(0, self.n_phi, step):
+        chunks = range(0, self.n_phi, step)
+
+        def columns(row0):
+            """The chunk's rows, and each (row, edge) pair's first and last cell column."""
             rows = np.arange(row0, min(row0 + step, self.n_phi))
             phi = ((rows + 0.5) * dphi)[:, None]
             cos, sin = np.cos(phi), np.sin(phi)
@@ -124,8 +139,35 @@ class CompiledShape:
             off_q = q[:, 0] * cos + q[:, 1] * sin
             lo = np.minimum(off_p - move_p, off_q - move_q)
             hi = np.maximum(off_p + move_p, off_q + move_q)
-            col_lo = np.clip((lo + self.reach) * to_col, 0, self.n_c - 1).astype(key_type)
-            col_hi = np.clip((hi + self.reach) * to_col, 0, self.n_c - 1).astype(key_type)
+            col_lo = np.clip((lo + self.reach) * to_col, 0, self.n_c - 1)
+            col_hi = np.clip((hi + self.reach) * to_col, 0, self.n_c - 1)
+            return rows, col_lo, col_hi
+
+        # a pair lists its edge in the cells from its first column to its
+        # last: +1 at the first, -1 past the last, summed along the cells
+        n_cells = self.n_phi * self.n_c
+        steps = np.zeros(n_cells + 1, dtype=np.intp)
+        for row0 in chunks:
+            rows, col_lo, col_hi = columns(row0)
+            at = (self.n_c * (rows - row0))[:, None]
+            size = rows.size * self.n_c + 1
+            into = steps[row0 * self.n_c : row0 * self.n_c + size]
+            into += np.bincount((at + col_lo.astype(np.intp)).ravel(), minlength=size)
+            into -= np.bincount((at + col_hi.astype(np.intp) + 1).ravel(), minlength=size)
+        # one more, empty cell for the lines out of reach
+        ptr = np.zeros(n_cells + 2, dtype=np.int32)
+        np.cumsum(np.cumsum(steps[:-1]), out=ptr[1:-1])
+        ptr[-1] = ptr[-2]
+        del steps
+        # each chunk's listings are sorted as one key, cell << bits | edge,
+        # with cells numbered from the chunk's first row (fewer than 2**16)
+        bits = 16 if n_edges <= 1 << 16 else 32
+        key_type = np.uint32 if bits == 16 else np.uint64
+        edge_ids = np.arange(n_edges, dtype=key_type)
+        edges = np.empty(int(ptr[-1]), dtype=np.min_scalar_type(n_edges - 1))
+        for row0 in chunks:
+            rows, col_lo, col_hi = columns(row0)
+            col_lo, col_hi = col_lo.astype(key_type), col_hi.astype(key_type)
             # a (row, edge) pair lists the edge in span cells from its first;
             # the keys wrap around in unsigned arithmetic, and end in range
             span = (col_hi - col_lo + 1).ravel()
@@ -134,13 +176,10 @@ class CompiledShape:
             key = np.repeat((first | edge_ids).ravel() - skip, span)
             key += np.arange(key.size, dtype=key_type) << bits
             key.sort()
-            lists.append((key & ((1 << bits) - 1)).astype(edge_type))
-            counts.append(np.bincount((key >> bits).astype(np.intp), minlength=rows.size * self.n_c))
-        # one more, empty cell for the lines out of reach
-        ptr = np.zeros(self.n_phi * self.n_c + 2, dtype=np.int32)
-        np.cumsum(np.concatenate(counts), out=ptr[1:-1])
-        ptr[-1] = ptr[-2]
-        return ptr, np.concatenate(lists)
+            key &= (1 << bits) - 1
+            start = int(ptr[row0 * self.n_c])
+            edges[start : start + key.size] = key
+        return ptr, edges
 
 
 @dataclass
@@ -173,6 +212,20 @@ class BatchObservations:
             chords_flat=self.chords_flat[np.repeat(keep, self.k)],
             **{f: col[keep] for f, col in self._per_line().items()},
         )
+
+    def split(self, sizes: list[int]) -> list["BatchObservations"]:
+        """Views of the record's lines cut into runs of sizes[i] lines, in order."""
+        if len(sizes) == 1:
+            return [self]
+        ends = np.cumsum(sizes)
+        chord_ends = np.cumsum(self.k)[ends - 1].tolist()
+        cols = self._per_line()
+        out, a, ca = [], 0, 0
+        for b, cb in zip(ends.tolist(), chord_ends):
+            lines = {f: col[a:b] for f, col in cols.items()}
+            out.append(replace(self, chords_flat=self.chords_flat[ca:cb], **lines))
+            a, ca = b, cb
+        return out
 
     @staticmethod
     def concatenate(parts: list["BatchObservations"]) -> "BatchObservations":
@@ -238,16 +291,33 @@ def _sincos(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-def _scan(
-    cshape: CompiledShape, theta: np.ndarray, p: np.ndarray, origin: Point
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boundary crossings of M lines (theta, p), p measured from origin.
+def _joined(shapes: list[CompiledShape]):
+    """zp, zq, ptr and edges of the shapes one after another, and each
+    shape's first cell in them, by id: one table the ring scan reads."""
+    if len(shapes) == 1:
+        s = shapes[0]
+        return s.zp, s.zq, s.ptr, s.edges, {id(s): 0}
+    n_z = np.cumsum([0] + [s.zp.size for s in shapes])
+    n_e = np.cumsum([0] + [s.edges.size for s in shapes])
+    n_cell = np.cumsum([0] + [s.ptr.size - 1 for s in shapes])
+    zp = np.concatenate([s.zp for s in shapes])
+    zq = np.concatenate([s.zq for s in shapes])
+    edges = np.concatenate([s.edges + z for s, z in zip(shapes, n_z)])
+    ptr = np.concatenate([s.ptr[:-1] + e for s, e in zip(shapes, n_e)] + [n_e[-1:]])
+    return zp, zq, ptr, edges, {id(s): int(c) for s, c in zip(shapes, n_cell)}
 
-    Returns each line's number of crossings, each crossing's position along
-    its line (direction (-sin theta, cos theta), from the foot of the
-    shape's centre O), grouped by line in line order and in no particular
-    order within a line, and the mask of lines that pass within tolerance
-    of a vertex.
+
+def _scan(
+    parts: list[tuple[CompiledShape, Point, int]], theta: np.ndarray, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boundary crossings of M lines (theta, p).
+
+    parts lists (cshape, origin, n) in line order: the part's n lines cross
+    cshape's edges, their p measured from origin. Returns each line's number
+    of crossings, each crossing's position along its line (direction
+    (-sin theta, cos theta), from the foot of its shape's centre O), grouped
+    by line in line order and in no particular order within a line, and the
+    mask of lines that pass within their shape's tolerance of a vertex.
     """
     m = theta.size
     # z (cos - i sin) is (offset along the normal) + i (position along the line);
@@ -256,19 +326,35 @@ def _scan(
     rot = np.empty(m, dtype=complex)
     rot.real = cos
     np.subtract(0.0, sin, out=rot.imag)
-    # each line's offset from O along its normal
-    c = rot.real * (cshape.center[0] - origin.x)
-    c -= rot.imag * (cshape.center[1] - origin.y)
-    np.subtract(p, c, out=c)
+    del cos, sin
+    shapes = list({id(cs): cs for cs, _, _ in parts}.values())
+    zp, zq, ptr, edges, first_cell = _joined(shapes)
+    # each line's offset from its shape's centre O along its normal, and its
+    # cell, from its own shape's numbers
+    c, cell = [], []
+    at = 0
+    for cshape, origin, n in parts:
+        part = slice(at, at + n)
+        c.append(rot.real[part] * (cshape.center[0] - origin.x))
+        c[-1] -= rot.imag[part] * (cshape.center[1] - origin.y)
+        np.subtract(p[part], c[-1], out=c[-1])
+        cell.append(_cells(cshape, theta[part], c[-1]))
+        if first_cell[id(cshape)]:
+            cell[-1] += first_cell[id(cshape)]
+        at += n
+    c, cell = (x[0] if len(x) == 1 else np.concatenate(x) for x in (c, cell))
+    tols = {cs.tol for cs in shapes}
+    tol = max(tols)
 
-    cell = _cells(cshape, theta, c)
-    start = cshape.ptr[cell]
-    count = cshape.ptr[cell + 1] - start
+    start = ptr[cell]
+    count = ptr[cell + 1] - start
+    del cell
     lines = np.flatnonzero(count)
     count = count[lines]
     pair_end = np.cumsum(count)
     # a line's candidates sit at table positions shift + its pair numbers
     shift = start[lines] - (pair_end - count)
+    del start
 
     ev_t: list[np.ndarray] = []
     ev_end = np.empty(lines.size, dtype=np.intp)  # events up to each line's last
@@ -282,19 +368,25 @@ def _scan(
         line = np.repeat(lines[lo:hi], cnt)
         edge = np.repeat(shift[lo:hi], cnt)
         edge += np.arange(done, done + edge.size)
-        edge = cshape.edges[edge].astype(np.intp)
+        edge = edges[edge].astype(np.intp)
         # each candidate edge's endpoints in the line's frame
         lrot = rot[line]
         lc = c[line]
-        v1 = cshape.zp[edge]
+        v1 = zp[edge]
         v1 *= lrot
-        v2 = cshape.zq[edge]
+        v2 = zq[edge]
         v2 *= lrot
         s1, x1 = v1.real - lc, v1.imag
         s2, x2 = v2.real - lc, v2.imag
         # every vertex starts one edge: testing the starts tests them all
-        bad = np.abs(s1) <= cshape.tol
+        bad = np.abs(s1) <= tol
         if bad.any():
+            bad = np.flatnonzero(bad)
+            if len(tols) > 1:
+                # the band at the largest tolerance held; now each at its own
+                ends = np.cumsum([n for _, _, n in parts])
+                own = np.array([cs.tol for cs, _, _ in parts])
+                bad = bad[np.abs(s1[bad]) <= own[np.searchsorted(ends, line[bad], side="right")]]
             rejected[line[bad]] = True
         k = np.flatnonzero((s1 > 0.0) != (s2 > 0.0))
         # the pairs come grouped by line, and so do the events
@@ -307,15 +399,23 @@ def _scan(
     counts = np.zeros(m, dtype=np.intp)
     counts[lines] = np.diff(ev_end, prepend=0)
     # the per-line arrays go before the events are joined
-    del cos, sin, rot, c, cell, start, lines, count, pair_end, shift, ev_end
+    del rot, c, lines, count, pair_end, shift, ev_end
     return counts, np.concatenate(ev_t) if ev_t else np.empty(0), rejected
 
 
-def observe_segments(
-    cshape: CompiledShape, theta: np.ndarray, p: np.ndarray, origin: Point
-) -> BatchObservations:
-    """Observe M lines (theta, p), p measured from origin; the record keeps the lines."""
-    bobs = _reduce(*_scan(cshape, theta, p, origin))
+def observe_segments(cshape, theta, p, origin) -> BatchObservations:
+    """Observe M lines (theta, p), p measured from origin; the record keeps the lines.
+
+    cshape, theta, p and origin may instead be lists, one item per part: part
+    i's lines are observed on cshape[i] from origin[i], and the record holds
+    all parts' lines in order, each as its part's own call gives it.
+    """
+    if isinstance(cshape, CompiledShape):
+        parts = [(cshape, origin, theta.size)]
+    else:
+        parts = [(cs, o, t.size) for cs, o, t in zip(cshape, origin, theta)]
+        theta, p = (x[0] if len(x) == 1 else np.concatenate(x) for x in (theta, p))
+    bobs = _reduce(*_scan(parts, theta, p))
     bobs.theta, bobs.p = theta, p
     return bobs
 
@@ -357,13 +457,22 @@ def _line_sums(t: np.ndarray, first: np.ndarray, n_ev: np.ndarray, chords: np.nd
     """(L1, chord cube sum, L3) of lines whose events are t[first:first + n_ev],
     n_ev non-increasing; each line's chords go to chords[first // 2:]."""
     # Row i of ev holds every line's i-th event, and past a line's count some
-    # other (finite) event, whose chords are zeroed. Each run of lines with
-    # one count c sorts its c rows.
+    # other (finite) event, whose chords are zeroed. Each run of lines with one
+    # count c sorts its c rows: long runs of 4 or 6 by a sorting network.
     n_chords = int(n_ev[0]) // 2
     ev = t.take(first + np.arange(2 * n_chords)[:, None], mode="clip")
     ends = [*(np.flatnonzero(n_ev[1:] != n_ev[:-1]) + 1).tolist(), n_ev.size]
-    for a, b in zip([0, *ends], ends):
-        ev[: n_ev[a], a:b].sort(axis=0)
+    starts = [0, *ends[:-1]]
+    for a, b, c in zip(starts, ends, n_ev[starts].tolist()):
+        net = _NETWORKS.get(c, ())
+        if b - a < _EXCHANGE_LINES * len(net) or not net:
+            ev[:c, a:b].sort(axis=0)
+            continue
+        low = np.empty(b - a)
+        for i, j in net:
+            np.minimum(ev[i, a:b], ev[j, a:b], out=low)
+            np.maximum(ev[i, a:b], ev[j, a:b], out=ev[j, a:b])
+            ev[i, a:b] = low
     ch = ev[1::2] - ev[0::2]
     np.abs(ch[0], out=ch[0])
     chord_j = np.arange(n_chords)[:, None]

@@ -78,7 +78,7 @@ def crossings(shape: Shape, seg: tuple[Point, Point]) -> list[CrossingEvent]:
         raise ArenaTooSmallError("segment endpoint lies inside the shape")
     cshape = shape.derived("kernel", batch.CompiledShape)
     theta, p = line_params_of_segments(a[None], b[None], a_pt)  # p is 0
-    _, ts, rejected = batch._scan(cshape, theta, p, a_pt)
+    _, ts, rejected = batch._scan([(cshape, a_pt, 1)], theta, p)
     if rejected[0]:
         raise DegenerateLineError("line passes within tolerance of a vertex")
     # the scan measures along (-sin theta, cos theta) from the foot of the

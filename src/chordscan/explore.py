@@ -57,17 +57,9 @@ class LineStream:
     def take(self, n: int) -> BatchObservations:
         """Exactly n accepted lines; degenerate ones are resampled and counted.
 
-        Each refill draws as many lines as are missing, at most DEFAULT_CHUNK.
+        The one-stream case of take_all.
         """
-        parts: list[BatchObservations] = []
-        got = 0
-        while got < n:
-            theta, p = self._lines(min(n - got, DEFAULT_CHUNK))
-            bobs = observe_segments(self.cshape, theta, p, self.arena.center)
-            self.rejected_total += int(np.count_nonzero(bobs.rejected))
-            parts.append(bobs.accepted())
-            got += len(parts[-1])
-        return BatchObservations.concatenate(parts)
+        return take_all([self], [n])[0]
 
     def running_sums(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Running totals (L1, L3, k) of the stream after each of its next n lines.
@@ -76,13 +68,72 @@ class LineStream:
         last total), so a prefix's sums do not depend on how calls split the
         stream. Lines drawn by take() are not counted.
         """
-        obs = self.take(n)
-        runs = [
-            np.cumsum(np.concatenate(([last], col)))
-            for last, col in zip(self._totals, (obs.L1, obs.L3, obs.k))
+        return running_sums_all([self], [n])
+
+
+def take_all(streams: list[LineStream], sizes: list[int]) -> list[BatchObservations]:
+    """Exactly sizes[i] accepted lines from streams[i], each as its own take.
+
+    The streams refill in rounds: each stream short of lines draws as many as
+    it misses, at most DEFAULT_CHUNK, and its degenerate lines are counted
+    and drawn again in the next round. A round's draws are observed together,
+    in observe_segments calls of whole draws that hold at most DEFAULT_CHUNK
+    lines.
+    """
+    parts: list[list[BatchObservations]] = [[] for _ in streams]
+    missing = list(sizes)
+    while any(n > 0 for n in missing):
+        draws = [
+            (i, *streams[i]._lines(min(n, DEFAULT_CHUNK))) for i, n in enumerate(missing) if n > 0
         ]
-        self._totals = tuple(run[-1] for run in runs)
-        return tuple(run[1:] for run in runs)
+        calls, size = [[]], 0
+        for draw in draws:
+            if size + draw[1].size > DEFAULT_CHUNK:
+                calls.append([])
+                size = 0
+            calls[-1].append(draw)
+            size += draw[1].size
+        for call in calls:
+            bobs = observe_segments(
+                [streams[i].cshape for i, _, _ in call],
+                [theta for _, theta, _ in call],
+                [p for _, _, p in call],
+                [streams[i].arena.center for i, _, _ in call],
+            )
+            for (i, theta, _), part in zip(call, bobs.split([theta.size for _, theta, _ in call])):
+                streams[i].rejected_total += int(np.count_nonzero(part.rejected))
+                parts[i].append(part.accepted())
+                missing[i] -= len(parts[i][-1])
+    return [BatchObservations.concatenate(p) for p in parts]
+
+
+def running_sums_all(
+    streams: list[LineStream], sizes: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The running totals (L1, L3, k) of streams[i] after each of its next
+    sizes[i] lines, stream after stream, the lines taken by one take_all.
+
+    Each stream's totals carry on from its last call (see
+    LineStream.running_sums): row i of a grid holds stream i's last totals,
+    then its lines' values, and one cumsum along the rows adds each stream's
+    values in order.
+    """
+    records = take_all(streams, sizes)
+    width = max(sizes) + 1
+    sums = np.zeros((2, len(streams), width))
+    counts = np.zeros((len(streams), width), dtype=np.intp)
+    for i, (stream, obs) in enumerate(zip(streams, records)):
+        sums[0, i, 0], sums[1, i, 0], counts[i, 0] = stream._totals
+        sums[0, i, 1 : len(obs) + 1] = obs.L1
+        sums[1, i, 1 : len(obs) + 1] = obs.L3
+        counts[i, 1 : len(obs) + 1] = obs.k
+    np.cumsum(sums, axis=2, out=sums)
+    np.cumsum(counts, axis=1, out=counts)
+    for i, (stream, n) in enumerate(zip(streams, sizes)):
+        stream._totals = (sums[0, i, n], sums[1, i, n], counts[i, n])
+    line = np.arange(width)
+    lines = (line > 0) & (line <= np.array(sizes)[:, None])
+    return sums[0][lines], sums[1][lines], counts[lines]
 
 
 def explore(

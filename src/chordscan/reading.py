@@ -214,7 +214,8 @@ class ReadResult:
 
 
 def _read(word, slots, entries, budget, threshold) -> ReadResult:
-    """One stop loop per (shape, config) slot; the joined labels are the word read.
+    """The (shape, config) slots explored in lockstep until each stops; the
+    joined labels are the word read.
 
     Word-level area/perimeter are sums of the slot estimates, with no error bar.
     The threshold applies to the word: with independent slots the word's
@@ -224,15 +225,13 @@ def _read(word, slots, entries, budget, threshold) -> ReadResult:
     recognition._check_threshold(threshold)
     if threshold > 0.0:
         threshold = threshold ** (1.0 / len(slots))
-    results = [
-        recognition.explore_until_stop(
-            shape, entries, config, threshold=threshold, n_max=budget,
+    if budget < 1:
+        results = [recognition.StopResult(None, 0, True, math.nan, math.nan, 0.0)] * len(slots)
+    else:
+        results = recognition.explore_slots_until_stop(
+            slots, entries, threshold=threshold, n_max=budget,
             warm_up=_read_warmup(budget), confirm=READ_CONFIRM,
         )
-        if budget >= 1
-        else recognition.StopResult(None, 0, True, math.nan, math.nan, 0.0)
-        for shape, config in slots
-    ]
     text = "".join("?" if r.label is None else r.label for r in results)
     return ReadResult(
         text=text,

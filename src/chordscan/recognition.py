@@ -9,6 +9,7 @@ exploration stops once the top posterior clears a threshold.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import estimators
 from .estimators import EstimateReport
-from .explore import LineStream, explore
+from .explore import LineStream, explore, running_sums_all
 from .geometry import Shape, exact_area, exact_perimeter
 from .sampling import SamplerConfig
 
@@ -323,57 +324,131 @@ def explore_until_stop(
     are drawn from config's seed. The first draw ends at the earliest
     possible stop, warm_up + confirm - 1 lines (at least STOP_CHUNK), later
     ones are 4 * STOP_CHUNK lines; the prefix sums and the streak run on
-    across draws, so the result does not depend on the draw sizes.
+    across draws, so the result does not depend on the draw sizes. The
+    one-slot case of explore_slots_until_stop.
+    """
+    return explore_slots_until_stop(
+        [(shape, config)], entries, threshold=threshold, n_max=n_max, warm_up=warm_up,
+        confirm=confirm,
+    )[0]
+
+
+def explore_slots_until_stop(
+    slots: list[tuple[Shape, SamplerConfig | None]],
+    entries: list[DictEntry],
+    *,
+    threshold: float = DEFAULT_THRESHOLD,
+    n_max: int = 100_000,
+    warm_up: int = DEFAULT_WARMUP,
+    confirm: int = 1,
+) -> list[StopResult]:
+    """explore_until_stop of each (shape, config) slot, the slots in lockstep.
+
+    Each round takes every running slot's next draw in one explore.take_all
+    and checks all their prefixes in one pass of the posterior, at most
+    4 * STOP_CHUNK rows at a time. A slot keeps its own stream, draw sizes,
+    running sums and streak, and leaves the rounds when it stops or reaches
+    n_max: its result is the one explore_until_stop gives it alone.
     """
     if not entries:
         raise ValueError("dictionary is empty")
     if n_max < 1:
         raise ValueError("n_max must be positive")
     _check_threshold(threshold)
-    stream = LineStream(shape, config)
+    streams = [LineStream(shape, config) for shape, config in slots]
     ref = _entry_arrays(entries)
-    done = 0
     min_n = 1 if threshold <= 0.0 else max(1, warm_up)
     confirm = 1 if threshold <= 0.0 else max(1, confirm)
-    # the confirmation streak at the end of the last evaluated prefix
-    streak_label = -1
-    streak = 0
-    last = StopResult(None, n_max, True, float("nan"), float("nan"), 0.0)
-    while done < n_max:
-        take_n = min(4 * STOP_CHUNK if done else max(min_n + confirm - 1, STOP_CHUNK), n_max - done)
-        l1, l3, kk = stream.running_sums(take_n)
-        n_prefix = done + np.arange(1, take_n + 1)
+    first = max(min_n + confirm - 1, STOP_CHUNK)
+    results = [StopResult(None, n_max, True, math.nan, math.nan, 0.0)] * len(slots)
+    done = [0] * len(slots)
+    # each slot's confirmation streak at the end of its last evaluated prefix
+    streak = [0] * len(slots)
+    streak_label = [-1] * len(slots)
+    running = list(range(len(slots)))
+    while running:
+        sizes = [min(4 * STOP_CHUNK if done[s] else first, n_max - done[s]) for s in running]
+        l1, l3, kk = running_sums_all([streams[s] for s in running], sizes)
+        # slot g's lines are lines[g]:lines[g + 1], its prefixes done + 1 on
+        lines = list(itertools.accumulate(sizes, initial=0))
+        n_prefix = [np.arange(done[s] + 1, done[s] + n + 1) for s, n in zip(running, sizes)]
+        n_prefix = n_prefix[0] if len(n_prefix) == 1 else np.concatenate(n_prefix)
         idx = np.flatnonzero((l1 > 0.0) & (kk > 0) & (n_prefix >= min_n))
+        for s, n in zip(running, sizes):
+            done[s] += n
         if idx.size:
             a_hat, p_hat = estimators.area_perimeter(l1[idx], l3[idx], kk[idx])
-            _, top, top_prob = _posteriors(_log_likelihoods(p_hat, a_hat, n_prefix[idx], ref))
-            over = top_prob >= threshold
-            # a prefix over the threshold continues the run of the previous
-            # evaluated prefix if that was over it with the same label, and
-            # starts a run otherwise; the run carried in from the last draw
-            # starts streak places before this draw's first prefix
-            same = np.empty(len(idx), dtype=bool)
-            same[0] = streak > 0 and top[0] == streak_label
-            same[1:] = over[:-1] & (top[1:] == top[:-1])
-            pos = np.arange(len(idx))
-            starts = np.maximum.accumulate(np.where(over & ~same, pos, -streak))
-            run = np.where(over, pos - starts + 1, 0)
-            hit = np.flatnonzero(run >= confirm)
-            # the stop, or else the draw's last prefix for a censored result
-            i = hit[0] if hit.size else -1
-            last = StopResult(
-                label=entries[int(top[i])].name,
-                n_stop=int(n_prefix[idx[i]]) if hit.size else n_max,
-                censored=not hit.size,
-                area_hat=float(a_hat[i]),
-                perim_hat=float(p_hat[i]),
-                top_prob=float(top_prob[i]),
+            n_row = n_prefix[idx]
+            top, top_prob = _top_posteriors(p_hat, a_hat, n_row, ref)
+            # slot g's rows, its evaluated prefixes, are rows[g]:rows[g + 1]
+            rows = np.searchsorted(idx, lines).tolist()
+            segs = [(g, r0, r1) for g, (r0, r1) in enumerate(zip(rows, rows[1:])) if r1 > r0]
+            run = _runs(
+                top_prob >= threshold, top, confirm,
+                [(r0, r1, streak[running[g]], streak_label[running[g]]) for g, r0, r1 in segs],
             )
-            if hit.size:
-                return last
-            streak, streak_label = int(run[-1]), int(top[-1])
-        done += take_n
-    return last
+            hits = np.flatnonzero(run >= confirm)
+            first_hit = np.searchsorted(hits, [r0 for _, r0, _ in segs]).tolist()
+            for (g, r0, r1), h in zip(segs, first_hit):
+                s = running[g]
+                stop = h < hits.size and hits[h] < r1
+                if stop or done[s] >= n_max:
+                    # the stop, or else the slot's last row for a censored
+                    # result (once a prefix is evaluated, every later one is)
+                    i = int(hits[h]) if stop else r1 - 1
+                    results[s] = StopResult(
+                        label=entries[int(top[i])].name,
+                        n_stop=int(n_row[i]) if stop else n_max,
+                        censored=not stop,
+                        area_hat=float(a_hat[i]),
+                        perim_hat=float(p_hat[i]),
+                        top_prob=float(top_prob[i]),
+                    )
+                    done[s] = n_max
+                streak[s], streak_label[s] = int(run[r1 - 1]), int(top[r1 - 1])
+        running = [s for s in running if done[s] < n_max]
+    return results
+
+
+def _runs(over: np.ndarray, top: np.ndarray, confirm: int, segs: list) -> np.ndarray:
+    """Each row's confirmation run: the rows up to it, in its segment, that
+    clear the threshold (over) with its top label one after another; 0 for
+    a row that does not clear it.
+
+    segs lists (r0, r1, streak, label) for the consecutive segments of rows
+    that cover them all: a segment's first row carries on a streak > 0 of
+    the label, started streak places before it, and streak < confirm. A row
+    starts a run unless the row before it in its segment cleared the
+    threshold with the same label. A row of segment j counts as its place
+    plus j * confirm, so no run start of the segments before it reaches
+    into its own.
+    """
+    same = np.empty(over.size, dtype=bool)
+    same[1:] = over[:-1] & (top[1:] == top[:-1])
+    pos = np.arange(over.size)
+    if len(segs) > 1:
+        pos += np.repeat(np.arange(len(segs)) * confirm, [r1 - r0 for r0, r1, _, _ in segs])
+    for r0, _, streak, label in segs:
+        same[r0] = streak > 0 and top[r0] == label
+    begins = np.where(over & ~same, pos, -confirm)
+    for r0, _, streak, _ in segs:
+        begins[r0] = max(begins[r0], pos[r0] - streak)
+    starts = np.maximum.accumulate(begins)
+    return np.where(over, pos - starts + 1, 0)
+
+
+def _top_posteriors(p_hat, a_hat, n, ref) -> tuple[np.ndarray, np.ndarray]:
+    """_posteriors' top entries and top probabilities of rows (p_hat, a_hat, n),
+    in near-equal blocks of at most 4 * STOP_CHUNK rows. numpy sums a lone
+    row's entries pairwise and longer blocks' in entry order, so no block
+    holds one row unless it is the only row."""
+    blocks = -(-p_hat.size // (4 * STOP_CHUNK))
+    step = -(-p_hat.size // blocks)
+    tops = [
+        _posteriors(_log_likelihoods(p_hat[rows], a_hat[rows], n[rows], ref))[1:]
+        for rows in (slice(lo, lo + step) for lo in range(0, p_hat.size, step))
+    ]
+    return tuple(col[0] if blocks == 1 else np.concatenate(col) for col in zip(*tops))
 
 
 @dataclass

@@ -284,6 +284,10 @@ def _block(counts, seed, rejected=()):
 @example(block=_block([2, 3, 2, 4, 2, 1, 2, 6, 2, 5, 0, 2], 4, rejected=[1, 3, 8]), size=64)
 @example(block=_block([2, 3, 2, 4, 2, 1, 2, 6, 2, 5, 0, 2], 4, rejected=[1, 3, 8]), size=batch._BLOCK)
 @example(block=_block([2] * 40 + [1], 5, rejected=[0, 7, 39]), size=64)  # rejected lone chords
+# runs of four- and six-event lines long enough for the sorting networks
+@example(block=_block([4, 6, 2] * 900 + [8, 0, 3], 6, rejected=[5, 11]), size=64)
+@example(block=_block([4, 6, 2] * 900 + [8, 0, 3], 6, rejected=[5, 11]), size=batch._BLOCK)
+@example(block=_block([6] * 770 + [4] * 330, 7), size=batch._BLOCK)
 def test_reduction_matches_the_padded_grid(block, size):
     # lines grouped by event count, each count sorted on its own, must give
     # the padded grid's numbers bit for bit, whatever sub-blocks they run in
@@ -297,6 +301,18 @@ def test_reduction_matches_the_padded_grid(block, size):
         batch._BLOCK = saved
     for field, value in want.items():
         assert np.array_equal(getattr(got, field), value), field
+
+
+@pytest.mark.parametrize("n", sorted(batch._NETWORKS))
+def test_sorting_networks_sort_every_zero_one_input(n):
+    # a comparator network that sorts every 0-1 sequence sorts every
+    # sequence (Knuth's 0-1 principle): all 2**n of them as columns
+    net = batch._NETWORKS[n]
+    ev = ((np.arange(2**n)[None, :] >> np.arange(n)[:, None]) & 1).astype(float)
+    for i, j in net:
+        ev[i], ev[j] = np.minimum(ev[i], ev[j]), np.maximum(ev[i], ev[j])
+    assert np.array_equal(ev, np.sort(ev, axis=0))
+    assert all(0 <= i < j < n for i, j in net)
 
 
 def test_vertex_hit_line_rejected():
@@ -362,6 +378,33 @@ def test_lines_inside_the_vertex_band_rejected(name):
             chords.observe(shape, (Point(*a[i]), Point(*b[i])))
 
 
+def test_one_call_over_parts_equals_each_parts_own_call():
+    # statue, E, J and the far statue in one call, each part with lines out
+    # of reach and lines 4e-12 from its vertices: inside the vertex bands of
+    # E (5e-12) and the far statue (7e-7), outside those of the statue and
+    # of J (3e-12), which keep them though the call holds wider bands
+    J = reading.letter_shape("J", 1.0)
+    E = reading.letter_shape("E", 1.0)
+    parts = []
+    for i, shape in enumerate([shapes.statue(), E, J, NEAR_VERTEX_SHAPES["far-statue"]]):
+        theta, p, origin = _random_lines(shape, 300, seed=i)
+        near_theta, near_p, _ = _near_vertex_lines(shape, 4e-12, seed=10 + i, per_vertex=2)
+        far = 10.0 * arena_for(shape).radius
+        theta = np.concatenate([theta, near_theta, [0.3, 2.0]])
+        p = np.concatenate([p, near_p, [far, -far]])
+        parts.append((shape.derived("kernel", batch.CompiledShape), theta, p, origin))
+    assert parts[2][0].tol < 4e-12 < parts[1][0].tol
+    joint = batch.observe_segments(*(list(col) for col in zip(*parts)))
+    for i, (part, view) in enumerate(zip(parts, joint.split([len(t) for _, t, _, _ in parts]))):
+        own = batch.observe_segments(*part)
+        for field in ("k", "rejected", "L1", "L3", "chord_cube_sum", "chords_flat", "theta", "p"):
+            assert np.array_equal(getattr(view, field), getattr(own, field)), (i, field)
+        # the near-vertex lines, then the two far lines
+        assert not own.k[-2:].any() and not own.rejected[-2:].any()
+        near = own.rejected[300:-2]
+        assert near.all() if part[0].tol > 4e-12 else not near.any(), i
+
+
 def _vertex_scan(shape, theta, p, origin):
     """Every vertex of every ring against every line: the scan before the table.
 
@@ -424,7 +467,7 @@ def test_table_scan_matches_the_vertex_scan(case):
     # finds crossed or within the band, and the arithmetic stays close
     shape, theta, p, origin = case
     want_lines, want_t, want_rejected = _vertex_scan(shape, theta, p, origin)
-    counts, t, rejected = batch._scan(batch.CompiledShape(shape), theta, p, origin)
+    counts, t, rejected = batch._scan([(batch.CompiledShape(shape), origin, theta.size)], theta, p)
     assert np.array_equal(rejected, want_rejected)
     assert 0 < rejected.sum() < len(theta)
     keep = ~rejected
@@ -479,7 +522,7 @@ def test_scan_matches_exact_arithmetic(name):
     }[name]
     theta, p, origin = _random_lines(shape, 150, seed=17)
     cs = batch.CompiledShape(shape)
-    counts, t, _ = batch._scan(cs, theta, p, origin)
+    counts, t, _ = batch._scan([(cs, origin, theta.size)], theta, p)
     want = _exact_crossings(cs, theta, p, origin)
     assert counts.tolist() == [len(w) for w in want]
     assert counts.sum() > 150
@@ -574,6 +617,24 @@ def test_observing_a_chunk_holds_little_memory(name):
     assert peak < 3.2e6
 
 
+def test_table_build_holds_the_table_once():
+    # a 4,096-gon annulus lists about 4.7M entries (9.6 MB); the build counts
+    # them first and fills the table where it lies, so it peaks at the table
+    # plus one chunk's keys, not at two copies of it. validate=False skips
+    # the quadratic ring checks.
+    rings = [shapes._circle_ring((0.0, 0.0), r, 4096) for r in (2.0, 1.0)]
+    shape = Shape(rings, validate=False)
+    tracemalloc.start()
+    try:
+        cs = batch.CompiledShape(shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = cs.ptr.nbytes + cs.edges.nbytes
+    assert table > 9e6
+    assert peak <= 1.25 * table
+
+
 def test_prefilter_keeps_the_vertex_band_far_from_the_origin():
     # the band's half-width here is 1e-12 * (1e6 + 1), past the table's 1e-9
     # pad: a line 5e-7 from the corner reaches the band, so its cell must list
@@ -585,7 +646,7 @@ def test_prefilter_keeps_the_vertex_band_far_from_the_origin():
     corner = Point(1e6 + 1.0, 1e6 + 1.0)
     cs = batch.CompiledShape(sq)
     assert cs.tol == pytest.approx(1e-6, rel=1e-5)
-    _, ts, rejected = batch._scan(cs, np.full(3, 0.25 * math.pi), offsets, corner)
+    _, ts, rejected = batch._scan([(cs, corner, 3)], np.full(3, 0.25 * math.pi), offsets)
     assert rejected.tolist() == [True, True, False]
     assert ts.size == 0
     out = np.array([1.0, 1.0]) / math.sqrt(2.0)

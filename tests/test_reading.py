@@ -152,20 +152,33 @@ def test_read_threshold_outside_0_1_is_error(letter_dict, budget, threshold):
             read(target, entries, budget, SamplerConfig(seed=1), threshold=threshold)
 
 
-def test_read_single_letter_equals_classification(letter_dict):
-    target = rd.word_shape("C", 1.0)
+@pytest.mark.parametrize("word", ["C", "JUSTICE", "GENERATIONS"])
+def test_read_single_letter_equals_classification(letter_dict, word):
+    # the slots run in lockstep (GENERATIONS' first round spans two kernel
+    # calls), and each slot stops as a one-slot loop from its substream does
+    target = rd.word_shape(word, 1.0)
     cfg = SamplerConfig(seed=7)
     res = rd.read_local(target, letter_dict, 3000, cfg)
-    direct = rec.explore_until_stop(
-        rd.letter_shape("C", 1.0),
-        letter_dict,
-        dataclasses.replace(cfg, seed=substream(cfg.seed, SLOT, 0)),  # slot 0's substream
-        n_max=3000,
-        warm_up=rd._read_warmup(3000),
-        confirm=rd.READ_CONFIRM,
+    kw = dict(
+        threshold=rec.DEFAULT_THRESHOLD ** (1.0 / len(word)), n_max=3000,
+        warm_up=rd._read_warmup(3000), confirm=rd.READ_CONFIRM,
     )
-    assert res.text == direct.label
-    assert res.n_lines == direct.n_stop
+    slots = [
+        (rd.letter_shape(c, 1.0), dataclasses.replace(cfg, seed=substream(cfg.seed, SLOT, i)))
+        for i, c in enumerate(word)
+    ]
+    direct = [rec.explore_until_stop(shape, letter_dict, c, **kw) for shape, c in slots]
+    together = rec.explore_slots_until_stop(slots, letter_dict, **kw)
+    fields = [(r.label, r.n_stop, r.censored, r.area_hat, r.perim_hat) for r in direct]
+    assert [(r.label, r.n_stop, r.censored, r.area_hat, r.perim_hat) for r in together] == fields
+    assert res.text == "".join("?" if r.label is None else r.label for r in direct)
+    assert res.per_letter_n == [r.n_stop for r in direct]
+    assert res.per_letter_censored == [r.censored for r in direct]
+    assert res.area_hat == float(np.sum([r.area_hat for r in direct]))
+    assert res.n_lines == sum(r.n_stop for r in direct)
+    if word == "GENERATIONS":
+        first_draw = max(rd._read_warmup(3000) + rd.READ_CONFIRM - 1, rec.STOP_CHUNK)
+        assert len(word) * first_draw > ex.DEFAULT_CHUNK
 
 
 def test_read_global_equals_classification():

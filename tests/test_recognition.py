@@ -1,9 +1,12 @@
 import dataclasses
+import importlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordscan import batch
 from chordscan import estimators as est
@@ -16,6 +19,9 @@ from chordscan.geometry import exact_area, exact_perimeter
 from chordscan.sampling import SAMPLER_MODES, SamplerConfig
 
 from conftest import record_sums
+
+# the module, which the package's explore function shadows as an attribute
+explore_module = importlib.import_module("chordscan.explore")
 
 
 def make_report(p, a, n=1000, se_p=float("nan"), se_a=float("nan")):
@@ -393,6 +399,22 @@ def _stop_by_walking_prefixes(shape, entries, cfg, *, threshold, warm_up, confir
     return entries[top[-1]].name, n_max, True, a[-1], p[-1]
 
 
+def _square_and_twin(builtin_dictionary):
+    square = builtin_dictionary[shapes.BUILTIN_NAMES.index("square")]
+    return [square, dataclasses.replace(
+        square, name="twin", p_ref=1.02 * square.p_ref, a_ref=1.02**2 * square.a_ref
+    )]
+
+
+def _assert_slots_walk(slots, entries, **kw):
+    """Each slot of one lockstep loop equals the walk over its own record's prefixes."""
+    results = rec.explore_slots_until_stop(slots, entries, **kw)
+    for (shape, cfg), res in zip(slots, results):
+        expected = _stop_by_walking_prefixes(shape, entries, cfg, **kw)
+        assert (res.label, res.n_stop, res.censored, res.area_hat, res.perim_hat) == expected
+    return results
+
+
 @pytest.mark.parametrize(
     "case, threshold, warm_up, confirm, n_max",
     [
@@ -405,20 +427,19 @@ def _stop_by_walking_prefixes(shape, entries, cfg, *, threshold, warm_up, confir
 )
 def test_stop_equals_per_prefix_walk(builtin_dictionary, case, threshold, warm_up, confirm, n_max):
     # IUR lines do not depend on the draw sizes, so the stop loop must agree
-    # bit for bit with a walk over one record's prefixes
-    square = builtin_dictionary[shapes.BUILTIN_NAMES.index("square")]
-    twin = dataclasses.replace(
-        square, name="twin", p_ref=1.02 * square.p_ref, a_ref=1.02**2 * square.a_ref
-    )
+    # bit for bit with a walk over one record's prefixes, each seed alone
+    # and the four seeds as four slots of one loop
+    entries = _square_and_twin(builtin_dictionary)
     first_draw = max(warm_up + confirm - 1, rec.STOP_CHUNK)
+    kw = dict(threshold=threshold, warm_up=warm_up, confirm=confirm, n_max=n_max)
+    slots = [(shapes.square(), SamplerConfig(seed=seed)) for seed in range(4)]
     stops = []
-    for seed in range(4):
-        cfg = SamplerConfig(seed=seed)
-        kw = dict(threshold=threshold, warm_up=warm_up, confirm=confirm, n_max=n_max)
-        res = rec.explore_until_stop(shapes.square(), [square, twin], cfg, **kw)
-        expected = _stop_by_walking_prefixes(shapes.square(), [square, twin], cfg, **kw)
+    for shape, cfg in slots:
+        res = rec.explore_until_stop(shape, entries, cfg, **kw)
+        expected = _stop_by_walking_prefixes(shape, entries, cfg, **kw)
         assert (res.label, res.n_stop, res.censored, res.area_hat, res.perim_hat) == expected
         stops.append(res.n_stop)
+    assert [r.n_stop for r in _assert_slots_walk(slots, entries, **kw)] == stops
     if case == "threshold zero":
         assert max(stops) <= 5
     elif case == "censored":
@@ -427,19 +448,102 @@ def test_stop_equals_per_prefix_walk(builtin_dictionary, case, threshold, warm_u
         # a stop after the first draw; with confirm > STOP_CHUNK its streak
         # spans at least one draw boundary
         assert max(stops) > first_draw
+    if case == "later draw":
+        # the slots leave the loop in different rounds
+        assert len({(n - first_draw - 1) // (4 * rec.STOP_CHUNK) for n in stops}) > 1
+
+
+def test_lockstep_slots_of_mixed_fates_equal_their_walks(builtin_dictionary):
+    # square slots against the square's twin stop, while a disk slot
+    # between two identical disk entries stays censored
+    disk = builtin_dictionary[shapes.BUILTIN_NAMES.index("disk")]
+    entries = _square_and_twin(builtin_dictionary) + [disk, dataclasses.replace(disk, name="same")]
+    slots = [(shapes.square(), SamplerConfig(seed=s)) for s in (0, 5)]
+    slots.insert(1, (shapes.disk(), SamplerConfig(seed=3)))
+    results = _assert_slots_walk(slots, entries, threshold=0.95, warm_up=30, confirm=30, n_max=3000)
+    assert [r.censored for r in results] == [False, True, False]
+
+
+def test_lockstep_letters_of_two_vertex_tolerances_equal_their_walks():
+    # J's vertex band is 3e-12 wide and E's 5e-12: the slots share each
+    # kernel call, and each line keeps its own letter's band
+    letters = {c: rd.letter_shape(c, 1.0) for c in "EJFL"}
+    entries = [
+        rec.calibrate(shape, 200, 10, SamplerConfig(seed=70 + i), name=c)
+        for i, (c, shape) in enumerate(letters.items())
+    ]
+    slots = [(letters[c], SamplerConfig(seed=80 + i)) for i, c in enumerate("EJEE")]
+    results = _assert_slots_walk(slots, entries, threshold=0.95, warm_up=30, confirm=30, n_max=3000)
+    assert not all(r.censored for r in results)
+
+
+def test_lockstep_top_up_refills_only_the_short_slots(monkeypatch, builtin_dictionary):
+    # a wide vertex band rejects about one line in 200 of the square's, and
+    # a round refills just the slots that lost lines, in a call of their own
+    monkeypatch.setattr(batch, "ONLINE_TOL", 1e-3)
+    calls = []
+    observe = explore_module.observe_segments
+
+    def recording_observe(cshape, theta, p, origin):
+        calls.append([len(t) for t in theta])
+        return observe(cshape, theta, p, origin)
+
+    monkeypatch.setattr(explore_module, "observe_segments", recording_observe)
+    slots = [(shapes.square(), SamplerConfig(seed=seed)) for seed in range(6)]
+    entries = _square_and_twin(builtin_dictionary)
+    _assert_slots_walk(slots, entries, threshold=0.95, warm_up=30, confirm=30, n_max=3000)
+    refills = [sizes for sizes in calls[1:] if max(sizes) < rec.STOP_CHUNK]
+    assert calls[0] == [rec.STOP_CHUNK] * len(slots)
+    assert refills and min(len(sizes) for sizes in refills) < len(slots)
+
+
+@st.composite
+def run_segments(draw):
+    """(over, top, confirm, segments) for _runs: a few slots' rows, each slot
+    carrying in a streak shorter than confirm."""
+    confirm = draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
+    n = sum(lengths)
+    over = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    top = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    segs, r0 = [], 0
+    for length in lengths:
+        segs.append((r0, r0 + length, draw(st.integers(0, confirm - 1)), draw(st.integers(0, 2))))
+        r0 += length
+    return over, top, confirm, segs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=run_segments())
+def test_runs_equal_a_walk_over_each_slots_rows(case):
+    # the lockstep loop's vector streaks against one slot's rows at a time
+    over, top, confirm, segs = case
+    want = np.zeros(over.size, dtype=int)
+    for r0, r1, streak, label in segs:
+        for i in range(r0, r1):
+            streak = (streak + 1 if streak > 0 and top[i] == label else 1) if over[i] else 0
+            label = top[i]
+            want[i] = streak
+    assert rec._runs(over, top, confirm, segs).tolist() == want.tolist()
+
+
+def _record_draws(monkeypatch) -> list[int]:
+    """The draw sizes the stop loop asks of explore.take_all, in order."""
+    takes = []
+    take_all = explore_module.take_all
+
+    def counting_take_all(streams, sizes):
+        takes.extend(sizes)
+        return take_all(streams, sizes)
+
+    monkeypatch.setattr(explore_module, "take_all", counting_take_all)
+    return takes
 
 
 def test_read_style_stop_at_earliest_prefix_takes_one_draw(builtin_dictionary, monkeypatch):
     # the disk is told from the other built-ins at once, so it stops at the
     # first prefix allowed, warm_up + confirm - 1, and the first draw ends there
-    takes = []
-    take = rec.LineStream.take
-
-    def counting_take(self, n, *args):
-        takes.append(n)
-        return take(self, n, *args)
-
-    monkeypatch.setattr(rec.LineStream, "take", counting_take)
+    takes = _record_draws(monkeypatch)
     res = rec.explore_until_stop(
         shapes.disk(), builtin_dictionary, SamplerConfig(seed=1), warm_up=500, confirm=30
     )
@@ -454,14 +558,7 @@ def test_later_draws_are_four_stop_chunks(builtin_dictionary, monkeypatch):
     twin = dataclasses.replace(
         square, name="twin", p_ref=1.02 * square.p_ref, a_ref=1.02**2 * square.a_ref
     )
-    takes = []
-    take = rec.LineStream.take
-
-    def counting_take(self, n, *args):
-        takes.append(n)
-        return take(self, n, *args)
-
-    monkeypatch.setattr(rec.LineStream, "take", counting_take)
+    takes = _record_draws(monkeypatch)
     res = rec.explore_until_stop(shapes.square(), [square, twin], SamplerConfig(seed=5))
     assert (res.label, res.n_stop, res.censored) == ("square", 2018, False)
     assert takes == [256, 1024, 1024]
