@@ -6,15 +6,6 @@ sampled lines or billiard trajectories, then recognize shapes and read
 block-letter words from a (perimeter, area) dictionary.
 """
 
-from .chords import (
-    ArenaTooSmallError,
-    CrossingEvent,
-    DegenerateLineError,
-    LineObservation,
-    crossings,
-    geometric_function,
-    observe,
-)
 from .estimators import (
     AREA_COEFF,
     Accumulator,

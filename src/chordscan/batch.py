@@ -3,7 +3,7 @@
 A line is (theta, p) as the samplers draw it (see sampling): the angle theta
 in [0, pi) of its normal and its offset p from a given point. _scan finds
 every boundary crossing of arrays of such lines: the one ring scan in the
-package, which chords.crossings also runs on a single line. Each line tests
+package. Each line tests
 only the edges its cell of the shape's candidate-edge table lists (see
 CompiledShape), so the work per line follows the edges it can cross, not the
 vertex count. Endpoints z are complex, relative to the shape's centre, so
@@ -29,7 +29,11 @@ observe_segments reduces the crossings to a BatchObservations, the one record
 of a block of lines from the kernel to the accumulator. A lone chord is read
 straight from its two events; the other hit lines go most events first, and
 each run of one event count is sorted at that count, not every line at the
-longest line's count.
+longest line's count. With a line's events taken as exact, its L1 and L3 lie
+within relative (k + c) eps of their signed all-pairs gap sums, k its chord
+count and c = 5: every term of _line_sums' O(k) sums is non-negative, so
+nothing cancels, and a term meets at most k + 9 roundings of eps / 2 each;
+tests/test_batch.py measured at most 0.41 (k + 5) eps.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from . import estimators, reading, recognition, shapes, svgplot
-from .chords import DegenerateLineError
 from .explore import convergence_series, explore, explore_parallel
 from .geometry import InvalidShapeError, Shape, load_shape
 from .sampling import DEFAULT_ARENA_SCALE, SAMPLER_MODES, SamplerConfig
@@ -367,7 +366,6 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (
         InvalidShapeError,
-        DegenerateLineError,
         estimators.InsufficientDataError,
         FileNotFoundError,
         KeyError,

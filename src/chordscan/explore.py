@@ -43,7 +43,7 @@ class LineStream:
         self.rng = np.random.default_rng(self.config.seed)
         self._billiard_state: BilliardState | None = None
         self.rejected_total = 0
-        self._totals = (0.0, 0.0, 0)  # L1, L3, k over the lines running_sums returned
+        self._totals = (0.0, 0.0, 0)  # L1, L3, k over the lines running_sums_all summed
 
     def _lines(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The next n lines (theta, p), p measured from the arena's centre."""
@@ -60,15 +60,6 @@ class LineStream:
         The one-stream case of take_all.
         """
         return take_all([self], [n])[0]
-
-    def running_sums(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Running totals (L1, L3, k) of the stream after each of its next n lines.
-
-        The totals carry on from the last call (sequential sums seeded with its
-        last total), so a prefix's sums do not depend on how calls split the
-        stream. Lines drawn by take() are not counted.
-        """
-        return running_sums_all([self], [n])
 
 
 def take_all(streams: list[LineStream], sizes: list[int]) -> list[BatchObservations]:
@@ -113,10 +104,11 @@ def running_sums_all(
     """The running totals (L1, L3, k) of streams[i] after each of its next
     sizes[i] lines, stream after stream, the lines taken by one take_all.
 
-    Each stream's totals carry on from its last call (see
-    LineStream.running_sums): row i of a grid holds stream i's last totals,
-    then its lines' values, and one cumsum along the rows adds each stream's
-    values in order.
+    Each stream's totals carry on from its last call (sequential sums seeded
+    with its last total), so a prefix's sums do not depend on how calls split
+    the stream; lines drawn by take() are not counted. Row i of a grid holds
+    stream i's last totals, then its lines' values, and one cumsum along the
+    rows adds each stream's values in order.
     """
     records = take_all(streams, sizes)
     width = max(sizes) + 1
@@ -235,7 +227,7 @@ def convergence_series(
         sub = dataclasses.replace(config, seed=substream(config.seed, REPLICATE, rep))
         stream = LineStream(shape, sub)
         for done in range(0, n_max, DEFAULT_CHUNK):
-            runs = stream.running_sums(min(DEFAULT_CHUNK, n_max - done))
+            runs = running_sums_all([stream], [min(DEFAULT_CHUNK, n_max - done)])
             at = (grid > done) & (grid <= done + DEFAULT_CHUNK)
             sums[:, at] = [run[grid[at] - done - 1] for run in runs]
         sum_L1, sum_L3, chords = sums

@@ -181,7 +181,10 @@ def _posteriors(loglik: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     # e^-700 cannot move a sum that holds 1
     np.maximum(w, -700.0, out=w)
     np.exp(w, out=w)
-    total = w.sum(axis=0)
+    # summed in entry order, whatever the block: numpy sums a lone row pairwise
+    total = w[0].copy()
+    for weights in w[1:]:
+        total += weights
     w /= total
     # the top's weight is exp(0) = 1
     return loglik, top, 1.0 / total
@@ -439,16 +442,13 @@ def _runs(over: np.ndarray, top: np.ndarray, confirm: int, segs: list) -> np.nda
 
 def _top_posteriors(p_hat, a_hat, n, ref) -> tuple[np.ndarray, np.ndarray]:
     """_posteriors' top entries and top probabilities of rows (p_hat, a_hat, n),
-    in near-equal blocks of at most 4 * STOP_CHUNK rows. numpy sums a lone
-    row's entries pairwise and longer blocks' in entry order, so no block
-    holds one row unless it is the only row."""
-    blocks = -(-p_hat.size // (4 * STOP_CHUNK))
-    step = -(-p_hat.size // blocks)
+    4 * STOP_CHUNK rows at a time."""
+    step = 4 * STOP_CHUNK
     tops = [
         _posteriors(_log_likelihoods(p_hat[rows], a_hat[rows], n[rows], ref))[1:]
         for rows in (slice(lo, lo + step) for lo in range(0, p_hat.size, step))
     ]
-    return tuple(col[0] if blocks == 1 else np.concatenate(col) for col in zip(*tops))
+    return tuple(np.concatenate(col) for col in zip(*tops))
 
 
 @dataclass
@@ -470,25 +470,19 @@ def lines_to_recognize(
     *,
     n_max: int = 100_000,
 ) -> StoppingStudy:
-    """Stopping-N distribution over seeds, plus the wrong-label fraction."""
+    """Stopping-N distribution over seeds, plus the wrong-label fraction; the
+    seeds run as the slots of one explore_slots_until_stop."""
     truth = shape.name
     if truth is not None and truth not in {e.name for e in entries}:
         raise ValueError(f"shape {truth!r} is not in the dictionary")
     config = config or SamplerConfig()
-    stop_n, censored, labels = [], [], []
-    wrong = 0
-    for seed in seeds:
-        res = explore_until_stop(
-            shape, entries, dataclasses.replace(config, seed=int(seed)), n_max=n_max
-        )
-        stop_n.append(res.n_stop)
-        censored.append(res.censored)
-        labels.append(res.label)
-        if truth is not None and res.label != truth:
-            wrong += 1
+    slots = [(shape, dataclasses.replace(config, seed=int(seed))) for seed in seeds]
+    results = explore_slots_until_stop(slots, entries, n_max=n_max)
+    labels = [res.label for res in results]
+    wrong = sum(truth is not None and label != truth for label in labels)
     return StoppingStudy(
-        stop_n=np.array(stop_n),
-        censored=np.array(censored, dtype=bool),
+        stop_n=np.array([res.n_stop for res in results]),
+        censored=np.array([res.censored for res in results], dtype=bool),
         labels=labels,
         wrong_fraction=wrong / max(len(labels), 1),
     )

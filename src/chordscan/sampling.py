@@ -11,7 +11,6 @@ uniforms per line, and billiard_lines works each line of a bounce chain out
 from its bounce angles. The cosine law draws sin(phi) = 2u - 1 uniformly,
 which is the line's offset over the radius up to sign, and phi is its
 arcsine; theta is the exact remainder of the normal's angle modulo pi.
-line_params_of_segments turns segments into lines.
 """
 
 from __future__ import annotations
@@ -87,34 +86,6 @@ def sample_iur_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     u = rng.random((n, 2))
     return u[:, 0] * math.pi, (2.0 * u[:, 1] - 1.0) * arena.radius
-
-
-def line_params_of_segments(
-    a: np.ndarray, b: np.ndarray, origin: Point
-) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, p) of each segment's carrier line, p measured from origin.
-
-    theta lies in [0, pi): the normal is the segment's direction turned by
-    -90 or +90 degrees, whichever lands there, before the one arctan2, so
-    theta is rounded once.
-    """
-    d = b - a
-    # the normal (dy, -dx), turned round where -dx < 0
-    nx = np.where(d[:, 0] > 0.0, -d[:, 1], d[:, 1])
-    ny = np.abs(d[:, 0])
-    theta = np.arctan2(ny, nx)
-    p = (a[:, 0] - origin.x) * nx + (a[:, 1] - origin.y) * ny
-    p /= np.sqrt(nx * nx + ny * ny)
-    return _fold_at_pi(theta, p)
-
-
-def _fold_at_pi(theta: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An angle that rounds to pi is the line at 0 with its normal turned round."""
-    at_pi = theta == math.pi
-    if at_pi.any():
-        theta[at_pi] = 0.0
-        p[at_pi] = -p[at_pi]
-    return theta, p
 
 
 # pi = _PI_HI + _PI_LO: _PI_HI has 36 bits, so t * _PI_HI is exact for |t| < 2**17

@@ -44,7 +44,7 @@ def arena_chords(theta, p, arena):
 def record_sums(shape, n_max, config):
     """Running (L1, L3, k) totals of one whole n_max-line record, one cumsum per column.
 
-    The oracle for LineStream.running_sums, which sums a stream take by take.
+    The oracle for explore.running_sums_all, which sums a stream take by take.
     """
     obs = LineStream(shape, config).take(n_max)
     return [np.cumsum(col) for col in (obs.L1, obs.L3, obs.k)]

@@ -15,7 +15,7 @@ from chordscan import estimators as est
 from chordscan import reading as rd
 from chordscan import recognition as rec
 from chordscan import shapes
-from chordscan.chords import observe
+from chordscan.batch import CompiledShape, observe_segments
 from chordscan.explore import convergence_series, explore
 from chordscan.geometry import (
     Point,
@@ -27,6 +27,7 @@ from chordscan.geometry import (
 )
 from chordscan.sampling import SamplerConfig, arena_for, sample_iur_batch
 from conftest import arena_chords
+from line_oracle import line_params_of_segments, scratch_scalar_count, segment_events
 
 
 def _passline(num, text):
@@ -121,19 +122,28 @@ def test_criterion_5_rigid_invariance():
     a, b = arena_chords(theta, p, arena)
     a2 = t.apply(a)
     b2 = t.apply(b)
+    # the kernel observes each chord's own line; segment_events lists its events
+    origin2 = Point(*t.apply(arena.center.as_array()))
+    obs = [
+        observe_segments(shape.derived("kernel", CompiledShape), *line_params_of_segments(u, v, o), o)
+        for shape, u, v, o in ((st, a, b, arena.center), (st2, a2, b2, origin2))
+    ]
+    assert not obs[0].rejected.any() and not obs[1].rejected.any()
+    chords = [np.split(o.chords_flat, np.cumsum(o.k)[:-1]) for o in obs]
     checked = 0
     for i in range(len(a)):
-        o1 = observe(st, (Point(*a[i]), Point(*b[i])))
-        o2 = observe(st2, (Point(*a2[i]), Point(*b2[i])))
-        assert o1.k == o2.k
-        assert abs(o1.L1 - o2.L1) < 1e-9
-        assert abs(o1.L3 - o2.L3) < 1e-9
-        for c1, c2 in zip(o1.chords, o2.chords):
+        assert obs[0].k[i] == obs[1].k[i]
+        assert abs(obs[0].L1[i] - obs[1].L1[i]) < 1e-9
+        assert abs(obs[0].L3[i] - obs[1].L3[i]) < 1e-9
+        # a line's chords run along its own axis, which the mirror turns round
+        for c1, c2 in zip(np.sort(chords[0][i]), np.sort(chords[1][i])):
             assert abs(c1 - c2) < 1e-9
-        for e1, e2 in zip(o1.events, o2.events):
+        events = segment_events(st, a[i], b[i]), segment_events(st2, a2[i], b2[i])
+        assert len(events[0]) == len(events[1]) == 2 * obs[0].k[i]
+        for e1, e2 in zip(*events):
             assert abs(e1.t - e2.t) < 1e-9
             assert e1.kind == e2.kind
-        checked += o1.k
+        checked += int(obs[0].k[i])
     assert checked > 50
     _passline(5, f"200 co-transformed lines on the statue agree to 1e-9 per value")
 
@@ -290,13 +300,10 @@ def test_criterion_11_frugality():
     st = shapes.statue()
     arena = arena_for(st)
     theta, p = sample_iur_batch(np.random.default_rng(112), arena, 2000)
-    a, b = arena_chords(theta, p, arena)
-    k_max = 0
-    scratch_max = 0
-    for i in range(len(a)):
-        obs = observe(st, (Point(*a[i]), Point(*b[i])))
-        k_max = max(k_max, obs.k)
-        scratch_max = max(scratch_max, obs.scratch_scalar_count())
+    obs = observe_segments(st.derived("kernel", CompiledShape), theta, p, arena.center)
+    assert not obs.rejected.any()
+    k_max = int(obs.k.max())
+    scratch_max = max(scratch_scalar_count(int(k)) for k in obs.k)
     assert k_max == 6  # the statue produces six-chord lines
     assert scratch_max <= 34  # k*(k-1)+4 at k=6
     _passline(

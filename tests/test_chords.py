@@ -1,11 +1,20 @@
+"""One line at a time: the kernel's record of a segment's line against the
+reference events and pair sums of tests/line_oracle.py."""
+
 import math
 
 import numpy as np
 import pytest
 
-from chordscan import chords as ch
-from chordscan import shapes
+from chordscan import batch, shapes
 from chordscan.geometry import Point, Shape
+from line_oracle import (
+    CrossingEvent,
+    geometric_function,
+    line_params_of_segments,
+    scratch_scalar_count,
+    segment_events,
+)
 
 SQUARE = shapes.square()
 HOLED = Shape(
@@ -17,62 +26,72 @@ HOLED = Shape(
 
 
 def seg(x0, y0, x1, y1):
-    return (Point(x0, y0), Point(x1, y1))
+    return (x0, y0), (x1, y1)
 
 
 def ev(*pairs):
-    return tuple(ch.CrossingEvent(t, kind) for t, kind in pairs)
+    return tuple(CrossingEvent(t, kind) for t, kind in pairs)
+
+
+def kernel_line(shape, a, b):
+    """The kernel's one-line record of the segment's line, the line segment_events scans."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    origin = Point(*a)
+    theta, p = line_params_of_segments(a[None], b[None], origin)
+    return batch.observe_segments(shape.derived("kernel", batch.CompiledShape), theta, p, origin)
 
 
 def test_square_midline():
-    events = ch.crossings(SQUARE, seg(-1, 0.5, 2, 0.5))
+    events = segment_events(SQUARE, *seg(-1, 0.5, 2, 0.5))
     assert [(e.t, e.kind) for e in events] == [(1.0, "in"), (2.0, "out")]
-    obs = ch.observe(SQUARE, seg(-1, 0.5, 2, 0.5))
-    assert obs.k == 1 and obs.chords == (1.0,)
+    obs = kernel_line(SQUARE, *seg(-1, 0.5, 2, 0.5))
+    assert obs.k.tolist() == [1] and obs.chords_flat.tolist() == [1.0]
 
 
 def test_square_with_hole_midline():
-    obs = ch.observe(HOLED, seg(-1, 0.5, 2, 0.5))
-    assert obs.k == 2
-    assert obs.L1 == pytest.approx(1.0 - 0.5, abs=1e-12)
-    kinds = [e.kind for e in obs.events]
+    obs = kernel_line(HOLED, *seg(-1, 0.5, 2, 0.5))
+    assert obs.k[0] == 2
+    assert obs.L1[0] == pytest.approx(1.0 - 0.5, abs=1e-12)
+    kinds = [e.kind for e in segment_events(HOLED, *seg(-1, 0.5, 2, 0.5))]
     assert kinds == ["in", "out", "in", "out"]
 
 
 def test_miss_line_empty():
-    assert ch.crossings(SQUARE, seg(-1, 5, 2, 5)) == []
-    assert ch.observe(SQUARE, seg(-1, 5, 2, 5)) is ch.ZERO_OBSERVATION
+    assert segment_events(SQUARE, *seg(-1, 5, 2, 5)) == []
+    obs = kernel_line(SQUARE, *seg(-1, 5, 2, 5))
+    assert (obs.k[0], obs.L1[0], obs.L3[0], obs.rejected[0]) == (0, 0.0, 0.0, False)
+    assert obs.chords_flat.size == 0
 
 
 def test_geometric_function_single_chord():
     events = ev((0, "in"), (2, "out"))
-    assert ch.geometric_function(events, 1) == pytest.approx(2.0)
-    assert ch.geometric_function(events, 3) == pytest.approx(8.0)
+    assert geometric_function(events, 1) == pytest.approx(2.0)
+    assert geometric_function(events, 3) == pytest.approx(8.0)
 
 
 def test_geometric_function_two_chords_close():
     events = ev((0, "in"), (1, "out"), (2, "in"), (3, "out"))
-    assert ch.geometric_function(events, 1) == pytest.approx(2.0)
-    assert ch.geometric_function(events, 3) == pytest.approx(14.0)
+    assert geometric_function(events, 1) == pytest.approx(2.0)
+    assert geometric_function(events, 3) == pytest.approx(14.0)
 
 
 def test_geometric_function_two_chords_spread():
     events = ev((0, "in"), (1, "out"), (3, "in"), (6, "out"))
-    assert ch.geometric_function(events, 1) == pytest.approx(4.0)
-    assert ch.geometric_function(events, 3) == pytest.approx(100.0)
+    assert geometric_function(events, 1) == pytest.approx(4.0)
+    assert geometric_function(events, 3) == pytest.approx(100.0)
 
 
 def test_geometric_function_empty_and_validation():
-    assert ch.geometric_function((), 1) == 0.0
-    assert ch.geometric_function((), 3) == 0.0
+    assert geometric_function((), 1) == 0.0
+    assert geometric_function((), 3) == 0.0
     with pytest.raises(ValueError):
-        ch.geometric_function(ev((0, "out"), (1, "in")), 1)
+        geometric_function(ev((0, "out"), (1, "in")), 1)
     with pytest.raises(ValueError):
-        ch.geometric_function(ev((0, "in"), (1, "in")), 1)
+        geometric_function(ev((0, "in"), (1, "in")), 1)
     with pytest.raises(ValueError):
-        ch.geometric_function(ev((0, "in"), (1, "out"), (2, "in")), 1)
+        geometric_function(ev((0, "in"), (1, "out"), (2, "in")), 1)
     with pytest.raises(ValueError):
-        ch.geometric_function(ev((0, "in"), (1, "out")), 0)
+        geometric_function(ev((0, "in"), (1, "out")), 0)
 
 
 def _random_alternating(rng, max_k=6):
@@ -90,7 +109,7 @@ def test_order_one_equals_chord_sum_fuzz():
         chord_sum = sum(
             events[i + 1].t - events[i].t for i in range(0, len(events), 2)
         )
-        assert ch.geometric_function(events, 1) == pytest.approx(chord_sum, rel=1e-9, abs=1e-9)
+        assert geometric_function(events, 1) == pytest.approx(chord_sum, rel=1e-9, abs=1e-9)
 
 
 def test_translation_and_reversal_invariance_fuzz():
@@ -98,10 +117,10 @@ def test_translation_and_reversal_invariance_fuzz():
     for _ in range(200):
         events = _random_alternating(rng)
         for n in (1, 2, 3):
-            base = ch.geometric_function(events, n)
+            base = geometric_function(events, n)
             shift = rng.uniform(-5, 5)
             shifted = ev(*[(e.t + shift, e.kind) for e in events])
-            assert ch.geometric_function(shifted, n) == pytest.approx(base, rel=1e-8, abs=1e-8)
+            assert geometric_function(shifted, n) == pytest.approx(base, rel=1e-8, abs=1e-8)
             # reversing the direction swaps in/out labels and reverses order
             tmax = events[-1].t
             flipped = ev(
@@ -110,7 +129,7 @@ def test_translation_and_reversal_invariance_fuzz():
                     for e in reversed(events)
                 ]
             )
-            assert ch.geometric_function(flipped, n) == pytest.approx(base, rel=1e-8, abs=1e-8)
+            assert geometric_function(flipped, n) == pytest.approx(base, rel=1e-8, abs=1e-8)
 
 
 def test_convex_reduction_k1():
@@ -119,13 +138,13 @@ def test_convex_reduction_k1():
         t0, dt = rng.uniform(0, 5), rng.uniform(0.1, 4)
         events = ev((t0, "in"), (t0 + dt, "out"))
         for n in (1, 2, 3, 4):
-            assert ch.geometric_function(events, n) == pytest.approx(dt**n, rel=1e-12)
+            assert geometric_function(events, n) == pytest.approx(dt**n, rel=1e-12)
 
 
 def test_observe_convex_line_is_cubed_chord():
-    obs = ch.observe(SQUARE, seg(-1, 0.25, 2, 0.25))
-    assert obs.k == 1
-    assert obs.L3 == pytest.approx(obs.chords[0] ** 3, rel=1e-12)
+    obs = kernel_line(SQUARE, *seg(-1, 0.25, 2, 0.25))
+    assert obs.k[0] == 1
+    assert obs.L3[0] == pytest.approx(obs.chords_flat[0] ** 3, rel=1e-12)
 
 
 def test_annulus_diameter():
@@ -133,43 +152,35 @@ def test_annulus_diameter():
     # through the midpoints of two opposite 64-gon edges: the diameter along
     # the x axis runs through vertices, and such a line is rejected
     c, s = 3 * math.cos(math.pi / 64), 3 * math.sin(math.pi / 64)
-    obs = ch.observe(ann, seg(-c, -s, c, s))
-    assert obs.k == 2
+    obs = kernel_line(ann, *seg(-c, -s, c, s))
+    assert obs.k[0] == 2
     # two chords of r_outer - r_inner each (up to 64-gon flats)
-    assert obs.L1 == pytest.approx(2.0, abs=0.01)
-    events = ev(*[(e.t, e.kind) for e in obs.events])
-    assert ch.geometric_function(events, 1) == pytest.approx(obs.L1, rel=1e-12)
-
-
-def test_endpoint_inside_raises():
-    with pytest.raises(ch.ArenaTooSmallError):
-        ch.crossings(SQUARE, seg(0.5, 0.5, 2, 2))
+    assert obs.L1[0] == pytest.approx(2.0, abs=0.01)
+    events = segment_events(ann, *seg(-c, -s, c, s))
+    assert geometric_function(events, 1) == pytest.approx(obs.L1[0], rel=1e-12)
 
 
 # A line within tolerance of a vertex is rejected and resampled, as in every
 # estimate (tests/test_batch.py::test_vertex_hit_line_rejected): such lines
 # have probability zero, so resolving them would change no estimate.
+def _assert_rejected(shape, a, b):
+    assert segment_events(shape, a, b) is None
+    obs = kernel_line(shape, a, b)
+    assert obs.rejected[0] and obs.k[0] == 0
+
+
 def test_vertex_crossing_line_rejected():
     # through two corners
-    with pytest.raises(ch.DegenerateLineError):
-        ch.observe(SQUARE, seg(-1, -1, 2, 2))
+    _assert_rejected(SQUARE, *seg(-1, -1, 2, 2))
 
 
 def test_tangential_corner_discarded():
-    with pytest.raises(ch.DegenerateLineError):
-        ch.observe(SQUARE, seg(-1, 1, 1, -1))
+    _assert_rejected(SQUARE, *seg(-1, 1, 1, -1))
 
 
 def test_edge_collinear_line_yields_no_events():
     # running exactly along the bottom edge
-    with pytest.raises(ch.DegenerateLineError):
-        ch.crossings(SQUARE, seg(-1, 0, 2, 0))
-    with pytest.raises(ch.DegenerateLineError):
-        ch.observe(SQUARE, seg(-1, 0, 2, 0))
-
-
-def test_zero_length_segment():
-    assert ch.observe(SQUARE, seg(-1, 0.5, -1, 0.5)).k == 0
+    _assert_rejected(SQUARE, *seg(-1, 0, 2, 0))
 
 
 def test_event_parity_on_random_lines():
@@ -180,14 +191,15 @@ def test_event_parity_on_random_lines():
         ang = rng.uniform(0, 2 * math.pi)
         off = rng.uniform(-2, 2)
         c, s = math.cos(ang), math.sin(ang)
-        a = Point(off * -s - 5 * c, off * c - 5 * s)
-        b = Point(off * -s + 5 * c, off * c + 5 * s)
-        obs = ch.observe(st, (a, b))
-        assert len(obs.events) % 2 == 0
-        kinds = [e.kind for e in obs.events]
-        assert kinds == ["in", "out"] * obs.k
-        assert all(c > 0 for c in obs.chords)
-        hits += obs.k > 0
+        a = (off * -s - 5 * c, off * c - 5 * s)
+        b = (off * -s + 5 * c, off * c + 5 * s)
+        events = segment_events(st, a, b)
+        obs = kernel_line(st, a, b)
+        assert len(events) % 2 == 0
+        kinds = [e.kind for e in events]
+        assert kinds == ["in", "out"] * obs.k[0]
+        assert np.all(obs.chords_flat > 0)
+        hits += obs.k[0] > 0
     assert hits > 50
 
 
@@ -198,12 +210,12 @@ def test_contains_flips_at_each_crossing():
     rng = np.random.default_rng(43)
     for _ in range(40):
         y = rng.uniform(0.05, 0.95)
-        obs = ch.observe(HOLED, seg(-1, y, 2, y))
+        events = segment_events(HOLED, *seg(-1, y, 2, y))
         a = np.array([-1.0, y])
         u = np.array([1.0, 0.0])
         prev_t = 0.0
         inside = False
-        for e in obs.events:
+        for e in events:
             mid = a + u * (prev_t + e.t) / 2.0
             assert contains(HOLED, Point(*mid)) == inside
             inside = not inside
@@ -211,6 +223,9 @@ def test_contains_flips_at_each_crossing():
 
 
 def test_scratch_scalar_count_bound():
-    obs = ch.observe(HOLED, seg(-1, 0.5, 2, 0.5))
+    obs = kernel_line(HOLED, *seg(-1, 0.5, 2, 0.5))
+    events = segment_events(HOLED, *seg(-1, 0.5, 2, 0.5))
+    k = int(obs.k[0])
     # k chords: 2k event times + 2k labels + k chords + (k, L1, L3)
-    assert obs.scratch_scalar_count() == 5 * obs.k + 3
+    assert k == 2
+    assert 2 * len(events) + obs.chords_flat.size + 3 == scratch_scalar_count(k) == 5 * k + 3

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -41,13 +42,23 @@ def run_cli(*argv, cwd):
     return run_python("-m", "chordscan.cli", *argv, cwd=cwd)
 
 
-@pytest.mark.parametrize("module", ["chordscan.chords", "chordscan"])
+@pytest.mark.parametrize("module", ["chordscan.batch", "chordscan"])
 def test_import_is_clean_and_light(module, tmp_path):
-    # chords imports batch, never the reverse; scipy is a test-only
+    # the kernel imports only numpy and geometry; scipy is a test-only
     # dependency, and importing it at load time costs about a second
     code = f"import sys, {module}; assert 'scipy' not in sys.modules"
     proc = run_python("-c", code, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_lines_are_observed_only_through_the_kernel():
+    # the per-line path is retired: batch.observe_segments is the one way
+    # to observe a line
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("chordscan.chords")
+    retired = ("crossings", "observe", "geometric_function", "LineObservation", "CrossingEvent",
+               "DegenerateLineError", "ArenaTooSmallError")
+    assert not [name for name in retired if hasattr(chordscan, name)]
 
 
 def test_no_command_usage_error(tmp_path):

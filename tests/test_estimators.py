@@ -13,42 +13,36 @@ import pytest
 from chordscan import estimators as est
 from chordscan import shapes
 from chordscan.batch import BatchObservations, CompiledShape
-from chordscan.chords import CrossingEvent, LineObservation, ZERO_OBSERVATION
-from chordscan.explore import LineStream, convergence_series, explore, explore_parallel
+from chordscan.explore import (
+    LineStream,
+    convergence_series,
+    explore,
+    explore_parallel,
+    running_sums_all,
+)
 from chordscan.geometry import Ring, Shape, exact_area, exact_perimeter, union_disjoint
 from chordscan.sampling import REPLICATE, SAMPLER_MODES, SamplerConfig, substream
 
 from conftest import record_sums
+from line_oracle import alternating, geometric_function
 
 
-def obs_from_chords(*chords, gap=5.0):
-    """Observation with the given chord lengths, spaced far apart."""
-    events = []
+def one_line(*chords, gap=5.0):
+    """One-line block record of a line with the given chord lengths, spaced
+    gap apart; L1 and L3 are the pair sums of its events."""
+    times = []
     t = 0.0
     for c in chords:
-        events.append(CrossingEvent(t, "in"))
-        events.append(CrossingEvent(t + c, "out"))
+        times += [t, t + c]
         t += c + gap
-    from chordscan.chords import geometric_function
-
-    return LineObservation(
-        events=tuple(events),
-        chords=tuple(chords),
-        k=len(chords),
-        L1=geometric_function(events, 1),
-        L3=geometric_function(events, 3),
-    )
-
-
-def one_line(obs):
-    """One-line block record of a single line's observation."""
-    chords = np.array(obs.chords, dtype=float)
+    events = alternating(times)
+    lengths = np.array(chords, dtype=float)
     return BatchObservations(
-        k=np.array([obs.k]),
-        L1=np.array([obs.L1]),
-        L3=np.array([obs.L3]),
-        chord_cube_sum=np.array([np.sum(chords**3)]),
-        chords_flat=chords,
+        k=np.array([len(chords)]),
+        L1=np.array([geometric_function(events, 1)], dtype=float),
+        L3=np.array([geometric_function(events, 3)], dtype=float),
+        chord_cube_sum=np.array([np.sum(lengths**3)]),
+        chords_flat=lengths,
         rejected=np.zeros(1, dtype=bool),
     )
 
@@ -56,19 +50,19 @@ def one_line(obs):
 def single_chord_acc(values, l_cap=10.0, n_batches=4):
     acc = est.Accumulator(l_cap, len(values), n_batches)
     for v in values:
-        acc.ingest(one_line(obs_from_chords(v)))
+        acc.ingest(one_line(v))
     return acc
 
 
 def test_accumulate_zero_observation_counts_lines_only():
     acc = est.Accumulator(l_cap=2.0, n_planned=1)
-    acc.ingest(one_line(ZERO_OBSERVATION))
+    acc.ingest(one_line())
     assert acc.n_lines == 1 and acc.n_hit == 0 and acc.sum_L1 == 0.0
 
 
 def test_accumulate_single_chord():
     acc = est.Accumulator(l_cap=10.0, n_planned=1)
-    acc.ingest(one_line(obs_from_chords(2.0)))
+    acc.ingest(one_line(2.0))
     assert acc.sum_L1 == pytest.approx(2.0)
     assert acc.sum_L3 == pytest.approx(8.0)
     assert acc.chord_count == 1
@@ -76,23 +70,9 @@ def test_accumulate_single_chord():
 
 def test_accumulate_spec_two_chord_example():
     # events at 0,1,3,6: order-1 value 4, order-3 value 100, two chords
-    events = (
-        CrossingEvent(0, "in"),
-        CrossingEvent(1, "out"),
-        CrossingEvent(3, "in"),
-        CrossingEvent(6, "out"),
-    )
-    from chordscan.chords import geometric_function
-
-    obs = LineObservation(
-        events=events,
-        chords=(1.0, 3.0),
-        k=2,
-        L1=geometric_function(events, 1),
-        L3=geometric_function(events, 3),
-    )
+    obs = one_line(1.0, 3.0, gap=2.0)
     acc = est.Accumulator(l_cap=10.0, n_planned=1)
-    acc.ingest(one_line(obs))
+    acc.ingest(obs)
     assert acc.sum_L1 == pytest.approx(4.0)
     assert acc.sum_L3 == pytest.approx(100.0)
     assert acc.chord_count == 2
@@ -218,7 +198,7 @@ def test_convex_baseline_fails_on_annulus():
 def test_stderr_zero_for_identical_batches():
     acc = est.Accumulator(l_cap=10.0, n_planned=5 * 6, n_batches=5)
     for _ in range(5 * 6):
-        acc.ingest(one_line(obs_from_chords(2.0)))
+        acc.ingest(one_line(2.0))
     se_a, se_p = est.stderrs(acc)
     assert se_a == pytest.approx(0.0, abs=1e-12)
     assert se_p == pytest.approx(0.0, abs=1e-12)
@@ -226,7 +206,7 @@ def test_stderr_zero_for_identical_batches():
 
 def test_stderr_needs_two_batches():
     acc = est.Accumulator(l_cap=10.0, n_planned=1, n_batches=5)
-    acc.ingest(one_line(obs_from_chords(2.0)))
+    acc.ingest(one_line(2.0))
     with pytest.raises(est.InsufficientDataError):
         est.stderrs(acc)
 
@@ -284,18 +264,18 @@ def test_batches_are_contiguous_and_even():
     assert set(acc.batch[:, 4]) == {400.0}
     # the plan is a bound
     full = est.Accumulator(l_cap=10.0, n_planned=1)
-    full.ingest(one_line(obs_from_chords(2.0)))
+    full.ingest(one_line(2.0))
     with pytest.raises(ValueError, match="2 lines ingested, 1 planned"):
-        full.ingest(one_line(obs_from_chords(2.0)))
+        full.ingest(one_line(2.0))
 
 
 def test_zero_lines_do_not_change_estimates():
     acc = est.Accumulator(l_cap=10.0, n_planned=503)
     for v in (1.0, 2.0, 3.0):
-        acc.ingest(one_line(obs_from_chords(v)))
+        acc.ingest(one_line(v))
     a0, p0 = est.estimate_area(acc), est.estimate_perimeter(acc)
     for _ in range(500):
-        acc.ingest(one_line(ZERO_OBSERVATION))
+        acc.ingest(one_line())
     assert est.estimate_area(acc) == a0
     assert est.estimate_perimeter(acc) == p0
 
@@ -467,7 +447,7 @@ def test_arena_scale_covers_the_shape(scale, covers):
 
 def test_prefix_estimates_match_full_run():
     stream = LineStream(shapes.square(), SamplerConfig(seed=16))
-    runs = [stream.running_sums(n) for n in (1000, 4000)]
+    runs = [running_sums_all([stream], [n]) for n in (1000, 4000)]
     a, p = est.area_perimeter(*(run[-1] for run in runs[-1]))
     acc = explore(shapes.square(), 5000, SamplerConfig(seed=16))
     assert a == pytest.approx(est.estimate_area(acc), rel=1e-9)

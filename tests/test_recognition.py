@@ -639,6 +639,26 @@ def test_likelihood_matches_the_per_element_density(builtin_dictionary):
     assert [label for row in grid.labels for label in row] == labels
 
 
+def test_posteriors_do_not_depend_on_the_block():
+    # a row's posteriors are the same bits alone as in a block of rows: a
+    # stop-loop draw or classify may evaluate one row, a lockstep round many
+    rng = np.random.default_rng(26)
+    entries = [
+        rec.DictEntry(
+            f"e{i}", *rng.uniform(1.0, 2.0, 2), *rng.uniform(0.5, 2.0, 2), rng.uniform(-0.9, 0.9)
+        )
+        for i in range(26)
+    ]
+    ref = rec._entry_arrays(entries)
+    p, a, n = rng.uniform(1.0, 2.0, 2500), rng.uniform(1.0, 2.0, 2500), rng.integers(30, 300, 2500)
+    probs, top, top_prob = rec._posteriors(rec._log_likelihoods(p, a, n, ref))
+    for i in range(p.size):
+        row = rec._posteriors(rec._log_likelihoods(p[i : i + 1], a[i : i + 1], n[i : i + 1], ref))
+        assert np.array_equal(row[0][0], probs[i]), i
+        assert (row[1][0], row[2][0]) == (top[i], top_prob[i]), i
+    assert np.count_nonzero(top_prob < 0.9) > 500
+
+
 @pytest.mark.parametrize("threshold", [1.5, -0.5, math.nan])
 def test_threshold_outside_0_1_is_error(threshold):
     # a threshold is a posterior probability: above 1 no read could stop,

@@ -7,6 +7,7 @@ from scipy import stats
 from chordscan import sampling as sp
 from chordscan.geometry import Point
 from conftest import arena_chords
+from line_oracle import fold_at_pi, line_params_of_segments
 
 ARENA = sp.ArenaCircle(Point(0.0, 0.0), 1.0)
 OFFCENTER = sp.ArenaCircle(Point(3.0, -2.0), 2.5)
@@ -115,14 +116,14 @@ def test_line_params_of_billiard_chords(arena):
     for mode in DRAWS:
         w = _wall_points(4, arena, 2000, mode)
         a, b = w[:-1], w[1:]
-        _assert_on_line(a, b, *sp.line_params_of_segments(a, b, arena.center), arena)
+        _assert_on_line(a, b, *line_params_of_segments(a, b, arena.center), arena)
     # horizontal, vertical and through-centre chords, each both ways
     c, r = arena.center.as_array(), arena.radius
     ends = [((-r, 0.3), (r, 0.3)), ((0.2, -r), (0.2, r)), ((-r, 0.0), (r, 0.0)),
             ((0.0, -r), (0.0, r)), ((-0.6 * r, -0.8 * r), (0.6 * r, 0.8 * r))]
     a = np.array([e[0] for e in ends] + [e[1] for e in ends]) + c
     b = np.array([e[1] for e in ends] + [e[0] for e in ends]) + c
-    theta, p = sp.line_params_of_segments(a, b, arena.center)
+    theta, p = line_params_of_segments(a, b, arena.center)
     _assert_on_line(a, b, theta, p, arena)
     assert theta[[0, 2]] == pytest.approx([0.5 * math.pi] * 2)
     assert theta[[1, 3]].tolist() == [0.0, 0.0]
@@ -140,7 +141,7 @@ def test_billiard_lines_are_the_lines_through_the_wall_points(arena, mode):
     n = 16_384
     theta, p, _ = sp.billiard_lines(np.random.default_rng(4), arena, n, mode)
     w = _wall_points(4, arena, n, mode)
-    want_theta, want_p = sp.line_params_of_segments(w[:-1], w[1:], arena.center)
+    want_theta, want_p = line_params_of_segments(w[:-1], w[1:], arena.center)
     long = np.hypot(*(w[1:] - w[:-1]).T) > 0.1 * arena.radius
     assert np.count_nonzero(long) > 0.9 * n
     _assert_same_lines(theta[long], p[long], want_theta[long], want_p[long], 1e-13, arena)
@@ -151,7 +152,7 @@ def test_line_params_fold_a_near_vertical_chord_to_zero():
     # whose angle rounds to pi: it is the line at angle 0
     a = np.array([[0.0, 1.0]])
     b = np.array([[-4e-16, -1.0]])
-    theta, p = sp.line_params_of_segments(a, b, ARENA.center)
+    theta, p = line_params_of_segments(a, b, ARENA.center)
     assert theta.tolist() == [0.0]
     _assert_on_line(a, b, theta, p, ARENA)
 
@@ -224,7 +225,7 @@ def test_billiard_sign_parity_holds_where_half_turns_go_negative():
     turns, want_theta = np.divmod(gammas + (0.5 * math.pi + phis), math.pi)
     want_p = OFFCENTER.radius * np.sin(phis)
     np.negative(want_p, out=want_p, where=(turns + np.arange(n)) % 2.0 == 0.0)
-    want_theta, want_p = sp._fold_at_pi(want_theta, want_p)
+    want_theta, want_p = fold_at_pi(want_theta, want_p)
     assert {-1.0, -2.0} <= set(turns.tolist())
     assert np.array_equal(theta, want_theta) and np.array_equal(p, want_p)
     # the cosine law draws sin(phi) = 2u - 1 itself: past the state's line, p
@@ -235,7 +236,7 @@ def test_billiard_sign_parity_holds_where_half_turns_go_negative():
     gammas = state.beta + np.concatenate([[0.0], np.cumsum(2.0 * phis[:-1])])
     turns, want_theta = np.divmod(gammas + (0.5 * math.pi + phis), math.pi)
     want_p = OFFCENTER.radius * sin_phis * np.where((turns + np.arange(n)) % 2.0 == 0.0, -1.0, 1.0)
-    want_theta, want_p = sp._fold_at_pi(want_theta, want_p)
+    want_theta, want_p = fold_at_pi(want_theta, want_p)
     assert {-1.0, -2.0} <= set(turns.tolist())
     assert np.array_equal(theta, want_theta) and np.array_equal(p, want_p)
 
