@@ -39,7 +39,7 @@ tests/test_batch.py measured at most 0.41 (k + 5) eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -202,46 +202,25 @@ class BatchObservations:
     def __len__(self) -> int:
         return len(self.k)
 
-    def _per_line(self) -> dict[str, np.ndarray]:
-        names = ("k", "L1", "L3", "chord_cube_sum", "rejected", "theta", "p")
-        return {f: getattr(self, f) for f in names if getattr(self, f) is not None}
-
-    def accepted(self) -> "BatchObservations":
-        """The record without its rejected lines."""
-        if not self.rejected.any():
-            return self
-        keep = ~self.rejected
-        return replace(
-            self,
-            chords_flat=self.chords_flat[np.repeat(keep, self.k)],
-            **{f: col[keep] for f, col in self._per_line().items()},
+    def select(self, lines: np.ndarray) -> "BatchObservations":
+        """The record of the given lines (indices into this one), in that order."""
+        k = self.k[lines]
+        # each selected line's chords: its first chord here, then on
+        chord = np.repeat((np.cumsum(self.k) - self.k)[lines] - (np.cumsum(k) - k), k)
+        chord += np.arange(chord.size)
+        cols = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "chords_flat"}
+        return BatchObservations(
+            chords_flat=self.chords_flat[chord],
+            **{name: None if col is None else col[lines] for name, col in cols.items()},
         )
-
-    def split(self, sizes: list[int]) -> list["BatchObservations"]:
-        """Views of the record's lines cut into runs of sizes[i] lines, in order."""
-        if len(sizes) == 1:
-            return [self]
-        ends = np.cumsum(sizes)
-        chord_ends = np.cumsum(self.k)[ends - 1].tolist()
-        cols = self._per_line()
-        out, a, ca = [], 0, 0
-        for b, cb in zip(ends.tolist(), chord_ends):
-            lines = {f: col[a:b] for f, col in cols.items()}
-            out.append(replace(self, chords_flat=self.chords_flat[ca:cb], **lines))
-            a, ca = b, cb
-        return out
 
     @staticmethod
     def concatenate(parts: list["BatchObservations"]) -> "BatchObservations":
         """One record of the parts' lines, in order."""
         if len(parts) == 1:
             return parts[0]
-        cols = [part._per_line() for part in parts]
-        return replace(
-            parts[0],
-            chords_flat=np.concatenate([part.chords_flat for part in parts]),
-            **{f: np.concatenate([c[f] for c in cols]) for f in cols[0]},
-        )
+        cols = [[getattr(part, f.name) for part in parts] for f in fields(BatchObservations)]
+        return BatchObservations(*(None if col[0] is None else np.concatenate(col) for col in cols))
 
 
 def _cells(cshape: CompiledShape, theta: np.ndarray, c: np.ndarray) -> np.ndarray:

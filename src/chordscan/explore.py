@@ -59,24 +59,22 @@ class LineStream:
 
         The one-stream case of take_all.
         """
-        return take_all([self], [n])[0]
+        return take_all([self], n)
 
 
-def take_all(streams: list[LineStream], sizes: list[int]) -> list[BatchObservations]:
-    """Exactly sizes[i] accepted lines from streams[i], each as its own take.
+def take_all(streams: list[LineStream], n: int) -> BatchObservations:
+    """Exactly n accepted lines from each stream, in one record, stream after stream.
 
     The streams refill in rounds: each stream short of lines draws as many as
     it misses, at most DEFAULT_CHUNK, and its degenerate lines are counted
     and drawn again in the next round. A round's draws are observed together,
     in observe_segments calls of whole draws that hold at most DEFAULT_CHUNK
-    lines.
+    lines. A stream's lines keep its draw order, as its own take(n) gives them.
     """
-    parts: list[list[BatchObservations]] = [[] for _ in streams]
-    missing = list(sizes)
-    while any(n > 0 for n in missing):
-        draws = [
-            (i, *streams[i]._lines(min(n, DEFAULT_CHUNK))) for i, n in enumerate(missing) if n > 0
-        ]
+    records, owner, sizes = [], [], []  # each call's record; each draw's stream and size
+    missing = [n] * len(streams)
+    while any(missing):
+        draws = [(i, *streams[i]._lines(min(m, DEFAULT_CHUNK))) for i, m in enumerate(missing) if m]
         calls, size = [[]], 0
         for draw in draws:
             if size + draw[1].size > DEFAULT_CHUNK:
@@ -85,47 +83,53 @@ def take_all(streams: list[LineStream], sizes: list[int]) -> list[BatchObservati
             calls[-1].append(draw)
             size += draw[1].size
         for call in calls:
+            who, theta, p = (list(col) for col in zip(*call))
             bobs = observe_segments(
-                [streams[i].cshape for i, _, _ in call],
-                [theta for _, theta, _ in call],
-                [p for _, _, p in call],
-                [streams[i].arena.center for i, _, _ in call],
+                [streams[i].cshape for i in who], theta, p, [streams[i].arena.center for i in who]
             )
-            for (i, theta, _), part in zip(call, bobs.split([theta.size for _, theta, _ in call])):
-                streams[i].rejected_total += int(np.count_nonzero(part.rejected))
-                parts[i].append(part.accepted())
-                missing[i] -= len(parts[i][-1])
-    return [BatchObservations.concatenate(p) for p in parts]
+            drawn = [t.size for t in theta]
+            lost = [0] * len(who)
+            if bobs.rejected.any():
+                starts = np.cumsum([0, *drawn[:-1]])
+                lost = np.add.reduceat(bobs.rejected, starts, dtype=np.intp).tolist()
+            for i, m, r in zip(who, drawn, lost):
+                streams[i].rejected_total += r
+                missing[i] -= m - r
+            records.append(bobs)
+            owner += who
+            sizes += drawn
+    obs = BatchObservations.concatenate(records)
+    if n <= DEFAULT_CHUNK and not obs.rejected.any():
+        return obs  # drawn in one round, stream after stream
+    # the accepted lines, stream after stream, each stream's in draw order
+    lines = np.flatnonzero(~obs.rejected)
+    return obs.select(lines[np.argsort(np.repeat(owner, sizes)[lines], kind="stable")])
 
 
-def running_sums_all(
-    streams: list[LineStream], sizes: list[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The running totals (L1, L3, k) of streams[i] after each of its next
-    sizes[i] lines, stream after stream, the lines taken by one take_all.
+def running_sums_all(streams: list[LineStream], n: int) -> tuple[np.ndarray, ...]:
+    """The running totals (L1, L3, k) of each stream after each of its next n
+    lines, the lines taken by one take_all: row i of each (streams, n) grid
+    is stream i's.
 
     Each stream's totals carry on from its last call (sequential sums seeded
     with its last total), so a prefix's sums do not depend on how calls split
-    the stream; lines drawn by take() are not counted. Row i of a grid holds
-    stream i's last totals, then its lines' values, and one cumsum along the
-    rows adds each stream's values in order.
+    the stream; lines drawn by take() are not counted. Column 0 of a grid
+    holds the streams' last totals, and one cumsum along its rows adds each
+    stream's values in order.
     """
-    records = take_all(streams, sizes)
-    width = max(sizes) + 1
-    sums = np.zeros((2, len(streams), width))
-    counts = np.zeros((len(streams), width), dtype=np.intp)
-    for i, (stream, obs) in enumerate(zip(streams, records)):
+    obs = take_all(streams, n)
+    sums = np.empty((2, len(streams), n + 1))
+    counts = np.empty((len(streams), n + 1), dtype=np.intp)
+    for i, stream in enumerate(streams):
         sums[0, i, 0], sums[1, i, 0], counts[i, 0] = stream._totals
-        sums[0, i, 1 : len(obs) + 1] = obs.L1
-        sums[1, i, 1 : len(obs) + 1] = obs.L3
-        counts[i, 1 : len(obs) + 1] = obs.k
+    sums[0, :, 1:] = obs.L1.reshape(-1, n)
+    sums[1, :, 1:] = obs.L3.reshape(-1, n)
+    counts[:, 1:] = obs.k.reshape(-1, n)
     np.cumsum(sums, axis=2, out=sums)
     np.cumsum(counts, axis=1, out=counts)
-    for i, (stream, n) in enumerate(zip(streams, sizes)):
-        stream._totals = (sums[0, i, n], sums[1, i, n], counts[i, n])
-    line = np.arange(width)
-    lines = (line > 0) & (line <= np.array(sizes)[:, None])
-    return sums[0][lines], sums[1][lines], counts[lines]
+    for i, stream in enumerate(streams):
+        stream._totals = (sums[0, i, -1], sums[1, i, -1], counts[i, -1])
+    return sums[0, :, 1:], sums[1, :, 1:], counts[:, 1:]
 
 
 def explore(
@@ -227,9 +231,9 @@ def convergence_series(
         sub = dataclasses.replace(config, seed=substream(config.seed, REPLICATE, rep))
         stream = LineStream(shape, sub)
         for done in range(0, n_max, DEFAULT_CHUNK):
-            runs = running_sums_all([stream], [min(DEFAULT_CHUNK, n_max - done)])
+            runs = running_sums_all([stream], min(DEFAULT_CHUNK, n_max - done))
             at = (grid > done) & (grid <= done + DEFAULT_CHUNK)
-            sums[:, at] = [run[grid[at] - done - 1] for run in runs]
+            sums[:, at] = [run[0, grid[at] - done - 1] for run in runs]
         sum_L1, sum_L3, chords = sums
         empty = (sum_L1 <= 0.0) | (chords <= 0)
         if empty.any():

@@ -9,7 +9,6 @@ exploration stops once the top posterior clears a threshold.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -347,11 +346,14 @@ def explore_slots_until_stop(
 ) -> list[StopResult]:
     """explore_until_stop of each (shape, config) slot, the slots in lockstep.
 
-    Each round takes every running slot's next draw in one explore.take_all
-    and checks all their prefixes in one pass of the posterior, at most
-    4 * STOP_CHUNK rows at a time. A slot keeps its own stream, draw sizes,
-    running sums and streak, and leaves the rounds when it stops or reaches
-    n_max: its result is the one explore_until_stop gives it alone.
+    The running slots share one draw schedule: a round takes the next draw of
+    every running slot, all of one size, in one explore.take_all, and its
+    prefixes make one grid of slots x lines. All their evaluated prefixes go
+    through one pass of the posterior, at most 4 * STOP_CHUNK rows at a time,
+    and each slot's streak runs along its row from the streak it carried in.
+    A slot keeps its own stream, running sums and streak, and leaves the
+    rounds when it stops; the rest leave together at n_max. Its result is the
+    one explore_until_stop gives it alone.
     """
     if not entries:
         raise ValueError("dictionary is empty")
@@ -364,79 +366,69 @@ def explore_slots_until_stop(
     confirm = 1 if threshold <= 0.0 else max(1, confirm)
     first = max(min_n + confirm - 1, STOP_CHUNK)
     results = [StopResult(None, n_max, True, math.nan, math.nan, 0.0)] * len(slots)
-    done = [0] * len(slots)
-    # each slot's confirmation streak at the end of its last evaluated prefix
-    streak = [0] * len(slots)
-    streak_label = [-1] * len(slots)
-    running = list(range(len(slots)))
-    while running:
-        sizes = [min(4 * STOP_CHUNK if done[s] else first, n_max - done[s]) for s in running]
-        l1, l3, kk = running_sums_all([streams[s] for s in running], sizes)
-        # slot g's lines are lines[g]:lines[g + 1], its prefixes done + 1 on
-        lines = list(itertools.accumulate(sizes, initial=0))
-        n_prefix = [np.arange(done[s] + 1, done[s] + n + 1) for s, n in zip(running, sizes)]
-        n_prefix = n_prefix[0] if len(n_prefix) == 1 else np.concatenate(n_prefix)
-        idx = np.flatnonzero((l1 > 0.0) & (kk > 0) & (n_prefix >= min_n))
-        for s, n in zip(running, sizes):
-            done[s] += n
-        if idx.size:
-            a_hat, p_hat = estimators.area_perimeter(l1[idx], l3[idx], kk[idx])
-            n_row = n_prefix[idx]
-            top, top_prob = _top_posteriors(p_hat, a_hat, n_row, ref)
-            # slot g's rows, its evaluated prefixes, are rows[g]:rows[g + 1]
-            rows = np.searchsorted(idx, lines).tolist()
-            segs = [(g, r0, r1) for g, (r0, r1) in enumerate(zip(rows, rows[1:])) if r1 > r0]
-            run = _runs(
-                top_prob >= threshold, top, confirm,
-                [(r0, r1, streak[running[g]], streak_label[running[g]]) for g, r0, r1 in segs],
+    # each slot's confirmation streak, and its label, at the end of its last
+    # evaluated prefix
+    streak, streak_label = np.zeros((2, len(slots)), dtype=np.intp)
+    running, done = np.arange(len(slots)), 0
+    while running.size and done < n_max:
+        n = min(4 * STOP_CHUNK if done else first, n_max - done)
+        l1, l3, kk = running_sums_all([streams[s] for s in running], n)
+        n_prefix = np.arange(done + 1, done + n + 1)
+        done += n
+        # once a slot's prefix is evaluated, every later one is
+        evaluated = (l1 > 0.0) & (kk > 0) & (n_prefix >= min_n)
+        idx = np.flatnonzero(evaluated)
+        if not idx.size:
+            continue
+        a_hat, p_hat = estimators.area_perimeter(l1[evaluated], l3[evaluated], kk[evaluated])
+        n_row = n_prefix[idx % n]
+        top, top_prob = _top_posteriors(p_hat, a_hat, n_row, ref)
+        over, label = top_prob >= threshold, top
+        if idx.size < evaluated.size:
+            # a prefix not evaluated comes before any evaluated one of its
+            # slot, whose carried streak is 0: as one below the threshold it
+            # neither extends nor ends a streak
+            over = np.zeros(evaluated.shape, dtype=bool)
+            label = np.zeros(evaluated.shape, dtype=top.dtype)
+            over[evaluated], label[evaluated] = top_prob >= threshold, top
+        over, label = over.reshape(-1, n), label.reshape(-1, n)
+        run = _runs(over, label, streak[running], streak_label[running])
+        hits = run >= confirm
+        stop = hits.any(axis=1)
+        # the stop, or at n_max a censored result from the slot's last prefix
+        rows = np.flatnonzero(stop | evaluated[:, -1] if done >= n_max else stop)
+        col = np.where(stop, hits.argmax(axis=1), n - 1)
+        cells = np.searchsorted(idx, rows * n + col[rows])  # their places among the evaluated
+        for s, i, stopped in zip(running[rows].tolist(), cells.tolist(), stop[rows].tolist()):
+            results[s] = StopResult(
+                label=entries[int(top[i])].name,
+                n_stop=int(n_row[i]) if stopped else n_max,
+                censored=not stopped,
+                area_hat=float(a_hat[i]),
+                perim_hat=float(p_hat[i]),
+                top_prob=float(top_prob[i]),
             )
-            hits = np.flatnonzero(run >= confirm)
-            first_hit = np.searchsorted(hits, [r0 for _, r0, _ in segs]).tolist()
-            for (g, r0, r1), h in zip(segs, first_hit):
-                s = running[g]
-                stop = h < hits.size and hits[h] < r1
-                if stop or done[s] >= n_max:
-                    # the stop, or else the slot's last row for a censored
-                    # result (once a prefix is evaluated, every later one is)
-                    i = int(hits[h]) if stop else r1 - 1
-                    results[s] = StopResult(
-                        label=entries[int(top[i])].name,
-                        n_stop=int(n_row[i]) if stop else n_max,
-                        censored=not stop,
-                        area_hat=float(a_hat[i]),
-                        perim_hat=float(p_hat[i]),
-                        top_prob=float(top_prob[i]),
-                    )
-                    done[s] = n_max
-                streak[s], streak_label[s] = int(run[r1 - 1]), int(top[r1 - 1])
-        running = [s for s in running if done[s] < n_max]
+        streak[running], streak_label[running] = run[:, -1], label[:, -1]
+        running = running[~stop]
     return results
 
 
-def _runs(over: np.ndarray, top: np.ndarray, confirm: int, segs: list) -> np.ndarray:
-    """Each row's confirmation run: the rows up to it, in its segment, that
-    clear the threshold (over) with its top label one after another; 0 for
-    a row that does not clear it.
+def _runs(over: np.ndarray, top: np.ndarray, streak: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """Each grid cell's confirmation run: the cells up to it, in its row, that
+    clear the threshold (over) with its top label one after another; 0 for a
+    cell that does not clear it.
 
-    segs lists (r0, r1, streak, label) for the consecutive segments of rows
-    that cover them all: a segment's first row carries on a streak > 0 of
-    the label, started streak places before it, and streak < confirm. A row
-    starts a run unless the row before it in its segment cleared the
-    threshold with the same label. A row of segment j counts as its place
-    plus j * confirm, so no run start of the segments before it reaches
-    into its own.
+    Row r carries in a streak[r] >= 0 of label[r] from before its first
+    cell. A cell starts a run unless the cell before it (for the first cell,
+    the carried streak) cleared the threshold with the same label. A run
+    starts at its first cell's column, the carried one at -streak[r], so each
+    cell's run start is a running maximum along axis 1.
     """
-    same = np.empty(over.size, dtype=bool)
-    same[1:] = over[:-1] & (top[1:] == top[:-1])
-    pos = np.arange(over.size)
-    if len(segs) > 1:
-        pos += np.repeat(np.arange(len(segs)) * confirm, [r1 - r0 for r0, r1, _, _ in segs])
-    for r0, _, streak, label in segs:
-        same[r0] = streak > 0 and top[r0] == label
-    begins = np.where(over & ~same, pos, -confirm)
-    for r0, _, streak, _ in segs:
-        begins[r0] = max(begins[r0], pos[r0] - streak)
-    starts = np.maximum.accumulate(begins)
+    same = np.empty(over.shape, dtype=bool)
+    same[:, 1:] = over[:, :-1] & (top[:, 1:] == top[:, :-1])
+    same[:, 0] = (streak > 0) & (top[:, 0] == label)
+    pos = np.arange(over.shape[1])
+    starts = np.maximum.accumulate(np.where(over & ~same, pos, -streak[:, None]), axis=1)
     return np.where(over, pos - starts + 1, 0)
 
 

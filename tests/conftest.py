@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from chordscan import recognition, shapes
+from chordscan import reading, recognition, shapes
 from chordscan.explore import LineStream
 from chordscan.sampling import SamplerConfig
 
 
-@pytest.fixture(scope="session")
-def builtin_dictionary():
-    """Calibrated five-shape dictionary shared by recognition/acceptance tests."""
+def calibrated_builtins():
+    """The calibrated five-shape dictionary the tests share."""
     return [
         recognition.calibrate(
             shapes.builtin(name),
@@ -19,6 +18,21 @@ def builtin_dictionary():
         )
         for i, name in enumerate(shapes.BUILTIN_NAMES)
     ]
+
+
+def calibrated_letters():
+    """The calibrated alphabet the tests share."""
+    return reading.calibrate_letters(m_lines=800, replicates=30, config=SamplerConfig(seed=42))
+
+
+@pytest.fixture(scope="session")
+def builtin_dictionary():
+    return calibrated_builtins()
+
+
+@pytest.fixture(scope="session")
+def letter_dict():
+    return calibrated_letters()
 
 
 @pytest.fixture()

@@ -1,0 +1,126 @@
+"""A golden record of seeded stop and read outputs, and its generator.
+
+    PYTHONPATH=src python3 tests/golden_record.py
+
+writes golden_record.json next to this file from the chordscan on the path.
+test_golden_record checks the package against the file: integers, booleans
+and labels exactly; floats, stored as float.hex, bit for bit on the platform
+the file names and within a relative REL_TOL elsewhere.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import math
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from chordscan import batch, reading, recognition, shapes
+from chordscan.sampling import SamplerConfig
+
+PATH = Path(__file__).with_name("golden_record.json")
+REL_TOL = 1e-12
+RECOGNIZE_SEEDS = range(60)
+RECOGNIZE_N_MAX = 20_000
+STOP_CASES = {
+    "threshold-0": dict(threshold=0.0, n_max=3000),
+    "0.95": dict(threshold=0.95, n_max=3000),
+    "0.99-confirm-7": dict(threshold=0.99, confirm=7, n_max=3000),
+    "censored": dict(threshold=0.9999, confirm=30, n_max=250),
+}
+READ_WORDS = ("FREEDOM", "GENERATIONS")
+WORD_LIST = ("FREEDOM", "GENERATIONS", "PEOPLES", "NATIONS", "DETERMINED")
+
+
+def platform_tag() -> dict:
+    """What float results may depend on: the machine, its OS and numpy."""
+    return {"machine": platform.machine(), "system": platform.system(), "numpy": np.__version__}
+
+
+def encode(x):
+    """x as JSON values, every float as its float.hex string."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (list, tuple)):
+        return [encode(v) for v in x]
+    if isinstance(x, dict):
+        return {k: encode(v) for k, v in x.items()}
+    if isinstance(x, (np.integer, np.bool_)):
+        return x.item()
+    return x
+
+
+def _is_hex(x) -> bool:
+    return isinstance(x, str) and (x.lstrip("-").startswith("0x") or x.lstrip("-") in ("inf", "nan"))
+
+
+def same(got, want, exact: bool) -> bool:
+    """got equals want, floats bit for bit if exact, else within REL_TOL."""
+    if _is_hex(got) and _is_hex(want) and not exact:
+        a, b = float.fromhex(got), float.fromhex(want)
+        return (math.isnan(a) and math.isnan(b)) or math.isclose(a, b, rel_tol=REL_TOL, abs_tol=0.0)
+    if isinstance(got, list) and isinstance(want, list):
+        return len(got) == len(want) and all(same(g, w, exact) for g, w in zip(got, want))
+    return type(got) is type(want) and got == want
+
+
+def records(builtins, letters) -> dict:
+    """The recorded outputs, from the shared built-in and letter dictionaries."""
+    out = {
+        "builtin_dictionary": [dataclasses.astuple(e) for e in builtins],
+        "letter_dictionary": [dataclasses.astuple(e) for e in letters],
+    }
+    for name in shapes.BUILTIN_NAMES:
+        for mode in ("iur", "billiard-cos"):
+            study = recognition.lines_to_recognize(
+                shapes.builtin(name), builtins, RECOGNIZE_SEEDS, SamplerConfig(mode=mode),
+                n_max=RECOGNIZE_N_MAX,
+            )
+            out[f"lines_to_recognize/{name}/{mode}"] = [
+                study.stop_n.tolist(), study.censored.tolist(), study.labels
+            ]
+    slots = [(shapes.builtin(name), SamplerConfig(seed=s)) for name in shapes.BUILTIN_NAMES for s in range(4)]
+    for case, kw in STOP_CASES.items():
+        results = recognition.explore_slots_until_stop(slots, builtins, **kw)
+        out[f"explore_slots_until_stop/{case}"] = [dataclasses.astuple(r) for r in results]
+    # a 1e-2 vertex band rejects up to 40% of the lines, so slots refill
+    tol, batch.ONLINE_TOL = batch.ONLINE_TOL, 1e-2
+    try:
+        fresh = [(shapes.builtin(shape.name), cfg) for shape, cfg in slots]
+        results = recognition.explore_slots_until_stop(fresh, builtins, threshold=0.99, confirm=7)
+    finally:
+        batch.ONLINE_TOL = tol
+    out["explore_slots_until_stop/rejecting"] = [dataclasses.astuple(r) for r in results]
+    words = reading.calibrate_words(WORD_LIST, m_lines=300, replicates=10, config=SamplerConfig(seed=7))
+    out["word_dictionary"] = [dataclasses.astuple(e) for e in words]
+    for word in READ_WORDS:
+        target = reading.word_shape(word, 1.0)
+        for seed in range(3):
+            cfg = SamplerConfig(seed=seed)
+            local = reading.read_local(target, letters, 4000, cfg)
+            out[f"read_local/{word}/{seed}"] = dataclasses.astuple(local)
+            whole = reading.read_global(target, words, 30_000, cfg)
+            out[f"read_global/{word}/{seed}"] = dataclasses.astuple(whole)
+        # a budget too small for some letters to stop
+        out[f"read_local/{word}/censored"] = dataclasses.astuple(
+            reading.read_local(target, letters, 300, SamplerConfig(seed=3))
+        )
+    return encode(out)
+
+
+def main() -> None:
+    sys.path.insert(0, str(Path(__file__).parent))
+    from conftest import calibrated_builtins, calibrated_letters
+
+    doc = {"platform": platform_tag(), "records": records(calibrated_builtins(), calibrated_letters())}
+    # one record a line
+    body = ",\n".join(f" {json.dumps(k)}: {json.dumps(v)}" for k, v in doc["records"].items())
+    PATH.write_text(f'{{"platform": {json.dumps(doc["platform"])},\n"records": {{\n{body}\n}}}}\n')
+
+
+if __name__ == "__main__":
+    main()

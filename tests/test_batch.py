@@ -417,7 +417,9 @@ def test_one_call_over_parts_equals_each_parts_own_call():
         parts.append((shape.derived("kernel", batch.CompiledShape), theta, p, origin))
     assert parts[2][0].tol < 4e-12 < parts[1][0].tol
     joint = batch.observe_segments(*(list(col) for col in zip(*parts)))
-    for i, (part, view) in enumerate(zip(parts, joint.split([len(t) for _, t, _, _ in parts]))):
+    ends = np.cumsum([0] + [len(t) for _, t, _, _ in parts])
+    for i, part in enumerate(parts):
+        view = joint.select(np.arange(ends[i], ends[i + 1]))
         own = batch.observe_segments(*part)
         for field in ("k", "rejected", "L1", "L3", "chord_cube_sum", "chords_flat", "theta", "p"):
             assert np.array_equal(getattr(view, field), getattr(own, field)), (i, field)
@@ -724,7 +726,7 @@ def test_accepted_drops_rejected_lines_and_reindexes_chords():
     kept = [0, 1, 3, 4, 5]
     full = batch.observe_segments(cs, *_lines_through(a, b))
     assert full.rejected.tolist() == [False, False, True, False, False, False]
-    got = full.accepted()
+    got = full.select(np.flatnonzero(~full.rejected))
     want = batch.observe_segments(cs, *_lines_through(a[kept], b[kept]))
     assert not got.rejected.any() and len(got) == len(kept)
     for field in ("k", "L1", "L3", "chord_cube_sum", "chords_flat"):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from chordscan import estimators as est
-from chordscan import shapes
+from chordscan import batch, shapes
 from chordscan.batch import BatchObservations, CompiledShape
 from chordscan.explore import (
     LineStream,
@@ -19,6 +19,7 @@ from chordscan.explore import (
     explore,
     explore_parallel,
     running_sums_all,
+    take_all,
 )
 from chordscan.geometry import Ring, Shape, exact_area, exact_perimeter, union_disjoint
 from chordscan.sampling import REPLICATE, SAMPLER_MODES, SamplerConfig, substream
@@ -445,10 +446,27 @@ def test_arena_scale_covers_the_shape(scale, covers):
             SamplerConfig(arena_scale=scale)
 
 
+def test_take_all_keeps_each_streams_own_take_under_rejections(monkeypatch):
+    # a 1e-2 vertex band rejects about 40% of the disk's lines, so the six
+    # streams refill over several rounds, the first round in two calls. The
+    # record must hold each stream's lines together, as its own take gives them
+    monkeypatch.setattr(batch, "ONLINE_TOL", 1e-2)
+    disk, n = shapes.disk(), 3000
+    configs = [SamplerConfig(mode, seed) for mode in ("iur", "billiard-cos") for seed in range(3)]
+    streams = [LineStream(disk, c) for c in configs]
+    got = take_all(streams, n)
+    owns = [LineStream(disk, c) for c in configs]
+    want = [own.take(n) for own in owns]
+    assert all(0.3 < own.rejected_total / (n + own.rejected_total) < 0.5 for own in owns)
+    for field in ("k", "L1", "L3", "chord_cube_sum", "chords_flat", "rejected", "theta", "p"):
+        assert np.array_equal(getattr(got, field), np.concatenate([getattr(w, field) for w in want])), field
+    assert [s.rejected_total for s in streams] == [own.rejected_total for own in owns]
+
+
 def test_prefix_estimates_match_full_run():
     stream = LineStream(shapes.square(), SamplerConfig(seed=16))
-    runs = [running_sums_all([stream], [n]) for n in (1000, 4000)]
-    a, p = est.area_perimeter(*(run[-1] for run in runs[-1]))
+    runs = [running_sums_all([stream], n) for n in (1000, 4000)]
+    a, p = est.area_perimeter(*(run[0, -1] for run in runs[-1]))
     acc = explore(shapes.square(), 5000, SamplerConfig(seed=16))
     assert a == pytest.approx(est.estimate_area(acc), rel=1e-9)
     assert p == pytest.approx(est.estimate_perimeter(acc), rel=1e-9)

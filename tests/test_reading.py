@@ -23,11 +23,6 @@ from conftest import record_sums
 ex = importlib.import_module("chordscan.explore")
 
 
-@pytest.fixture(scope="module")
-def letter_dict():
-    return rd.calibrate_letters(m_lines=800, replicates=30, config=SamplerConfig(seed=42))
-
-
 def test_letter_I_exact():
     sh = rd.letter_shape("I", 2.0)
     assert exact_area(sh) == pytest.approx(5 * 4.0, abs=1e-12)

@@ -498,33 +498,31 @@ def test_lockstep_top_up_refills_only_the_short_slots(monkeypatch, builtin_dicti
 
 
 @st.composite
-def run_segments(draw):
-    """(over, top, confirm, segments) for _runs: a few slots' rows, each slot
-    carrying in a streak shorter than confirm."""
-    confirm = draw(st.integers(1, 6))
-    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
-    n = sum(lengths)
-    over = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
-    top = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
-    segs, r0 = [], 0
-    for length in lengths:
-        segs.append((r0, r0 + length, draw(st.integers(0, confirm - 1)), draw(st.integers(0, 2))))
-        r0 += length
-    return over, top, confirm, segs
+def run_grids(draw):
+    """(over, top, streak, label) for _runs: a few slots' rows of one length,
+    each slot carrying in a streak of a label."""
+    slots, n = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    cells = st.lists(st.booleans(), min_size=slots * n, max_size=slots * n)
+    over = np.array(draw(cells), dtype=bool).reshape(slots, n)
+    labels = st.lists(st.integers(0, 2), min_size=slots * n, max_size=slots * n)
+    top = np.array(draw(labels)).reshape(slots, n)
+    streak = np.array(draw(st.lists(st.integers(0, 6), min_size=slots, max_size=slots)))
+    label = np.array(draw(st.lists(st.integers(0, 2), min_size=slots, max_size=slots)))
+    return over, top, streak, label
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(case=run_segments())
+@given(case=run_grids())
 def test_runs_equal_a_walk_over_each_slots_rows(case):
-    # the lockstep loop's vector streaks against one slot's rows at a time
-    over, top, confirm, segs = case
-    want = np.zeros(over.size, dtype=int)
-    for r0, r1, streak, label in segs:
-        for i in range(r0, r1):
-            streak = (streak + 1 if streak > 0 and top[i] == label else 1) if over[i] else 0
-            label = top[i]
-            want[i] = streak
-    assert rec._runs(over, top, confirm, segs).tolist() == want.tolist()
+    # the lockstep loop's vector streaks against one slot's row at a time
+    over, top, streaks, labels = case
+    want = np.zeros(over.shape, dtype=int)
+    for r, (streak, label) in enumerate(zip(streaks, labels)):
+        for i in range(over.shape[1]):
+            streak = (streak + 1 if streak > 0 and top[r, i] == label else 1) if over[r, i] else 0
+            label = top[r, i]
+            want[r, i] = streak
+    assert rec._runs(over, top, streaks, labels).tolist() == want.tolist()
 
 
 def _record_draws(monkeypatch) -> list[int]:
@@ -532,9 +530,9 @@ def _record_draws(monkeypatch) -> list[int]:
     takes = []
     take_all = explore_module.take_all
 
-    def counting_take_all(streams, sizes):
-        takes.extend(sizes)
-        return take_all(streams, sizes)
+    def counting_take_all(streams, n):
+        takes.append(n)
+        return take_all(streams, n)
 
     monkeypatch.setattr(explore_module, "take_all", counting_take_all)
     return takes
