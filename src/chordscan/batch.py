@@ -1,12 +1,12 @@
 """Vectorized many-lines-at-once observation kernel and its per-line record.
 
 A line is (theta, p) as the samplers draw it (see sampling): the angle theta
-in [0, pi) of its normal and its offset p from a given point. _scan finds
-every boundary crossing of arrays of such lines: the one ring scan in the
-package. Each line tests
+in [0, pi) of its normal and its offset p from the centre of the shape's
+arena, the one centre a shape has. _scan finds every boundary crossing of
+arrays of such lines: the one ring scan in the package. Each line tests
 only the edges its cell of the shape's candidate-edge table lists (see
 CompiledShape), so the work per line follows the edges it can cross, not the
-vertex count. Endpoints z are complex, relative to the shape's centre, so
+vertex count. Endpoints z are complex, relative to the arena's centre, so
 one multiply z (cos theta - i sin theta) gives an endpoint's signed distance
 s from the line plus i times its position x along it. A line passing within
 tolerance of any vertex is rejected; random lines hit this with probability
@@ -16,14 +16,14 @@ table lists that edge wherever a line passes within tolerance of the vertex.
 A line's cos theta and sin theta are _sincos' floats, each within eps of
 its true value. Error model (cf. Higham, Accuracy and Stability of Numerical
 Algorithms, 2002): with the scan's own floats taken as exact (those cos and
-sin, a line's offset from the centre, the endpoints), a crossing lies within
+sin, a line's offset p as drawn, the endpoints), a crossing lies within
 4 eps E kappa of its exact position, E the largest absolute endpoint
 coordinate and kappa = 1 + |x2 - x1| / |s1 - s2| its conditioning;
-tests/test_batch.py measured at most 0.83 eps E kappa. numpy may fuse the
+tests/test_batch.py measured at most 0.89 eps E kappa. numpy may fuse the
 complex multiply, so the last bit can differ across CPUs and numpy builds.
 One call may span several shapes: its lines come in parts, each part's
-lines placed in its own shape's table from its own origin and tested
-against its own shape's vertex band, while the tables are joined and
+lines placed in its own shape's table and tested against its own shape's
+vertex band, while the tables are joined and
 _sincos runs once, so a part's numbers are those of its own call.
 observe_segments reduces the crossings to a BatchObservations, the one record
 of a block of lines from the kernel to the accumulator. A lone chord is read
@@ -43,7 +43,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import Point, Shape
+from .geometry import Shape
+from .sampling import arena_for
 
 # Relative half-width of the "on the line" band for vertex classification.
 ONLINE_TOL = 1e-12
@@ -87,7 +88,8 @@ class CompiledShape:
     """A shape's edges and its candidate-edge table: the arrays the ring scan reads.
 
     A line is placed by the angle phi in [0, pi) of its normal and its offset
-    c from the shape's centre O along that normal (the Hough parametrisation).
+    c along that normal from the centre O of the shape's arena (the Hough
+    parametrisation): the (theta, p) a sampler draws.
     The band |c| <= reach, outside which a line is farther than the tolerance
     band from every vertex, is cut into n_phi x n_c cells; cell (i, j), at
     index i * n_c + j, lists edges[ptr[cell]:ptr[cell + 1]]: every edge that
@@ -102,10 +104,9 @@ class CompiledShape:
 
     def __init__(self, shape: Shape):
         coords = [r.coords for r in shape.rings]
-        pts = np.concatenate(coords)
-        self.center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-        p = pts - self.center
-        q = np.concatenate([np.roll(c, -1, axis=0) for c in coords]) - self.center
+        self.center = arena_for(shape).center
+        p = np.concatenate(coords) - self.center.as_array()
+        q = np.concatenate([np.roll(c, -1, axis=0) for c in coords]) - self.center.as_array()
         self.zp, self.zq = p.view(complex)[:, 0], q.view(complex)[:, 0]
         self.tol = ONLINE_TOL * shape.coordinate_scale()
         slack = self.tol + _PAD
@@ -291,14 +292,14 @@ def _joined(shapes: list[CompiledShape]):
 
 
 def _scan(
-    parts: list[tuple[CompiledShape, Point, int]], theta: np.ndarray, p: np.ndarray
+    parts: list[tuple[CompiledShape, int]], theta: np.ndarray, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Boundary crossings of M lines (theta, p).
 
-    parts lists (cshape, origin, n) in line order: the part's n lines cross
-    cshape's edges, their p measured from origin. Returns each line's number
+    parts lists (cshape, n) in line order: the part's n lines cross cshape's
+    edges, their p measured from its centre O. Returns each line's number
     of crossings, each crossing's position along its line (direction
-    (-sin theta, cos theta), from the foot of its shape's centre O), grouped
+    (-sin theta, cos theta), from the foot of O), grouped
     by line in line order and in no particular order within a line, and the
     mask of lines that pass within their shape's tolerance of a vertex.
     """
@@ -310,22 +311,15 @@ def _scan(
     rot.real = cos
     np.subtract(0.0, sin, out=rot.imag)
     del cos, sin
-    shapes = list({id(cs): cs for cs, _, _ in parts}.values())
+    shapes = list({id(cs): cs for cs, _ in parts}.values())
     zp, zq, ptr, edges, first_cell = _joined(shapes)
-    # each line's offset from its shape's centre O along its normal, and its
-    # cell, from its own shape's numbers
-    c, cell = [], []
-    at = 0
-    for cshape, origin, n in parts:
-        part = slice(at, at + n)
-        c.append(rot.real[part] * (cshape.center[0] - origin.x))
-        c[-1] -= rot.imag[part] * (cshape.center[1] - origin.y)
-        np.subtract(p[part], c[-1], out=c[-1])
-        cell.append(_cells(cshape, theta[part], c[-1]))
-        if first_cell[id(cshape)]:
-            cell[-1] += first_cell[id(cshape)]
-        at += n
-    c, cell = (x[0] if len(x) == 1 else np.concatenate(x) for x in (c, cell))
+    # each line's cell in its own shape's table
+    ends = np.cumsum([n for _, n in parts])
+    cell = [
+        _cells(cs, theta[end - n : end], p[end - n : end]) + first_cell[id(cs)]
+        for (cs, n), end in zip(parts, ends.tolist())
+    ]
+    cell = np.concatenate(cell)
     tols = {cs.tol for cs in shapes}
     tol = max(tols)
 
@@ -354,7 +348,7 @@ def _scan(
         edge = edges[edge].astype(np.intp)
         # each candidate edge's endpoints in the line's frame
         lrot = rot[line]
-        lc = c[line]
+        lc = p[line]
         v1 = zp[edge]
         v1 *= lrot
         v2 = zq[edge]
@@ -367,8 +361,7 @@ def _scan(
             bad = np.flatnonzero(bad)
             if len(tols) > 1:
                 # the band at the largest tolerance held; now each at its own
-                ends = np.cumsum([n for _, _, n in parts])
-                own = np.array([cs.tol for cs, _, _ in parts])
+                own = np.array([cs.tol for cs, _ in parts])
                 bad = bad[np.abs(s1[bad]) <= own[np.searchsorted(ends, line[bad], side="right")]]
             rejected[line[bad]] = True
         k = np.flatnonzero((s1 > 0.0) != (s2 > 0.0))
@@ -382,21 +375,21 @@ def _scan(
     counts = np.zeros(m, dtype=np.intp)
     counts[lines] = np.diff(ev_end, prepend=0)
     # the per-line arrays go before the events are joined
-    del rot, c, lines, count, pair_end, shift, ev_end
+    del rot, lines, count, pair_end, shift, ev_end
     return counts, np.concatenate(ev_t) if ev_t else np.empty(0), rejected
 
 
-def observe_segments(cshape, theta, p, origin) -> BatchObservations:
-    """Observe M lines (theta, p), p measured from origin; the record keeps the lines.
+def observe_segments(cshape, theta, p) -> BatchObservations:
+    """Observe M lines (theta, p), p measured from cshape.center; the record keeps the lines.
 
-    cshape, theta, p and origin may instead be lists, one item per part: part
-    i's lines are observed on cshape[i] from origin[i], and the record holds
-    all parts' lines in order, each as its part's own call gives it.
+    cshape, theta and p may instead be lists, one item per part: part i's
+    lines are observed on cshape[i], and the record holds all parts' lines
+    in order, each as its part's own call gives it.
     """
     if isinstance(cshape, CompiledShape):
-        parts = [(cshape, origin, theta.size)]
+        parts = [(cshape, theta.size)]
     else:
-        parts = [(cs, o, t.size) for cs, o, t in zip(cshape, origin, theta)]
+        parts = [(cs, t.size) for cs, t in zip(cshape, theta)]
         theta, p = (x[0] if len(x) == 1 else np.concatenate(x) for x in (theta, p))
     bobs = _reduce(*_scan(parts, theta, p))
     bobs.theta, bobs.p = theta, p

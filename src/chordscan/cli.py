@@ -72,6 +72,7 @@ POSITIVE_INT = _checked(int, lambda v: v > 0, "positive")
 POSITIVE_FLOAT = _checked(float, lambda v: v > 0, "positive")
 THRESHOLD = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 ARENA_SCALE = _checked(float, lambda v: 1.0 <= v < float("inf"), "finite and at least 1")
+SEED = _checked(int, lambda v: v >= 0, "non-negative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, lines_default=None):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        p.add_argument("--seed", type=SEED, default=0, help="RNG seed, non-negative (default 0)")
         p.add_argument(
             "--sampler",
             choices=sorted(SAMPLER_MODES),

@@ -84,9 +84,7 @@ def take_all(streams: list[LineStream], n: int) -> BatchObservations:
             size += draw[1].size
         for call in calls:
             who, theta, p = (list(col) for col in zip(*call))
-            bobs = observe_segments(
-                [streams[i].cshape for i in who], theta, p, [streams[i].arena.center for i in who]
-            )
+            bobs = observe_segments([streams[i].cshape for i in who], theta, p)
             drawn = [t.size for t in theta]
             lost = [0] * len(who)
             if bobs.rejected.any():

@@ -69,8 +69,10 @@ class Ring:
         if isinstance(vertices, np.ndarray) and vertices.dtype.kind == "f":
             coords = np.array(vertices, dtype=float)  # a copy the caller cannot change
         else:
-            pts = [(v.x, v.y) if isinstance(v, Point) else (float(v[0]), float(v[1])) for v in vertices]
-            coords = np.asarray(pts, dtype=float)
+            try:
+                coords = np.array([(v.x, v.y) if isinstance(v, Point) else v for v in vertices], float)
+            except (TypeError, ValueError):
+                raise InvalidShapeError("a ring is a list of (x, y) vertices") from None
         if coords.ndim != 2 or coords.shape[1] != 2 or coords.shape[0] < 3:
             raise InvalidShapeError("a ring needs at least 3 (x, y) vertices")
         if not np.isfinite(coords).all():
@@ -333,8 +335,8 @@ def to_dict(shape: Shape) -> dict:
 
 
 def from_dict(doc: dict) -> Shape:
-    if not isinstance(doc, dict) or "rings" not in doc:
-        raise InvalidShapeError("shape document must contain a 'rings' field")
+    if not isinstance(doc, dict) or not isinstance(doc.get("rings"), list):
+        raise InvalidShapeError("shape document must contain a 'rings' list")
     return Shape(doc["rings"], name=doc.get("name"))
 
 

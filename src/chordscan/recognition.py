@@ -317,7 +317,8 @@ def explore_until_stop(
     """Explore line by line until the posterior top clears the threshold.
 
     Classification uses the dictionary's calibrated noise at each prefix N,
-    checked after every line. Confidence stopping starts at warm_up lines;
+    checked after every line; threshold is a posterior level, not a bound on
+    wrong stops (README, Stopping). Confidence stopping starts at warm_up lines;
     threshold == 0 instead stops at the first prefix with a defined estimate.
     With confirm > 1 the same top label must clear the threshold on that many
     consecutive lines, which counters the multiple-comparison inflation of
@@ -489,16 +490,17 @@ def save_dictionary(entries: list[DictEntry], path) -> None:
 def load_dictionary(path) -> list[DictEntry]:
     with open(path) as fh:
         doc = json.load(fh)
-    if not isinstance(doc, list):
-        raise ValueError("dictionary file must hold an array of entries")
-    return [
-        DictEntry(
-            name=str(e["name"]),
-            p_ref=float(e["p_ref"]),
-            a_ref=float(e["a_ref"]),
-            sigma0_a=float(e["sigma0_a"]),
-            sigma0_p=float(e["sigma0_p"]),
-            corr=float(e.get("corr", 0.0)),
-        )
-        for e in doc
-    ]
+    if not isinstance(doc, list) or not all(isinstance(e, dict) for e in doc):
+        raise ValueError("dictionary file must hold an array of entry objects")
+    numbers = ("p_ref", "a_ref", "sigma0_a", "sigma0_p")
+    try:
+        entries = [
+            DictEntry(str(e["name"]), *(float(e[k]) for k in numbers), float(e.get("corr", 0.0)))
+            for e in doc
+        ]
+    except TypeError as exc:  # a value such as null or a list, where a number belongs
+        raise ValueError(f"dictionary values must be numbers: {exc}") from None
+    names = [e.name for e in entries]
+    if len(set(names)) < len(names):
+        raise ValueError(f"dictionary names {max(names, key=names.count)!r} more than once")
+    return entries

@@ -2,8 +2,8 @@
 
 A line is (theta, p): the angle theta in [0, pi) of its normal
 n = (cos theta, sin theta) and its offset p along n from the arena's centre,
-the coordinates in which IUR lines are uniform (dG = dp dtheta). This is the
-one line format from the samplers to the ring scan.
+the coordinates in which IUR lines are uniform (dG = dp dtheta). It is the
+one line format from the samplers to the ring scan, keyed to that centre.
 
 Lines are drawn a block at a time, in a fixed order so runs are reproducible
 from the seed: sample_iur_batch draws n (theta, p) pairs, one row of two

@@ -1,15 +1,20 @@
-"""A golden record of seeded stop and read outputs, and its generator.
+"""A golden record of seeded estimates, stops and reads, and its generator.
 
-    PYTHONPATH=src python3 tests/golden_record.py
+    PYTHONPATH=src python3 tests/golden_record.py          # write the record
+    PYTHONPATH=src python3 tests/golden_record.py --check  # compare with it
 
-writes golden_record.json next to this file from the chordscan on the path.
-test_golden_record checks the package against the file: integers, booleans
-and labels exactly; floats, stored as float.hex, bit for bit on the platform
-the file names and within a relative REL_TOL elsewhere.
+writes golden_record.json next to this file from the chordscan on the path,
+or compares the chordscan on the path with it and exits 1 on a mismatch.
+Integers, booleans and labels compare exactly; floats, stored as float.hex,
+bit for bit in test_golden_record on the platform the file names and within
+a relative REL_TOL elsewhere, and always within REL_TOL under --check, which
+needs numpy only: a build of numpy may fuse the kernel's complex multiply
+and differ in the last bits.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import math
@@ -19,8 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from chordscan import batch, reading, recognition, shapes
-from chordscan.sampling import SamplerConfig
+from chordscan import batch, estimators, reading, recognition, shapes
+from chordscan.explore import convergence_series, explore
+from chordscan.sampling import SamplerConfig, arena_for, billiard_lines
+from dictionaries import calibrated_builtins, calibrated_letters
 
 PATH = Path(__file__).with_name("golden_record.json")
 REL_TOL = 1e-12
@@ -34,6 +41,11 @@ STOP_CASES = {
 }
 READ_WORDS = ("FREEDOM", "GENERATIONS")
 WORD_LIST = ("FREEDOM", "GENERATIONS", "PEOPLES", "NATIONS", "DETERMINED")
+SAMPLERS = ("iur", "billiard-cos")
+EXPLORE_LINES = 3000
+# a replicate takes its 20,000 lines in two takes (explore.DEFAULT_CHUNK)
+CONVERGE_GRID = (500, 5000, 20_000)
+BILLIARD_LINES = 64
 
 
 def platform_tag() -> dict:
@@ -51,6 +63,8 @@ def encode(x):
         return {k: encode(v) for k, v in x.items()}
     if isinstance(x, (np.integer, np.bool_)):
         return x.item()
+    if isinstance(x, np.ndarray):
+        return encode(x.tolist())
     return x
 
 
@@ -68,14 +82,38 @@ def same(got, want, exact: bool) -> bool:
     return type(got) is type(want) and got == want
 
 
+def mismatches(got: dict, want: dict, exact: bool) -> list[str]:
+    """The keys whose records differ: every key if the two list different keys."""
+    if list(got) != list(want):
+        return list(dict.fromkeys([*want, *got]))
+    return [k for k in want if not same(got[k], want[k], exact)]
+
+
 def records(builtins, letters) -> dict:
     """The recorded outputs, from the shared built-in and letter dictionaries."""
     out = {
         "builtin_dictionary": [dataclasses.astuple(e) for e in builtins],
         "letter_dictionary": [dataclasses.astuple(e) for e in letters],
     }
+    bulk = {name: shapes.builtin(name) for name in shapes.BUILTIN_NAMES}
+    bulk.update((word, reading.word_shape(word, 1.0).shape) for word in READ_WORDS)
+    for name, shape in bulk.items():
+        for mode in SAMPLERS:
+            acc = explore(shape, EXPLORE_LINES, SamplerConfig(mode=mode, seed=5))
+            out[f"explore/{name}/{mode}"] = dataclasses.astuple(estimators.report(acc))
+    series = convergence_series(
+        shapes.builtin("statue"), CONVERGE_GRID, 3, SamplerConfig(mode="billiard-cos", seed=6)
+    )
+    out["convergence_series/statue/billiard-cos"] = dataclasses.astuple(series)
+    arena = arena_for(shapes.builtin("statue"))
+    for mode in ("billiard-cos", "billiard-uni"):
+        rng = np.random.default_rng(8)
+        theta, p, state = billiard_lines(rng, arena, BILLIARD_LINES, mode)
+        out[f"billiard_lines/{mode}/fresh"] = [theta, p, dataclasses.astuple(state)]
+        theta, p, state = billiard_lines(rng, arena, BILLIARD_LINES, mode, state)
+        out[f"billiard_lines/{mode}/resumed"] = [theta, p, dataclasses.astuple(state)]
     for name in shapes.BUILTIN_NAMES:
-        for mode in ("iur", "billiard-cos"):
+        for mode in SAMPLERS:
             study = recognition.lines_to_recognize(
                 shapes.builtin(name), builtins, RECOGNIZE_SEEDS, SamplerConfig(mode=mode),
                 n_max=RECOGNIZE_N_MAX,
@@ -112,15 +150,20 @@ def records(builtins, letters) -> dict:
     return encode(out)
 
 
-def main() -> None:
-    sys.path.insert(0, str(Path(__file__).parent))
-    from conftest import calibrated_builtins, calibrated_letters
-
-    doc = {"platform": platform_tag(), "records": records(calibrated_builtins(), calibrated_letters())}
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="Write the golden record, or check against it.")
+    ap.add_argument("--check", action="store_true", help="compare within REL_TOL; exit 1 on a mismatch")
+    args = ap.parse_args(argv)
+    got = records(calibrated_builtins(), calibrated_letters())
+    if args.check:
+        bad = mismatches(got, json.loads(PATH.read_text())["records"], exact=False)
+        print(f"golden record: {len(bad)} of {len(got)} records differ {bad}")
+        return 1 if bad else 0
     # one record a line
-    body = ",\n".join(f" {json.dumps(k)}: {json.dumps(v)}" for k, v in doc["records"].items())
-    PATH.write_text(f'{{"platform": {json.dumps(doc["platform"])},\n"records": {{\n{body}\n}}}}\n')
+    body = ",\n".join(f" {json.dumps(k)}: {json.dumps(v)}" for k, v in got.items())
+    PATH.write_text(f'{{"platform": {json.dumps(platform_tag())},\n"records": {{\n{body}\n}}}}\n')
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -61,25 +61,24 @@ def segment_events(shape, a, b) -> list[CrossingEvent] | None:
     segment from a to b, at their distance from a; None for a line the
     kernel rejects.
 
-    a and b lie outside the shape. The segment's line is (theta, 0) from a,
-    scanned by batch._scan as observe_segments scans its lines; the events
-    are moved from the foot of the shape's centre to a, turned toward b, and
-    those within the segment kept.
+    a and b lie outside the shape. The segment's line is (theta, p) through
+    a, p from the shape's arena centre O, scanned by batch._scan as
+    observe_segments scans its lines; the events are moved from the foot of
+    O to a, turned toward b, and those within the segment kept.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     d = b - a
     length = float(np.hypot(*d))
     cshape = shape.derived("kernel", batch.CompiledShape)
-    origin = Point(*a)
-    theta, p = line_params_of_segments(a[None], b[None], origin)  # p is 0
-    _, ts, rejected = batch._scan([(cshape, origin, 1)], theta, p)
+    theta, p = line_params_of_segments(a[None], b[None], cshape.center)
+    _, ts, rejected = batch._scan([(cshape, 1)], theta, p)
     if rejected[0]:
         return None
-    # the scan measures along (-sin theta, cos theta) from the foot of the
-    # shape's centre O: move the start to a and turn the axis toward b
+    # the scan measures along (-sin theta, cos theta) from the foot of O:
+    # move the start to a and turn the axis toward b
     cos, sin = batch._sincos(theta)
     u = np.array([-sin[0], cos[0]])
-    ts -= float(u @ (a - cshape.center))
+    ts -= float(u @ (a - cshape.center.as_array()))
     if u @ d < 0.0:
         ts = -ts
     ts = np.sort(ts[(ts >= 0.0) & (ts <= length)])

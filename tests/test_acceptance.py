@@ -123,10 +123,10 @@ def test_criterion_5_rigid_invariance():
     a2 = t.apply(a)
     b2 = t.apply(b)
     # the kernel observes each chord's own line; segment_events lists its events
-    origin2 = Point(*t.apply(arena.center.as_array()))
+    kernels = [shape.derived("kernel", CompiledShape) for shape in (st, st2)]
     obs = [
-        observe_segments(shape.derived("kernel", CompiledShape), *line_params_of_segments(u, v, o), o)
-        for shape, u, v, o in ((st, a, b, arena.center), (st2, a2, b2, origin2))
+        observe_segments(cs, *line_params_of_segments(u, v, cs.center))
+        for cs, u, v in zip(kernels, (a, a2), (b, b2))
     ]
     assert not obs[0].rejected.any() and not obs[1].rejected.any()
     chords = [np.split(o.chords_flat, np.cumsum(o.k)[:-1]) for o in obs]
@@ -300,7 +300,7 @@ def test_criterion_11_frugality():
     st = shapes.statue()
     arena = arena_for(st)
     theta, p = sample_iur_batch(np.random.default_rng(112), arena, 2000)
-    obs = observe_segments(st.derived("kernel", CompiledShape), theta, p, arena.center)
+    obs = observe_segments(st.derived("kernel", CompiledShape), theta, p)
     assert not obs.rejected.any()
     k_max = int(obs.k.max())
     scratch_max = max(scratch_scalar_count(int(k)) for k in obs.k)

@@ -16,34 +16,33 @@ from chordscan.sampling import ArenaCircle, arena_for, billiard_lines, sample_iu
 from conftest import arena_chords
 from line_oracle import alternating, geometric_function, line_params_of_segments, segment_events
 
-ORIGIN = Point(0.0, 0.0)
 EPS = np.finfo(float).eps
 
 
 def _random_lines(shape, n, seed):
-    """IUR lines (theta, p, origin) across the shape's arena."""
-    arena = arena_for(shape)
-    return (*sample_iur_batch(np.random.default_rng(seed), arena, n), arena.center)
+    """IUR lines (theta, p) across the shape's arena."""
+    return sample_iur_batch(np.random.default_rng(seed), arena_for(shape), n)
 
 
 def _billiard_lines(shape, n, seed):
-    """Lines (theta, p, origin) of a billiard-cos chain in the shape's arena."""
-    arena = arena_for(shape)
-    theta, p, _ = billiard_lines(np.random.default_rng(seed), arena, n, "billiard-cos")
-    return theta, p, arena.center
+    """Lines (theta, p) of a billiard-cos chain in the shape's arena."""
+    theta, p, _ = billiard_lines(np.random.default_rng(seed), arena_for(shape), n, "billiard-cos")
+    return theta, p
 
 
-def _lines_through(a, b):
-    """Lines (theta, p, origin) through the rows of a and b."""
-    return (*line_params_of_segments(np.asarray(a, float), np.asarray(b, float), ORIGIN), ORIGIN)
+def _lines_through(shape, a, b):
+    """Lines (theta, p) through the rows of a and b, p from the shape's arena centre."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return line_params_of_segments(a, b, arena_for(shape).center)
 
 
 def _chords_of(shape, lines):
-    """Each line's chord of a circle about its origin that covers the shape."""
-    theta, p, origin = lines
+    """Each line's chord of a circle about the arena's centre that covers the shape."""
+    theta, p = lines
+    centre = arena_for(shape).center
     verts = np.concatenate([r.coords for r in shape.rings])
-    reach = float(np.max(np.hypot(verts[:, 0] - origin.x, verts[:, 1] - origin.y)))
-    return arena_chords(theta, p, ArenaCircle(origin, 1.5 * max(reach, np.max(np.abs(p)))))
+    reach = float(np.max(np.hypot(verts[:, 0] - centre.x, verts[:, 1] - centre.y)))
+    return arena_chords(theta, p, ArenaCircle(centre, 1.5 * max(reach, np.max(np.abs(p)))))
 
 
 def _pair_sums(times):
@@ -77,7 +76,7 @@ def _assert_oracles(shape, lines):
     """Check every accepted line of the kernel against independent oracles.
 
     The kernel observes each line's chord a -> b of a covering circle as the
-    line (theta, 0) from a, the line line_oracle.segment_events scans. Per
+    line through a and b, the line line_oracle.segment_events scans. Per
     line: membership flips at each of those events (chord midpoints inside,
     gap and outer-stretch midpoints outside); the kernel's chords are the
     differences of the events, within eps (|b - a| + chord) of rounding in
@@ -86,12 +85,9 @@ def _assert_oracles(shape, lines):
     """
     a, b = _chords_of(shape, lines)
     cs = shape.derived("kernel", batch.CompiledShape)
-    theta = line_params_of_segments(a, b, ORIGIN)[0]  # the same from any origin
-    starts = [Point(*x) for x in a]
-    bobs = batch.observe_segments(
-        [cs] * len(a), list(theta[:, None]), list(np.zeros((len(a), 1))), starts
-    )
-    counts, t, _ = batch._scan([(cs, x, 1) for x in starts], theta, np.zeros(len(a)))
+    theta, p = _lines_through(shape, a, b)
+    bobs = batch.observe_segments(cs, theta, p)
+    counts, t, _ = batch._scan([(cs, theta.size)], theta, p)
     assert _sums_error(bobs, counts, t) <= 1
     per_line = np.split(bobs.chords_flat, np.cumsum(bobs.k)[:-1])
     for i in np.flatnonzero(~bobs.rejected):
@@ -172,8 +168,8 @@ def _assert_same_lines_in_blocks(name, n_lines, size):
     # on its draw sizes, nor calibrate's entry on its take sizes
     shape = shapes.annulus() if name == "annulus" else reading.word_shape(name, 1.0).shape
     cshape = batch.CompiledShape(shape)
-    theta, p, origin = _random_lines(shape, 6000, seed=8)
-    full = batch.observe_segments(cshape, theta, p, origin)
+    theta, p = _random_lines(shape, 6000, seed=8)
+    full = batch.observe_segments(cshape, theta, p)
     n_chords = int(np.cumsum(full.k)[n_lines - 1])
     whole = dataclasses.replace(
         full,
@@ -181,7 +177,7 @@ def _assert_same_lines_in_blocks(name, n_lines, size):
         **{f: getattr(full, f)[:n_lines] for f in ("k", "rejected", "L1", "L3", "chord_cube_sum")},
     )
     parts = [
-        batch.observe_segments(cshape, theta[i : i + size], p[i : i + size], origin)
+        batch.observe_segments(cshape, theta[i : i + size], p[i : i + size])
         for i in range(0, n_lines, size)
     ]
     for field in ("k", "rejected", "L1", "L3", "chord_cube_sum", "chords_flat"):
@@ -344,7 +340,7 @@ def test_vertex_hit_line_rejected():
     a = np.array([[-1.0, -1.0], [-1.0, 0.5], [-1.0, 1e-13]])
     # first runs through two corners, third passes inside the tolerance band
     b = np.array([[2.0, 2.0], [2.0, 0.5], [2.0, 1e-13]])
-    bobs = batch.observe_segments(batch.CompiledShape(sq), *_lines_through(a, b))
+    bobs = batch.observe_segments(batch.CompiledShape(sq), *_lines_through(sq, a, b))
     assert bobs.rejected[0]
     assert not bobs.rejected[1]
     assert bobs.k[1] == 1
@@ -366,8 +362,8 @@ NEAR_VERTEX_SHAPES = {
 
 
 def _near_vertex_lines(shape, dist, seed, per_vertex=5):
-    """Lines (theta, p, origin) passing at dist from each vertex, random directions."""
-    origin = arena_for(shape).center
+    """Lines (theta, p) passing at dist from each vertex, random directions."""
+    centre = arena_for(shape).center
     verts = np.concatenate([r.coords for r in shape.rings])
     phi = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, (len(verts), per_vertex))
     # a normal at phi >= pi is the normal at phi - pi turned round: its line
@@ -375,9 +371,9 @@ def _near_vertex_lines(shape, dist, seed, per_vertex=5):
     side = np.where(phi < math.pi, 1.0, -1.0)
     theta = np.where(phi < math.pi, phi, phi - math.pi)
     # offset of the parallel line through the vertex, then moved dist off it
-    through = (verts[:, :1] - origin.x) * np.cos(theta)
-    through += (verts[:, 1:] - origin.y) * np.sin(theta)
-    return theta.ravel(), (through + side * dist).ravel(), origin
+    through = (verts[:, :1] - centre.x) * np.cos(theta)
+    through += (verts[:, 1:] - centre.y) * np.sin(theta)
+    return theta.ravel(), (through + side * dist).ravel()
 
 
 @pytest.mark.parametrize("name", NEAR_VERTEX_SHAPES)
@@ -409,15 +405,15 @@ def test_one_call_over_parts_equals_each_parts_own_call():
     E = reading.letter_shape("E", 1.0)
     parts = []
     for i, shape in enumerate([shapes.statue(), E, J, NEAR_VERTEX_SHAPES["far-statue"]]):
-        theta, p, origin = _random_lines(shape, 300, seed=i)
-        near_theta, near_p, _ = _near_vertex_lines(shape, 4e-12, seed=10 + i, per_vertex=2)
+        theta, p = _random_lines(shape, 300, seed=i)
+        near_theta, near_p = _near_vertex_lines(shape, 4e-12, seed=10 + i, per_vertex=2)
         far = 10.0 * arena_for(shape).radius
         theta = np.concatenate([theta, near_theta, [0.3, 2.0]])
         p = np.concatenate([p, near_p, [far, -far]])
-        parts.append((shape.derived("kernel", batch.CompiledShape), theta, p, origin))
+        parts.append((shape.derived("kernel", batch.CompiledShape), theta, p))
     assert parts[2][0].tol < 4e-12 < parts[1][0].tol
     joint = batch.observe_segments(*(list(col) for col in zip(*parts)))
-    ends = np.cumsum([0] + [len(t) for _, t, _, _ in parts])
+    ends = np.cumsum([0] + [len(t) for _, t, _ in parts])
     for i, part in enumerate(parts):
         view = joint.select(np.arange(ends[i], ends[i + 1]))
         own = batch.observe_segments(*part)
@@ -429,19 +425,19 @@ def test_one_call_over_parts_equals_each_parts_own_call():
         assert near.all() if part[0].tol > 4e-12 else not near.any(), i
 
 
-def _vertex_scan(shape, theta, p, origin):
+def _vertex_scan(shape, theta, p):
     """Every vertex of every ring against every line: the scan before the table.
 
     Kept as the oracle of the candidate-edge table. Returns the sorted
     (line, t, kappa) events and the rejected mask, by the kernel's rules: a
     vertex within tol of a line rejects it, an edge whose endpoints lie on
     opposite sides is crossed, and t is interpolated between the endpoints,
-    along (-sin theta, cos theta) from the foot of the centre of the shape's
-    box; kappa = 1 + |x2 - x1| / |s1 - s2| is the crossing's conditioning.
+    along (-sin theta, cos theta) from the foot of the arena's centre, from
+    which p is measured; kappa = 1 + |x2 - x1| / |s1 - s2| is the crossing's
+    conditioning.
     """
     tol = batch.ONLINE_TOL * shape.coordinate_scale()
-    verts = np.concatenate([r.coords for r in shape.rings])
-    centre = 0.5 * (verts.min(axis=0) + verts.max(axis=0))
+    centre = arena_for(shape).center.as_array()
     nx, ny = np.cos(theta), np.sin(theta)
     ux, uy = -ny, nx
     lines, ts, kappas = [], [], []
@@ -450,7 +446,7 @@ def _vertex_scan(shape, theta, p, origin):
         mid = 0.5 * (ring.coords.min(axis=0) + ring.coords.max(axis=0))
         rx, ry = (ring.coords - mid).T
         s = (rx * nx[:, None] + ry * ny[:, None]) + (
-            (mid[0] - origin.x) * nx + (mid[1] - origin.y) * ny - p
+            (mid[0] - centre[0]) * nx + (mid[1] - centre[1]) * ny - p
         )[:, None]
         x = rx * ux[:, None] + ry * uy[:, None]
         s_next, x_next = np.roll(s, -1, axis=1), np.roll(x, -1, axis=1)
@@ -483,7 +479,7 @@ def oracle_cases(draw):
     for dist in (1e-13 * scale, 1e-11 * scale, 1e-8 * scale):
         parts.append(_near_vertex_lines(shape, dist, seed, per_vertex=2))
     theta, p = (np.concatenate([part[i] for part in parts]) for i in (0, 1))
-    return shape, theta, p, parts[0][2]
+    return shape, theta, p
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -496,10 +492,10 @@ def test_table_scan_matches_the_vertex_scan(case):
     # least every centre-relative coordinate), so they agree within
     # 8 eps R kappa, capped at 1e-12 * scale, which these examples also meet
     # where kappa is large
-    shape, theta, p, origin = case
-    want_lines, want_t, kappa, want_rejected = _vertex_scan(shape, theta, p, origin)
+    shape, theta, p = case
+    want_lines, want_t, kappa, want_rejected = _vertex_scan(shape, theta, p)
     cs = batch.CompiledShape(shape)
-    counts, t, rejected = batch._scan([(cs, origin, theta.size)], theta, p)
+    counts, t, rejected = batch._scan([(cs, theta.size)], theta, p)
     assert np.array_equal(rejected, want_rejected)
     assert 0 < rejected.sum() < len(theta)
     keep = ~rejected
@@ -512,24 +508,21 @@ def test_table_scan_matches_the_vertex_scan(case):
     assert np.all(np.abs(t[t_keep] - want_t[want_keep]) <= bound[want_keep])
 
 
-def _exact_lines(cs, theta, p, origin):
+def _exact_lines(cs, theta, p):
     """Each line's crossings (t, kappa) in exact arithmetic, sorted by t, and
     the least distance of a vertex from it.
 
     The inputs are the scan's own floats, taken as exact: each line's cos and
-    sin from batch._sincos and its offset c from the centre O, and every
-    edge's centre-relative endpoints. Every edge and every vertex is tested;
-    kappa = 1 + |x2 - x1| / |s1 - s2| is the crossing's conditioning, large
-    where the line grazes the edge.
+    sin from batch._sincos and its offset p from the centre O as drawn, and
+    every edge's centre-relative endpoints. Every edge and every vertex is
+    tested; kappa = 1 + |x2 - x1| / |s1 - s2| is the crossing's
+    conditioning, large where the line grazes the edge.
     """
     cos, sin = batch._sincos(theta)
-    c = cos * (cs.center[0] - origin.x)
-    c += sin * (cs.center[1] - origin.y)
-    c = p - c
     exact = {z: (Fraction(z.real), Fraction(z.imag)) for z in [*cs.zp.tolist(), *cs.zq.tolist()]}
     ends = list(zip(cs.zp.tolist(), cs.zq.tolist()))
     out = []
-    for lc, ls, lo in zip(map(Fraction, cos), map(Fraction, sin), map(Fraction, c)):
+    for lc, ls, lo in zip(map(Fraction, cos), map(Fraction, sin), map(Fraction, p)):
         s = {z: x * lc + y * ls - lo for z, (x, y) in exact.items()}
         found = []
         for zp, zq in ends:
@@ -547,8 +540,8 @@ def test_scan_matches_exact_arithmetic(name):
     # random lines, and lines 0.1, 0.75 and 1.25 times the vertex band's
     # half-width tol from vertices. Every line's count equals the exact one,
     # and each crossing lies within 4 eps E kappa of its exact position, E
-    # the largest centre-relative endpoint coordinate (0.83 eps E kappa at
-    # most, measured over 4 x 600 lines). Each accepted line's L1 and L3 lie
+    # the largest centre-relative endpoint coordinate (0.89 eps E kappa at
+    # most on these lines, far GENERATIONS). Each accepted line's L1 and L3 lie
     # within relative (k + 5) eps of the exact pair sums of its own events.
     # The vertex rule holds: a rejected line has a vertex within tol + 4 eps E
     # of it, an accepted one has none within tol - 4 eps E, which bounds the
@@ -561,13 +554,13 @@ def test_scan_matches_exact_arithmetic(name):
         ),
     }[name]
     cs = batch.CompiledShape(shape)
-    theta, p, origin = _random_lines(shape, 150, seed=17)
+    theta, p = _random_lines(shape, 150, seed=17)
     for j, f in enumerate((0.1, 0.75, 1.25)):
-        near_theta, near_p, _ = _near_vertex_lines(shape, f * cs.tol, seed=18 + j, per_vertex=1)
+        near_theta, near_p = _near_vertex_lines(shape, f * cs.tol, seed=18 + j, per_vertex=1)
         every = max(1, near_theta.size // 24)
         theta, p = np.concatenate([theta, near_theta[::every]]), np.concatenate([p, near_p[::every]])
-    counts, t, rejected = batch._scan([(cs, origin, theta.size)], theta, p)
-    want = _exact_lines(cs, theta, p, origin)
+    counts, t, rejected = batch._scan([(cs, theta.size)], theta, p)
+    want = _exact_lines(cs, theta, p)
     assert counts.tolist() == [len(w) for w, _ in want]
     assert counts.sum() > 150
     unit = np.finfo(float).eps * max(np.abs(cs.zp.real).max(), np.abs(cs.zp.imag).max())
@@ -575,7 +568,7 @@ def test_scan_matches_exact_arithmetic(name):
     t_sorted = t[np.lexsort((t, lines))]
     for got, (t_exact, kappa) in zip(t_sorted.tolist(), [e for w, _ in want for e in w]):
         assert abs(Fraction(got) - t_exact) <= 4 * Fraction(unit) * kappa, (got, float(t_exact), float(kappa))
-    bobs = batch.observe_segments(cs, theta, p, origin)
+    bobs = batch.observe_segments(cs, theta, p)
     assert np.array_equal(bobs.rejected, rejected)
     assert _sums_error(bobs, counts, t) <= 1
     assert bobs.k.max() >= 3
@@ -583,6 +576,26 @@ def test_scan_matches_exact_arithmetic(name):
     for i, (_, nearest) in enumerate(want):
         assert nearest <= band[0] + band[1] if rejected[i] else nearest > band[0] - band[1], i
     assert 0 < rejected.sum() < len(theta)
+
+
+@pytest.mark.parametrize("name", ["triangle", "J", "far GENERATIONS"])
+def test_tables_are_keyed_to_the_arena_centre(name):
+    # a shape has one centre, its arena's: the table's endpoints are taken
+    # from it, so a sampler's p is the scan's offset as drawn. The triangle's
+    # box and J's cell box are centred elsewhere.
+    shape = {
+        "triangle": shapes.triangle(),
+        "J": reading.letter_shape("J", 1.0),
+        "far GENERATIONS": transform(
+            reading.word_shape("GENERATIONS", 1.0).shape, RigidTransform(0.7, Point(-2e5, 5e5))
+        ),
+    }[name]
+    cs = batch.CompiledShape(shape)
+    centre = arena_for(shape).center
+    assert cs.center == centre
+    verts = np.concatenate([r.coords for r in shape.rings])
+    assert np.array_equal(cs.zp.real, verts[:, 0] - centre.x)
+    assert np.array_equal(cs.zp.imag, verts[:, 1] - centre.y)
 
 
 def test_sincos_is_within_eps_of_cos_and_sin():
@@ -692,13 +705,17 @@ def test_prefilter_keeps_the_vertex_band_far_from_the_origin():
     # pad: a line 5e-7 from the corner reaches the band, so its cell must list
     # the corner's edges, though it lies outside the ring's circle. The lines
     # are perpendicular to the diagonal of the unit square at (1e6, 1e6), each
-    # the given distance outside its far corner.
+    # the given distance outside its far corner, their offsets taken from the
+    # arena's centre in the scan's own cos and sin.
     sq = shapes.square(corner=(1e6, 1e6))
     offsets = np.array([0.0, 5e-7, 2e-6])
     corner = Point(1e6 + 1.0, 1e6 + 1.0)
     cs = batch.CompiledShape(sq)
     assert cs.tol == pytest.approx(1e-6, rel=1e-5)
-    _, ts, rejected = batch._scan([(cs, corner, 3)], np.full(3, 0.25 * math.pi), offsets)
+    theta = np.full(3, 0.25 * math.pi)
+    cos, sin = batch._sincos(theta)
+    p = offsets + ((corner.x - cs.center.x) * cos + (corner.y - cs.center.y) * sin)
+    _, ts, rejected = batch._scan([(cs, 3)], theta, p)
     assert rejected.tolist() == [True, True, False]
     assert ts.size == 0
     out = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -712,7 +729,8 @@ def test_statue_reaches_k6():
     st = shapes.statue()
     # horizontal lines across the tooth band cross all six teeth
     ys = np.linspace(0.2, 0.9, 50) * st.rings[0].coords[:, 1].max()
-    bobs = batch.observe_segments(batch.CompiledShape(st), np.full(50, 0.5 * math.pi), ys, ORIGIN)
+    cs = batch.CompiledShape(st)
+    bobs = batch.observe_segments(cs, np.full(50, 0.5 * math.pi), ys - cs.center.y)
     assert int(bobs.k.max()) == 6
 
 
@@ -724,10 +742,10 @@ def test_accepted_drops_rejected_lines_and_reindexes_chords():
     a = np.array([[-1.0, 0.5], [-1.0, 0.1], [-1.0, -1.0], [0.4, -1.0], [-1.0, 9.0], [-0.25, -1.0]])
     b = np.array([[2.0, 0.5], [2.0, 0.7], [2.0, 2.0], [0.4, 2.0], [2.0, 9.0], [1.25, 2.0]])
     kept = [0, 1, 3, 4, 5]
-    full = batch.observe_segments(cs, *_lines_through(a, b))
+    full = batch.observe_segments(cs, *_lines_through(sq, a, b))
     assert full.rejected.tolist() == [False, False, True, False, False, False]
     got = full.select(np.flatnonzero(~full.rejected))
-    want = batch.observe_segments(cs, *_lines_through(a[kept], b[kept]))
+    want = batch.observe_segments(cs, *_lines_through(sq, a[kept], b[kept]))
     assert not got.rejected.any() and len(got) == len(kept)
     for field in ("k", "L1", "L3", "chord_cube_sum", "chords_flat"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field

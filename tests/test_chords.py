@@ -36,9 +36,9 @@ def ev(*pairs):
 def kernel_line(shape, a, b):
     """The kernel's one-line record of the segment's line, the line segment_events scans."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    origin = Point(*a)
-    theta, p = line_params_of_segments(a[None], b[None], origin)
-    return batch.observe_segments(shape.derived("kernel", batch.CompiledShape), theta, p, origin)
+    cshape = shape.derived("kernel", batch.CompiledShape)
+    theta, p = line_params_of_segments(a[None], b[None], cshape.center)
+    return batch.observe_segments(cshape, theta, p)
 
 
 def test_square_midline():

@@ -44,7 +44,7 @@ def run_cli(*argv, cwd):
 
 @pytest.mark.parametrize("module", ["chordscan.batch", "chordscan"])
 def test_import_is_clean_and_light(module, tmp_path):
-    # the kernel imports only numpy and geometry; scipy is a test-only
+    # the kernel imports only numpy, geometry and sampling; scipy is a test-only
     # dependency, and importing it at load time costs about a second
     code = f"import sys, {module}; assert 'scipy' not in sys.modules"
     proc = run_python("-c", code, cwd=tmp_path)
@@ -85,12 +85,14 @@ def test_lines_zero_rejected(tmp_path):
         ("classify", "--shape", "square", "--dict", "d.json", "--threshold", "1.5"),
         ("landscape", "--dict", "d.json", "--threshold", "nan"),
         ("read", "--word", "FREEDOM", "--dict", "d.json", "--threshold", "-0.5"),
+        ("estimate", "--shape", "square", "--seed", "-1"),
     ],
-    ids=["scale-0.9", "scale-inf", "scale-nan", "classify-1.5", "landscape-nan", "read--0.5"],
+    ids=["scale-0.9", "scale-inf", "scale-nan", "classify-1.5", "landscape-nan", "read--0.5",
+         "seed--1"],
 )
 def test_out_of_range_flag_usage_error(tmp_path, monkeypatch, capsys, argv):
-    # an arena scale below 1 or not finite, or a threshold outside [0, 1],
-    # is refused while parsing, before any file is read or written
+    # an arena scale below 1 or not finite, a threshold outside [0, 1], or a
+    # negative seed is refused while parsing, before any file is read or written
     (tmp_path / "d.json").write_text("[]")
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -122,6 +124,34 @@ def test_malformed_shape_file(tmp_path):
     proc = run_cli("estimate", "--shape", "bad.json", cwd=tmp_path)
     assert proc.returncode == 1
     assert "estimate" in proc.stderr
+
+
+ENTRY_A = '{"name": "a", "p_ref": 4.0, "a_ref": 1.0, "sigma0_a": 1.0, "sigma0_p": 1.0}'
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("classify", "--shape", "square", "--dict", "in.json"), "[1]"),
+        (("landscape", "--dict", "in.json", "--grid", "5"), "[1]"),
+        (("classify", "--shape", "square", "--dict", "in.json"), f"[{ENTRY_A}, {ENTRY_A}]"),
+        (("classify", "--shape", "square", "--dict", "in.json"), ENTRY_A.replace("4.0", "null")),
+        (("estimate", "--shape", "in.json"), '{"rings": 5}'),
+        (("estimate", "--shape", "in.json"), '{"rings": [[1, 2]]}'),
+    ],
+    ids=["classify-int-entry", "landscape-int-entry", "classify-repeated-name", "classify-null",
+         "rings-int", "rings-pair"],
+)
+def test_malformed_file_is_one_error_line(tmp_path, monkeypatch, capsys, argv, text):
+    # a dictionary entry that is not an object, a name given twice, a value
+    # that is not a number, or rings that are not lists of (x, y) vertices:
+    # one error line, exit code 1, and no artifact
+    (tmp_path / "in.json").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--lines", "200"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"chordscan {argv[0]}: error: ") and err.count("\n") == 1, err
+    assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
 
 
 def test_estimate_disk_within_one_percent_of_pi(tmp_path):

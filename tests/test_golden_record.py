@@ -10,9 +10,16 @@ def test_outputs_equal_the_golden_record(builtin_dictionary, letter_dict):
     doc = json.loads(golden_record.PATH.read_text())
     exact = doc["platform"] == golden_record.platform_tag()
     got = golden_record.records(builtin_dictionary, letter_dict)
-    assert list(got) == list(doc["records"])
-    for key, want in doc["records"].items():
-        assert golden_record.same(got[key], want, exact), key
+    assert not golden_record.mismatches(got, doc["records"], exact)
+
+
+def test_mismatches_name_differing_missing_and_reordered_records():
+    one, near = (1.0).hex(), (1.0 + 4e-16).hex()
+    want = {"a": [one], "b": ["square"]}
+    assert golden_record.mismatches({"a": [near], "b": ["square"]}, want, exact=False) == []
+    assert golden_record.mismatches({"a": [near], "b": ["square"]}, want, exact=True) == ["a"]
+    assert golden_record.mismatches({"a": [one]}, want, exact=True) == ["a", "b"]
+    assert golden_record.mismatches({"b": ["square"], "a": [one]}, want, exact=True) == ["a", "b"]
 
 
 def test_same_compares_floats_by_platform():

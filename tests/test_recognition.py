@@ -484,9 +484,9 @@ def test_lockstep_top_up_refills_only_the_short_slots(monkeypatch, builtin_dicti
     calls = []
     observe = explore_module.observe_segments
 
-    def recording_observe(cshape, theta, p, origin):
+    def recording_observe(cshape, theta, p):
         calls.append([len(t) for t in theta])
-        return observe(cshape, theta, p, origin)
+        return observe(cshape, theta, p)
 
     monkeypatch.setattr(explore_module, "observe_segments", recording_observe)
     slots = [(shapes.square(), SamplerConfig(seed=seed)) for seed in range(6)]
