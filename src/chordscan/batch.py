@@ -9,10 +9,12 @@ CompiledShape), so the work per line follows the edges it can cross, not the
 vertex count. Endpoints z are complex, relative to the arena's centre, so
 one multiply z (cos theta - i sin theta) gives an endpoint's signed distance
 s from the line plus i times its position x along it. A line passing within
-tolerance of any vertex is rejected; random lines hit this with probability
-~0, and rejections are counted. The band is tested once per vertex, at the
-start of each candidate edge: every vertex starts exactly one edge, and the
-table lists that edge wherever a line passes within tolerance of the vertex.
+the vertex band of any vertex is rejected: 1e-12 x max(1, R), R the radius
+of the shape's arena circle, which a rigid motion leaves as it is. Random
+lines hit this with probability ~0, and rejections are counted. The band is
+tested once per vertex, at the start of each candidate edge: every vertex
+starts exactly one edge, and the table lists that edge wherever a line
+passes within tolerance of the vertex.
 A line's cos theta and sin theta are _sincos' floats, each within eps of
 its true value. Error model (cf. Higham, Accuracy and Stability of Numerical
 Algorithms, 2002): with the scan's own floats taken as exact (those cos and
@@ -46,7 +48,8 @@ import numpy as np
 from .geometry import Shape
 from .sampling import arena_for
 
-# Relative half-width of the "on the line" band for vertex classification.
+# Half-width of the vertex band, relative to max(1, R), R the radius of the
+# shape's arena circle: a line this close to a vertex is rejected.
 ONLINE_TOL = 1e-12
 # Slack past the tolerance band when the table lists an edge for a cell, so
 # rounding in a line's angle, offset and vertex distances never drops an edge
@@ -104,11 +107,12 @@ class CompiledShape:
 
     def __init__(self, shape: Shape):
         coords = [r.coords for r in shape.rings]
-        self.center = arena_for(shape).center
+        arena = arena_for(shape, 1.0)
+        self.center = arena.center
         p = np.concatenate(coords) - self.center.as_array()
         q = np.concatenate([np.roll(c, -1, axis=0) for c in coords]) - self.center.as_array()
         self.zp, self.zq = p.view(complex)[:, 0], q.view(complex)[:, 0]
-        self.tol = ONLINE_TOL * shape.coordinate_scale()
+        self.tol = ONLINE_TOL * max(1.0, arena.radius)
         slack = self.tol + _PAD
         self.reach = float(np.max(np.hypot(p[:, 0], p[:, 1]))) + slack
         side = _CELL * float(np.mean(np.hypot(*(q - p).T)))

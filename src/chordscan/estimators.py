@@ -79,9 +79,6 @@ class Accumulator:
         # chord cube sum, lines
         self.batch = np.zeros((self.n_batches, 5))
 
-    def same_layout(self, other: "Accumulator") -> bool:
-        return self.l_cap == other.l_cap and self.n_batches == other.n_batches
-
     def _bin_of(self, lengths: np.ndarray) -> np.ndarray:
         b = np.floor(lengths / self.l_cap * DEFAULT_BINS).astype(np.int64)
         return np.clip(b, 0, DEFAULT_BINS - 1)
@@ -115,24 +112,19 @@ class Accumulator:
 
     def state_scalar_count(self) -> int:
         """Number of stored numeric values; constant in the line count."""
-        return 10 + self.hist.size + self.batch.size
+        return sum(np.size(getattr(self, slot)) for slot in self.__slots__)
 
 
 def merge(a: Accumulator, b: Accumulator) -> Accumulator:
     """Field-wise sum of two compatible accumulators (commutative, associative)."""
-    if not a.same_layout(b):
+    if (a.l_cap, a.n_batches) != (b.l_cap, b.n_batches):
         raise ValueError("accumulator layouts differ (l_cap / batches)")
     out = Accumulator(a.l_cap, a.n_planned + b.n_planned, a.n_batches)
-    out.n_lines = a.n_lines + b.n_lines
-    out.n_hit = a.n_hit + b.n_hit
-    out.rejected = a.rejected + b.rejected
-    out.sum_L1 = a.sum_L1 + b.sum_L1
-    out.sum_L3 = a.sum_L3 + b.sum_L3
-    out.chord_count = a.chord_count + b.chord_count
-    out.chord_cube_sum = a.chord_cube_sum + b.chord_cube_sum
+    # past the layout (l_cap, n_batches, n_planned) every slot is a sum but
+    # l_max_seen, a maximum
+    for slot in Accumulator.__slots__[3:]:
+        setattr(out, slot, getattr(a, slot) + getattr(b, slot))
     out.l_max_seen = max(a.l_max_seen, b.l_max_seen)
-    out.hist = a.hist + b.hist
-    out.batch = a.batch + b.batch
     return out
 
 

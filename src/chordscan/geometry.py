@@ -111,9 +111,6 @@ class Shape:
             if exact_area(self) <= 0.0:
                 raise InvalidShapeError("shape has non-positive even-odd area")
 
-    def coordinate_scale(self) -> float:
-        return max(1.0, max(float(np.max(np.abs(r.coords))) for r in self.rings))
-
     def derived(self, key: str, build):
         """build(self), made on first use and kept with the shape under key.
 
@@ -239,10 +236,6 @@ def contains(shape: Shape, pt: Point) -> bool:
     return total % 2 == 1
 
 
-def _ring_contains_point(ring: Ring, pt: Point) -> bool:
-    return _ray_crossing_count(ring.coords, pt) % 2 == 1
-
-
 def exact_area(shape: Shape) -> float:
     """Lebesgue measure of the even-odd interior.
 
@@ -253,11 +246,8 @@ def exact_area(shape: Shape) -> float:
     total = 0.0
     for i, ring in enumerate(shape.rings):
         probe = Point(*ring.coords[0])
-        depth = sum(
-            1
-            for j, other in enumerate(shape.rings)
-            if j != i and _ring_contains_point(other, probe)
-        )
+        others = (other for j, other in enumerate(shape.rings) if j != i)
+        depth = sum(_ray_crossing_count(other.coords, probe) % 2 for other in others)
         total += areas[i] * (1.0 if depth % 2 == 0 else -1.0)
     return total
 
@@ -268,9 +258,18 @@ def exact_perimeter(shape: Shape) -> float:
 
 
 def bounding_circle(shape: Shape) -> tuple[Point, float]:
-    """Minimal enclosing circle of all vertices (Welzl, move-to-front)."""
+    """Minimal enclosing circle of all vertices (Welzl, move-to-front).
+
+    Found about o, the vertices' box centre truncated to a multiple of g =
+    2**ceil(log2(extent)): an exact shift, 0 about the origin, that keeps
+    circle3's squares at the shape's size, so the circle moves with the shape.
+    """
     pts = np.vstack([r.coords for r in shape.rings])
     pts = pts[np.random.default_rng(8675309).permutation(len(pts))]
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    g = 2.0 ** math.ceil(math.log2(np.max(hi - lo)))
+    o = np.trunc((lo + hi) / (2.0 * g)) * g
+    pts = pts - o
 
     def circle2(a, b):
         c = (a + b) / 2.0
@@ -303,6 +302,7 @@ def bounding_circle(shape: Shape) -> tuple[Point, float]:
                 if inside(ctr, rad, pts[k]):
                     continue
                 ctr, rad = circle3(pts[i], pts[j], pts[k])
+    ctr = ctr + o
     return Point(float(ctr[0]), float(ctr[1])), rad
 
 

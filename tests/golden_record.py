@@ -43,6 +43,8 @@ READ_WORDS = ("FREEDOM", "GENERATIONS")
 WORD_LIST = ("FREEDOM", "GENERATIONS", "PEOPLES", "NATIONS", "DETERMINED")
 SAMPLERS = ("iur", "billiard-cos")
 EXPLORE_LINES = 3000
+# the built-ins explored at a 1e-2 vertex band, rejection counts recorded
+REJECTING_SHAPES = ("disk", "square", "triangle", "annulus")
 # a replicate takes its 20,000 lines in two takes (explore.DEFAULT_CHUNK)
 CONVERGE_GRID = (500, 5000, 20_000)
 BILLIARD_LINES = 64
@@ -125,9 +127,14 @@ def records(builtins, letters) -> dict:
     for case, kw in STOP_CASES.items():
         results = recognition.explore_slots_until_stop(slots, builtins, **kw)
         out[f"explore_slots_until_stop/{case}"] = [dataclasses.astuple(r) for r in results]
-    # a 1e-2 vertex band rejects up to 40% of the lines, so slots refill
+    # a 1e-2 vertex band rejects up to 40% of the lines: each report counts
+    # its rejections, and slots refill
     tol, batch.ONLINE_TOL = batch.ONLINE_TOL, 1e-2
     try:
+        for name in REJECTING_SHAPES:
+            for mode in SAMPLERS:
+                acc = explore(shapes.builtin(name), EXPLORE_LINES, SamplerConfig(mode=mode, seed=5))
+                out[f"explore/{name}/{mode}/rejecting"] = dataclasses.astuple(estimators.report(acc))
         fresh = [(shapes.builtin(shape.name), cfg) for shape, cfg in slots]
         results = recognition.explore_slots_until_stop(fresh, builtins, threshold=0.99, confirm=7)
     finally:

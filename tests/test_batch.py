@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from chordscan import batch, reading, shapes
+from chordscan.explore import explore
 from chordscan.geometry import Point, RigidTransform, Shape, contains, transform
-from chordscan.sampling import ArenaCircle, arena_for, billiard_lines, sample_iur_batch
+from chordscan.sampling import ArenaCircle, SamplerConfig, arena_for, billiard_lines, sample_iur_batch
 from conftest import arena_chords
 from line_oracle import alternating, geometric_function, line_params_of_segments, segment_events
 
@@ -376,42 +377,65 @@ def _near_vertex_lines(shape, dist, seed, per_vertex=5):
     return theta.ravel(), (through + side * dist).ravel()
 
 
+def _in_kernel_frame(shape):
+    """The shape moved by minus its arena's centre, its arena circle about the
+    origin: its coordinates are its kernel's own centre-relative endpoints,
+    so its kernel arrays equal the shape's and a line (theta, p) is the same
+    line in both. The oracles' membership tests then resolve distances from
+    a vertex at the shape's size, not at its distance from the origin (the
+    far statue's band, 1.2e-12, lies below the spacing of floats at 7e5)."""
+    arena = arena_for(shape, 1.0)
+    moved = Shape([r.coords - arena.center.as_array() for r in shape.rings], validate=False)
+    moved.derived("arena", lambda _: (Point(0.0, 0.0), arena.radius))
+    own, kernel = (s.derived("kernel", batch.CompiledShape) for s in (shape, moved))
+    for field in ("zp", "zq", "tol", "reach", "ptr", "edges"):
+        assert np.array_equal(getattr(kernel, field), getattr(own, field)), field
+    return moved
+
+
 @pytest.mark.parametrize("name", NEAR_VERTEX_SHAPES)
 def test_lines_just_outside_the_vertex_band_accepted(name):
-    shape = NEAR_VERTEX_SHAPES[name]
+    # 10 to 1e6 band half-widths from the vertices
+    shape = _in_kernel_frame(NEAR_VERTEX_SHAPES[name])
+    tol = shape.derived("kernel", batch.CompiledShape).tol
     for j in range(6, 12):
-        lines = _near_vertex_lines(shape, 10.0**-j * shape.coordinate_scale(), seed=j)
+        lines = _near_vertex_lines(shape, 10.0 ** (12 - j) * tol, seed=j)
         bobs = _assert_oracles(shape, lines)
         assert not bobs.rejected.any(), j
 
 
 @pytest.mark.parametrize("name", NEAR_VERTEX_SHAPES)
 def test_lines_inside_the_vertex_band_rejected(name):
-    # the band's half-width is 1e-12 * scale; nothing is asserted at the edge
-    shape = NEAR_VERTEX_SHAPES[name]
-    lines = _near_vertex_lines(shape, 1e-13 * shape.coordinate_scale(), seed=13)
-    bobs = batch.observe_segments(batch.CompiledShape(shape), *lines)
+    # a tenth of the band's half-width; nothing is asserted at the edge
+    shape = _in_kernel_frame(NEAR_VERTEX_SHAPES[name])
+    cs = shape.derived("kernel", batch.CompiledShape)
+    lines = _near_vertex_lines(shape, 0.1 * cs.tol, seed=13)
+    bobs = batch.observe_segments(cs, *lines)
     assert bobs.rejected.all()
     a, b = _chords_of(shape, lines)
     assert all(segment_events(shape, a[i], b[i]) is None for i in range(len(a)))
 
 
 def test_one_call_over_parts_equals_each_parts_own_call():
-    # statue, E, J and the far statue in one call, each part with lines out
-    # of reach and lines 4e-12 from its vertices: inside the vertex bands of
-    # E (5e-12) and the far statue (7e-7), outside those of the statue and
-    # of J (3e-12), which keep them though the call holds wider bands
+    # statue, J, GENERATIONS, the annulus and the far statue in one call,
+    # each part with lines out of reach and lines 4e-12 from its vertices:
+    # inside the vertex band of GENERATIONS (2.2e-11), outside those of the
+    # statues (1.2e-12), J (2.9e-12) and the annulus (2e-12), which keep
+    # them though the call holds a wider band
     J = reading.letter_shape("J", 1.0)
-    E = reading.letter_shape("E", 1.0)
+    word = reading.word_shape("GENERATIONS", 1.0).shape
     parts = []
-    for i, shape in enumerate([shapes.statue(), E, J, NEAR_VERTEX_SHAPES["far-statue"]]):
+    for i, shape in enumerate(
+        [shapes.statue(), J, word, shapes.annulus(), NEAR_VERTEX_SHAPES["far-statue"]]
+    ):
         theta, p = _random_lines(shape, 300, seed=i)
         near_theta, near_p = _near_vertex_lines(shape, 4e-12, seed=10 + i, per_vertex=2)
         far = 10.0 * arena_for(shape).radius
         theta = np.concatenate([theta, near_theta, [0.3, 2.0]])
         p = np.concatenate([p, near_p, [far, -far]])
         parts.append((shape.derived("kernel", batch.CompiledShape), theta, p))
-    assert parts[2][0].tol < 4e-12 < parts[1][0].tol
+    tols = [cs.tol for cs, _, _ in parts]
+    assert max(tols[:2] + tols[3:]) < 4e-12 < tols[2]
     joint = batch.observe_segments(*(list(col) for col in zip(*parts)))
     ends = np.cumsum([0] + [len(t) for _, t, _ in parts])
     for i, part in enumerate(parts):
@@ -436,7 +460,7 @@ def _vertex_scan(shape, theta, p):
     which p is measured; kappa = 1 + |x2 - x1| / |s1 - s2| is the crossing's
     conditioning.
     """
-    tol = batch.ONLINE_TOL * shape.coordinate_scale()
+    tol = shape.derived("kernel", batch.CompiledShape).tol
     centre = arena_for(shape).center.as_array()
     nx, ny = np.cos(theta), np.sin(theta)
     ux, uy = -ny, nx
@@ -474,9 +498,9 @@ def oracle_cases(draw):
         motion = RigidTransform(draw(st.floats(0.0, 2.0 * math.pi)), Point(draw(far), draw(far)))
         shape = transform(word, motion)
     seed = draw(st.integers(0, 2**32 - 1))
-    scale = shape.coordinate_scale()
+    tol = shape.derived("kernel", batch.CompiledShape).tol
     parts = [_random_lines(shape, 200, seed)]
-    for dist in (1e-13 * scale, 1e-11 * scale, 1e-8 * scale):
+    for dist in (0.1 * tol, 10.0 * tol, 1e4 * tol):
         parts.append(_near_vertex_lines(shape, dist, seed, per_vertex=2))
     theta, p = (np.concatenate([part[i] for part in parts]) for i in (0, 1))
     return shape, theta, p
@@ -490,8 +514,8 @@ def test_table_scan_matches_the_vertex_scan(case):
     # scans round differently, each within about 4 eps R kappa of the exact
     # crossing (batch's model for the table scan; R the table's reach, at
     # least every centre-relative coordinate), so they agree within
-    # 8 eps R kappa, capped at 1e-12 * scale, which these examples also meet
-    # where kappa is large
+    # 8 eps R kappa, capped at the vertex band's half-width, which these
+    # examples also meet where kappa is large
     shape, theta, p = case
     want_lines, want_t, kappa, want_rejected = _vertex_scan(shape, theta, p)
     cs = batch.CompiledShape(shape)
@@ -504,8 +528,40 @@ def test_table_scan_matches_the_vertex_scan(case):
     lines = np.repeat(np.arange(len(theta)), counts)
     t = t[np.lexsort((t, lines))]
     t_keep, want_keep = keep[lines], keep[want_lines]
-    bound = np.minimum(8.0 * EPS * cs.reach * kappa, 1e-12 * shape.coordinate_scale())
+    bound = np.minimum(8.0 * EPS * cs.reach * kappa, cs.tol)
     assert np.all(np.abs(t[t_keep] - want_t[want_keep]) <= bound[want_keep])
+
+
+BAND_SHAPES = {
+    **{name: shapes.builtin(name) for name in shapes.BUILTIN_NAMES},
+    "GENERATIONS": reading.word_shape("GENERATIONS", 1.0).shape,
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(list(BAND_SHAPES)),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    mirror=st.booleans(),
+    offset=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+)
+def test_vertex_band_does_not_move_with_the_shape(name, angle, mirror, offset):
+    # 1e-12 * max(1, R), R the arena's radius: a rigid motion changes it only
+    # by the rounding of the moved coordinates, about eps * 1e6 relative
+    shape = BAND_SHAPES[name]
+    moved = transform(shape, RigidTransform(angle, Point(*offset), mirror))
+    want = shape.derived("kernel", batch.CompiledShape).tol
+    assert batch.CompiledShape(moved).tol == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("mode", ["iur", "billiard-cos"])
+def test_far_statue_rejects_no_line_of_a_million(mode):
+    # the statue's band stays 1.2e-12 at (1e6, -2e6), so a million lines
+    # meet it no more often than at the origin, where none does; a band of
+    # 1e-12 times the largest absolute coordinate, 2e-6 here, rejects 25
+    # IUR and 27 billiard-cos lines of these
+    far = transform(shapes.statue(), RigidTransform(0.3, Point(1e6, -2e6)))
+    assert explore(far, 1_000_000, SamplerConfig(mode=mode, seed=3)).rejected == 0
 
 
 def _exact_lines(cs, theta, p):
@@ -701,17 +757,18 @@ def test_table_build_holds_the_table_once():
 
 
 def test_prefilter_keeps_the_vertex_band_far_from_the_origin():
-    # the band's half-width here is 1e-12 * (1e6 + 1), past the table's 1e-9
-    # pad: a line 5e-7 from the corner reaches the band, so its cell must list
-    # the corner's edges, though it lies outside the ring's circle. The lines
-    # are perpendicular to the diagonal of the unit square at (1e6, 1e6), each
-    # the given distance outside its far corner, their offsets taken from the
-    # arena's centre in the scan's own cos and sin.
-    sq = shapes.square(corner=(1e6, 1e6))
+    # the band's half-width here is 1e-12 * R, R = sqrt(2) * 1e6 the arena's
+    # radius, far past the table's 1e-9 pad: a line 5e-7 from the corner
+    # reaches the band, so its cell must list the corner's edges, though it
+    # lies outside the ring's circle. The lines are perpendicular to the
+    # diagonal of the square of side 2e6 at (1e6, 1e6), each the given
+    # distance outside its far corner, their offsets taken from the arena's
+    # centre in the scan's own cos and sin.
+    sq = shapes.square(side=2e6, corner=(1e6, 1e6))
     offsets = np.array([0.0, 5e-7, 2e-6])
-    corner = Point(1e6 + 1.0, 1e6 + 1.0)
+    corner = Point(3e6, 3e6)
     cs = batch.CompiledShape(sq)
-    assert cs.tol == pytest.approx(1e-6, rel=1e-5)
+    assert cs.tol == pytest.approx(math.sqrt(2.0) * 1e-6, rel=1e-9)
     theta = np.full(3, 0.25 * math.pi)
     cos, sin = batch._sincos(theta)
     p = offsets + ((corner.x - cs.center.x) * cos + (corner.y - cs.center.y) * sin)

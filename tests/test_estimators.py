@@ -540,6 +540,15 @@ def test_accumulator_state_size_constant():
     assert size0 == est.Accumulator(l_cap=4.0, n_planned=0).state_scalar_count()
 
 
+@pytest.mark.parametrize("n_batches", [1, 100])
+def test_accumulator_state_count_is_every_stored_number(n_batches):
+    # 11 scalars (l_cap, n_batches, n_planned, n_lines, n_hit, rejected,
+    # sum_L1, sum_L3, chord_count, chord_cube_sum, l_max_seen), the chord
+    # histogram and 5 sums per batch
+    acc = explore(shapes.disk(), 300, SamplerConfig(seed=17), n_batches=n_batches)
+    assert acc.state_scalar_count() == 11 + est.DEFAULT_BINS + 5 * n_batches
+
+
 def test_report_roundtrip_fields():
     acc = _mc_acc(shapes.square(), 5000, 19)
     rep = est.report(acc)

@@ -133,6 +133,24 @@ def test_bounding_circle_covers_all_vertices():
     assert np.all(d <= r * (1 + 1e-9))
 
 
+@pytest.mark.parametrize("name", shapes.BUILTIN_NAMES)
+def test_bounding_circle_moves_with_the_shape(name):
+    # at (1e6, -2e6) the circle is the moved circle of the shape at the
+    # origin, to within the 2.3e-10 spacing of the moved coordinates, and
+    # covers every vertex; computed in absolute coordinates, the squares of
+    # a circumcircle through three vertices lose 5e-4 of the radius
+    shape = shapes.builtin(name)
+    motion = g.RigidTransform(0.3, g.Point(1e6, -2e6))
+    far = g.transform(shape, motion)
+    c0, r0 = g.bounding_circle(shape)
+    c, r = g.bounding_circle(far)
+    moved = motion.apply(c0.as_array())
+    assert math.hypot(c.x - moved[0], c.y - moved[1]) <= 1e-9
+    assert r == pytest.approx(r0, rel=1e-9, abs=0.0)
+    pts = np.vstack([ring.coords for ring in far.rings])
+    assert np.all(np.hypot(pts[:, 0] - c.x, pts[:, 1] - c.y) <= r + 1e-9)
+
+
 def test_transform_identity_and_invariance():
     st = shapes.statue()
     ident = g.transform(st, g.RigidTransform())

@@ -464,15 +464,22 @@ def test_lockstep_slots_of_mixed_fates_equal_their_walks(builtin_dictionary):
     assert [r.censored for r in results] == [False, True, False]
 
 
-def test_lockstep_letters_of_two_vertex_tolerances_equal_their_walks():
-    # J's vertex band is 3e-12 wide and E's 5e-12: the slots share each
-    # kernel call, and each line keeps its own letter's band
-    letters = {c: rd.letter_shape(c, 1.0) for c in "EJFL"}
+def test_lockstep_shapes_of_three_vertex_tolerances_equal_their_walks():
+    # the vertex bands of E (2.9e-12), the annulus (2e-12) and GENERATIONS
+    # (2.2e-11) follow their arenas' radii: the slots share each kernel
+    # call, and each line keeps its own shape's band
+    targets = {
+        "E": rd.letter_shape("E", 1.0),
+        "annulus": shapes.annulus(),
+        "GENERATIONS": rd.word_shape("GENERATIONS", 1.0).shape,
+    }
     entries = [
-        rec.calibrate(shape, 200, 10, SamplerConfig(seed=70 + i), name=c)
-        for i, (c, shape) in enumerate(letters.items())
+        rec.calibrate(shape, 200, 10, SamplerConfig(seed=70 + i), name=name)
+        for i, (name, shape) in enumerate(targets.items())
     ]
-    slots = [(letters[c], SamplerConfig(seed=80 + i)) for i, c in enumerate("EJEE")]
+    assert len({t.derived("kernel", batch.CompiledShape).tol for t in targets.values()}) == 3
+    order = ["E", "GENERATIONS", "annulus", "E"]
+    slots = [(targets[name], SamplerConfig(seed=80 + i)) for i, name in enumerate(order)]
     results = _assert_slots_walk(slots, entries, threshold=0.95, warm_up=30, confirm=30, n_max=3000)
     assert not all(r.censored for r in results)
 
