@@ -6,6 +6,7 @@ degenerate lines and counting them. Its lines are fixed by its shape, which
 carries its arena circle, and its SamplerConfig, whose seed is the only randomness.
 Everything else - one-shot estimates, convergence studies that read its
 running sums one take at a time, parallel workers - is built on top of it.
+Loops of seeded jobs run through map_jobs, on every usable CPU.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
+import threading
 
 import numpy as np
 
@@ -31,6 +33,10 @@ from .sampling import (
 )
 
 DEFAULT_CHUNK = 16384
+# A 2-process pool takes about 8 ms to fork, feed and join (2 vCPUs), the
+# time of some 27k kernel lines: jobs that draw fewer than POOL_LINES lines
+# in all run in this process, where the pool would cost them over ~15%.
+POOL_LINES = 200_000
 
 
 class LineStream:
@@ -163,6 +169,35 @@ def _append_dump_rows(rows: list, obs: BatchObservations) -> None:
         )
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def map_jobs(fn, jobs, n_jobs: int, lines: int) -> list:
+    """[fn(*job) for job in jobs], each result at its job's index.
+
+    The n_jobs jobs, which draw about `lines` lines in all, run over a fork
+    pool of min(n_jobs, usable CPUs) processes. They run in this process, in
+    order and one at a time from the iterable, when there is one CPU or one
+    job, when they draw fewer than POOL_LINES lines, while other threads run
+    (a forked child would inherit the locks they hold), inside a pool's
+    worker, or where the platform cannot fork. Each job seeds its own
+    stream, so the results do not depend on where it runs. A job's exception
+    reaches the caller as raised.
+    """
+    procs = min(n_jobs, _usable_cpus())
+    if procs > 1 and lines >= POOL_LINES and threading.active_count() == 1:
+        import multiprocessing as mp  # importing chordscan loads no pool
+
+        if mp.parent_process() is None and "fork" in mp.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(procs, mp_context=mp.get_context("fork")) as pool:
+                futures = [pool.submit(fn, *job) for job in jobs]
+                return [future.result() for future in futures]
+    return [fn(*job) for job in jobs]
+
+
 def explore_parallel(
     shape: Shape,
     n_lines: int,
@@ -173,8 +208,8 @@ def explore_parallel(
 ) -> estimators.Accumulator:
     """Split lines over worker substreams; merge in worker-index order.
 
-    Worker w explores its share with seed substream(seed, WORKER, w). The
-    pickled shape carries what it has cached, a letter's arena circle with it.
+    Worker w explores its share with seed substream(seed, WORKER, w); the
+    shares run as map_jobs' jobs.
     """
     if n_lines < 1:
         raise ValueError("n_lines must be positive")
@@ -185,20 +220,12 @@ def explore_parallel(
     shares = [
         n_lines // workers + (w < n_lines % workers) for w in range(min(workers, n_lines))
     ]
-    configs = [
-        dataclasses.replace(config, seed=substream(config.seed, WORKER, w))
-        for w in range(len(shares))
+    jobs = [
+        (share, dataclasses.replace(config, seed=substream(config.seed, WORKER, w)))
+        for w, share in enumerate(shares)
     ]
-    from concurrent.futures import ProcessPoolExecutor  # importing chordscan loads no pool
-
-    job = functools.partial(explore, shape, n_batches=n_batches)
-    # a pool forks all its processes at once: no more than there are shares or CPUs
-    with ProcessPoolExecutor(max_workers=min(len(shares), os.cpu_count() or 1)) as pool:
-        accs = list(pool.map(job, shares, configs))
-    out = accs[0]
-    for acc in accs[1:]:
-        out = estimators.merge(out, acc)
-    return out
+    explore_share = functools.partial(explore, shape, n_batches=n_batches)
+    return functools.reduce(estimators.merge, map_jobs(explore_share, jobs, len(jobs), n_lines))
 
 
 def convergence_series(
@@ -211,9 +238,8 @@ def convergence_series(
 
     Each replicate runs max(n_grid) lines once from substream(seed, REPLICATE, rep);
     smaller N values read its running sums, which keeps replicates independent
-    of each other at every N. A replicate holds one take at a time, keeping
-    only the sums at the grid. The shape is compiled, and its arena found,
-    once for all replicates.
+    of each other at every N. Replicates are map_jobs' jobs. The shape is
+    compiled, and its arena found, once for all of them, in this process.
     """
     config = config or SamplerConfig()
     grid = np.sort(np.asarray([int(n) for n in n_grid], dtype=np.int64))
@@ -221,24 +247,32 @@ def convergence_series(
         raise ValueError("need at least two replicates")
     if grid.size == 0 or grid[0] < 1:
         raise ValueError(f"n_grid must be a non-empty list of positive N, not {grid.tolist()}")
-    n_max = int(grid[-1])
-    areas = np.empty((replicates, grid.size))
-    perims = np.empty((replicates, grid.size))
-    sums = np.empty((3, grid.size))  # L1, L3, k at each N
-    for rep in range(replicates):
-        sub = dataclasses.replace(config, seed=substream(config.seed, REPLICATE, rep))
-        stream = LineStream(shape, sub)
-        for done in range(0, n_max, DEFAULT_CHUNK):
-            runs = running_sums_all([stream], min(DEFAULT_CHUNK, n_max - done))
-            at = (grid > done) & (grid <= done + DEFAULT_CHUNK)
-            sums[:, at] = [run[0, grid[at] - done - 1] for run in runs]
-        sum_L1, sum_L3, chords = sums
-        empty = (sum_L1 <= 0.0) | (chords <= 0)
-        if empty.any():
-            raise estimators.InsufficientDataError(f"no chord in the first {grid[empty][0]} lines")
-        areas[rep], perims[rep] = estimators.area_perimeter(sum_L1, sum_L3, chords)
+    shape.derived("kernel", CompiledShape)  # a pool's workers get the table with the shape
+    jobs = (
+        (shape, dataclasses.replace(config, seed=substream(config.seed, REPLICATE, rep)), grid)
+        for rep in range(replicates)
+    )
+    rows = map_jobs(_replicate, jobs, replicates, replicates * int(grid[-1]))
+    areas, perims = np.array(rows).transpose(1, 0, 2)
     return estimators.ConvergenceSeries(
         n_values=grid.astype(float),
         sigma_a=np.std(areas, axis=0, ddof=1),
         sigma_p=np.std(perims, axis=0, ddof=1),
     ).fit()
+
+
+def _replicate(shape: Shape, config: SamplerConfig, grid) -> tuple[np.ndarray, np.ndarray]:
+    """(area, perimeter) estimates at each N of the sorted grid, from one
+    stream that holds one take of running sums at a time."""
+    stream = LineStream(shape, config)
+    n_max = int(grid[-1])
+    sums = np.empty((3, grid.size))  # L1, L3, k at each N
+    for done in range(0, n_max, DEFAULT_CHUNK):
+        runs = running_sums_all([stream], min(DEFAULT_CHUNK, n_max - done))
+        at = (grid > done) & (grid <= done + DEFAULT_CHUNK)
+        sums[:, at] = [run[0, grid[at] - done - 1] for run in runs]
+    sum_L1, sum_L3, chords = sums
+    empty = (sum_L1 <= 0.0) | (chords <= 0)
+    if empty.any():
+        raise estimators.InsufficientDataError(f"no chord in the first {grid[empty][0]} lines")
+    return estimators.area_perimeter(sum_L1, sum_L3, chords)

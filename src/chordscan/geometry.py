@@ -213,42 +213,44 @@ def _segments_really_touch(pa, qa, pb, qb, tol) -> np.ndarray:
     )
 
 
-def _ray_crossing_count(coords: np.ndarray, pt: Point) -> int:
-    """Crossings of the fixed-angle ray from pt with one ring (half-open rule)."""
+def _ray_crossings(coords: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Crossings of the fixed-angle ray from each probe (a row of probes)
+    with one ring (half-open rule)."""
     u = np.array([math.cos(RAY_ANGLE), math.sin(RAY_ANGLE)])
     nrm = np.array([-u[1], u[0]])
-    rel = coords - (pt.x, pt.y)
-    eta = rel @ nrm
-    xi = rel @ u
-    eta2, xi2 = np.roll(eta, -1), np.roll(xi, -1)
+    rel = (coords[None, :, :] - probes[:, None, :]).reshape(-1, 2)
+    eta = (rel @ nrm).reshape(len(probes), -1)
+    xi = (rel @ u).reshape(len(probes), -1)
+    eta2, xi2 = np.roll(eta, -1, axis=1), np.roll(xi, -1, axis=1)
     straddles = (eta > 0.0) != (eta2 > 0.0)
-    if not np.any(straddles):
-        return 0
     e1, e2 = eta[straddles], eta2[straddles]
     x1, x2 = xi[straddles], xi2[straddles]
     xc = x1 + (x2 - x1) * (e1 / (e1 - e2))
-    return int(np.count_nonzero(xc > 0.0))
+    return np.bincount(np.nonzero(straddles)[0][xc > 0.0], minlength=len(probes))
 
 
 def contains(shape: Shape, pt: Point) -> bool:
     """Even-odd membership; points exactly on a boundary edge are unspecified."""
-    total = sum(_ray_crossing_count(r.coords, pt) for r in shape.rings)
-    return total % 2 == 1
+    probe = pt.as_array()[None]
+    return sum(int(_ray_crossings(r.coords, probe)[0]) for r in shape.rings) % 2 == 1
 
 
 def exact_area(shape: Shape) -> float:
     """Lebesgue measure of the even-odd interior.
 
     Each ring contributes |shoelace| with sign (-1)**depth, depth counting the
-    rings strictly containing it. Valid because rings never cross.
+    rings strictly containing it (those that cross the ray from its first
+    vertex an odd number of times). Valid because rings never cross.
     """
-    areas = [abs(r.signed_area()) for r in shape.rings]
+    probes = np.array([r.coords[0] for r in shape.rings])
+    depth = np.zeros(len(probes), dtype=np.intp)
+    for j, ring in enumerate(shape.rings):
+        odd = _ray_crossings(ring.coords, probes) % 2
+        odd[j] = 0  # a ring does not contain itself
+        depth += odd
     total = 0.0
-    for i, ring in enumerate(shape.rings):
-        probe = Point(*ring.coords[0])
-        others = (other for j, other in enumerate(shape.rings) if j != i)
-        depth = sum(_ray_crossing_count(other.coords, probe) % 2 for other in others)
-        total += areas[i] * (1.0 if depth % 2 == 0 else -1.0)
+    for ring, d in zip(shape.rings, depth.tolist()):
+        total += abs(ring.signed_area()) * (1.0 if d % 2 == 0 else -1.0)
     return total
 
 

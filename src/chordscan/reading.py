@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import recognition
+from .explore import map_jobs
 from .geometry import Point, Ring, Shape, exact_area, exact_perimeter
 from .sampling import LETTER, SLOT, WORD, SamplerConfig, substream
 
@@ -324,21 +325,20 @@ def default_word_list() -> list[str]:
     return words
 
 
-def _calibrate(names, shapes, site, m_lines, replicates, config):
-    """One calibrated entry per named shape, entry i seeded by substream(seed, site, i).
+def _calibrate(shapes, n, site, m_lines, replicates, config):
+    """One calibrated entry per shape, named for it, entry i seeded by
+    substream(seed, site, i); the n entries are explore.map_jobs' jobs.
 
-    shapes may be a generator: each shape, with its compiled kernel, is then
-    freed before the next one is built.
+    shapes may be a generator: in this process each shape, with its compiled
+    kernel, is then freed before the next one is built.
     """
     config = config or SamplerConfig()
-    return [
-        recognition.calibrate(
-            shape, m_lines, replicates,
-            dataclasses.replace(config, seed=substream(config.seed, site, i)),
-            name=name,
-        )
-        for i, (name, shape) in enumerate(zip(names, shapes))
-    ]
+    jobs = (
+        (shape, m_lines, replicates,
+         dataclasses.replace(config, seed=substream(config.seed, site, i)))
+        for i, shape in enumerate(shapes)
+    )
+    return map_jobs(recognition.calibrate, jobs, n, n * m_lines * replicates)
 
 
 def calibrate_letters(
@@ -348,9 +348,8 @@ def calibrate_letters(
     config: SamplerConfig | None = None,
 ) -> list[recognition.DictEntry]:
     """Calibrated dictionary over the alphabet: the letters read_local explores."""
-    names = sorted(LETTER_MASKS)
-    shapes = (letter_shape(c, cell) for c in names)
-    return _calibrate(names, shapes, LETTER, m_lines, replicates, config)
+    shapes = (letter_shape(c, cell) for c in sorted(LETTER_MASKS))
+    return _calibrate(shapes, len(LETTER_MASKS), LETTER, m_lines, replicates, config)
 
 
 def calibrate_words(
@@ -363,4 +362,4 @@ def calibrate_words(
     """Calibrated dictionary over whole-word shapes."""
     words = list(words)
     shapes = (word_shape(w, cell).shape for w in words)
-    return _calibrate(words, shapes, WORD, m_lines, replicates, config)
+    return _calibrate(shapes, len(words), WORD, m_lines, replicates, config)

@@ -490,12 +490,14 @@ def test_parallel_explore_of_no_lines_raises(workers):
 
 
 def test_parallel_pool_has_no_more_processes_than_shares(monkeypatch):
-    # a pool forks all its processes at once; 3 lines make 3 shares however
-    # many workers are asked for. The pool here maps in this process.
+    # a pool forks all its processes at once: 3 lines make 3 shares however
+    # many workers are asked for, and map_jobs forks no more processes than
+    # there are shares or usable CPUs. The pool here maps in this process.
+    futures = importlib.import_module("concurrent.futures")
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -504,18 +506,24 @@ def test_parallel_pool_has_no_more_processes_than_shares(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            future = futures.Future()
+            future.set_result(fn(*args))
+            return future
 
-    # explore_parallel imports the pool class when it is called
-    monkeypatch.setattr(importlib.import_module("concurrent.futures"), "ProcessPoolExecutor", SerialPool)
-    acc = explore_parallel(shapes.square(), 3, SamplerConfig(seed=20), workers=64)
-    assert acc.n_lines == 3
-    assert len(sizes) == 1 and sizes[0] <= 3
+    # map_jobs imports the pool class when it opens one
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", SerialPool)
+    ex = sys.modules["chordscan.explore"]
+    monkeypatch.setattr(ex, "POOL_LINES", 0)
+    for cpus in (2, 64):
+        monkeypatch.setattr(ex, "_usable_cpus", lambda: cpus)
+        acc = explore_parallel(shapes.square(), 3, SamplerConfig(seed=20), workers=64)
+        assert acc.n_lines == 3
+    assert sizes == [2, 3]
 
 
 def test_import_loads_no_process_pool():
-    # only explore_parallel needs a pool; a fresh import must not pay for one
+    # only map_jobs needs a pool, and imports it; a fresh import must not pay for one
     src = os.path.dirname(os.path.dirname(importlib.import_module("chordscan").__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
