@@ -23,7 +23,7 @@ from .estimators import (
     report,
     stderrs,
 )
-from .explore import convergence_series, explore, explore_parallel
+from .explore import convergence_series, explore
 from .geometry import (
     InvalidShapeError,
     Point,

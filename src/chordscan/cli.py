@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import estimators, reading, recognition, shapes, svgplot
-from .explore import convergence_series, explore, explore_parallel
+from .explore import convergence_series, explore
 from .geometry import InvalidShapeError, Shape, load_shape
 from .sampling import DEFAULT_ARENA_SCALE, SAMPLER_MODES, SamplerConfig
 
@@ -112,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--batches", type=POSITIVE_INT, default=estimators.DEFAULT_BATCHES, help=BATCHES_HELP
     )
-    p.add_argument("--workers", type=POSITIVE_INT, default=1)
     p.add_argument("--out", default="report.json")
     p.add_argument("--dump-observations", default=None, metavar="PATH")
 
@@ -173,14 +172,7 @@ def _cmd_estimate(args) -> int:
     shape = _resolve_shape(args.shape)
     config = _sampler_config(args)
     dump_rows = [] if args.dump_observations else None
-    if args.workers > 1:
-        acc = explore_parallel(
-            shape, args.lines, config, workers=args.workers, n_batches=args.batches
-        )
-    else:
-        acc = explore(
-            shape, args.lines, config, n_batches=args.batches, dump_rows=dump_rows
-        )
+    acc = explore(shape, args.lines, config, n_batches=args.batches, dump_rows=dump_rows)
     rep = estimators.report(acc)
     _write_json(rep.to_dict(), args.out)
     if dump_rows is not None:
@@ -361,8 +353,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "estimate" and args.workers > 1 and args.dump_observations:
-        parser.error("--dump-observations lists one stream's lines; it needs --workers 1")
     try:
         return _COMMANDS[args.command](args)
     except (

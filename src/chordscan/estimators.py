@@ -85,30 +85,47 @@ class Accumulator:
 
     def ingest(self, bobs: BatchObservations) -> None:
         """Accumulate a block of accepted lines' statistics in line order."""
+        if len(bobs):
+            self.add(self.block(bobs, self.n_lines))
+
+    def block(self, bobs: BatchObservations, first: int) -> "Accumulator":
+        """An accumulator of this layout that holds a block of accepted lines
+        alone, the first of them line `first` of the planned lines. This one
+        is left as it is, so blocks may be summed anywhere and added in line
+        order (add)."""
         n = len(bobs)
-        if n == 0:
-            return
-        if self.n_lines + n > self.n_planned:
-            raise ValueError(f"{self.n_lines + n} lines ingested, {self.n_planned} planned")
+        out = Accumulator(self.l_cap, self.n_planned, self.n_batches)
         k, L1, L3, cube = bobs.k, bobs.L1, bobs.L3, bobs.chord_cube_sum
         chords = bobs.chords_flat
         # where each batch starts in this block: batch b at line ceil(b * n_planned / nb)
         nb = self.n_batches
-        starts = np.clip(-(-np.arange(nb) * self.n_planned // nb) - self.n_lines, 0, n)
+        starts = np.clip(-(-np.arange(nb) * self.n_planned // nb) - first, 0, n)
         sizes = np.diff(starts, append=n)
         held = sizes > 0
-        self.n_lines += n
-        self.n_hit += int(np.count_nonzero(k))
-        self.sum_L1 += float(L1.sum())
-        self.sum_L3 += float(L3.sum())
-        self.chord_count += int(k.sum())
-        self.chord_cube_sum += float(cube.sum())
+        out.n_lines = n
+        out.n_hit = int(np.count_nonzero(k))
+        out.sum_L1 = float(L1.sum())
+        out.sum_L3 = float(L3.sum())
+        out.chord_count = int(k.sum())
+        out.chord_cube_sum = float(cube.sum())
         for col, values in enumerate((L1, L3, k, cube)):
-            self.batch[held, col] += np.add.reduceat(values, starts[held])
-        self.batch[:, 4] += sizes
+            out.batch[held, col] = np.add.reduceat(values, starts[held])
+        out.batch[:, 4] = sizes
         if chords.size:
-            self.hist += np.bincount(self._bin_of(chords), minlength=DEFAULT_BINS)
-            self.l_max_seen = max(self.l_max_seen, float(chords.max()))
+            out.hist = np.bincount(self._bin_of(chords), minlength=DEFAULT_BINS)
+            out.l_max_seen = float(chords.max())
+        return out
+
+    def add(self, other: "Accumulator") -> None:
+        """Add another accumulator of this layout, slot by slot: past the
+        layout (l_cap, n_batches, n_planned) every slot is a sum but
+        l_max_seen, a maximum. Sums are added in the order of the calls."""
+        if self.n_lines + other.n_lines > self.n_planned:
+            raise ValueError(f"{self.n_lines + other.n_lines} lines ingested, {self.n_planned} planned")
+        l_max = max(self.l_max_seen, other.l_max_seen)
+        for slot in Accumulator.__slots__[3:]:
+            setattr(self, slot, getattr(self, slot) + getattr(other, slot))
+        self.l_max_seen = l_max
 
     def state_scalar_count(self) -> int:
         """Number of stored numeric values; constant in the line count."""
@@ -120,11 +137,8 @@ def merge(a: Accumulator, b: Accumulator) -> Accumulator:
     if (a.l_cap, a.n_batches) != (b.l_cap, b.n_batches):
         raise ValueError("accumulator layouts differ (l_cap / batches)")
     out = Accumulator(a.l_cap, a.n_planned + b.n_planned, a.n_batches)
-    # past the layout (l_cap, n_batches, n_planned) every slot is a sum but
-    # l_max_seen, a maximum
-    for slot in Accumulator.__slots__[3:]:
-        setattr(out, slot, getattr(a, slot) + getattr(b, slot))
-    out.l_max_seen = max(a.l_max_seen, b.l_max_seen)
+    out.add(a)
+    out.add(b)
     return out
 
 

@@ -5,8 +5,9 @@ batch.BatchObservations records, transparently resampling the (measure-zero)
 degenerate lines and counting them. Its lines are fixed by its shape, which
 carries its arena circle, and its SamplerConfig, whose seed is the only randomness.
 Everything else - one-shot estimates, convergence studies that read its
-running sums one take at a time, parallel workers - is built on top of it.
-Loops of seeded jobs run through map_jobs, on every usable CPU.
+running sums one take at a time - is built on top of it. Loops of seeded
+jobs, and the takes of a long explore, run through map_jobs, on every
+usable CPU.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
+import pickle
+import signal
 import threading
 
 import numpy as np
@@ -23,7 +26,6 @@ from .batch import BatchObservations, CompiledShape, observe_segments
 from .geometry import Shape
 from .sampling import (
     REPLICATE,
-    WORKER,
     BilliardState,
     SamplerConfig,
     arena_for,
@@ -33,10 +35,13 @@ from .sampling import (
 )
 
 DEFAULT_CHUNK = 16384
-# A 2-process pool takes about 8 ms to fork, feed and join (2 vCPUs), the
-# time of some 27k kernel lines: jobs that draw fewer than POOL_LINES lines
-# in all run in this process, where the pool would cost them over ~15%.
-POOL_LINES = 200_000
+# Jobs that draw fewer than POOL_LINES lines in all run in this process. A
+# fork, its pipe and its reaping take 2-3 ms (2 vCPUs, 45 MB resident), two
+# busy processes run at about 70% of their solo speed, and each of explore's
+# processes draws every take: on annulus, statue and disk explores, the
+# forked path broke even at 57k-65k lines (0.9-1.1x the time in this process;
+# 50k lines: 1.1x; 100k lines: 0.8x).
+POOL_LINES = 65_536
 
 
 class LineStream:
@@ -144,20 +149,53 @@ def explore(
     n_batches: int = estimators.DEFAULT_BATCHES,
     dump_rows: list | None = None,
 ) -> estimators.Accumulator:
-    """Accumulate n_lines accepted observations of the shape, in n_batches contiguous batches."""
+    """Accumulate n_lines accepted observations of the shape, in n_batches contiguous batches.
+
+    The stream's lines are taken DEFAULT_CHUNK at a time. With no dump, at
+    least POOL_LINES lines run as map_jobs' jobs, one per process: each
+    process draws every take of the one seeded stream but observes only its
+    own, takes j = w (mod processes), and the caller adds their blocks
+    (Accumulator.block) in take order, so every slot has the bits of the
+    loop in this process. A take that holds a rejected line draws more lines
+    and shifts the stream: the processes give it up, and the loop runs here.
+    """
     if n_lines < 1:
         raise ValueError("n_lines must be positive")
     stream = LineStream(shape, config)
     acc = estimators.Accumulator(2.0 * stream.arena.radius, n_lines, n_batches)
-    done = 0
-    while done < n_lines:
-        obs = stream.take(min(DEFAULT_CHUNK, n_lines - done))
+    sizes = [min(DEFAULT_CHUNK, n_lines - done) for done in range(0, n_lines, DEFAULT_CHUNK)]
+    procs = _procs(len(sizes), n_lines) if dump_rows is None else 1
+    if procs > 1:
+        observe_share = functools.partial(_observe_share, shape, config, acc, sizes, procs)
+        shares = map_jobs(observe_share, [(w,) for w in range(procs)], procs, n_lines)
+        if all(share is not None for share in shares):
+            for j in range(len(sizes)):
+                acc.add(shares[j % procs][j // procs])
+            return acc
+    for size in sizes:
+        obs = stream.take(size)
         acc.ingest(obs)
         if dump_rows is not None:
             _append_dump_rows(dump_rows, obs)
-        done += len(obs)
     acc.rejected = stream.rejected_total
     return acc
+
+
+def _observe_share(shape, config, acc, sizes, procs, w) -> list | None:
+    """acc's blocks of takes w, w + procs, ... of explore's stream, whose
+    takes hold sizes[j] lines if none is rejected; None at a rejected line.
+    Each take up to the last of them is drawn, the others only to move the
+    stream on."""
+    stream = LineStream(shape, config)
+    blocks = []
+    for j in range(w + (len(sizes) - 1 - w) // procs * procs + 1):
+        theta, p = stream._lines(sizes[j])
+        if j % procs == w:
+            obs = observe_segments(stream.cshape, theta, p)
+            if obs.rejected.any():
+                return None
+            blocks.append(acc.block(obs, j * DEFAULT_CHUNK))
+    return blocks
 
 
 def _append_dump_rows(rows: list, obs: BatchObservations) -> None:
@@ -173,59 +211,102 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+_mapping = False  # in a forked child of map_jobs, or in its caller's own share
+
+
+def _procs(n_jobs: int, lines: int) -> int:
+    """How many processes map_jobs runs n_jobs jobs on that draw `lines` lines in all."""
+    if _mapping or lines < POOL_LINES or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(n_jobs, _usable_cpus())
+
+
 def map_jobs(fn, jobs, n_jobs: int, lines: int) -> list:
     """[fn(*job) for job in jobs], each result at its job's index.
 
-    The n_jobs jobs, which draw about `lines` lines in all, run over a fork
-    pool of min(n_jobs, usable CPUs) processes. They run in this process, in
-    order and one at a time from the iterable, when there is one CPU or one
-    job, when they draw fewer than POOL_LINES lines, while other threads run
-    (a forked child would inherit the locks they hold), inside a pool's
-    worker, or where the platform cannot fork. Each job seeds its own
-    stream, so the results do not depend on where it runs. A job's exception
-    reaches the caller as raised.
+    The n_jobs jobs, which draw about `lines` lines in all, run on p =
+    min(n_jobs, usable CPUs) processes: this one runs jobs i = 0 (mod p),
+    and p - 1 forked children run the others, child w jobs i = w (mod p),
+    each from its own copy of the iterable, and pickle their results back
+    over a pipe. Each job seeds its own stream, so the results do not depend
+    on where it runs. The first job to raise, in job order, raises its
+    exception here, as raised; a child that ends without its results raises
+    ChildProcessError. Every child is reaped before map_jobs returns or raises.
+
+    The jobs run here, one at a time, when there is one CPU or one job, when
+    they draw fewer than POOL_LINES lines, inside map_jobs' jobs (no fork
+    nests), while other threads run (a forked child would inherit the locks
+    they hold) or where the platform cannot fork.
     """
-    procs = min(n_jobs, _usable_cpus())
-    if procs > 1 and lines >= POOL_LINES and threading.active_count() == 1:
-        import multiprocessing as mp  # importing chordscan loads no pool
+    procs = _procs(n_jobs, lines)
+    if procs == 1:
+        return [fn(*job) for job in jobs]
+    global _mapping
+    children = []  # (pid, read end of its pipe)
+    try:
+        for w in range(1, procs):
+            children.append(_fork_share(fn, jobs, w, procs))
+        _mapping = True
+        shares = [_share(fn, jobs, 0, procs)]
+        _mapping = False
+        for pid, fd in children:
+            with open(fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                raise ChildProcessError(f"job process {pid} ended without its results")
+            shares.append(pickle.loads(data))
+    finally:
+        _mapping = False
+        for pid, fd in children:
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)  # ended already, but for an error here
+            os.waitpid(pid, 0)
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [shares[i % procs][0][i // procs] for i in range(sum(len(r) for r, _ in shares))]
 
-        if mp.parent_process() is None and "fork" in mp.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(procs, mp_context=mp.get_context("fork")) as pool:
-                futures = [pool.submit(fn, *job) for job in jobs]
-                return [future.result() for future in futures]
-    return [fn(*job) for job in jobs]
+def _share(fn, jobs, w: int, procs: int) -> tuple[list, tuple | None]:
+    """The results of jobs i = w (mod procs), and (i, exception) if job i, or
+    the iterable at job i, raised; the jobs after it do not run."""
+    results, i = [], 0
+    try:
+        for job in jobs:
+            if i % procs == w:
+                results.append(fn(*job))
+            i += 1
+    except Exception as exc:
+        return results, (i, exc)
+    return results, None
 
 
-def explore_parallel(
-    shape: Shape,
-    n_lines: int,
-    config: SamplerConfig | None = None,
-    *,
-    workers: int = 1,
-    n_batches: int = estimators.DEFAULT_BATCHES,
-) -> estimators.Accumulator:
-    """Split lines over worker substreams; merge in worker-index order.
-
-    Worker w explores its share with seed substream(seed, WORKER, w); the
-    shares run as map_jobs' jobs.
-    """
-    if n_lines < 1:
-        raise ValueError("n_lines must be positive")
-    config = config or SamplerConfig()
-    if workers <= 1:
-        return explore(shape, n_lines, config, n_batches=n_batches)
-    # equal shares, the remainder one line each to the first workers
-    shares = [
-        n_lines // workers + (w < n_lines % workers) for w in range(min(workers, n_lines))
-    ]
-    jobs = [
-        (share, dataclasses.replace(config, seed=substream(config.seed, WORKER, w)))
-        for w, share in enumerate(shares)
-    ]
-    explore_share = functools.partial(explore, shape, n_batches=n_batches)
-    return functools.reduce(estimators.merge, map_jobs(explore_share, jobs, len(jobs), n_lines))
+def _fork_share(fn, jobs, w: int, procs: int) -> tuple[int, int]:
+    """Fork a child that runs _share(fn, jobs, w, procs) and pickles it into
+    a pipe; (its pid, the pipe's read end)."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    global _mapping
+    _mapping = True
+    try:
+        os.close(read)
+        share = _share(fn, jobs, w, procs)
+        try:
+            data = pickle.dumps(share, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # a result or an exception that does not pickle
+            data = pickle.dumps(([], (w, exc)))
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
 
 
 def convergence_series(
@@ -247,7 +328,7 @@ def convergence_series(
         raise ValueError("need at least two replicates")
     if grid.size == 0 or grid[0] < 1:
         raise ValueError(f"n_grid must be a non-empty list of positive N, not {grid.tolist()}")
-    shape.derived("kernel", CompiledShape)  # a pool's workers get the table with the shape
+    shape.derived("kernel", CompiledShape)  # forked children inherit the table
     jobs = (
         (shape, dataclasses.replace(config, seed=substream(config.seed, REPLICATE, rep)), grid)
         for rep in range(replicates)

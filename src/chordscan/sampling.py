@@ -57,6 +57,8 @@ class SamplerConfig:
 
 # First word of the substream key of each site that draws substreams, so that
 # no two sites share a stream: substream(seed, LETTER, i) for letter i.
+# WORKER's site is gone; it keeps its place so the keys after it, and their
+# streams, do not move.
 WORKER, REPLICATE, SLOT, LETTER, WORD = range(5)
 
 

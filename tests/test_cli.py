@@ -103,7 +103,8 @@ def test_out_of_range_flag_usage_error(tmp_path, monkeypatch, capsys, argv):
 
 
 def test_dump_with_workers_usage_error(tmp_path):
-    # workers explore substreams, not the one stream a dump lists
+    # --workers is retired: explore runs on every usable CPU by itself, and
+    # the option is a usage error that writes nothing
     proc = run_cli(
         "estimate", "--shape", "square", "--workers", "2", "--dump-observations", "d.csv",
         cwd=tmp_path,
@@ -289,28 +290,20 @@ def test_dump_rows_are_the_drawn_lines():
             assert np.array_equal(np.array([row[col] for row in rows]), want), (mode, col)
 
 
-def test_estimate_workers_flag(tmp_path):
-    assert (
-        main(
-            [
-                "estimate",
-                "--shape",
-                "square",
-                "--lines",
-                "4000",
-                "--seed",
-                "5",
-                "--workers",
-                "2",
-                "--out",
-                str(tmp_path / "rep.json"),
-            ]
-        )
-        == 0
-    )
-    rep = json.loads((tmp_path / "rep.json").read_text())
-    assert rep["N"] == 4000
-    assert abs(rep["area_hat"] - 1.0) < 0.1
+def test_estimate_above_pool_lines_equals_one_cpu(tmp_path, monkeypatch):
+    # an estimate of POOL_LINES lines observes its takes on two CPUs and
+    # reports the bits of one process's loop
+    ex = sys.modules["chordscan.explore"]
+    args = ["estimate", "--shape", "square", "--lines", str(ex.POOL_LINES), "--seed", "5"]
+    reports = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(ex, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"rep-{cpus}.json"
+        assert main([*args, "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    assert reports[0] == reports[1]
+    assert reports[0]["N"] == ex.POOL_LINES
+    assert abs(reports[0]["area_hat"] - 1.0) < 0.01
 
 
 def test_calibrate_classify_roundtrip(tmp_path):

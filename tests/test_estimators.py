@@ -17,7 +17,6 @@ from chordscan.explore import (
     LineStream,
     convergence_series,
     explore,
-    explore_parallel,
     running_sums_all,
     take_all,
 )
@@ -411,7 +410,7 @@ def test_stream_on_a_cached_shape_reports_the_same_bits(mode):
 
 
 def test_shape_with_filled_cache_pickles():
-    # explore_parallel sends shapes to its worker processes
+    # a shape with its compiled kernel and circle can be sent to another process
     shape = shapes.annulus()
     config = SamplerConfig(seed=2)
     before = est.report(explore(shape, 2000, config))
@@ -482,48 +481,40 @@ def test_line_counts_out_of_range_raise(n_grid):
         convergence_series(shapes.square(), n_grid, 3, SamplerConfig(seed=20))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_parallel_explore_of_no_lines_raises(workers):
-    # with two workers there is no share to explore, so no accumulator to merge
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_parallel_explore_of_no_lines_raises(monkeypatch, cpus):
+    # on one CPU or two, an explore of no lines has no take to observe
+    monkeypatch.setattr(sys.modules["chordscan.explore"], "_usable_cpus", lambda: cpus)
     with pytest.raises(ValueError, match="n_lines must be positive"):
-        explore_parallel(shapes.square(), 0, SamplerConfig(seed=20), workers=workers)
+        explore(shapes.square(), 0, SamplerConfig(seed=20))
 
 
 def test_parallel_pool_has_no_more_processes_than_shares(monkeypatch):
-    # a pool forks all its processes at once: 3 lines make 3 shares however
-    # many workers are asked for, and map_jobs forks no more processes than
-    # there are shares or usable CPUs. The pool here maps in this process.
-    futures = importlib.import_module("concurrent.futures")
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers, mp_context):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-    # map_jobs imports the pool class when it opens one
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", SerialPool)
+    # an explore's shares are its takes: two full takes and a line make 3,
+    # and map_jobs forks a child for each share but the caller's, no more
+    # than the usable CPUs allow
     ex = sys.modules["chordscan.explore"]
+    forked, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(ex, "POOL_LINES", 0)
+    children = []
     for cpus in (2, 64):
         monkeypatch.setattr(ex, "_usable_cpus", lambda: cpus)
-        acc = explore_parallel(shapes.square(), 3, SamplerConfig(seed=20), workers=64)
-        assert acc.n_lines == 3
-    assert sizes == [2, 3]
+        acc = explore(shapes.square(), 2 * ex.DEFAULT_CHUNK + 1, SamplerConfig(seed=20))
+        assert acc.n_lines == 2 * ex.DEFAULT_CHUNK + 1
+        children.append(len(forked) - sum(children))
+    assert children == [1, 2]
 
 
 def test_import_loads_no_process_pool():
-    # only map_jobs needs a pool, and imports it; a fresh import must not pay for one
+    # map_jobs forks with os.fork: a fresh import loads no process pool
     src = os.path.dirname(os.path.dirname(importlib.import_module("chordscan").__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (

@@ -10,12 +10,12 @@ import pytest
 from chordscan import reading as rd
 from chordscan import recognition as rec
 from chordscan import shapes
-from chordscan.estimators import area_perimeter, merge
+from chordscan.estimators import area_perimeter
 from chordscan.geometry import (
     Point, RigidTransform, bounding_circle, exact_area, exact_perimeter, transform,
 )
 from chordscan.sampling import (
-    LETTER, SLOT, WORD, WORKER, ArenaCircle, SamplerConfig, arena_for, substream,
+    LETTER, SLOT, WORD, ArenaCircle, SamplerConfig, arena_for, substream,
 )
 
 from conftest import record_sums
@@ -231,9 +231,10 @@ def test_calibrate_words_keeps_one_word_shape_at_a_time():
 
 
 def test_substream_sites_draw_distinct_streams(monkeypatch, letter_dict):
-    # one call of every site that draws substreams, all from seed 3: parallel
-    # workers, convergence replicates, read slots, letter and word entries.
-    # No two of their streams agree, and none is the plain seed's.
+    # one call of every site that draws substreams, all from seed 3:
+    # convergence replicates, read slots, letter and word entries. No two of
+    # their streams agree, and none is the plain seed's. An explore that
+    # runs on every CPU draws the seed's one stream, no substream.
     firsts = []
 
     def spy(seed, *key):
@@ -244,28 +245,13 @@ def test_substream_sites_draw_distinct_streams(monkeypatch, letter_dict):
     monkeypatch.setattr(ex, "substream", spy)
     monkeypatch.setattr(rd, "substream", spy)
     cfg = SamplerConfig(seed=3)
-    ex.explore_parallel(shapes.disk(), 100, cfg, workers=2, n_batches=10)
+    ex.explore(shapes.disk(), ex.POOL_LINES, cfg, n_batches=10)
     ex.convergence_series(shapes.disk(), [50, 100], 3, cfg)
     rd.read_local(rd.word_shape("FREEDOM", 1.0), letter_dict, 300, cfg)
     rd.calibrate_letters(m_lines=100, replicates=2, config=cfg)
     rd.calibrate_words(["FREEDOM", "GENERATIONS"], m_lines=100, replicates=2, config=cfg)
-    assert len(firsts) == 2 + 3 + 7 + 26 + 2
+    assert len(firsts) == 3 + 7 + 26 + 2
     assert len(set(firsts + [np.random.default_rng(3).random()])) == len(firsts) + 1
-
-
-def test_parallel_workers_explore_their_site_substreams():
-    # worker w explores its share from substream(seed, WORKER, w); the result
-    # is the merge of the workers' accumulators in worker order
-    shape, cfg = shapes.annulus(), SamplerConfig(mode="billiard-cos", seed=12)
-    got = ex.explore_parallel(shape, 3001, cfg, workers=2)
-    want = merge(*(
-        ex.explore(shape, share, dataclasses.replace(cfg, seed=substream(cfg.seed, WORKER, w)))
-        for w, share in enumerate((1501, 1500))
-    ))
-    for field in ("sum_L1", "sum_L3", "chord_count", "rejected"):
-        assert getattr(got, field) == getattr(want, field), field
-    for field in ("batch", "hist"):
-        assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
 def test_substream_seeded_config_seeds_every_site(letter_dict):
@@ -279,7 +265,7 @@ def test_substream_seeded_config_seeds_every_site(letter_dict):
     rd.calibrate_words(["ON", "IN"], m_lines=100, replicates=2, config=cfg)
     rd.read_local(rd.word_shape("ON", 1.0), letter_dict, 300, cfg)
     ex.convergence_series(shapes.disk(), [50, 100], 2, cfg)
-    ex.explore_parallel(shapes.disk(), 100, cfg, workers=2, n_batches=10)
+    ex.explore(shapes.disk(), ex.POOL_LINES, cfg, n_batches=10)
 
 
 def test_letter_stop_estimates_equal_one_draw_prefix(letter_dict):
@@ -404,16 +390,15 @@ def test_transformed_letter_gets_its_own_bounding_circle():
     assert arena_for(letter, 1.2).radius == pytest.approx(math.hypot(3.0, 5.0) / 2 * 1.2, rel=1e-15)
 
 
-def test_parallel_workers_explore_a_letter_in_its_arena():
-    # the pickled letter carries its arena circle to the workers: they draw
-    # the lines explore draws in the cell box's circle, and the merged
-    # histogram spans that circle's diameter
+def test_parallel_workers_explore_a_letter_in_its_arena(monkeypatch):
+    # an explore of POOL_LINES lines on two CPUs: the forked child draws the
+    # lines explore draws in the cell box's circle, the histogram spans that
+    # circle's diameter, and every slot is as one process's loop leaves it
     letter, cfg = rd.letter_shape("I", 1.0), SamplerConfig(seed=12)
-    got = ex.explore_parallel(letter, 3001, cfg, workers=2)
-    want = merge(*(
-        ex.explore(letter, share, dataclasses.replace(cfg, seed=substream(cfg.seed, WORKER, w)))
-        for w, share in enumerate((1501, 1500))
-    ))
+    monkeypatch.setattr(ex, "_usable_cpus", lambda: 2)
+    got = ex.explore(letter, ex.POOL_LINES, cfg)
+    monkeypatch.setattr(ex, "_usable_cpus", lambda: 1)
+    want = ex.explore(letter, ex.POOL_LINES, cfg)
     assert got.l_cap == pytest.approx(math.hypot(3.0, 5.0) * 1.2, rel=1e-15)
     for field in ("l_cap", "sum_L1", "sum_L3", "chord_count", "rejected"):
         assert getattr(got, field) == getattr(want, field), field
