@@ -6,14 +6,13 @@ degenerate lines and counting them. Its lines are fixed by its shape, which
 carries its arena circle, and its SamplerConfig, whose seed is the only randomness.
 Everything else - one-shot estimates, convergence studies that read its
 running sums one take at a time - is built on top of it. Loops of seeded
-jobs, and the takes of a long explore, run through map_jobs, on every
-usable CPU.
+jobs, and the takes of an explore, are map_jobs' jobs, run on every usable
+CPU.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import os
 import pickle
 import signal
@@ -151,27 +150,26 @@ def explore(
 ) -> estimators.Accumulator:
     """Accumulate n_lines accepted observations of the shape, in n_batches contiguous batches.
 
-    The stream's lines are taken DEFAULT_CHUNK at a time. With no dump, at
-    least POOL_LINES lines run as map_jobs' jobs, one per process: each
-    process draws every take of the one seeded stream but observes only its
-    own, takes j = w (mod processes), and the caller adds their blocks
-    (Accumulator.block) in take order, so every slot has the bits of the
-    loop in this process. A take that holds a rejected line draws more lines
-    and shifts the stream: the processes give it up, and the loop runs here.
+    The stream's lines are taken DEFAULT_CHUNK at a time. With no dump, the
+    takes are map_jobs' jobs: take j is drawn from the one seeded stream,
+    its block (Accumulator.block) observed where map_jobs runs job j, and
+    the blocks added in take order, so every slot has the bits of one loop
+    over the takes. A take that holds a rejected line draws more lines and
+    shifts the stream: its job gives up, and a fresh stream runs the loop.
     """
     if n_lines < 1:
         raise ValueError("n_lines must be positive")
     stream = LineStream(shape, config)
     acc = estimators.Accumulator(2.0 * stream.arena.radius, n_lines, n_batches)
     sizes = [min(DEFAULT_CHUNK, n_lines - done) for done in range(0, n_lines, DEFAULT_CHUNK)]
-    procs = _procs(len(sizes), n_lines) if dump_rows is None else 1
-    if procs > 1:
-        observe_share = functools.partial(_observe_share, shape, config, acc, sizes, procs)
-        shares = map_jobs(observe_share, [(w,) for w in range(procs)], procs, n_lines)
-        if all(share is not None for share in shares):
-            for j in range(len(sizes)):
-                acc.add(shares[j % procs][j // procs])
+    if dump_rows is None:
+        jobs = ((acc, stream.cshape, j, *stream._lines(size)) for j, size in enumerate(sizes))
+        blocks = map_jobs(_observe_take, jobs, len(sizes), n_lines)
+        if None not in blocks:
+            for block in blocks:
+                acc.add(block)
             return acc
+        stream = LineStream(shape, config)
     for size in sizes:
         obs = stream.take(size)
         acc.ingest(obs)
@@ -181,21 +179,10 @@ def explore(
     return acc
 
 
-def _observe_share(shape, config, acc, sizes, procs, w) -> list | None:
-    """acc's blocks of takes w, w + procs, ... of explore's stream, whose
-    takes hold sizes[j] lines if none is rejected; None at a rejected line.
-    Each take up to the last of them is drawn, the others only to move the
-    stream on."""
-    stream = LineStream(shape, config)
-    blocks = []
-    for j in range(w + (len(sizes) - 1 - w) // procs * procs + 1):
-        theta, p = stream._lines(sizes[j])
-        if j % procs == w:
-            obs = observe_segments(stream.cshape, theta, p)
-            if obs.rejected.any():
-                return None
-            blocks.append(acc.block(obs, j * DEFAULT_CHUNK))
-    return blocks
+def _observe_take(acc, cshape, j, theta, p) -> estimators.Accumulator | None:
+    """acc's block of explore's take j, the lines (theta, p); None at a rejected line."""
+    obs = observe_segments(cshape, theta, p)
+    return None if obs.rejected.any() else acc.block(obs, j * DEFAULT_CHUNK)
 
 
 def _append_dump_rows(rows: list, obs: BatchObservations) -> None:
@@ -214,13 +201,6 @@ def _usable_cpus() -> int:
 _mapping = False  # in a forked child of map_jobs, or in its caller's own share
 
 
-def _procs(n_jobs: int, lines: int) -> int:
-    """How many processes map_jobs runs n_jobs jobs on that draw `lines` lines in all."""
-    if _mapping or lines < POOL_LINES or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return min(n_jobs, _usable_cpus())
-
-
 def map_jobs(fn, jobs, n_jobs: int, lines: int) -> list:
     """[fn(*job) for job in jobs], each result at its job's index.
 
@@ -228,20 +208,23 @@ def map_jobs(fn, jobs, n_jobs: int, lines: int) -> list:
     min(n_jobs, usable CPUs) processes: this one runs jobs i = 0 (mod p),
     and p - 1 forked children run the others, child w jobs i = w (mod p),
     each from its own copy of the iterable, and pickle their results back
-    over a pipe. Each job seeds its own stream, so the results do not depend
-    on where it runs. The first job to raise, in job order, raises its
-    exception here, as raised; a child that ends without its results raises
-    ChildProcessError. Every child is reaped before map_jobs returns or raises.
+    over a pipe. A job is fixed by its seed or, as explore's takes are, by
+    the iterable's draws up to it, so the results do not depend on where it
+    runs. The first job to raise, in job order, raises its exception here,
+    as raised; a child that ends without its results raises
+    ChildProcessError. Every child is reaped before map_jobs returns or
+    raises.
 
     The jobs run here, one at a time, when there is one CPU or one job, when
     they draw fewer than POOL_LINES lines, inside map_jobs' jobs (no fork
     nests), while other threads run (a forked child would inherit the locks
     they hold) or where the platform cannot fork.
     """
-    procs = _procs(n_jobs, lines)
+    global _mapping
+    forks = not _mapping and lines >= POOL_LINES and hasattr(os, "fork") and threading.active_count() == 1
+    procs = min(n_jobs, _usable_cpus()) if forks else 1
     if procs == 1:
         return [fn(*job) for job in jobs]
-    global _mapping
     children = []  # (pid, read end of its pipe)
     try:
         for w in range(1, procs):

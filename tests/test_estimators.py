@@ -24,6 +24,7 @@ from chordscan.geometry import Ring, Shape, exact_area, exact_perimeter, union_d
 from chordscan.sampling import REPLICATE, SAMPLER_MODES, SamplerConfig, substream
 
 from conftest import record_sums
+from golden_record import encode
 from line_oracle import alternating, geometric_function
 
 
@@ -481,6 +482,18 @@ def test_line_counts_out_of_range_raise(n_grid):
         convergence_series(shapes.square(), n_grid, 3, SamplerConfig(seed=20))
 
 
+def _counting(monkeypatch, owner, attr):
+    """Calls of owner.attr in this process, one entry per call."""
+    calls, original = [], getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_parallel_explore_of_no_lines_raises(monkeypatch, cpus):
     # on one CPU or two, an explore of no lines has no take to observe
@@ -494,15 +507,7 @@ def test_parallel_pool_has_no_more_processes_than_shares(monkeypatch):
     # and map_jobs forks a child for each share but the caller's, no more
     # than the usable CPUs allow
     ex = sys.modules["chordscan.explore"]
-    forked, fork = [], os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
+    forked = _counting(monkeypatch, os, "fork")
     monkeypatch.setattr(ex, "POOL_LINES", 0)
     children = []
     for cpus in (2, 64):
@@ -511,6 +516,43 @@ def test_parallel_pool_has_no_more_processes_than_shares(monkeypatch):
         assert acc.n_lines == 2 * ex.DEFAULT_CHUNK + 1
         children.append(len(forked) - sum(children))
     assert children == [1, 2]
+
+
+@pytest.mark.parametrize("tol", [None, 1e-2], ids=["default-band", "band-1e-2"])
+@pytest.mark.parametrize("mode", ["iur", "billiard-cos"])
+@pytest.mark.parametrize("n_lines", [24_000, 100_001])
+def test_explore_equals_a_take_by_take_loop_bit_for_bit(monkeypatch, tol, mode, n_lines):
+    # 24,000 lines map their takes in this process, 100,001 lines fork one
+    # child on two CPUs; a 1e-2 vertex band, set before the disk compiles,
+    # rejects about 40% of its lines, so every take holds a rejected line
+    ex = sys.modules["chordscan.explore"]
+    monkeypatch.setattr(ex, "_usable_cpus", lambda: 2)
+    forked = _counting(monkeypatch, os, "fork")
+    if tol is not None:
+        monkeypatch.setattr(batch, "ONLINE_TOL", tol)
+    make = shapes.annulus if tol is None else shapes.disk
+    cfg = SamplerConfig(mode=mode, seed=39)
+    got = explore(make(), n_lines, cfg)
+    assert len(forked) == (n_lines >= ex.POOL_LINES)
+    stream = LineStream(make(), cfg)
+    want = est.Accumulator(2.0 * stream.arena.radius, n_lines)
+    for done in range(0, n_lines, ex.DEFAULT_CHUNK):
+        want.ingest(stream.take(min(ex.DEFAULT_CHUNK, n_lines - done)))
+    want.rejected = stream.rejected_total
+    assert (want.rejected > 0) == (tol is not None)
+    for slot in est.Accumulator.__slots__:
+        assert encode(getattr(got, slot)) == encode(getattr(want, slot)), slot
+
+
+def test_a_forked_explore_sets_up_one_stream_in_the_caller(monkeypatch):
+    # the caller's stream draws every take for the jobs of both processes
+    ex = sys.modules["chordscan.explore"]
+    monkeypatch.setattr(ex, "_usable_cpus", lambda: 2)
+    forked = _counting(monkeypatch, os, "fork")
+    setups = _counting(monkeypatch, LineStream, "__init__")
+    acc = explore(shapes.annulus(), 100_001, SamplerConfig(seed=40))
+    assert acc.n_lines == 100_001 and len(forked) == 1
+    assert len(setups) == 1
 
 
 def test_import_loads_no_process_pool():
