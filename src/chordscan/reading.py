@@ -163,9 +163,6 @@ class Alphabet:
             by_pair.setdefault((round(a, 9), round(p, 9)), []).append(c)
         self.collisions = [tuple(v) for v in by_pair.values() if len(v) > 1]
 
-    def shape(self, c: str) -> Shape:
-        return self.shapes[c]
-
     def min_separation(self) -> float:
         """Smallest pairwise distance in (A/s^2, P/s) space across letters."""
         pts = np.array(
@@ -329,8 +326,9 @@ def _calibrate(shapes, n, site, m_lines, replicates, config):
     """One calibrated entry per shape, named for it, entry i seeded by
     substream(seed, site, i); the n entries are explore.map_jobs' jobs.
 
-    shapes may be a generator: in this process each shape, with its compiled
-    kernel, is then freed before the next one is built.
+    shapes may be a generator: in this process each word shape, with its
+    compiled kernel, is then freed before the next one is built (letter
+    shapes stay in letter_shape's cache).
     """
     config = config or SamplerConfig()
     jobs = (

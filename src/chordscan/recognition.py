@@ -78,17 +78,13 @@ class Ellipse:
     level: float
     mahal_sq: float
 
-    def contains(self, p: float, a: float, entry: DictEntry, n: int) -> bool:
-        sp = entry.sigma0_p / math.sqrt(n)
-        sa = entry.sigma0_a / math.sqrt(n)
-        dp = (p - entry.p_ref) / sp
-        da = (a - entry.a_ref) / sa
-        return _mahalanobis_sq(dp, da, entry.corr) <= self.mahal_sq
-
-
-def _mahalanobis_sq(dp, da, rho):
-    """Squared Mahalanobis distance of standardized offsets with correlation rho."""
-    return (dp * dp - 2.0 * rho * dp * da + da * da) / (1.0 - rho * rho)
+    def contains(self, p: float, a: float) -> bool:
+        """Whether (p, a) lies in the ellipse, its boundary included."""
+        cos, sin = math.cos(self.angle), math.sin(self.angle)
+        dp, da = p - self.center_p, a - self.center_a
+        u = (cos * dp + sin * da) / self.semi_major  # along the major axis
+        v = (cos * da - sin * dp) / self.semi_minor
+        return u * u + v * v <= 1.0
 
 
 def calibrate(
@@ -348,13 +344,13 @@ def explore_slots_until_stop(
     """explore_until_stop of each (shape, config) slot, the slots in lockstep.
 
     The running slots share one draw schedule: a round takes the next draw of
-    every running slot, all of one size, in one explore.take_all, and its
-    prefixes make one grid of slots x lines. All their evaluated prefixes go
-    through one pass of the posterior, at most 4 * STOP_CHUNK rows at a time,
-    and each slot's streak runs along its row from the streak it carried in.
-    A slot keeps its own stream, running sums and streak, and leaves the
-    rounds when it stops; the rest leave together at n_max. Its result is the
-    one explore_until_stop gives it alone.
+    every running slot, all of one size, in one explore.take_all, and scores
+    its (slots x prefixes) block of the grid from the warm-up on in one pass
+    of the posterior, at most 4 * STOP_CHUNK cells at a time; each slot's
+    streak runs along its row from the streak it carried in. A slot keeps its
+    own stream, running sums and streak, and leaves the rounds when it stops;
+    the rest leave together at n_max, censored (with no estimate if n_max is
+    below the warm-up). Its result is the one explore_until_stop gives it alone.
     """
     if not entries:
         raise ValueError("dictionary is empty")
@@ -368,48 +364,41 @@ def explore_slots_until_stop(
     first = max(min_n + confirm - 1, STOP_CHUNK)
     results = [StopResult(None, n_max, True, math.nan, math.nan, 0.0)] * len(slots)
     # each slot's confirmation streak, and its label, at the end of its last
-    # evaluated prefix
+    # scored prefix
     streak, streak_label = np.zeros((2, len(slots)), dtype=np.intp)
     running, done = np.arange(len(slots)), 0
     while running.size and done < n_max:
         n = min(4 * STOP_CHUNK if done else first, n_max - done)
         l1, l3, kk = running_sums_all([streams[s] for s in running], n)
-        n_prefix = np.arange(done + 1, done + n + 1)
+        lo = max(0, min_n - 1 - done)  # the round's first column at or past the warm-up
+        n_col = np.arange(done + lo + 1, done + n + 1)
         done += n
-        # once a slot's prefix is evaluated, every later one is
-        evaluated = (l1 > 0.0) & (kk > 0) & (n_prefix >= min_n)
-        idx = np.flatnonzero(evaluated)
-        if not idx.size:
+        if not n_col.size:
             continue
-        a_hat, p_hat = estimators.area_perimeter(l1[evaluated], l3[evaluated], kk[evaluated])
-        n_row = n_prefix[idx % n]
-        top, top_prob = _top_posteriors(p_hat, a_hat, n_row, ref)
-        over, label = top_prob >= threshold, top
-        if idx.size < evaluated.size:
-            # a prefix not evaluated comes before any evaluated one of its
-            # slot, whose carried streak is 0: as one below the threshold it
-            # neither extends nor ends a streak
-            over = np.zeros(evaluated.shape, dtype=bool)
-            label = np.zeros(evaluated.shape, dtype=top.dtype)
-            over[evaluated], label[evaluated] = top_prob >= threshold, top
-        over, label = over.reshape(-1, n), label.reshape(-1, n)
-        run = _runs(over, label, streak[running], streak_label[running])
+        l1, l3, kk = l1[:, lo:], l3[:, lo:], kk[:, lo:]
+        # a prefix with no chord has no estimate: its 0/0 cell is never over,
+        # so its run is 0 and its top is never read
+        defined = (l1 > 0.0) & (kk > 0)
+        with np.errstate(invalid="ignore"):
+            a_hat, p_hat = estimators.area_perimeter(l1, l3, kk)
+        top, top_prob = _top_posteriors(p_hat.ravel(), a_hat.ravel(), np.tile(n_col, len(l1)), ref)
+        top, top_prob = top.reshape(l1.shape), top_prob.reshape(l1.shape)
+        run = _runs(defined & (top_prob >= threshold), top, streak[running], streak_label[running])
         hits = run >= confirm
         stop = hits.any(axis=1)
-        # the stop, or at n_max a censored result from the slot's last prefix
-        rows = np.flatnonzero(stop | evaluated[:, -1] if done >= n_max else stop)
-        col = np.where(stop, hits.argmax(axis=1), n - 1)
-        cells = np.searchsorted(idx, rows * n + col[rows])  # their places among the evaluated
-        for s, i, stopped in zip(running[rows].tolist(), cells.tolist(), stop[rows].tolist()):
+        # the stop, or at n_max a censored result from the slot's last prefix, n_max
+        rows = np.flatnonzero(stop | defined[:, -1] if done >= n_max else stop)
+        cols = np.where(stop, hits.argmax(axis=1), -1)[rows]
+        for s, r, c in zip(running[rows].tolist(), rows.tolist(), cols.tolist()):
             results[s] = StopResult(
-                label=entries[int(top[i])].name,
-                n_stop=int(n_row[i]) if stopped else n_max,
-                censored=not stopped,
-                area_hat=float(a_hat[i]),
-                perim_hat=float(p_hat[i]),
-                top_prob=float(top_prob[i]),
+                label=entries[int(top[r, c])].name,
+                n_stop=int(n_col[c]),
+                censored=not stop[r],
+                area_hat=float(a_hat[r, c]),
+                perim_hat=float(p_hat[r, c]),
+                top_prob=float(top_prob[r, c]),
             )
-        streak[running], streak_label[running] = run[:, -1], label[:, -1]
+        streak[running], streak_label[running] = run[:, -1], top[:, -1]
         running = running[~stop]
     return results
 

@@ -245,7 +245,7 @@ def test_criterion_9_ellipse_coverage(builtin_dictionary):
             SamplerConfig(seed=np.random.SeedSequence([99, rep])),
         )
         a_hat, p_hat = est.estimate_area(acc), est.estimate_perimeter(acc)
-        inside += ell.contains(p_hat, a_hat, disk_entry, 1000)
+        inside += ell.contains(p_hat, a_hat)
     frac = inside / 200.0
     assert 0.90 <= frac <= 0.99
     _passline(9, f"95% ellipse covers {frac:.1%} of 200 fresh disk replicates")

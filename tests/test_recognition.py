@@ -282,6 +282,28 @@ def test_confidence_ellipse_invalid_inputs():
         rec.confidence_ellipse(e, 0, 0.95)
 
 
+def test_ellipse_contains_from_its_own_axes():
+    # a correlated entry tilts the ellipse: points just inside and just
+    # outside each axis end, and random points against the entry's own
+    # quadratic form at n lines
+    e = rec.DictEntry("x", 10.0, 5.0, sigma0_a=2.0, sigma0_p=1.0, corr=0.6)
+    n = 100
+    ell = rec.confidence_ellipse(e, n, 0.95)
+    for semi, angle in ((ell.semi_major, ell.angle), (ell.semi_minor, ell.angle + math.pi / 2)):
+        for sign in (1.0, -1.0):
+            for scale, inside in ((1 - 1e-9, True), (1 + 1e-9, False)):
+                r = sign * scale * semi
+                p, a = ell.center_p + r * math.cos(angle), ell.center_a + r * math.sin(angle)
+                assert ell.contains(p, a) == inside, (semi, sign, scale)
+    rng = np.random.default_rng(3)
+    p, a = (c + rng.uniform(-1.5, 1.5, 2000) * ell.semi_major for c in (e.p_ref, e.a_ref))
+    dp, da = (p - e.p_ref) / (e.sigma0_p / math.sqrt(n)), (a - e.a_ref) / (e.sigma0_a / math.sqrt(n))
+    q = (dp * dp - 2 * e.corr * dp * da + da * da) / (1 - e.corr**2) / ell.mahal_sq
+    far = np.abs(q - 1.0) > 1e-9
+    assert 200 < np.count_nonzero(q[far] <= 1.0) < far.sum() - 200
+    assert [ell.contains(x, y) for x, y in zip(p[far], a[far])] == (q[far] <= 1.0).tolist()
+
+
 def test_landscape_labels_entry_cell():
     entries = two_entries(d=6.0, s=1.0)
     grid = rec.landscape(entries, 400, resolution=41)
@@ -685,6 +707,43 @@ def test_threshold_ends_are_accepted():
         rec.explore_until_stop(
             shapes.disk(), two_entries(), SamplerConfig(seed=1), threshold=threshold, n_max=50
         )
+
+
+def test_a_budget_below_the_warm_up_scores_nothing(builtin_dictionary, monkeypatch):
+    # no prefix reaches the warm-up: every slot is censored at the budget with
+    # no estimate, one slot alone and three slots of mixed shapes in lockstep
+    def censored(res, n_max):
+        assert (res.label, res.n_stop, res.censored, res.top_prob) == (None, n_max, True, 0.0)
+        assert math.isnan(res.area_hat) and math.isnan(res.perim_hat)
+
+    censored(rec.explore_until_stop(shapes.square(), builtin_dictionary, SamplerConfig(seed=1), n_max=5), 5)
+    slots = [(shapes.builtin(name), SamplerConfig(seed=7)) for name in ("square", "annulus", "statue")]
+    for res in rec.explore_slots_until_stop(slots, builtin_dictionary, n_max=29):
+        censored(res, 29)
+    # at n_max == warm_up exactly the last prefix of each slot is scored
+    scored = []
+    top_posteriors = rec._top_posteriors
+
+    def counting(p_hat, a_hat, n, ref):
+        scored.append(np.asarray(n).tolist())
+        return top_posteriors(p_hat, a_hat, n, ref)
+
+    monkeypatch.setattr(rec, "_top_posteriors", counting)
+    kw = dict(threshold=0.95, warm_up=30, confirm=1, n_max=30)
+    _assert_slots_walk(slots, builtin_dictionary, **kw)
+    assert scored == [[30, 30, 30]]
+
+
+def test_a_slot_with_no_chord_by_the_budget_has_no_estimate():
+    # at threshold 0 a slot stops at its first line with a chord; a slot
+    # whose one line misses the triangle is censored at the budget, unread
+    slots = [(shapes.triangle(), SamplerConfig(seed=s)) for s in range(10)]
+    results = rec.explore_slots_until_stop(slots, two_entries(), threshold=0.0, n_max=1)
+    missed = [record_sums(shape, 1, cfg)[2][0] == 0 for shape, cfg in slots]
+    assert 0 < sum(missed) < len(slots)
+    for res, miss in zip(results, missed):
+        assert (res.n_stop, res.censored) == (1, miss)
+        assert (res.label is None) == miss and math.isnan(res.area_hat) == miss
 
 
 @pytest.mark.parametrize("n_max", [0, -5])
