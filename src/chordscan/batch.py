@@ -201,23 +201,20 @@ class BatchObservations:
     chord_cube_sum: np.ndarray
     chords_flat: np.ndarray  # all chord lengths, line by line (k[i] for line i)
     rejected: np.ndarray  # bool mask
-    theta: np.ndarray | None = None  # the lines as observed (see sampling)
-    p: np.ndarray | None = None
+    theta: np.ndarray  # the lines as observed (see sampling)
+    p: np.ndarray
 
     def __len__(self) -> int:
         return len(self.k)
 
     def select(self, lines: np.ndarray) -> "BatchObservations":
         """The record of the given lines (indices into this one), in that order."""
-        k = self.k[lines]
+        cols = {f.name: getattr(self, f.name)[lines] for f in fields(self) if f.name != "chords_flat"}
+        k = cols["k"]
         # each selected line's chords: its first chord here, then on
         chord = np.repeat((np.cumsum(self.k) - self.k)[lines] - (np.cumsum(k) - k), k)
         chord += np.arange(chord.size)
-        cols = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "chords_flat"}
-        return BatchObservations(
-            chords_flat=self.chords_flat[chord],
-            **{name: None if col is None else col[lines] for name, col in cols.items()},
-        )
+        return BatchObservations(chords_flat=self.chords_flat[chord], **cols)
 
     @staticmethod
     def concatenate(parts: list["BatchObservations"]) -> "BatchObservations":
@@ -225,7 +222,7 @@ class BatchObservations:
         if len(parts) == 1:
             return parts[0]
         cols = [[getattr(part, f.name) for part in parts] for f in fields(BatchObservations)]
-        return BatchObservations(*(None if col[0] is None else np.concatenate(col) for col in cols))
+        return BatchObservations(*(np.concatenate(col) for col in cols))
 
 
 def _cells(cshape: CompiledShape, theta: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -395,13 +392,12 @@ def observe_segments(cshape, theta, p) -> BatchObservations:
     else:
         parts = [(cs, t.size) for cs, t in zip(cshape, theta)]
         theta, p = (x[0] if len(x) == 1 else np.concatenate(x) for x in (theta, p))
-    bobs = _reduce(*_scan(parts, theta, p))
-    bobs.theta, bobs.p = theta, p
-    return bobs
+    return _reduce(*_scan(parts, theta, p), theta, p)
 
 
-def _reduce(counts: np.ndarray, t_all: np.ndarray, rejected: np.ndarray) -> BatchObservations:
-    """Record of lines with counts[i] events, at t_all line by line; odd counts are rejected."""
+def _reduce(counts, t_all, rejected, theta, p) -> BatchObservations:
+    """Record of the lines (theta, p), line i with counts[i] events, at t_all
+    line by line; odd counts are rejected."""
     m = rejected.size
     rejected |= (counts & 1).astype(bool)
     if rejected.any():
@@ -430,7 +426,7 @@ def _reduce(counts: np.ndarray, t_all: np.ndarray, rejected: np.ndarray) -> Batc
         sub = hit[lo:hi]
         L1[sub], cube[sub], L3[sub] = _line_sums(t_all, first[lo:hi], n_ev[lo:hi], chords)
         lo = hi
-    return BatchObservations(counts // 2, L1, L3, cube, chords, rejected)
+    return BatchObservations(counts // 2, L1, L3, cube, chords, rejected, theta, p)
 
 
 def _line_sums(t: np.ndarray, first: np.ndarray, n_ev: np.ndarray, chords: np.ndarray):

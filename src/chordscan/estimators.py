@@ -1,9 +1,10 @@
 """Streaming accumulation of line observations and the derived estimators.
 
-The accumulator ingests batch.BatchObservations records and keeps
-constant-size running sums (plus a fixed-bin chord histogram and the sums of
-contiguous batches of lines), so memory never grows with the number of
-explored lines. Estimates are ratios of sums, which makes them insensitive to
+An accumulator is filled one block of batch.BatchObservations lines at a
+time, acc.add(acc.block(obs, first)), and keeps constant-size running sums
+(plus a fixed-bin chord histogram and the sums of contiguous batches of
+lines), so memory never grows with the number of explored lines. Estimates
+are ratios of sums, which makes them insensitive to
 lines that miss the shape entirely; area_perimeter writes both ratio formulas
 once for arrays of sums: at the grid of a convergence series and per line of
 the stopping loop. ratio_influence is the one variance formula: the delta method
@@ -83,11 +84,6 @@ class Accumulator:
         b = np.floor(lengths / self.l_cap * DEFAULT_BINS).astype(np.int64)
         return np.clip(b, 0, DEFAULT_BINS - 1)
 
-    def ingest(self, bobs: BatchObservations) -> None:
-        """Accumulate a block of accepted lines' statistics in line order."""
-        if len(bobs):
-            self.add(self.block(bobs, self.n_lines))
-
     def block(self, bobs: BatchObservations, first: int) -> "Accumulator":
         """An accumulator of this layout that holds a block of accepted lines
         alone, the first of them line `first` of the planned lines. This one
@@ -117,9 +113,13 @@ class Accumulator:
         return out
 
     def add(self, other: "Accumulator") -> None:
-        """Add another accumulator of this layout, slot by slot: past the
-        layout (l_cap, n_batches, n_planned) every slot is a sum but
-        l_max_seen, a maximum. Sums are added in the order of the calls."""
+        """Add another accumulator of this layout, slot by slot; one of
+        another l_cap or batch count, whose bins and batches are others,
+        raises ValueError. Past the layout (l_cap, n_batches, n_planned)
+        every slot is a sum but l_max_seen, a maximum. Sums are added in the
+        order of the calls."""
+        if (self.l_cap, self.n_batches) != (other.l_cap, other.n_batches):
+            raise ValueError("accumulator layouts differ (l_cap / batches)")
         if self.n_lines + other.n_lines > self.n_planned:
             raise ValueError(f"{self.n_lines + other.n_lines} lines ingested, {self.n_planned} planned")
         l_max = max(self.l_max_seen, other.l_max_seen)
@@ -133,9 +133,7 @@ class Accumulator:
 
 
 def merge(a: Accumulator, b: Accumulator) -> Accumulator:
-    """Field-wise sum of two compatible accumulators (commutative, associative)."""
-    if (a.l_cap, a.n_batches) != (b.l_cap, b.n_batches):
-        raise ValueError("accumulator layouts differ (l_cap / batches)")
+    """Field-wise sum of two accumulators of one layout (commutative, associative)."""
     out = Accumulator(a.l_cap, a.n_planned + b.n_planned, a.n_batches)
     out.add(a)
     out.add(b)

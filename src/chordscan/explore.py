@@ -1,8 +1,8 @@
 """Drivers that turn a sampler and a shape into accumulated observations.
 
-LineStream produces accepted line statistics in sampling order, as
+take_all takes a LineStream's accepted line statistics in sampling order, as
 batch.BatchObservations records, transparently resampling the (measure-zero)
-degenerate lines and counting them. Its lines are fixed by its shape, which
+degenerate lines and counting them. A stream's lines are fixed by its shape, which
 carries its arena circle, and its SamplerConfig, whose seed is the only randomness.
 Everything else - one-shot estimates, convergence studies that read its
 running sums one take at a time - is built on top of it. Loops of seeded
@@ -64,22 +64,17 @@ class LineStream:
         )
         return theta, p
 
-    def take(self, n: int) -> BatchObservations:
-        """Exactly n accepted lines; degenerate ones are resampled and counted.
-
-        The one-stream case of take_all.
-        """
-        return take_all([self], n)
-
 
 def take_all(streams: list[LineStream], n: int) -> BatchObservations:
     """Exactly n accepted lines from each stream, in one record, stream after stream.
 
+    The one way to take lines: take_all([stream], n) takes one stream's.
     The streams refill in rounds: each stream short of lines draws as many as
     it misses, at most DEFAULT_CHUNK, and its degenerate lines are counted
     and drawn again in the next round. A round's draws are observed together,
     in observe_segments calls of whole draws that hold at most DEFAULT_CHUNK
-    lines. A stream's lines keep its draw order, as its own take(n) gives them.
+    lines. A stream's lines keep its draw order, as take_all([stream], n)
+    gives them.
     """
     records, owner, sizes = [], [], []  # each call's record; each draw's stream and size
     missing = [n] * len(streams)
@@ -121,9 +116,9 @@ def running_sums_all(streams: list[LineStream], n: int) -> tuple[np.ndarray, ...
 
     Each stream's totals carry on from its last call (sequential sums seeded
     with its last total), so a prefix's sums do not depend on how calls split
-    the stream; lines drawn by take() are not counted. Column 0 of a grid
-    holds the streams' last totals, and one cumsum along its rows adds each
-    stream's values in order.
+    the stream; lines taken by other take_all calls are not counted. Column
+    0 of a grid holds the streams' last totals, and one cumsum along its
+    rows adds each stream's values in order.
     """
     obs = take_all(streams, n)
     sums = np.empty((2, len(streams), n + 1))
@@ -150,12 +145,13 @@ def explore(
 ) -> estimators.Accumulator:
     """Accumulate n_lines accepted observations of the shape, in n_batches contiguous batches.
 
-    The stream's lines are taken DEFAULT_CHUNK at a time. With no dump, the
-    takes are map_jobs' jobs: take j is drawn from the one seeded stream,
-    its block (Accumulator.block) observed where map_jobs runs job j, and
-    the blocks added in take order, so every slot has the bits of one loop
-    over the takes. A take that holds a rejected line draws more lines and
-    shifts the stream: its job gives up, and a fresh stream runs the loop.
+    The stream's lines are taken DEFAULT_CHUNK at a time, and take j's
+    block (Accumulator.block, its first line j * DEFAULT_CHUNK) is added in
+    take order. With no dump, the takes are map_jobs' jobs: take j is drawn
+    from the one seeded stream and its block made where map_jobs runs job j,
+    so every slot has the bits of one loop over the takes. A take that holds
+    a rejected line draws more lines and shifts the stream: its job gives
+    up, and a fresh stream runs that loop here, one take at a time.
     """
     if n_lines < 1:
         raise ValueError("n_lines must be positive")
@@ -170,9 +166,9 @@ def explore(
                 acc.add(block)
             return acc
         stream = LineStream(shape, config)
-    for size in sizes:
-        obs = stream.take(size)
-        acc.ingest(obs)
+    for j, size in enumerate(sizes):
+        obs = take_all([stream], size)
+        acc.add(acc.block(obs, j * DEFAULT_CHUNK))
         if dump_rows is not None:
             _append_dump_rows(dump_rows, obs)
     acc.rejected = stream.rejected_total

@@ -175,16 +175,14 @@ def _validate_rings(rings) -> None:
         pairable &= ~adjacent
 
         proper = (c1 * c2 < -tol * tol) & (c3 * c4 < -tol * tol)
-        touching = (
-            (np.abs(c1) <= tol) | (np.abs(c2) <= tol) | (np.abs(c3) <= tol) | (np.abs(c4) <= tol)
-        )
         # collinear-but-distant pairs are fine; require bounding boxes to meet
         amin = np.minimum(pa, qa)
         amax = np.maximum(pa, qa)
         bmin = np.minimum(p[None, :, :], q[None, :, :])
         bmax = np.maximum(p[None, :, :], q[None, :, :])
         boxes_meet = np.all((amin <= bmax + tol) & (bmin <= amax + tol), axis=2)
-        bad = pairable & (proper | (touching & boxes_meet & _segments_really_touch(pa, qa, p, q, tol)))
+        touch = _segments_really_touch(c1, c2, c3, c4, pa, qa, p, q, tol)
+        bad = pairable & (proper | (boxes_meet & touch))
         if np.any(bad):
             i, j = np.argwhere(bad)[0]
             raise InvalidShapeError(
@@ -192,25 +190,19 @@ def _validate_rings(rings) -> None:
             )
 
 
-def _segments_really_touch(pa, qa, pb, qb, tol) -> np.ndarray:
-    """Refine near-zero cross products: does some endpoint lie on the other segment?"""
+def _segments_really_touch(c1, c2, c3, c4, pa, qa, pb, qb, tol) -> np.ndarray:
+    """Does some endpoint lie on the other segment? c1..c4 are pa's, qa's,
+    pb's and qb's cross products with the other segment, as _validate_rings
+    computes them: near zero when the endpoint is near the segment's line."""
 
-    def on_seg(pt, s0, s1):
+    def on_seg(cross, pt, s0, s1):
         seg = s1 - s0
         rel = pt - s0
-        crossv = np.abs(seg[..., 0] * rel[..., 1] - seg[..., 1] * rel[..., 0])
         dotv = seg[..., 0] * rel[..., 0] + seg[..., 1] * rel[..., 1]
         lens = seg[..., 0] ** 2 + seg[..., 1] ** 2
-        return (crossv <= tol) & (dotv >= -tol) & (dotv <= lens + tol)
+        return (np.abs(cross) <= tol) & (dotv >= -tol) & (dotv <= lens + tol)
 
-    pb = np.broadcast_to(pb, np.broadcast_shapes(pa.shape, pb.shape))
-    qb = np.broadcast_to(qb, pb.shape)
-    return (
-        on_seg(pa, pb, qb)
-        | on_seg(qa, pb, qb)
-        | on_seg(pb, pa, qa)
-        | on_seg(qb, pa, qa)
-    )
+    return on_seg(c1, pa, pb, qb) | on_seg(c2, qa, pb, qb) | on_seg(c3, pb, pa, qa) | on_seg(c4, qb, pa, qa)
 
 
 def _ray_crossings(coords: np.ndarray, probes: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ _PALETTE = (
 )
 
 _W, _H, _MARGIN = 640, 480, 56
+_LEVELS = (0.75, 0.95, 0.99)
 
 
 class _Canvas:
@@ -66,8 +67,8 @@ def _pad_range(vals, frac=0.2):
     return lo - pad, hi + pad
 
 
-def dictionary_svg(entries: list[DictEntry], n_lines: int, path, levels=(0.75, 0.95, 0.99)) -> None:
-    """Entry points plus their confidence ellipses at n_lines."""
+def dictionary_svg(entries: list[DictEntry], n_lines: int, path) -> None:
+    """Entry points plus their confidence ellipses at n_lines, one per level of _LEVELS."""
     cv = _Canvas(
         _pad_range([e.p_ref for e in entries]),
         _pad_range([e.a_ref for e in entries]),
@@ -79,7 +80,7 @@ def dictionary_svg(entries: list[DictEntry], n_lines: int, path, levels=(0.75, 0
     for i, e in enumerate(entries):
         color = _PALETTE[i % len(_PALETTE)]
         cx, cy = cv.to_px(e.p_ref, e.a_ref)
-        for level in levels:
+        for level in _LEVELS:
             ell = confidence_ellipse(e, n_lines, level)
             ux, uy = math.cos(ell.angle), math.sin(ell.angle)
             # ellipse axes in pixel space (P along x, A along y, y flipped)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chordscan.explore import LineStream
+from chordscan.explore import LineStream, take_all
 from dictionaries import calibrated_builtins, calibrated_letters
 
 
@@ -40,5 +40,5 @@ def record_sums(shape, n_max, config):
 
     The oracle for explore.running_sums_all, which sums a stream take by take.
     """
-    obs = LineStream(shape, config).take(n_max)
+    obs = take_all([LineStream(shape, config)], n_max)
     return [np.cumsum(col) for col in (obs.L1, obs.L3, obs.k)]

@@ -317,7 +317,8 @@ def test_reduction_matches_the_padded_grid(block, size):
     saved = batch._BLOCK
     batch._BLOCK = size
     try:
-        got = batch._reduce(counts.copy(), t.copy(), rejected.copy())
+        lines = np.zeros(counts.size), np.zeros(counts.size)  # theta and p, carried as they are
+        got = batch._reduce(counts.copy(), t.copy(), rejected.copy(), *lines)
     finally:
         batch._BLOCK = saved
     for field, value in want.items():

@@ -45,25 +45,32 @@ def one_line(*chords, gap=5.0):
         chord_cube_sum=np.array([np.sum(lengths**3)]),
         chords_flat=lengths,
         rejected=np.zeros(1, dtype=bool),
+        theta=np.zeros(1),
+        p=np.zeros(1),
     )
+
+
+def fill(acc, obs):
+    """Add the block of obs's lines that follows the accumulator's last line."""
+    acc.add(acc.block(obs, acc.n_lines))
 
 
 def single_chord_acc(values, l_cap=10.0, n_batches=4):
     acc = est.Accumulator(l_cap, len(values), n_batches)
     for v in values:
-        acc.ingest(one_line(v))
+        fill(acc, one_line(v))
     return acc
 
 
 def test_accumulate_zero_observation_counts_lines_only():
     acc = est.Accumulator(l_cap=2.0, n_planned=1)
-    acc.ingest(one_line())
+    fill(acc, one_line())
     assert acc.n_lines == 1 and acc.n_hit == 0 and acc.sum_L1 == 0.0
 
 
 def test_accumulate_single_chord():
     acc = est.Accumulator(l_cap=10.0, n_planned=1)
-    acc.ingest(one_line(2.0))
+    fill(acc, one_line(2.0))
     assert acc.sum_L1 == pytest.approx(2.0)
     assert acc.sum_L3 == pytest.approx(8.0)
     assert acc.chord_count == 1
@@ -73,7 +80,7 @@ def test_accumulate_spec_two_chord_example():
     # events at 0,1,3,6: order-1 value 4, order-3 value 100, two chords
     obs = one_line(1.0, 3.0, gap=2.0)
     acc = est.Accumulator(l_cap=10.0, n_planned=1)
-    acc.ingest(obs)
+    fill(acc, obs)
     assert acc.sum_L1 == pytest.approx(4.0)
     assert acc.sum_L3 == pytest.approx(100.0)
     assert acc.chord_count == 2
@@ -114,6 +121,16 @@ def test_merge_layout_mismatch():
         est.merge(est.Accumulator(2.0, 0), est.Accumulator(3.0, 0))
     with pytest.raises(ValueError):
         est.merge(est.Accumulator(2.0, 0, n_batches=10), est.Accumulator(2.0, 0))
+
+
+def test_add_refuses_a_block_of_another_layout():
+    # another l_cap bins the chords at another width, another batch count
+    # sums other batches: add refuses either block and changes nothing
+    acc = est.Accumulator(l_cap=10.0, n_planned=2, n_batches=4)
+    for other in (est.Accumulator(5.0, 2, 4), est.Accumulator(10.0, 2, 3)):
+        with pytest.raises(ValueError, match="layouts differ"):
+            acc.add(other.block(one_line(2.0), 0))
+    assert acc.n_lines == 0 and acc.sum_L1 == 0.0 and not acc.hist.any() and not acc.batch.any()
 
 
 def test_estimate_area_from_disk_closed_form_moments():
@@ -199,7 +216,7 @@ def test_convex_baseline_fails_on_annulus():
 def test_stderr_zero_for_identical_batches():
     acc = est.Accumulator(l_cap=10.0, n_planned=5 * 6, n_batches=5)
     for _ in range(5 * 6):
-        acc.ingest(one_line(2.0))
+        fill(acc, one_line(2.0))
     se_a, se_p = est.stderrs(acc)
     assert se_a == pytest.approx(0.0, abs=1e-12)
     assert se_p == pytest.approx(0.0, abs=1e-12)
@@ -207,7 +224,7 @@ def test_stderr_zero_for_identical_batches():
 
 def test_stderr_needs_two_batches():
     acc = est.Accumulator(l_cap=10.0, n_planned=1, n_batches=5)
-    acc.ingest(one_line(2.0))
+    fill(acc, one_line(2.0))
     with pytest.raises(est.InsufficientDataError):
         est.stderrs(acc)
 
@@ -258,25 +275,25 @@ def test_batches_are_contiguous_and_even():
     # takes sums both parts
     config = SamplerConfig(seed=6)
     acc = explore(shapes.disk(), 40_000, config)
-    obs = LineStream(shapes.disk(), config).take(40_000)
+    obs = take_all([LineStream(shapes.disk(), config)], 40_000)
     cols = (obs.L1, obs.L3, obs.k, obs.chord_cube_sum)
     want = np.column_stack([np.add.reduceat(c, np.arange(0, 40_000, 400)) for c in cols])
     np.testing.assert_allclose(acc.batch[:, :4], want, rtol=1e-12)
     assert set(acc.batch[:, 4]) == {400.0}
     # the plan is a bound
     full = est.Accumulator(l_cap=10.0, n_planned=1)
-    full.ingest(one_line(2.0))
+    fill(full, one_line(2.0))
     with pytest.raises(ValueError, match="2 lines ingested, 1 planned"):
-        full.ingest(one_line(2.0))
+        fill(full, one_line(2.0))
 
 
 def test_zero_lines_do_not_change_estimates():
     acc = est.Accumulator(l_cap=10.0, n_planned=503)
     for v in (1.0, 2.0, 3.0):
-        acc.ingest(one_line(v))
+        fill(acc, one_line(v))
     a0, p0 = est.estimate_area(acc), est.estimate_perimeter(acc)
     for _ in range(500):
-        acc.ingest(one_line())
+        fill(acc, one_line())
     assert est.estimate_area(acc) == a0
     assert est.estimate_perimeter(acc) == p0
 
@@ -449,14 +466,14 @@ def test_arena_scale_covers_the_shape(scale, covers):
 def test_take_all_keeps_each_streams_own_take_under_rejections(monkeypatch):
     # a 1e-2 vertex band rejects about 40% of the disk's lines, so the six
     # streams refill over several rounds, the first round in two calls. The
-    # record must hold each stream's lines together, as its own take gives them
+    # record must hold each stream's lines together, as take_all of it alone gives them
     monkeypatch.setattr(batch, "ONLINE_TOL", 1e-2)
     disk, n = shapes.disk(), 3000
     configs = [SamplerConfig(mode, seed) for mode in ("iur", "billiard-cos") for seed in range(3)]
     streams = [LineStream(disk, c) for c in configs]
     got = take_all(streams, n)
     owns = [LineStream(disk, c) for c in configs]
-    want = [own.take(n) for own in owns]
+    want = [take_all([own], n) for own in owns]
     assert all(0.3 < own.rejected_total / (n + own.rejected_total) < 0.5 for own in owns)
     for field in ("k", "L1", "L3", "chord_cube_sum", "chords_flat", "rejected", "theta", "p"):
         assert np.array_equal(getattr(got, field), np.concatenate([getattr(w, field) for w in want])), field
@@ -537,7 +554,7 @@ def test_explore_equals_a_take_by_take_loop_bit_for_bit(monkeypatch, tol, mode, 
     stream = LineStream(make(), cfg)
     want = est.Accumulator(2.0 * stream.arena.radius, n_lines)
     for done in range(0, n_lines, ex.DEFAULT_CHUNK):
-        want.ingest(stream.take(min(ex.DEFAULT_CHUNK, n_lines - done)))
+        want.add(want.block(take_all([stream], min(ex.DEFAULT_CHUNK, n_lines - done)), done))
     want.rejected = stream.rejected_total
     assert (want.rejected > 0) == (tol is not None)
     for slot in est.Accumulator.__slots__:

@@ -220,6 +220,25 @@ def test_ring_validation_does_not_depend_on_distance_from_origin(offset):
         g.Shape(moved(outer, [(0.25, 0.25), (1, 0.5), (0.25, 0.75)]))
 
 
+@pytest.mark.parametrize(
+    "other, area",
+    [
+        ([(1, 0.5), (2, 0), (2, 1)], None),  # a vertex on the square's right edge
+        ([(1, 1), (2, 1), (2, 2), (1, 2)], None),  # the square's corner, shared
+        ([(1, 0.5), (2, 0.5), (2, 1.5), (1, 1.5)], None),  # collinear edges that overlap
+        ([(1 + 1e-6, 0), (2, 0), (2, 1), (1 + 1e-6, 1)], 2.0 - 1e-6),  # 1e-6 apart
+    ],
+    ids=["t-junction", "shared-vertex", "collinear-overlap", "gap-1e-6"],
+)
+def test_rings_that_touch_are_rejected_and_rings_apart_are_not(other, area):
+    rings = [[(0, 0), (1, 0), (1, 1), (0, 1)], other]
+    if area is None:
+        with pytest.raises(g.InvalidShapeError, match="intersect"):
+            g.Shape(rings)
+    else:
+        assert g.exact_area(g.Shape(rings)) == pytest.approx(area, rel=1e-12)
+
+
 def test_statue_matches_triangle_area():
     assert g.exact_area(shapes.statue()) == pytest.approx(
         g.exact_area(shapes.triangle()), rel=1e-9

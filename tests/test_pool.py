@@ -206,7 +206,7 @@ def test_explore_sums_its_takes_in_take_order(forks):
     cfg = SamplerConfig(seed=38)
     acc = ex.explore(shapes.annulus(), 3 * ex.DEFAULT_CHUNK, cfg)
     stream = ex.LineStream(shapes.annulus(), cfg)
-    takes = [stream.take(ex.DEFAULT_CHUNK) for _ in range(3)]
+    takes = [ex.take_all([stream], ex.DEFAULT_CHUNK) for _ in range(3)]
     blocks = [acc.block(obs, j * ex.DEFAULT_CHUNK) for j, obs in enumerate(takes)]
     orders = [(0, 1, 2), (2, 1, 0), (1, 0, 2)]
     got = []

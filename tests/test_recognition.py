@@ -14,7 +14,7 @@ from chordscan import reading as rd
 from chordscan import recognition as rec
 from chordscan import shapes
 from chordscan.estimators import EstimateReport
-from chordscan.explore import LineStream, explore
+from chordscan.explore import LineStream, explore, take_all
 from chordscan.geometry import exact_area, exact_perimeter
 from chordscan.sampling import SAMPLER_MODES, SamplerConfig
 
@@ -95,7 +95,7 @@ def _entry_from_record(shape, m_lines, replicates, config):
     """calibrate's batch rule applied to the first whole batches of explore's stream."""
     b = rec.CALIBRATION_BATCH
     n = m_lines * replicates // b * b
-    obs = LineStream(shape, config).take(n)
+    obs = take_all([LineStream(shape, config)], n)
     sums = [np.add.reduceat(col, np.arange(0, n, b)) for col in (obs.L1, obs.L3, obs.k)]
     if_a, if_p = est.ratio_influence(*sums)
     corr = float(np.corrcoef(if_p, if_a)[0, 1])
